@@ -351,7 +351,7 @@ def lifecycle_check():
 
     session = build_fixture_session(bases=32, seed=2026)
     store = session.store()
-    store._verify_remaining = 0
+    store.columnar_check.exhaust()
     probes = [
         request.fingerprint
         for request in build_request_stream(
@@ -381,7 +381,7 @@ def lifecycle_check():
         index_strategy=type(store.index).strategy,
     )
     rebuild.columnar_min_candidates = store.columnar_min_candidates
-    rebuild._verify_remaining = 0
+    rebuild.columnar_check.exhaust()
     id_map = {}
     for new_id, basis in enumerate(store.bases):
         id_map[basis.basis_id] = new_id

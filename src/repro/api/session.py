@@ -311,7 +311,7 @@ class Session:
                     for name, store in sorted(self._stores.items())
                 },
                 backend={
-                    name: store.backend.describe()
+                    name: store.backend.describe(store.columnar_check)
                     for name, store in sorted(self._stores.items())
                 },
                 request_id=request.request_id,

@@ -19,11 +19,10 @@ is seeded and drawn in a handful of numpy operations:
 Bit-exactness contract: every value produced here is verified to equal the
 scalar :class:`repro.blackbox.rng.DeterministicRng` output.  A self-test
 (:func:`fast_path_available`) runs once per *backend instance* — the block
-fill itself routes through the pluggable compute seam
-(:mod:`repro.core.backend`), and the self-test outcome lives on the
-backend instance rather than a module global, so one surprising host (or
-one lying accelerated kernel) degrades that instance to the per-seed
-``Generator`` path — with a ``RuntimeWarning``, exactly once — without
+fill itself routes through the pluggable compute seam, and the self-test
+is one :class:`repro.core.backend.VerifyThenDegrade` check held by the
+backend instance, so one surprising host (or one lying accelerated
+kernel) degrades that instance to the per-seed ``Generator`` path without
 leaking the degrade across unrelated stores, tests, or backends.
 :func:`fast_path_status` exposes the state; :func:`reset_fast_path`
 re-arms it (test-only).
@@ -31,7 +30,6 @@ re-arms it (test-only).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -292,14 +290,17 @@ def fast_path_available(backend: BackendArg = None) -> bool:
 
     Compares :func:`draw_matrix`'s vector path — routed through the given
     (default: process-active) compute backend — to per-seed ``Generator``
-    output over a spread of seeds (including ziggurat-rejection lanes).
-    On any mismatch *that backend instance* permanently falls back to the
-    scalar path with one ``RuntimeWarning``, so batch sampling can never
-    silently diverge from the scalar contract; other instances (other
-    stores, other tests) are untouched.
+    output over a spread of seeds (including ziggurat-rejection lanes),
+    under the backend's ``stream_check``
+    (:class:`~repro.core.backend.VerifyThenDegrade`).  On a mismatch, or
+    if the vector path raises (the warning then names the exception),
+    *that backend instance* permanently falls back to the scalar path, so
+    batch sampling can never silently diverge from the scalar contract;
+    other instances (other stores, other tests) are untouched.
     """
     backend = resolve_backend(backend)
-    if backend._fast_path_ok is None:
+    check = backend.stream_check
+    if check.remaining and not check.degraded:
         probe = np.array(
             [0, 1, 7, 12345, 2**31, 2**52 + 3, 2**63 + 11, 2**64 - 1]
             + list(range(100, 164)),
@@ -307,42 +308,29 @@ def fast_path_available(backend: BackendArg = None) -> bool:
         )
         kinds = (KIND_NORMAL, KIND_EXPONENTIAL, KIND_UNIFORM, KIND_NORMAL)
         try:
-            fast = _draw_matrix_vector(probe, kinds, backend)
-            reference = _draw_matrix_scalar(probe, kinds)
-            ok = bool(
-                fast.shape == reference.shape
-                and np.array_equal(fast, reference)
+            check.run(
+                lambda: _draw_matrix_vector(probe, kinds, backend),
+                lambda: _draw_matrix_scalar(probe, kinds),
             )
-        except Exception:
-            ok = False
-        backend._fast_path_ok = ok
-        if not ok and not backend._fast_path_warned:
-            backend._fast_path_warned = True
-            warnings.warn(
-                f"vectorized standard-draw stream disagreed with the "
-                f"per-seed Generator reference on backend "
-                f"{backend.name!r}; falling back to the scalar draw path "
-                f"for this backend instance",
-                RuntimeWarning,
-            )
-    return backend._fast_path_ok
+        except Exception as exc:
+            check.degrade(f"raised {type(exc).__name__}: {exc}")
+    return not check.degraded
 
 
 def fast_path_status(backend: BackendArg = None) -> Dict[str, object]:
     """Introspect one backend instance's draw fast-path state.
 
     Returns ``{"backend": <describe()>, "fast_path": "ok" | "degraded" |
-    "untested", "degraded_kernels": (...)}`` — the hook the old module
-    global never offered, so tests and ``repro store info`` can tell a
-    healthy accelerated run from a silently-degraded one.
+    "untested", "degraded_kernels": (...)}`` so tests and ``repro store
+    info`` can tell a healthy accelerated run from a silently-degraded
+    one.
     """
     backend = resolve_backend(backend)
-    if backend._fast_path_ok is None:
-        state = "untested"
-    elif backend._fast_path_ok:
-        state = "ok"
-    else:
+    check = backend.stream_check
+    if check.degraded:
         state = "degraded"
+    else:
+        state = "untested" if check.remaining else "ok"
     return {
         "backend": backend.describe(),
         "fast_path": state,

@@ -8,14 +8,17 @@ are the shapes JIT/GPU accelerators want.  This module is the seam that
 lets an accelerated implementation slide under them without ever
 touching the bitwise contract every CI gate pins:
 
+* :class:`VerifyThenDegrade` is the one cross-check harness every fast
+  path in the system runs under: the accelerated kernels here (against
+  the numpy reference), the vectorized draw stream in
+  :mod:`repro.blackbox.fastrng` (against per-seed ``Generator`` draws)
+  and the columnar matcher in :mod:`repro.core.basis` (against the
+  scalar ``find`` loop).  Its state is *instance-scoped*: one lying path
+  degrades itself (with a ``RuntimeWarning``, exactly once), never the
+  process, and ``describe()`` makes the degrade visible.
 * :class:`ComputeBackend` names the four kernels (``draw_block``,
-  ``affine_validate``, ``sid_orders``, ``normal_forms``) and wraps every
-  non-reference implementation in first-N self-verification against the
-  numpy reference — the same cross-check/degrade discipline as
-  ``VERIFY_LOOKUPS`` in :mod:`repro.core.basis` and the fastrng
-  stream-replay self-test, but *instance-scoped*: one lying backend
-  degrades itself (with a ``RuntimeWarning``, exactly once per kernel),
-  never the process, and ``describe()`` makes the degrade visible.
+  ``affine_validate``, ``sid_orders``, ``normal_forms``) and runs every
+  non-reference implementation under that harness.
 * A tiny registry maps names to factories.  ``numpy`` is always
   registered and always available; ``numba`` is registered but only
   available when the optional dependency imports
@@ -26,10 +29,9 @@ touching the bitwise contract every CI gate pins:
   unknown or unavailable names with :class:`~repro.errors.BackendError`
   instead of silently running numpy.
 
-Degrade semantics: a degraded kernel answers through the numpy
-reference from the first detected disagreement onward, so callers
-always get reference bits — an accelerator pays with speed, never with
-changed answers.
+Degrade semantics: a degraded path answers through its reference from
+the first detected disagreement onward, so callers always get reference
+bits — a fast path pays with speed, never with changed answers.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ import numpy as np
 
 from repro.errors import BackendError
 
-#: Calls per (instance, kernel) cross-checked against the numpy
-#: reference before an accelerated implementation is trusted outright.
-#: Mirrors ``repro.core.basis.VERIFY_LOOKUPS``.
+#: Calls cross-checked against the reference before a fast path is
+#: trusted outright: per (backend instance, kernel) here, per store for
+#: the columnar matcher.
 VERIFY_CALLS = 4
 
 KERNELS = ("draw_block", "affine_validate", "sid_orders", "normal_forms")
@@ -109,19 +111,70 @@ def _results_equal(left, right) -> bool:
     return left.shape == right.shape and bool(np.array_equal(left, right))
 
 
+class VerifyThenDegrade:
+    """Cross-check a fast path against its reference, then trust it.
+
+    The first ``budget`` calls of :meth:`run` compute both answers and
+    compare them; a disagreement emits the one degrade ``RuntimeWarning``
+    and permanently routes this instance's calls through the reference.
+    ``what`` and ``reference`` name the two paths in that warning, and
+    ``tag`` is what a degraded check contributes to
+    :meth:`ComputeBackend.describe`.
+    """
+
+    def __init__(
+        self,
+        what: str,
+        reference: str,
+        tag: str,
+        budget: int,
+        equal: Callable[[object, object], bool] = _results_equal,
+    ) -> None:
+        self.what = what
+        self.reference = reference
+        self.tag = tag
+        self.remaining = budget
+        self.equal = equal
+        self.degraded = False
+
+    def run(self, fast: Callable, reference: Callable, *args):
+        """``fast(*args)``, cross-checked while budget remains."""
+        if self.degraded:
+            return reference(*args)
+        result = fast(*args)
+        if self.remaining > 0:
+            self.remaining -= 1
+            expected = reference(*args)
+            if not self.equal(result, expected):
+                self.degrade(f"disagreed with {self.reference}")
+                return expected
+        return result
+
+    def degrade(self, reason: str) -> None:
+        """Permanently answer through the reference, with the one
+        warning (a degraded check never reaches its fast path again)."""
+        self.degraded = True
+        warnings.warn(
+            f"{self.what} {reason}; this instance answers through "
+            f"{self.reference} from now on",
+            RuntimeWarning,
+        )
+
+    def exhaust(self) -> None:
+        """Spend the remaining budget unchecked, so a differential test
+        sees the fast path's own answers instead of a masked fallback."""
+        self.remaining = 0
+
+
 class ComputeBackend:
-    """Base class: kernel hooks plus instance-scoped self-verification.
+    """Base class: kernel hooks, each under its own :class:`VerifyThenDegrade`.
 
     Subclasses override the ``_<kernel>`` hooks they accelerate and
     inherit the numpy reference for the rest.  Overridden kernels are
     cross-checked against the reference for their first
-    :data:`VERIFY_CALLS` calls on *this instance*; a disagreement emits
-    one ``RuntimeWarning`` and permanently degrades that kernel (on
-    this instance only) to the reference implementation.
-
-    The instance also carries the fastrng fast-path self-test state
-    (``_fast_path_ok`` / ``_fast_path_warned``) that used to live in a
-    module global — see :func:`repro.blackbox.fastrng.fast_path_status`.
+    :data:`VERIFY_CALLS` calls on *this instance*.  The instance also
+    carries the check behind the fastrng stream-replay self-test — see
+    :func:`repro.blackbox.fastrng.fast_path_available`.
     """
 
     name = "abstract"
@@ -130,19 +183,7 @@ class ComputeBackend:
     is_reference = False
 
     def __init__(self) -> None:
-        self._degraded: Dict[str, bool] = {}
-        self._verify_remaining: Dict[str, int] = {}
-        for kernel in KERNELS:
-            overridden = getattr(type(self), "_" + kernel) is not getattr(
-                ComputeBackend, "_" + kernel
-            )
-            self._verify_remaining[kernel] = (
-                VERIFY_CALLS if overridden and not self.is_reference else 0
-            )
-        #: fastrng stream-replay self-test outcome for this instance:
-        #: None = not yet run, True/False afterwards.
-        self._fast_path_ok: Optional[bool] = None
-        self._fast_path_warned = False
+        self.reset_verification()
 
     # -- kernel hooks (override these) --------------------------------------
 
@@ -170,7 +211,7 @@ class ComputeBackend:
         which that assumption held (the caller patches the rest through
         the scalar generator).
         """
-        return self._checked("draw_block", (seeds, kinds))
+        return self._checked("draw_block", seeds, kinds)
 
     def affine_validate(
         self,
@@ -182,76 +223,76 @@ class ComputeBackend:
     ) -> np.ndarray:
         """Row-wise ``|alpha*source + beta - target| <= tol`` accept mask."""
         return self._checked(
-            "affine_validate", (sources, alpha, beta, target, tol)
+            "affine_validate", sources, alpha, beta, target, tol
         )
 
     def sid_orders(self, matrix: np.ndarray) -> np.ndarray:
         """Row-wise stable argsort (ascending SID-order keys)."""
-        return self._checked("sid_orders", (matrix,))
+        return self._checked("sid_orders", matrix)
 
     def normal_forms(self, matrix: np.ndarray, rel_tol: float):
         """Normal-form components ``(has_pair, position, forward,
         reflected)`` for a stack of same-size fingerprints."""
-        return self._checked("normal_forms", (matrix, rel_tol))
+        return self._checked("normal_forms", matrix, rel_tol)
 
-    # -- verification machinery ---------------------------------------------
+    # -- verification state -------------------------------------------------
 
-    def _checked(self, kernel: str, args: tuple):
-        if self._degraded.get(kernel):
-            return _REFERENCE[kernel](*args)
-        result = getattr(self, "_" + kernel)(*args)
-        remaining = self._verify_remaining[kernel]
-        if remaining > 0:
-            self._verify_remaining[kernel] = remaining - 1
-            expected = _REFERENCE[kernel](*args)
-            if not _results_equal(result, expected):
-                self._degrade(kernel)
-                return expected
-        return result
-
-    def _degrade(self, kernel: str) -> None:
-        """Permanently route one kernel through the reference (warn once)."""
-        if not self._degraded.get(kernel):
-            self._degraded[kernel] = True
-            warnings.warn(
-                f"compute backend {self.name!r} kernel {kernel!r} disagreed "
-                f"with the numpy reference; degrading this backend instance "
-                f"to the reference implementation for {kernel!r}",
-                RuntimeWarning,
-            )
-
-    def degraded_kernels(self) -> Tuple[str, ...]:
-        """Kernels this instance has degraded to the reference, sorted."""
-        return tuple(sorted(self._degraded))
+    def _checked(self, kernel: str, *args):
+        return self._checks[kernel].run(
+            getattr(self, "_" + kernel), _REFERENCE[kernel], *args
+        )
 
     def reset_verification(self) -> None:
-        """Re-arm self-verification and the fast-path self-test.
+        """(Re-)arm every kernel check and the fast-path self-test.
 
-        Test-only: production code never un-degrades a backend.
+        Builds the instance's verification state; calling it again is
+        test-only — production code never un-degrades a backend.
         """
-        self._degraded.clear()
+        self._checks: Dict[str, VerifyThenDegrade] = {}
         for kernel in KERNELS:
             overridden = getattr(type(self), "_" + kernel) is not getattr(
                 ComputeBackend, "_" + kernel
             )
-            self._verify_remaining[kernel] = (
-                VERIFY_CALLS if overridden and not self.is_reference else 0
+            self._checks[kernel] = VerifyThenDegrade(
+                f"compute backend {self.name!r} kernel {kernel!r}",
+                "the numpy reference",
+                tag=kernel,
+                budget=VERIFY_CALLS
+                if overridden and not self.is_reference
+                else 0,
             )
-        self._fast_path_ok = None
-        self._fast_path_warned = False
+        #: The fastrng stream-replay self-test: budget left = not yet run.
+        self.stream_check = VerifyThenDegrade(
+            f"vectorized standard-draw stream on backend {self.name!r}",
+            "the per-seed Generator scalar draw path",
+            tag="scalar-draws",
+            budget=1,
+        )
 
-    def describe(self) -> str:
+    def degraded_kernels(self) -> Tuple[str, ...]:
+        """Kernels this instance has degraded to the reference, sorted."""
+        return tuple(
+            sorted(k for k, check in self._checks.items() if check.degraded)
+        )
+
+    def describe(self, *store_checks: VerifyThenDegrade) -> str:
         """Human/store-info descriptor, e.g. ``numba[degraded:draw_block]``.
 
-        A clean backend is just its name; degraded kernels and a failed
-        fastrng fast-path self-test are appended so a silently-degraded
-        run is visible in ``repro store info`` and ``StatsResponse``.
+        A clean backend is just its name; degraded kernels, a failed
+        fastrng fast-path self-test and any degraded ``store_checks`` (a
+        store passes its columnar check) are appended so a
+        silently-degraded run is visible in ``repro store info`` and
+        ``StatsResponse``.
         """
         tags = []
-        if self._degraded:
-            tags.append("degraded:" + ",".join(sorted(self._degraded)))
-        if self._fast_path_ok is False:
-            tags.append("scalar-draws")
+        kernels = self.degraded_kernels()
+        if kernels:
+            tags.append("degraded:" + ",".join(kernels))
+        tags += [
+            check.tag
+            for check in (self.stream_check, *store_checks)
+            if check.degraded
+        ]
         if tags:
             return f"{self.name}[{';'.join(tags)}]"
         return self.name

@@ -10,7 +10,6 @@ skipped and the basis's metrics are remapped instead.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -25,7 +24,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.backend import BackendArg, resolve_backend
+from repro.core.backend import (
+    VERIFY_CALLS,
+    BackendArg,
+    VerifyThenDegrade,
+    resolve_backend,
+)
 from repro.core.columnar import CandidateKeys, ColumnarStore
 from repro.errors import LifecycleError
 from repro.core.estimator import Estimator, MetricSet
@@ -164,17 +168,13 @@ class EvictionPolicy:
         return victims
 
 
-#: Columnar lookups per store that are cross-checked against the scalar
-#: loop before the vectorized kernels are trusted outright (the same
-#: self-verification contract as the fastrng stream replay: a surprising
-#: host/numpy pays with speed, never with changed answers).
-VERIFY_LOOKUPS = 4
-
 #: Probes with fewer candidates than this take the scalar loop: a couple of
 #: per-candidate find() calls against cached fingerprints beats the fixed
-#: cost of gathering rows and launching the matrix kernels.  Purely a
-#: latency knob — both paths return bit-identical results — exposed as an
-#: instance attribute so tests can force either path.
+#: cost of gathering rows and launching the matrix kernels (measured on a
+#: 389-basis store: 1 candidate/probe 8.8 us scalar vs 42.4 us kernels;
+#: 389 candidates/probe 1,193.6 us scalar vs 121.8 us kernels).  Purely a
+#: latency cutover — both paths return bit-identical results — kept as an
+#: instance attribute so tests can put a store on either side of it.
 COLUMNAR_MIN_CANDIDATES = 8
 
 
@@ -189,12 +189,13 @@ class BasisStore:
     live in contiguous matrices (:mod:`repro.core.columnar`), and a probe
     validates all its candidates through one vectorized
     :meth:`MappingFamily.find_matrix` call instead of a per-candidate
-    Python loop.  The scalar loop remains as the reference path: the first
-    :data:`VERIFY_LOOKUPS` columnar lookups are checked against it and any
-    disagreement permanently falls back (``columnar=False`` forces the
-    scalar path outright).  Either way every probe returns the same basis
-    id, the same mapping parameters, and the same candidates-tested count
-    — first-match-wins tie-breaking included.
+    Python loop.  The scalar loop remains as the reference path:
+    ``columnar_check`` (:class:`~repro.core.backend.VerifyThenDegrade`)
+    compares the first :data:`~repro.core.backend.VERIFY_CALLS` columnar
+    lookups against it and any disagreement permanently falls back.
+    Either way every probe returns the same basis id, the same mapping
+    parameters, and the same candidates-tested count — first-match-wins
+    tie-breaking included.
     """
 
     def __init__(
@@ -205,15 +206,13 @@ class BasisStore:
         estimator: Optional[Estimator] = None,
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
-        columnar: bool = True,
         backend: BackendArg = None,
     ):
         self.mapping_family = mapping_family or LinearMappingFamily()
         #: The store's compute backend.  ``None`` resolves to the
         #: process-active instance (shared: its one self-test serves every
         #: default store); a *name* builds a fresh instance, giving this
-        #: store its own verification/degrade state — the store-scoped
-        #: analogue of the columnar ``VERIFY_LOOKUPS`` fallback below.
+        #: store its own kernel verification/degrade state.
         self.backend = resolve_backend(backend)
         if index is None:
             if (
@@ -235,11 +234,16 @@ class BasisStore:
         self._bases: Dict[int, BasisDistribution] = {}
         self._next_id = 0
         self.columnar = ColumnarStore()
-        self.columnar_enabled = bool(
-            columnar and self.mapping_family.supports_find_matrix
-        )
         self.columnar_min_candidates = COLUMNAR_MIN_CANDIDATES
-        self._verify_remaining = VERIFY_LOOKUPS
+        #: Store-scoped columnar-vs-scalar cross-check; a degrade shows as
+        #: ``scalar-match`` in ``backend.describe(store.columnar_check)``.
+        self.columnar_check = VerifyThenDegrade(
+            "columnar FindMapping",
+            "the scalar find loop",
+            tag="scalar-match",
+            budget=VERIFY_CALLS,
+            equal=self._same_result,
+        )
 
     def __len__(self) -> int:
         return len(self._bases)
@@ -256,17 +260,12 @@ class BasisStore:
 
         The mapping direction follows the reuse direction: applying M to the
         basis's samples/metrics yields the probe point's.  Single-probe form
-        of :meth:`match_batch` — same columnar candidate validation, same
-        counters.
+        of :meth:`match_batch` — same candidate validation, same counters.
         """
         started = time.perf_counter()
-        self.stats.lookups += 1
-        result, tested = self._match_candidates(
+        result, _ = self._match_candidates(
             fingerprint, self.index.candidates(fingerprint)
         )
-        self.stats.candidates_tested += tested
-        if result is not None:
-            self.stats.matches += 1
         self.stats.match_seconds += time.perf_counter() - started
         return result
 
@@ -279,10 +278,10 @@ class BasisStore:
 
         Index keys for all probes are computed in one vectorized pass
         (:meth:`FingerprintIndex.candidates_batch`), then every probe's
-        candidates are validated through the columnar ``find_matrix``
-        kernels.  Probes do not see each other: the store is read-only
-        during the call, so result ``i`` is exactly ``match(fps[i])`` —
-        ids, mapping parameters, and counter increments all identical.
+        candidates are validated exactly as :meth:`match` would.  Probes
+        do not see each other: the store is read-only during the call, so
+        result ``i`` is exactly ``match(fps[i])`` — ids, mapping
+        parameters, and counter increments all identical.
 
         ``tested_out``, when given, receives one per-probe
         candidates-tested count per result (the serving layer reports it
@@ -296,11 +295,7 @@ class BasisStore:
             probes,
             self.index.candidates_batch(probes, backend=self.backend),
         ):
-            self.stats.lookups += 1
             result, tested = self._match_candidates(probe, candidates)
-            self.stats.candidates_tested += tested
-            if result is not None:
-                self.stats.matches += 1
             if tested_out is not None:
                 tested_out.append(tested)
             results.append(result)
@@ -310,41 +305,34 @@ class BasisStore:
     def _match_candidates(
         self, fingerprint: Fingerprint, candidates: Sequence[int]
     ) -> Tuple[Optional[MatchResult], int]:
-        """Validate a probe's candidate list; returns (result, tested).
+        """Validate and account one probe; returns (result, tested).
 
-        ``tested`` is the scalar loop's accounting: candidates visited up
-        to and including the first match (all of them on a miss).  The
-        winning basis's :attr:`~BasisDistribution.hits` reuse counter is
-        bumped here, so both the scalar and columnar paths (and every
-        verify/fallback branch) count a reuse exactly once.
+        The path is a function of what the store can observe: the family
+        has matrix kernels and the probe has enough candidates to repay
+        launching them (``columnar_check`` itself answers through the
+        scalar loop once degraded).  ``tested`` is the scalar loop's
+        accounting: candidates visited up to and including the first match
+        (all of them on a miss).  Every path's lookup is counted here,
+        once, as is the winning basis's :attr:`~BasisDistribution.hits`.
         """
-        result, tested = self._validate_candidates(fingerprint, candidates)
+        if (
+            self.mapping_family.supports_find_matrix
+            and len(candidates) >= self.columnar_min_candidates
+        ):
+            result, tested = self.columnar_check.run(
+                self._match_columnar,
+                self._match_scalar,
+                fingerprint,
+                candidates,
+            )
+        else:
+            result, tested = self._match_scalar(fingerprint, candidates)
+        self.stats.lookups += 1
+        self.stats.candidates_tested += tested
         if result is not None:
+            self.stats.matches += 1
             result.basis.hits += 1
         return result, tested
-
-    def _validate_candidates(
-        self, fingerprint: Fingerprint, candidates: Sequence[int]
-    ) -> Tuple[Optional[MatchResult], int]:
-        if (
-            not self.columnar_enabled
-            or len(candidates) < self.columnar_min_candidates
-        ):
-            return self._match_scalar(fingerprint, candidates)
-        result = self._match_columnar(fingerprint, candidates)
-        if self._verify_remaining > 0:
-            self._verify_remaining -= 1
-            reference = self._match_scalar(fingerprint, candidates)
-            if not self._same_result(result, reference):
-                warnings.warn(
-                    "columnar FindMapping disagreed with the scalar "
-                    "reference; falling back to the scalar path for this "
-                    "store",
-                    RuntimeWarning,
-                )
-                self.columnar_enabled = False
-                return reference
-        return result
 
     def _match_scalar(
         self, fingerprint: Fingerprint, candidates: Sequence[int]
@@ -374,7 +362,7 @@ class BasisStore:
             # visited (and counted) each one, matching none.
             return None, len(candidates)
         plausible, build = self.mapping_family.find_matrix(
-            block.rows(rows),
+            block.matrix[rows],
             fingerprint,
             rel_tol=self.rel_tol,
             abs_tol=self.abs_tol,

@@ -128,17 +128,6 @@ class _SizeBlock:
         self.dead = 0
         return dropped
 
-    def rows(self, row_indices: np.ndarray) -> np.ndarray:
-        """Gathered fingerprint rows (a no-copy view for the full scan)."""
-        active = self.matrix[: self.count]
-        if len(row_indices) == self.count and bool(
-            (row_indices == np.arange(self.count)).all()
-        ):
-            # The ArrayIndex full scan gathers every row in order; hand the
-            # contiguous view back instead of materializing a copy.
-            return active
-        return active[row_indices]
-
     def sid_matrix(self, backend=None) -> np.ndarray:
         """Ascending SID-order keys, one row per stored fingerprint.
 
@@ -245,9 +234,6 @@ class ColumnarStore:
         self._row_of = np.zeros(8, dtype=np.int64)
         self._known = 0
         self._tombstones = 0
-        # Sticky: once any id has been retired, `gather` stops trusting
-        # `_row_of` unconditionally (see the single-block fast path there).
-        self._had_holes = False
 
     def __len__(self) -> int:
         return self._known
@@ -314,7 +300,6 @@ class ColumnarStore:
         self._size_of[basis_id] = 0
         self._row_of[basis_id] = 0
         self._tombstones += 1
-        self._had_holes = True
         total = sum(block.count for block in self._blocks.values())
         if self._tombstones > COMPACT_TOMBSTONE_FRACTION * total:
             self.compact()
@@ -375,7 +360,8 @@ class ColumnarStore:
         Returns ``(positions, rows, block)``: ``positions`` are indices
         into ``candidates`` whose basis has the probe's fingerprint size
         (the only testable ones — the rest fail the scalar loop's size
-        check), ``rows`` their rows in ``block``.
+        check, and a retired id's zeroed size never equals one), ``rows``
+        their rows in ``block``.
         """
         block = self._blocks.get(size)
         if block is None or not candidates:
@@ -383,16 +369,5 @@ class ColumnarStore:
         ids = np.fromiter(
             candidates, dtype=np.int64, count=len(candidates)
         )
-        if len(self._blocks) == 1 and not self._had_holes:
-            # Single-size store with no retired ids: every candidate is
-            # testable and `_row_of` is authoritative for any id the index
-            # can hand us.  Once a removal has happened neither holds (a
-            # stale id's `_row_of` entry would alias row 0), so holey
-            # stores always take the size-checked gather below.
-            positions = np.arange(len(ids))
-            rows = self._row_of[ids]
-        else:
-            testable = self._size_of[ids] == size
-            positions = np.nonzero(testable)[0]
-            rows = self._row_of[ids[positions]]
-        return positions, rows, block
+        positions = np.nonzero(self._size_of[ids] == size)[0]
+        return positions, self._row_of[ids[positions]], block

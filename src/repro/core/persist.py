@@ -54,10 +54,10 @@ Persisted: bases (fingerprints, raw sample vectors, metrics), the
 fingerprint index with verbatim bucket order (first-match-wins depends on
 it), the columnar matrices including any materialized SID-order /
 normal-form key matrices, and the deterministic ``StoreStats`` counters.
-Not persisted: ``match_seconds`` (wall clock), and the columnar engine's
-runtime knobs (``columnar_min_candidates``, the self-verification budget)
-— a loaded store re-verifies its first columnar lookups against the scalar
-loop, exactly like a fresh one.
+Not persisted: ``match_seconds`` (wall clock), and the match path's
+runtime state (``columnar_min_candidates``, ``columnar_check``) — a loaded
+store re-verifies its first columnar lookups against the scalar loop,
+exactly like a fresh one.
 """
 
 from __future__ import annotations

@@ -1,0 +1,318 @@
+"""Model-based test of the basis store across features (ROADMAP 4(b)).
+
+The dynamic-evaluation contract (Berkholz–Keppeler–Schweikardt, PAPERS.md)
+used as a test: *after any update sequence the maintained structure answers
+exactly as a from-scratch evaluation*.  A hypothesis state machine drives
+:class:`BasisStore` through interleaved add / match / match_batch / remove /
+evict / compact / merge / save→load, and after every step compares it with
+a deliberately naive oracle — a plain list of bases in insertion order, a
+linear scan over it, the scalar ``find`` — on the matched basis (through the
+store-id → oracle-entry renumbering), the mapping parameters (exact) and
+the per-probe ``candidates_tested`` work.
+
+The machine runs on both sides of the ``columnar_min_candidates`` cutover:
+at 0 (every probe through the columnar gather and kernels, cross-check
+exhausted so a wrong columnar answer is not masked by the fallback) and at
+the default.  This is the guard against retired-id aliasing in the columnar
+layout: retired fingerprints are re-probed, stale rows get compacted away
+and refilled, snapshots come back memory-mapped and are appended to.
+"""
+
+import os
+import shutil
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro.core import persist
+from repro.core.basis import BasisStore, EvictionPolicy
+from repro.core.fingerprint import Fingerprint
+from repro.core.index import INDEX_STRATEGIES
+from repro.core.mapping import LinearMappingFamily, MonotoneMappingFamily
+
+# Small integer grids: collisions (duplicate bases, shared buckets, ties,
+# constants) are the interesting cases, and every affine image below is
+# exact in binary floating point.
+_values = st.integers(min_value=-4, max_value=4).map(float)
+fingerprints = st.sampled_from([5, 5, 5, 3]).flatmap(
+    lambda size: st.lists(_values, min_size=size, max_size=size)
+).map(lambda values: Fingerprint(tuple(values)))
+
+#: (kind, pick, alpha, beta, fresh): how to build one probe from the
+#: machine's current state — see ``StoreMachine._probe``.
+probe_specs = st.tuples(
+    st.sampled_from(["image", "image", "retired", "fresh"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]),
+    st.sampled_from([-1.0, 0.0, 2.5]),
+    fingerprints,
+)
+
+
+def _copy(fingerprint):
+    """A cache-free twin, so oracle keys are never the store's cached ones."""
+    return Fingerprint(fingerprint.values)
+
+
+class _Entry:
+    """One oracle basis; identity (not equality) is what tests compare."""
+
+    def __init__(self, fingerprint):
+        self.fingerprint = _copy(fingerprint)
+        self.hits = 0
+
+
+class NaiveStore:
+    """Bases in insertion order; every probe rescans all of them."""
+
+    def __init__(self, store):
+        self.family = type(store.mapping_family)()
+        self.strategy = store.index.strategy
+        self.rel_tol = store.rel_tol
+        self.abs_tol = store.abs_tol
+        self.entries = []
+
+    def add(self, fingerprint):
+        entry = _Entry(fingerprint)
+        self.entries.append(entry)
+        return entry
+
+    def candidates(self, probe):
+        if self.strategy == "array":
+            return list(self.entries)
+        if self.strategy == "normalization":
+            key = probe.normal_form(self.rel_tol)
+            return [
+                entry
+                for entry in self.entries
+                if entry.fingerprint.normal_form(self.rel_tol) == key
+            ]
+        ascending = probe.sid_order()
+        descending = probe.sid_order(descending=True)
+        keys = [ascending] if descending == ascending else [
+            ascending, descending
+        ]
+        return [
+            entry
+            for key in keys
+            for entry in self.entries
+            if entry.fingerprint.sid_order() == key
+        ]
+
+    def match(self, probe):
+        """``(entry, mapping, tested)`` by linear scan and scalar find."""
+        probe = _copy(probe)
+        candidates = self.candidates(probe)
+        for position, entry in enumerate(candidates):
+            mapping = self.family.find(
+                entry.fingerprint,
+                probe,
+                rel_tol=self.rel_tol,
+                abs_tol=self.abs_tol,
+            )
+            if mapping is not None:
+                entry.hits += 1
+                return entry, mapping, position + 1
+        return None, None, len(candidates)
+
+    def victims(self, max_bases, keep):
+        ranked = self.entries
+        if keep == "value":
+            ranked = sorted(ranked, key=lambda entry: entry.hits)  # stable
+        return ranked[: max(0, len(ranked) - max_bases)]
+
+
+class StoreMachine(RuleBasedStateMachine):
+    #: ``None`` leaves the store on its default cutover.
+    min_candidates = None
+
+    def __init__(self):
+        super().__init__()
+        self.scratch = tempfile.mkdtemp(prefix="store-machine-")
+        self.saves = 0
+
+    def teardown(self):
+        shutil.rmtree(self.scratch, ignore_errors=True)
+
+    def _new_store(self):
+        return self._configure(
+            BasisStore(
+                mapping_family=self.family_class(),
+                index_strategy=self.strategy,
+            )
+        )
+
+    def _configure(self, store):
+        if self.min_candidates is not None:
+            store.columnar_min_candidates = self.min_candidates
+        store.columnar_check.exhaust()
+        return store
+
+    @initialize(
+        strategy=st.sampled_from(INDEX_STRATEGIES),
+        family_class=st.sampled_from(
+            [LinearMappingFamily, MonotoneMappingFamily]
+        ),
+    )
+    def build(self, strategy, family_class):
+        self.strategy = strategy
+        self.family_class = family_class
+        self.store = self._new_store()
+        self.naive = NaiveStore(self.store)
+        self.entry_of = {}  # live store basis id -> oracle entry
+        self.retired = []  # fingerprints of removed bases
+
+    # -- helpers ------------------------------------------------------------
+
+    def _probe(self, spec):
+        kind, pick, alpha, beta, fresh = spec
+        if kind == "image" and self.naive.entries:
+            source = self.naive.entries[pick % len(self.naive.entries)]
+            return Fingerprint(
+                tuple(alpha * v + beta for v in source.fingerprint.values)
+            )
+        if kind == "retired" and self.retired:
+            return _copy(self.retired[pick % len(self.retired)])
+        return fresh
+
+    def _check(self, probe, result, tested):
+        entry, mapping, naive_tested = self.naive.match(probe)
+        assert tested == naive_tested
+        assert (result is None) == (entry is None)
+        if result is not None:
+            assert self.entry_of[result.basis.basis_id] is entry
+            assert type(result.mapping) is type(mapping)
+            assert result.mapping == mapping
+
+    def _adopt(self, basis_id, fingerprint):
+        self.entry_of[basis_id] = self.naive.add(fingerprint)
+
+    def _retire(self, basis_id):
+        entry = self.entry_of.pop(basis_id)
+        self.naive.entries.remove(entry)
+        self.retired.append(entry.fingerprint)
+
+    # -- rules --------------------------------------------------------------
+
+    @rule(fingerprint=fingerprints)
+    def add(self, fingerprint):
+        basis = self.store.add(fingerprint, np.asarray(fingerprint.values))
+        self._adopt(basis.basis_id, fingerprint)
+
+    @rule(spec=probe_specs)
+    def match(self, spec):
+        probe = self._probe(spec)
+        before = self.store.stats.candidates_tested
+        result = self.store.match(probe)
+        tested = self.store.stats.candidates_tested - before
+        self._check(probe, result, tested)
+
+    @rule(specs=st.lists(probe_specs, min_size=1, max_size=6))
+    def match_batch(self, specs):
+        probes = [self._probe(spec) for spec in specs]
+        tested = []
+        results = self.store.match_batch(probes, tested_out=tested)
+        assert len(results) == len(tested) == len(probes)
+        for probe, result, work in zip(probes, results, tested):
+            self._check(probe, result, work)
+
+    @rule(pick=st.integers(min_value=0, max_value=10**6))
+    def remove(self, pick):
+        if not self.entry_of:
+            return
+        basis_id = sorted(self.entry_of)[pick % len(self.entry_of)]
+        self.store.remove(basis_id)
+        self._retire(basis_id)
+
+    @rule(
+        max_bases=st.integers(min_value=0, max_value=12),
+        keep=st.sampled_from(["value", "recent"]),
+    )
+    def evict(self, max_bases, keep):
+        expected = self.naive.victims(max_bases, keep)
+        evicted = self.store.evict(
+            EvictionPolicy(max_bases=max_bases, keep=keep)
+        )
+        assert [self.entry_of[basis_id] for basis_id in evicted] == expected
+        for basis_id in evicted:
+            self._retire(basis_id)
+
+    @rule()
+    def compact(self):
+        self.store.compact()
+        assert self.store.columnar.tombstones == 0
+
+    @rule(
+        incoming=st.lists(fingerprints, min_size=1, max_size=5),
+        reprobe=st.booleans(),
+    )
+    def merge(self, incoming, reprobe):
+        shard = self._new_store()
+        for fingerprint in incoming:
+            shard.add(fingerprint, np.asarray(fingerprint.values))
+        translation = self.store.merge(shard, reprobe=reprobe)
+        assert sorted(translation) == [b.basis_id for b in shard.bases]
+        for basis in shard.bases:
+            here, mapping = translation[basis.basis_id]
+            entry = None
+            if reprobe:
+                entry, expected, _ = self.naive.match(basis.fingerprint)
+            if entry is None:
+                assert mapping is None
+                self._adopt(here, basis.fingerprint)
+            else:
+                assert self.entry_of[here] is entry
+                assert mapping == expected
+
+    @rule(mmap=st.booleans())
+    def save_load(self, mmap):
+        self.saves += 1
+        path = os.path.join(self.scratch, f"snap{self.saves}")
+        before = self.store.bases
+        persist.save_store(self.store, path)
+        loaded = persist.load_store(path, like=self._new_store(), mmap=mmap)
+        after = loaded.bases
+        assert len(after) == len(before)
+        self.entry_of = {
+            new.basis_id: self.entry_of[old.basis_id]
+            for old, new in zip(before, after)
+        }
+        self.store = self._configure(loaded)
+
+    # -- invariants ---------------------------------------------------------
+
+    @invariant()
+    def same_bases_same_order_same_hits(self):
+        if not hasattr(self, "store"):
+            return
+        bases = self.store.bases
+        assert [self.entry_of[b.basis_id] for b in bases] == self.naive.entries
+        assert [b.hits for b in bases] == [
+            entry.hits for entry in self.naive.entries
+        ]
+        assert len(self.store.columnar) >= len(bases)
+
+
+class AlwaysColumnarMachine(StoreMachine):
+    min_candidates = 0
+
+
+_SETTINGS = settings(
+    max_examples=40,
+    stateful_step_count=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+TestStoreAtDefaultCutover = StoreMachine.TestCase
+TestStoreAtDefaultCutover.settings = _SETTINGS
+TestStoreAlwaysColumnar = AlwaysColumnarMachine.TestCase
+TestStoreAlwaysColumnar.settings = _SETTINGS

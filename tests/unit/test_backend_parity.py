@@ -9,11 +9,14 @@ Three contracts are enforced here:
   CI matrix only ``numpy`` is available (the parametrization then pins
   the plumbing); the optional-deps job installs numba and runs the same
   tests against the JIT kernels.
-* **Degrade** — a lying backend is caught by the first-N cross-check,
-  warns exactly once, and answers through the reference from then on;
-  the degrade is scoped to the instance (one bad store never poisons
-  the process), visible via ``describe()``/``fast_path_status()``, and
-  re-armable only through the test-only reset hooks.
+* **Degrade** — all three fast paths (backend kernels, the fastrng
+  draw stream, the columnar matcher) run under the one
+  ``VerifyThenDegrade`` harness: a lying path is caught by the first-N
+  cross-check, warns exactly once, and answers through the reference
+  from then on; the degrade is scoped to the instance (one bad store
+  never poisons the process), visible via
+  ``describe()``/``fast_path_status()``, and re-armable only through
+  the test-only reset hooks.
 * **Refusal** — unknown or unavailable backend names raise a typed
   :class:`~repro.errors.BackendError` (CLI exit code 2); selection
   never falls back silently.
@@ -39,6 +42,7 @@ from repro.core.backend import (
 from repro.core.basis import BasisStore
 from repro.core.fingerprint import Fingerprint
 from repro.core.mapping import (
+    AffineMapping,
     IdentityMappingFamily,
     LinearMappingFamily,
     MonotoneMappingFamily,
@@ -170,12 +174,12 @@ class TestKernelParity:
     @needs_numba
     def test_numba_backend_actually_overrides_kernels(self):
         backend = create_backend("numba")
-        assert backend._verify_remaining["draw_block"] == VERIFY_CALLS
-        assert backend._verify_remaining["affine_validate"] == VERIFY_CALLS
+        assert backend._checks["draw_block"].remaining == VERIFY_CALLS
+        assert backend._checks["affine_validate"].remaining == VERIFY_CALLS
         # Key kernels inherit the reference: numpy-internal semantics
         # (stable argsort, decimal rounding) are not JIT-delegated.
-        assert backend._verify_remaining["sid_orders"] == 0
-        assert backend._verify_remaining["normal_forms"] == 0
+        assert backend._checks["sid_orders"].remaining == 0
+        assert backend._checks["normal_forms"].remaining == 0
 
 
 class _LyingAffineBackend(ComputeBackend):
@@ -214,19 +218,92 @@ class _StreamLyingBackend(ComputeBackend):
         return out, ok
 
 
+class _RaisingDrawBackend(_StreamLyingBackend):
+    """The vector path crashes outright instead of disagreeing."""
+
+    name = "stream-crasher"
+
+    def _draw_block(self, seeds, kinds):
+        raise ValueError("boom")
+
+
+class _LyingLinearFamily(LinearMappingFamily):
+    """Claims no candidate ever matches (a broken vectorized kernel)."""
+
+    def find_matrix(self, sources, target, rel_tol=1e-9, abs_tol=1e-12,
+                    keys=None, backend=None):
+        plausible, build = super().find_matrix(
+            sources, target, rel_tol, abs_tol, keys, backend
+        )
+        return np.zeros_like(plausible), build
+
+
+def _lying_columnar_store():
+    store = BasisStore(
+        mapping_family=_LyingLinearFamily(), index_strategy="array"
+    )
+    store.columnar_min_candidates = 0
+    store.add(Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0)), np.arange(4.0))
+    return store
+
+
+def _kernel_site():
+    backend = _LyingDrawBackend()
+    seeds = np.arange(16, dtype=np.uint64)
+
+    def digest(be):
+        out, ok = be.draw_block(seeds, KINDS)
+        return out.tobytes(), ok.tobytes()
+
+    return (
+        lambda: digest(backend), digest(NumpyBackend()),
+        backend.describe, "lying-draw[degraded:draw_block]",
+    )
+
+
+def _stream_site():
+    backend = _StreamLyingBackend()
+    seeds = np.arange(12, dtype=np.uint64)
+    return (
+        lambda: fastrng.draw_matrix(seeds, KINDS, backend=backend).tobytes(),
+        fastrng._draw_matrix_scalar(seeds, KINDS).tobytes(),
+        backend.describe, "stream-liar[scalar-draws]",
+    )
+
+
+def _columnar_site():
+    store = _lying_columnar_store()
+    probe = Fingerprint((1.0, 3.0, 2.0, 5.0, -1.0))  # 2 * base + 1
+
+    def digest():
+        tested = []
+        (result,) = store.match_batch([probe], tested_out=tested)
+        return result.basis.basis_id, result.mapping, tested
+
+    return (
+        digest, (0, AffineMapping(2.0, 1.0), [1]),
+        lambda: store.backend.describe(store.columnar_check),
+        "numpy[scalar-match]",
+    )
+
+
 class TestDegradeSemantics:
-    def test_lying_kernel_warns_once_and_answers_via_reference(self):
-        backend = _LyingDrawBackend()
-        seeds = np.arange(16, dtype=np.uint64)
-        expected = NumpyBackend().draw_block(seeds, KINDS)
-        with pytest.warns(RuntimeWarning, match="lying-draw"):
-            first = backend.draw_block(seeds, KINDS)
-        assert np.array_equal(first[0], expected[0])
-        assert backend.degraded_kernels() == ("draw_block",)
+    @pytest.mark.parametrize(
+        "site", [_kernel_site, _stream_site, _columnar_site]
+    )
+    def test_each_site_warns_once_degrades_for_good_serves_reference(
+        self, site
+    ):
+        call, reference_bits, describe, degraded_descriptor = site()
+        with pytest.warns(RuntimeWarning) as caught:
+            assert call() == reference_bits
+        assert len(caught) == 1
+        assert describe() == degraded_descriptor
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a second warning would raise
-            again = backend.draw_block(seeds, KINDS)
-        assert np.array_equal(again[0], expected[0])
+            for _ in range(VERIFY_CALLS + 2):
+                assert call() == reference_bits
+        assert describe() == degraded_descriptor
 
     def test_degrade_is_store_scoped_not_process_wide(self):
         liar = _LyingAffineBackend()
@@ -254,7 +331,7 @@ class TestDegradeSemantics:
     def test_stream_lie_degrades_fast_path_per_instance(self):
         backend = _StreamLyingBackend()
         seeds = np.arange(12, dtype=np.uint64)
-        with pytest.warns(RuntimeWarning, match="scalar draw path"):
+        with pytest.warns(RuntimeWarning, match="disagreed with .*scalar draw"):
             assert not fastrng.fast_path_available(backend)
         # Degraded instances answer through the scalar path: bitwise
         # equal to the reference stream regardless of the lie.
@@ -279,6 +356,16 @@ class TestDegradeSemantics:
         with pytest.warns(RuntimeWarning, match="scalar draw path"):
             assert not fastrng.fast_path_available(backend)
 
+    def test_crashing_self_test_names_the_exception(self):
+        backend = _RaisingDrawBackend()
+        with pytest.warns(RuntimeWarning, match="raised ValueError: boom"):
+            assert not fastrng.fast_path_available(backend)
+        seeds = np.arange(12, dtype=np.uint64)
+        assert np.array_equal(
+            fastrng.draw_matrix(seeds, KINDS, backend=backend),
+            fastrng._draw_matrix_scalar(seeds, KINDS),
+        )
+
     def test_fast_path_status_reports_clean_backend(self):
         backend = NumpyBackend()
         assert fastrng.fast_path_status(backend) == {
@@ -297,7 +384,7 @@ class TestDegradeSemantics:
         assert backend.degraded_kernels() == ("draw_block",)
         backend.reset_verification()
         assert backend.degraded_kernels() == ()
-        assert backend._verify_remaining["draw_block"] == VERIFY_CALLS
+        assert backend._checks["draw_block"].remaining == VERIFY_CALLS
         with pytest.warns(RuntimeWarning):
             backend.draw_block(seeds, KINDS)
 
@@ -358,6 +445,16 @@ class TestBackendReporting:
         assert response.backend == {"default": "numpy"}
         roundtrip = decode_response(encode_response(response))
         assert roundtrip.backend == response.backend
+
+    def test_session_stats_report_columnar_degrade(self):
+        from repro.api import Session
+
+        store = _lying_columnar_store()
+        session = Session(store)
+        assert session.stats().backend == {"default": "numpy"}
+        with pytest.warns(RuntimeWarning, match="columnar FindMapping"):
+            store.match(Fingerprint((1.0, 3.0, 2.0, 5.0, -1.0)))
+        assert session.stats().backend == {"default": "numpy[scalar-match]"}
 
     def test_stats_decoding_tolerates_streams_without_backend(self):
         from repro.api.messages import decode_response, encode_response

@@ -7,8 +7,8 @@ store built from only its survivors: for every probe the same basis
 the same per-probe ``candidates_tested`` work, across all five mapping
 families, all three index strategies, and both the columnar and scalar
 match paths.  Evicted ids must be unreachable everywhere: index buckets,
-``candidates_batch``, the columnar gather (including its single-block
-fast path), and :meth:`BasisStore.match` itself.
+``candidates_batch``, the columnar gather, and :meth:`BasisStore.match`
+itself.
 
 Also pinned here: eviction-policy ranking semantics, the sustained-load
 bound (a policied store never exceeds ``max_bases``), snapshot version 2
@@ -109,7 +109,7 @@ def build_store(family_name, strategy, fingerprints, path="columnar"):
         index_strategy=strategy,
     )
     store.columnar_min_candidates = MATCH_PATHS[path]
-    store._verify_remaining = 0
+    store.columnar_check.exhaust()
     for index, fingerprint in enumerate(fingerprints):
         store.add(fingerprint, SAMPLES * (index + 1))
     return store
@@ -128,7 +128,7 @@ def rebuild_from_survivors(store):
         index_strategy=type(store.index).strategy,
     )
     rebuild.columnar_min_candidates = store.columnar_min_candidates
-    rebuild._verify_remaining = 0
+    rebuild.columnar_check.exhaust()
     id_map = {}
     for new_id, basis in enumerate(store.bases):
         id_map[basis.basis_id] = new_id
@@ -269,7 +269,7 @@ class TestLifecycleDifferential:
             like=BasisStore(index_strategy="normalization"),
         )
         loaded.columnar_min_candidates = 0
-        loaded._verify_remaining = 0
+        loaded.columnar_check.exhaust()
         assert len(loaded) == len(store)
         assert_differential(loaded)
 
@@ -299,19 +299,27 @@ class TestUnreachability:
             result = store.match(probe)
             assert result is None or result.basis.basis_id not in removed
 
-    def test_fast_path_disabled_after_removal_even_post_compact(self):
-        """A stale id's _row_of entry would alias row 0 on the
-        single-block fast path; the holes flag is sticky to prevent it."""
+    def test_retired_id_never_aliases_a_live_row_after_compact(self):
+        """A retired id's row entry is zeroed, i.e. it points at row 0 —
+        which, once compaction and later adds have refilled the block, is
+        somebody else's row.  The gather's size check alone must keep
+        the stale id out, in a single-size store included."""
         same_size = [fp for fp in MIXED if fp.size == BASE.size]
         store = build_store("linear", "array", same_size)
-        assert len(store.columnar._blocks) == 1
-        assert not store.columnar._had_holes
-        store.remove(0)
+        retired = store.remove(0)
         store.compact()
         assert store.columnar.tombstones == 0
-        assert store.columnar._had_holes  # sticky by design
-        positions, rows, _ = store.columnar.gather([0], BASE.size)
-        assert positions.size == 0
+        store.add(_affine(retired.fingerprint, 1.0, 9.0), SAMPLES)
+        store.add(Fingerprint((9.0, 8.0, 7.5, 1.0, 2.0)), SAMPLES)
+        live = [basis.basis_id for basis in store.bases]
+        positions, rows, _ = store.columnar.gather([0] + live, BASE.size)
+        # The stale id (candidate position 0) is dropped; every live id
+        # gathers its own distinct row.
+        assert positions.tolist() == list(range(1, len(live) + 1))
+        assert sorted(rows.tolist()) == list(range(len(live)))
+        for probe in PROBES + [retired.fingerprint]:
+            result = store.match(probe)
+            assert result is None or result.basis.basis_id != 0
         assert_differential(store)
 
     def test_tombstones_auto_compact_past_threshold(self):
@@ -511,9 +519,8 @@ class TestSnapshotVersion2:
             str(tmp_path / "snap"), like=BasisStore(index_strategy="array")
         )
         assert loaded.columnar.tombstones == 0
-        assert not loaded.columnar._had_holes  # fast path re-enabled
         loaded.columnar_min_candidates = 0
-        loaded._verify_remaining = 0
+        loaded.columnar_check.exhaust()
         assert_differential(loaded)
 
 

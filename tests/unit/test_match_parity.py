@@ -3,9 +3,10 @@
 The columnar match engine must return, for every probe, the same basis id,
 the same mapping parameters, and the same candidates-tested counters as the
 scalar reference loop — first-match-wins tie-breaking included — across
-every mapping family, index strategy, and store shape.  These tests force
-the vectorized path (``columnar_min_candidates = 0``, self-verification
-exhausted) and compare against stores built with ``columnar=False``.
+every mapping family, index strategy, and store shape.  These tests put one
+store on each side of the ``columnar_min_candidates`` cutover: 0 forces the
+vectorized path (self-verification exhausted, so parity is asserted here
+rather than masked by the fallback), ``ALWAYS_SCALAR`` the reference loop.
 """
 
 import numpy as np
@@ -85,18 +86,26 @@ PROBES = [
 ]
 
 
-def build_store(family_name, strategy, content_name, columnar):
+#: A cutover no candidate list reaches: every probe takes the scalar loop.
+ALWAYS_SCALAR = 10**9
+
+
+def filled_store(fingerprints, family_name, strategy, columnar):
     store = BasisStore(
         mapping_family=FAMILY_FACTORIES[family_name](),
         index_strategy=strategy,
-        columnar=columnar,
     )
-    if columnar:
-        store.columnar_min_candidates = 0
-        store._verify_remaining = 0  # parity is asserted here, not masked
-    for fingerprint in CONTENTS[content_name]:
+    store.columnar_min_candidates = 0 if columnar else ALWAYS_SCALAR
+    store.columnar_check.exhaust()
+    for fingerprint in fingerprints:
         store.add(fingerprint, SAMPLES)
     return store
+
+
+def build_store(family_name, strategy, content_name, columnar):
+    return filled_store(
+        CONTENTS[content_name], family_name, strategy, columnar
+    )
 
 
 def assert_same_match(expected, actual):
@@ -118,7 +127,6 @@ class TestMatchParity:
         reference = build_store(family_name, strategy, content_name, False)
         single = build_store(family_name, strategy, content_name, True)
         batched = build_store(family_name, strategy, content_name, True)
-        assert single.columnar_enabled
 
         expected = [reference.match(probe) for probe in PROBES]
         actual = [single.match(probe) for probe in PROBES]
@@ -155,8 +163,7 @@ class TestMatchParity:
         """Below the candidate threshold the scalar loop answers; results
         and counters cannot depend on which path ran."""
         forced = build_store("linear", "array", "mixed", True)
-        lazy = build_store("linear", "array", "mixed", True)
-        lazy.columnar_min_candidates = 10_000  # always scalar
+        lazy = build_store("linear", "array", "mixed", False)
         for probe in PROBES:
             assert_same_match(lazy.match(probe), forced.match(probe))
         assert lazy.stats.as_dict() == forced.stats.as_dict()
@@ -170,18 +177,7 @@ class TestMergeParity:
         Fingerprint(BASE.values),  # duplicate of BASE
     ]
 
-    def _filled(self, fingerprints, family_name, strategy, columnar):
-        store = BasisStore(
-            mapping_family=FAMILY_FACTORIES[family_name](),
-            index_strategy=strategy,
-            columnar=columnar,
-        )
-        if columnar:
-            store.columnar_min_candidates = 0
-            store._verify_remaining = 0
-        for fingerprint in fingerprints:
-            store.add(fingerprint, SAMPLES)
-        return store
+    _filled = staticmethod(filled_store)
 
     @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
     @pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
@@ -224,45 +220,18 @@ class TestMergeParity:
 
 
 class TestSelfVerification:
-    class _LyingLinearFamily(LinearMappingFamily):
-        """Claims no candidate ever matches (a broken vectorized kernel)."""
+    """The degrade half lives with the other two sites of the one harness:
+    ``test_backend_parity.py::TestDegradeSemantics``."""
 
-        def find_matrix(self, sources, target, rel_tol=1e-9, abs_tol=1e-12,
-                        keys=None, backend=None):
-            plausible, build = super().find_matrix(
-                sources, target, rel_tol, abs_tol, keys, backend
-            )
-            return np.zeros_like(plausible), build
-
-    def test_disagreement_warns_and_falls_back(self):
-        store = BasisStore(
-            mapping_family=self._LyingLinearFamily(), index_strategy="array"
-        )
-        store.columnar_min_candidates = 0
-        store.add(BASE, SAMPLES)
-        probe = _affine(BASE, 2.0, 1.0)
-        with pytest.warns(RuntimeWarning, match="columnar FindMapping"):
-            matched = store.match(probe)
-        # The scalar reference answer is served and the store degrades.
-        assert matched is not None
-        assert matched.mapping == AffineMapping(2.0, 1.0)
-        assert store.columnar_enabled is False
-        assert store.match(probe) is not None  # scalar path from now on
-        assert store.stats.matches == 2
-
-    def test_agreement_keeps_columnar_enabled(self):
+    def test_agreement_spends_the_budget_and_stays_columnar(self):
         store = BasisStore(index_strategy="array")
         store.columnar_min_candidates = 0
         store.add(BASE, SAMPLES)
-        for _ in range(6):  # beyond VERIFY_LOOKUPS
+        for _ in range(6):  # beyond VERIFY_CALLS
             assert store.match(_affine(BASE, 2.0, 1.0)) is not None
-        assert store.columnar_enabled is True
-
-    def test_columnar_false_forces_scalar(self):
-        store = BasisStore(columnar=False)
-        store.add(BASE, SAMPLES)
-        assert store.columnar_enabled is False
-        assert store.match(_affine(BASE, 2.0, 1.0)) is not None
+        assert store.columnar_check.remaining == 0
+        assert not store.columnar_check.degraded
+        assert store.backend.describe(store.columnar_check) == "numpy"
 
 
 class TestBatchedKeys:

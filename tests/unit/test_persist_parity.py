@@ -98,7 +98,7 @@ def build_store(family_name, strategy, fingerprints):
         index_strategy=strategy,
     )
     store.columnar_min_candidates = 0
-    store._verify_remaining = 0
+    store.columnar_check.exhaust()
     for index, fingerprint in enumerate(fingerprints):
         store.add(fingerprint, SAMPLES * (index + 1))
     return store
@@ -115,7 +115,7 @@ def save_and_load(store, path, mmap=True):
     persist.save_store(store, str(path))
     loaded = persist.load_store(str(path), like=fresh_like(store), mmap=mmap)
     loaded.columnar_min_candidates = store.columnar_min_candidates
-    loaded._verify_remaining = store._verify_remaining
+    loaded.columnar_check.exhaust()
     return loaded
 
 
