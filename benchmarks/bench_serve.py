@@ -1,325 +1,9 @@
 #!/usr/bin/env python
-"""Serving-daemon benchmark: open-loop load, latency, and the smoke gate.
+"""Serving-daemon load benchmark; see :mod:`repro.bench.serve`."""
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_serve.py
-        [--scale smoke|quick] [--store DIR] [--out BENCH_serve.json]
-        [--check] [--save-to benchmarks/BENCH_serve_smoke_baseline.json]
-
-Boots ``python -m repro serve`` as a real subprocess on a seeded fixture
-snapshot (or ``--store``), drives the open-loop Poisson load generator
-at every configured concurrency level, then SIGTERMs the daemon and
-verifies the clean-drain contract (exit code 0, every admitted request
-answered, ``--save-store`` flushed).
-
-The report splits along the determinism line the other benchmarks use:
-
-* **Deterministic** (pure functions of snapshot + seed + request count;
-  identical across hosts and concurrency levels): per-kind request
-  counts, hit/miss counts, summed per-probe ``candidates_tested``, the
-  warm-reuse fraction, and the daemon's final ``StoreStats`` counters.
-  ``--check`` diffs these **exactly** against the committed
-  ``benchmarks/BENCH_serve_smoke_baseline.json``; any drift is a real
-  behavior change and must ship with a refreshed baseline
-  (``--save-to``, see the ROADMAP subsystem note).
-* **Informational** (host-dependent, never gated): wall-clock seconds,
-  p50/p99 latency, throughput.
-
-Exit status 0 on success, 1 on any ``--check`` mismatch or drain
-violation.
-"""
-
-import argparse
-import json
-import os
-import signal
-import subprocess
 import sys
-import tempfile
 
-_BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-_REPO_ROOT = os.path.dirname(_BENCH_DIR)
-DEFAULT_BASELINE = os.path.join(
-    _BENCH_DIR, "BENCH_serve_smoke_baseline.json"
-)
-
-#: Keys inside each run document that legitimately vary between runs and
-#: machines (same convention as check_regression.py).
-NON_DETERMINISTIC_KEYS = frozenset(
-    {"seconds", "throughput_rps", "latency_p50_ms", "latency_p99_ms"}
-)
-
-SCALES = {
-    # Tiny and exact: what CI's serve-smoke job gates on.
-    "smoke": {
-        "bases": 12,
-        "requests": 240,
-        "rate": 800.0,
-        "concurrency": (1, 4),
-        "seed": 20110611,
-    },
-    # Laptop-sized: enough load for meaningful p99s.
-    "quick": {
-        "bases": 24,
-        "requests": 2000,
-        "rate": 4000.0,
-        "concurrency": (1, 4, 8),
-        "seed": 20110611,
-    },
-}
-
-
-def _boot_daemon(snapshot, save_store):
-    """Start ``python -m repro serve``; returns (process, host, port)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        os.path.join(_REPO_ROOT, "src")
-        + os.pathsep
-        + env.get("PYTHONPATH", "")
-    )
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--store",
-            snapshot,
-            "--port",
-            "0",
-            "--save-store",
-            save_store,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    line = process.stdout.readline().strip()
-    if not line.startswith("SERVE_READY "):
-        process.kill()
-        stderr = process.stderr.read()
-        raise SystemExit(
-            f"daemon failed to boot: {line!r}\n{stderr}"
-        )
-    fields = dict(part.split("=", 1) for part in line.split()[1:])
-    return process, fields["host"], int(fields["port"])
-
-
-def run_bench(scale, store=None):
-    """One full bench pass; returns the report document."""
-    from repro.api import Session
-    from repro.serve import (
-        ServeClient,
-        build_fixture_session,
-        build_request_stream,
-        run_open_loop,
-    )
-
-    config = SCALES[scale]
-    with tempfile.TemporaryDirectory() as tmp:
-        if store is None:
-            snapshot = os.path.join(tmp, "fixture")
-            build_fixture_session(
-                bases=config["bases"], seed=config["seed"]
-            ).save(snapshot)
-        else:
-            snapshot = store
-        flushed = os.path.join(tmp, "flushed")
-        probe_session = Session.open(snapshot)
-        requests = build_request_stream(
-            probe_session, config["requests"], seed=config["seed"]
-        )
-        process, host, port = _boot_daemon(snapshot, flushed)
-        try:
-            runs = []
-            for concurrency in config["concurrency"]:
-                result = run_open_loop(
-                    host,
-                    port,
-                    requests,
-                    rate=config["rate"],
-                    concurrency=concurrency,
-                    seed=config["seed"] + concurrency,
-                )
-                runs.append(result.summarize())
-            with ServeClient(host, port) as client:
-                final_stats = client.stats()
-            # Clean-drain contract: SIGTERM must answer everything
-            # admitted, flush the save path, and exit 0.
-            process.send_signal(signal.SIGTERM)
-            code = process.wait(timeout=60)
-            drain = {
-                "exit_code": code,
-                "flushed_bases": Session.open(flushed).basis_count(),
-            }
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-        return {
-            "scale": scale,
-            "seed": config["seed"],
-            "requests": len(requests),
-            "store": store or "(seeded fixture)",
-            "runs": runs,
-            "final_store_counters": dict(final_stats.counters),
-            "final_store_bases": dict(final_stats.bases),
-            "drain": drain,
-        }
-
-
-def deterministic_view(document):
-    """The exactly-gated projection of a report document."""
-    view = {
-        "scale": document["scale"],
-        "seed": document["seed"],
-        "requests": document["requests"],
-        "final_store_counters": document["final_store_counters"],
-        "final_store_bases": document["final_store_bases"],
-        "drain": document["drain"],
-        "runs": [],
-    }
-    for run in document["runs"]:
-        view["runs"].append(
-            {
-                key: value
-                for key, value in run.items()
-                if key not in NON_DETERMINISTIC_KEYS
-            }
-        )
-    return view
-
-
-def diff_documents(expected, actual, path="$"):
-    """Recursive exact diff; returns a list of difference strings."""
-    differences = []
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in sorted(set(expected) | set(actual)):
-            if key not in expected:
-                differences.append(f"{path}.{key}: unexpected")
-            elif key not in actual:
-                differences.append(f"{path}.{key}: missing")
-            else:
-                differences.extend(
-                    diff_documents(
-                        expected[key], actual[key], f"{path}.{key}"
-                    )
-                )
-    elif isinstance(expected, list) and isinstance(actual, list):
-        if len(expected) != len(actual):
-            differences.append(
-                f"{path}: length {len(actual)} != {len(expected)}"
-            )
-        else:
-            for index, (left, right) in enumerate(
-                zip(expected, actual)
-            ):
-                differences.extend(
-                    diff_documents(left, right, f"{path}[{index}]")
-                )
-    elif expected != actual:
-        differences.append(f"{path}: {actual!r} != {expected!r}")
-    return differences
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--scale", choices=sorted(SCALES), default="quick"
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="serve this snapshot instead of the seeded fixture",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="write the full report (timing included) to this JSON file",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exact-diff the deterministic projection against the "
-            "committed smoke baseline (forces --scale smoke semantics)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help="baseline path for --check / --save-to refresh",
-    )
-    parser.add_argument(
-        "--save-to",
-        default=None,
-        help=(
-            "write the deterministic projection as the new baseline "
-            "(the refresh procedure; review the diff before committing)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    if args.check and args.scale != "smoke":
-        parser.error("--check gates the smoke scale only")
-    if args.check and args.store:
-        parser.error("--check requires the seeded fixture store")
-
-    document = run_bench(args.scale, store=args.store)
-
-    for run in document["runs"]:
-        print(
-            f"concurrency={run['concurrency']}: "
-            f"p50={run['latency_p50_ms']:.3f}ms "
-            f"p99={run['latency_p99_ms']:.3f}ms "
-            f"throughput={run['throughput_rps']:.0f}rps "
-            f"warm={run['warm_reuse_fraction']:.2%}"
-        )
-    print(
-        f"drain: exit={document['drain']['exit_code']} "
-        f"flushed_bases={document['drain']['flushed_bases']}"
-    )
-
-    if document["drain"]["exit_code"] != 0:
-        print("FAIL: daemon did not drain cleanly on SIGTERM")
-        return 1
-
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.out}")
-
-    if args.save_to:
-        with open(args.save_to, "w") as handle:
-            json.dump(
-                deterministic_view(document),
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"baseline written to {args.save_to}")
-
-    if args.check:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        differences = diff_documents(
-            baseline, deterministic_view(document)
-        )
-        if differences:
-            print(
-                f"FAIL: {len(differences)} deterministic counter(s) "
-                f"drifted from {args.baseline}:"
-            )
-            for difference in differences:
-                print(f"  {difference}")
-            return 1
-        print("smoke counters match the committed baseline exactly")
-    return 0
-
+from repro.bench.serve import main
 
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
     sys.exit(main())

@@ -20,3 +20,15 @@ def pytest_addoption(parser):
             "this cap)"
         ),
     )
+
+
+def pytest_collection_modifyitems(items):
+    """Run the gate-check mutation suite after everything else.
+
+    It measures all six CI checks (several whole-suite runs, fork pools,
+    a daemon) — seconds of saturated CPU.  The serving-daemon and
+    wall-clock-shape tests are timing-sensitive on small hosts and were
+    observed to flake when they run right after it, so it goes last,
+    where nothing follows it.
+    """
+    items.sort(key=lambda item: item.module.__name__ == "test_gate_checks")

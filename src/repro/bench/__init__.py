@@ -10,7 +10,7 @@ from repro.bench.figures import (
     run_fig12,
     run_match,
 )
-from repro.bench.harness import FigureResult, Measurement, Series, timed
+from repro.bench.harness import FigureResult, Series
 from repro.bench.workloads import (
     PAPER_FINGERPRINT_SIZE,
     PAPER_SAMPLES_PER_POINT,
@@ -37,9 +37,7 @@ __all__ = [
     "run_fig12",
     "run_match",
     "FigureResult",
-    "Measurement",
     "Series",
-    "timed",
     "PAPER_FINGERPRINT_SIZE",
     "PAPER_SAMPLES_PER_POINT",
     "SweepWorkload",

@@ -5,14 +5,16 @@ returns a :class:`~repro.bench.harness.FigureResult` (or a text table for
 Figure 7) whose series mirror the paper's plot.  Sizes default to a
 laptop-friendly scale; pass ``scale="paper"`` for the paper-sized sweeps
 (1000 samples/point over the full spaces — minutes of wall clock in pure
-Python).
+Python).  :data:`FIGURES`, at the bottom, declares each experiment once;
+the driver, the checks and the golden files derive their lists from it.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,11 +119,6 @@ class WarmStores:
         result.counters["warm_loaded_bases"] = float(self.loaded_bases)
 
 
-def _warm_context(warm_store: Optional[str]) -> Optional[WarmStores]:
-    """A figure's :class:`WarmStores` (or None when running cold)."""
-    return WarmStores(warm_store) if warm_store else None
-
-
 def sweep_checkpoint_path(root: Optional[str], label: str) -> Optional[str]:
     """Per-sweep checkpoint directory under ``--checkpoint``'s root.
 
@@ -216,14 +213,14 @@ class _AdaptiveAccounting:
         )
 
 
-def _match_counter_baseline(store: BasisStore) -> Dict[str, float]:
-    """The store's match counters before a sweep runs against it.
+def _match_counters(store: BasisStore) -> Dict[str, float]:
+    """The store's cumulative match counters.
 
-    A cold store reads all zeros; a warm (snapshot-loaded) store carries
-    its cumulative lifetime counters, which must not leak into a figure's
-    per-run accounting — figures fold the *delta* across the run, so warm
-    counters are deterministic for a given starting snapshot regardless
-    of how many runs produced it.
+    A cold store reads all zeros before a sweep; a warm (snapshot-loaded)
+    store carries its lifetime counters, which must not leak into a
+    figure's per-run accounting — figures fold the *delta* across the
+    run, so warm counters are deterministic for a given starting snapshot
+    regardless of how many runs produced it.
     """
     stats = store.stats
     return {
@@ -231,16 +228,6 @@ def _match_counter_baseline(store: BasisStore) -> Dict[str, float]:
         "matches": float(stats.matches),
         "match_seconds": stats.match_seconds,
     }
-
-
-def _match_counter_delta(
-    store: BasisStore, baseline: Optional[Dict[str, float]]
-) -> Dict[str, float]:
-    """Match counters accumulated since ``baseline`` (None = all of them)."""
-    current = _match_counter_baseline(store)
-    if baseline is None:
-        return current
-    return {key: current[key] - baseline[key] for key in current}
 
 
 def _fold_match_counters(
@@ -276,6 +263,117 @@ def _sweep_digest(run) -> Dict[str, float]:
         "points_reused": float(run.stats.points_reused),
         "bases_created": float(run.stats.bases_created),
     }
+
+
+#: Index strategy -> plotted series name, in the paper's legend order.
+_STRATEGIES = {
+    "array": "Array",
+    "normalization": "Normalization",
+    "sorted_sid": "Sorted SID",
+}
+
+
+def _strategy_series() -> Dict[str, Series]:
+    """One empty series per index strategy, keyed by strategy."""
+    return {name: Series(label) for name, label in _STRATEGIES.items()}
+
+
+class _MeasuredSweeps:
+    """The measured-sweep loop body the explorer figures (8-11) share.
+
+    ``measure`` builds the explorer (serial or sharded, cold or warm,
+    fixed-budget or adaptive, checkpointed or not), times one sweep
+    between exactly two reads of the injectable clock, saves the warm
+    store and feeds the adaptive accounting; ``fold`` adds a run to the
+    figure's counters and data digest; ``publish`` closes the adaptive
+    and warm accounting once every sweep has run.
+    """
+
+    def __init__(
+        self,
+        result: FigureResult,
+        workers: int,
+        adaptive: Optional[AdaptiveBudget],
+        warm_store: Optional[str],
+        checkpoint: Optional[str],
+    ):
+        self.result = result
+        self.workers = workers
+        self.adaptive = adaptive
+        self.checkpoint = checkpoint
+        self.accounting = _AdaptiveAccounting(adaptive)
+        self.warm = WarmStores(warm_store) if warm_store else None
+
+    def measure(
+        self,
+        label: str,
+        workload: SweepWorkload,
+        index_strategy: str = "normalization",
+        mapping_family=None,
+    ):
+        """(run, seconds, match-counter delta) of one sweep of ``workload``.
+
+        ``label`` names the sweep's warm snapshot and checkpoint
+        directory.  The delta, not the store total, is this run's match
+        work: a warm-started store arrives carrying lifetime counters.
+        """
+        explorer = _make_explorer(
+            workload.simulation(),
+            samples=workload.samples_per_point,
+            fingerprint_size=workload.fingerprint_size,
+            index_strategy=index_strategy,
+            mapping_family=mapping_family,
+            workers=self.workers,
+            adaptive=self.adaptive,
+            warm=self.warm,
+            warm_label=label,
+            checkpoint=sweep_checkpoint_path(self.checkpoint, label),
+        )
+        before = _match_counters(explorer.store)
+        start = timing.perf_counter()
+        run = explorer.run(workload.points)
+        seconds = timing.perf_counter() - start
+        if self.warm is not None:
+            self.warm.record(run.stats)
+            self.warm.save(label, explorer.store)
+        self.accounting.record(
+            run.stats, workload.samples_per_point, workload.fingerprint_size
+        )
+        after = _match_counters(explorer.store)
+        return run, seconds, {key: after[key] - before[key] for key in after}
+
+    def fold(self, data_key: str, run, match_counters) -> None:
+        """Add one run's work counters and estimate digest to the figure.
+
+        ``candidates_tested`` and ``matches_found`` are deterministic and
+        regression-gated; ``match_seconds`` is informational wall clock
+        spent inside match()/match_batch().
+        """
+        counters = self.result.counters
+        counters["samples_drawn"] = counters.get(
+            "samples_drawn", 0.0
+        ) + float(run.stats.samples_drawn)
+        counters["points_total"] = counters.get("points_total", 0.0) + float(
+            run.stats.points_total
+        )
+        counters["points_reused"] = counters.get(
+            "points_reused", 0.0
+        ) + float(run.stats.points_reused)
+        counters["reuse_fraction"] = (
+            counters["points_reused"] / counters["points_total"]
+        )
+        _fold_match_counters(
+            counters,
+            match_counters["candidates_tested"],
+            match_counters["matches"],
+            match_counters["match_seconds"],
+        )
+        self.result.data[data_key] = _sweep_digest(run)
+
+    def publish(self) -> None:
+        self.accounting.publish(self.result)
+        if self.warm is not None:
+            self.warm.publish(self.result)
 
 
 # ---------------------------------------------------------------------------
@@ -334,57 +432,6 @@ def run_fig7(scale: str = "quick") -> str:
 # Figure 8: Jigsaw vs fully exploring the parameter space
 
 
-def _explore_pair(
-    workload: SweepWorkload,
-    mapping_family=None,
-    workers: int = 1,
-    adaptive: Optional[AdaptiveBudget] = None,
-    warm: Optional[WarmStores] = None,
-    warm_label: str = "",
-    checkpoint_root: Optional[str] = None,
-) -> Tuple[float, float, Dict[str, float], "object"]:
-    """(naive s, jigsaw s, extras, jigsaw stats) for one sweep workload."""
-    simulation = workload.simulation()
-
-    start = timing.perf_counter()
-    naive = NaiveExplorer(
-        simulation, samples_per_point=workload.samples_per_point
-    )
-    naive_run = naive.run(workload.points)
-    naive_seconds = timing.perf_counter() - start
-
-    explorer = _make_explorer(
-        simulation,
-        samples=workload.samples_per_point,
-        fingerprint_size=workload.fingerprint_size,
-        mapping_family=mapping_family or LinearMappingFamily(),
-        workers=workers,
-        adaptive=adaptive,
-        warm=warm,
-        warm_label=warm_label,
-        checkpoint=sweep_checkpoint_path(checkpoint_root, warm_label),
-    )
-    match_baseline = _match_counter_baseline(explorer.store)
-    start = timing.perf_counter()
-    result = explorer.run(workload.points)
-    jigsaw_seconds = timing.perf_counter() - start
-    if warm is not None:
-        warm.record(result.stats)
-        warm.save(warm_label, explorer.store)
-    match_delta = _match_counter_delta(explorer.store, match_baseline)
-    extras = {
-        "bases": float(result.stats.bases_created),
-        "reuse_fraction": result.stats.reuse_fraction,
-        "naive_samples": float(naive_run.stats.samples_drawn),
-        "jigsaw_samples": float(result.stats.samples_drawn),
-        "candidates_tested": match_delta["candidates_tested"],
-        "matches_found": match_delta["matches"],
-        "match_seconds": match_delta["match_seconds"],
-    }
-    extras.update(_sweep_digest(result))
-    return naive_seconds, jigsaw_seconds, extras, result.stats
-
-
 def run_fig8(
     scale: str = "quick",
     workers: int = 1,
@@ -434,49 +481,51 @@ def run_fig8(
         ),
     ]
     reuse_fractions = []
-    accounting = _AdaptiveAccounting(adaptive)
-    warm = _warm_context(warm_store)
+    sweeps = _MeasuredSweeps(result, workers, adaptive, warm_store, checkpoint)
     for label_index, (label, workload, family) in enumerate(workloads):
         workload.samples_per_point = samples
-        naive_seconds, jigsaw_seconds, extras, stats = _explore_pair(
-            workload, mapping_family=family, workers=workers,
-            adaptive=adaptive, warm=warm, warm_label=f"fig8-{label}",
-            checkpoint_root=checkpoint,
+        start = timing.perf_counter()
+        naive_run = NaiveExplorer(
+            workload.simulation(), samples_per_point=samples
+        ).run(workload.points)
+        naive_seconds = timing.perf_counter() - start
+        run, jigsaw_seconds, match_delta = sweeps.measure(
+            f"fig8-{label}", workload, mapping_family=family
         )
-        accounting.record(stats, samples, workload.fingerprint_size)
         full_series.add(float(label_index), naive_seconds)
         jigsaw_series.add(float(label_index), jigsaw_seconds)
-        result.counters["samples_drawn"] = result.counters.get(
-            "samples_drawn", 0.0
-        ) + extras["naive_samples"] + extras["jigsaw_samples"]
+        result.counters["samples_drawn"] = (
+            result.counters.get("samples_drawn", 0.0)
+            + float(naive_run.stats.samples_drawn)
+            + float(run.stats.samples_drawn)
+        )
         _fold_match_counters(
             result.counters,
-            extras["candidates_tested"],
-            extras["matches_found"],
-            extras["match_seconds"],
+            match_delta["candidates_tested"],
+            match_delta["matches"],
+            match_delta["match_seconds"],
         )
-        reuse_fractions.append(extras["reuse_fraction"])
+        reuse_fractions.append(run.stats.reuse_fraction)
+        digest = _sweep_digest(run)
         result.data[label] = {
             "points": float(len(workload.points)),
-            "bases": extras["bases"],
-            "reuse_fraction": extras["reuse_fraction"],
-            "naive_samples": extras["naive_samples"],
-            "jigsaw_samples": extras["jigsaw_samples"],
-            "mean_expectation": extras["mean_expectation"],
-            "mean_stddev": extras["mean_stddev"],
+            "bases": digest["bases_created"],
+            "reuse_fraction": run.stats.reuse_fraction,
+            "naive_samples": float(naive_run.stats.samples_drawn),
+            "jigsaw_samples": float(run.stats.samples_drawn),
+            "mean_expectation": digest["mean_expectation"],
+            "mean_stddev": digest["mean_stddev"],
         }
         result.notes.append(
             f"{label}: {len(workload.points)} points, "
-            f"{int(extras['bases'])} bases, "
-            f"reuse {extras['reuse_fraction']:.1%}, "
+            f"{run.stats.bases_created} bases, "
+            f"reuse {run.stats.reuse_fraction:.1%}, "
             f"speedup {naive_seconds / jigsaw_seconds:.1f}x"
         )
     result.counters["reuse_fraction"] = sum(reuse_fractions) / len(
         reuse_fractions
     )
-    accounting.publish(result)
-    if warm is not None:
-        warm.publish(result)
+    sweeps.publish()
 
     # MarkovStep: chain evaluation, naive vs jump.  Chains are sequential
     # in their step index, so this comparison stays single-process at any
@@ -524,42 +573,6 @@ def run_fig8(
 # Figure 9: computation time vs structure size (Capacity model)
 
 
-def _accumulate_run_counters(
-    result: FigureResult, run, match_counters=None
-) -> None:
-    """Fold one explorer run's work counters into the figure's totals.
-
-    ``match_counters`` (a :func:`_match_counter_delta` over the explorer's
-    basis store — serial or merged-parallel, either way carrying the
-    canonical replay counters) contributes the match-engine counters:
-    ``candidates_tested`` and ``matches_found`` are deterministic and
-    regression-gated; ``match_seconds`` is informational wall clock spent
-    inside match()/match_batch().  Deltas, not store totals: a
-    warm-started store arrives carrying its lifetime counters, and only
-    the work of *this* run belongs to this figure.
-    """
-    counters = result.counters
-    counters["samples_drawn"] = counters.get("samples_drawn", 0.0) + float(
-        run.stats.samples_drawn
-    )
-    counters["points_total"] = counters.get("points_total", 0.0) + float(
-        run.stats.points_total
-    )
-    counters["points_reused"] = counters.get("points_reused", 0.0) + float(
-        run.stats.points_reused
-    )
-    counters["reuse_fraction"] = (
-        counters["points_reused"] / counters["points_total"]
-    )
-    if match_counters is not None:
-        _fold_match_counters(
-            counters,
-            match_counters["candidates_tested"],
-            match_counters["matches"],
-            match_counters["match_seconds"],
-        )
-
-
 def run_fig9(
     scale: str = "quick",
     structure_sizes: Optional[Tuple[float, ...]] = None,
@@ -583,46 +596,25 @@ def run_fig9(
         x_label="structure size",
         y_label="time (ms/point)",
     )
-    strategies = ("array", "normalization", "sorted_sid")
-    series = {name: Series(_strategy_label(name)) for name in strategies}
-    accounting = _AdaptiveAccounting(adaptive)
-    warm = _warm_context(warm_store)
+    series = _strategy_series()
+    sweeps = _MeasuredSweeps(result, workers, adaptive, warm_store, checkpoint)
     for structure_size in structure_sizes:
         workload = capacity_workload(
             weeks=weeks, purchase_step=8, structure_size=float(structure_size)
         )
         workload.samples_per_point = samples
-        for strategy in strategies:
-            warm_label = f"fig9-structure{structure_size:g}-{strategy}"
-            explorer = _make_explorer(
-                workload.simulation(),
-                samples=samples,
-                fingerprint_size=workload.fingerprint_size,
+        for strategy in _STRATEGIES:
+            run, elapsed, match_delta = sweeps.measure(
+                f"fig9-structure{structure_size:g}-{strategy}",
+                workload,
                 index_strategy=strategy,
-                workers=workers,
-                adaptive=adaptive,
-                warm=warm,
-                warm_label=warm_label,
-                checkpoint=sweep_checkpoint_path(checkpoint, warm_label),
             )
-            match_baseline = _match_counter_baseline(explorer.store)
-            start = timing.perf_counter()
-            run = explorer.run(workload.points)
-            elapsed = timing.perf_counter() - start
-            if warm is not None:
-                warm.record(run.stats)
-                warm.save(warm_label, explorer.store)
             series[strategy].add(
                 float(structure_size),
                 1000.0 * elapsed / len(workload.points),
             )
-            _accumulate_run_counters(
-                result, run,
-                _match_counter_delta(explorer.store, match_baseline),
-            )
-            accounting.record(run.stats, samples, workload.fingerprint_size)
-            result.data[f"structure={structure_size:g}|{strategy}"] = (
-                _sweep_digest(run)
+            sweeps.fold(
+                f"structure={structure_size:g}|{strategy}", run, match_delta
             )
             if strategy == "array":
                 result.notes.append(
@@ -630,10 +622,8 @@ def run_fig9(
                     f"{run.stats.bases_created} bases over "
                     f"{len(workload.points)} points"
                 )
-    result.series = [series[s] for s in strategies]
-    accounting.publish(result)
-    if warm is not None:
-        warm.publish(result)
+    result.series = list(series.values())
+    sweeps.publish()
     return result
 
 
@@ -662,50 +652,25 @@ def run_fig10(
         x_label="# basis distributions",
         y_label="time relative to Array",
     )
-    strategies = ("array", "normalization", "sorted_sid")
-    series = {name: Series(_strategy_label(name)) for name in strategies}
-    accounting = _AdaptiveAccounting(adaptive)
-    warm = _warm_context(warm_store)
+    series = _strategy_series()
+    sweeps = _MeasuredSweeps(result, workers, adaptive, warm_store, checkpoint)
     for basis_count in basis_counts:
         timings: Dict[str, float] = {}
-        for strategy in strategies:
+        for strategy in _STRATEGIES:
             workload = synth_basis_workload(basis_count, point_count)
             workload.samples_per_point = samples
-            warm_label = f"fig10-bases{basis_count}-{strategy}"
-            explorer = _make_explorer(
-                workload.simulation(),
-                samples=samples,
-                fingerprint_size=workload.fingerprint_size,
+            run, timings[strategy], match_delta = sweeps.measure(
+                f"fig10-bases{basis_count}-{strategy}",
+                workload,
                 index_strategy=strategy,
-                workers=workers,
-                adaptive=adaptive,
-                warm=warm,
-                warm_label=warm_label,
-                checkpoint=sweep_checkpoint_path(checkpoint, warm_label),
             )
-            match_baseline = _match_counter_baseline(explorer.store)
-            start = timing.perf_counter()
-            run = explorer.run(workload.points)
-            timings[strategy] = timing.perf_counter() - start
-            if warm is not None:
-                warm.record(run.stats)
-                warm.save(warm_label, explorer.store)
-            _accumulate_run_counters(
-                result, run,
-                _match_counter_delta(explorer.store, match_baseline),
-            )
-            accounting.record(run.stats, samples, workload.fingerprint_size)
-            result.data[f"bases={basis_count}|{strategy}"] = _sweep_digest(
-                run
-            )
-        for strategy in strategies:
+            sweeps.fold(f"bases={basis_count}|{strategy}", run, match_delta)
+        for strategy in _STRATEGIES:
             series[strategy].add(
                 float(basis_count), timings[strategy] / timings["array"]
             )
-    result.series = [series[s] for s in strategies]
-    accounting.publish(result)
-    if warm is not None:
-        warm.publish(result)
+    result.series = list(series.values())
+    sweeps.publish()
     return result
 
 
@@ -732,49 +697,22 @@ def run_fig11(
         x_label="# basis distributions",
         y_label="time (s/point)",
     )
-    strategies = ("array", "normalization", "sorted_sid")
-    series = {name: Series(_strategy_label(name)) for name in strategies}
-    accounting = _AdaptiveAccounting(adaptive)
-    warm = _warm_context(warm_store)
+    series = _strategy_series()
+    sweeps = _MeasuredSweeps(result, workers, adaptive, warm_store, checkpoint)
     for basis_count in basis_counts:
         point_count = basis_count * 10
-        for strategy in strategies:
+        for strategy in _STRATEGIES:
             workload = synth_basis_workload(basis_count, point_count)
             workload.samples_per_point = samples
-            warm_label = f"fig11-bases{basis_count}-{strategy}"
-            explorer = _make_explorer(
-                workload.simulation(),
-                samples=samples,
-                fingerprint_size=workload.fingerprint_size,
+            run, elapsed, match_delta = sweeps.measure(
+                f"fig11-bases{basis_count}-{strategy}",
+                workload,
                 index_strategy=strategy,
-                workers=workers,
-                adaptive=adaptive,
-                warm=warm,
-                warm_label=warm_label,
-                checkpoint=sweep_checkpoint_path(checkpoint, warm_label),
             )
-            match_baseline = _match_counter_baseline(explorer.store)
-            start = timing.perf_counter()
-            run = explorer.run(workload.points)
-            elapsed = timing.perf_counter() - start
-            if warm is not None:
-                warm.record(run.stats)
-                warm.save(warm_label, explorer.store)
-            series[strategy].add(
-                float(basis_count), elapsed / point_count
-            )
-            _accumulate_run_counters(
-                result, run,
-                _match_counter_delta(explorer.store, match_baseline),
-            )
-            accounting.record(run.stats, samples, workload.fingerprint_size)
-            result.data[f"bases={basis_count}|{strategy}"] = _sweep_digest(
-                run
-            )
-    result.series = [series[s] for s in strategies]
-    accounting.publish(result)
-    if warm is not None:
-        warm.publish(result)
+            series[strategy].add(float(basis_count), elapsed / point_count)
+            sweeps.fold(f"bases={basis_count}|{strategy}", run, match_delta)
+    result.series = list(series.values())
+    sweeps.publish()
     return result
 
 
@@ -866,8 +804,7 @@ def run_match(scale: str = "quick") -> FigureResult:
         x_label="# basis distributions",
         y_label="match time (us/probe)",
     )
-    strategies = ("array", "normalization", "sorted_sid")
-    series = {name: Series(_strategy_label(name)) for name in strategies}
+    series = _strategy_series()
     rng = np.random.default_rng(20110613)  # deterministic, scale-independent
     for basis_count in basis_counts:
         bases = rng.standard_normal((basis_count, fingerprint_size))
@@ -883,7 +820,7 @@ def run_match(scale: str = "quick") -> FigureResult:
                 values[probe % fingerprint_size] += 0.5
             probes.append(Fingerprint(values))
         found_by: Dict[str, int] = {}
-        for strategy in strategies:
+        for strategy in _STRATEGIES:
             store = BasisStore(index_strategy=strategy)
             for row in bases:
                 store.add(Fingerprint(row), row)
@@ -908,22 +845,16 @@ def run_match(scale: str = "quick") -> FigureResult:
                 "matches_found": float(found_by[strategy]),
             }
         per_strategy = ", ".join(
-            f"{strategy}={found_by[strategy]}" for strategy in strategies
+            f"{strategy}={found_by[strategy]}" for strategy in _STRATEGIES
         )
         result.notes.append(
             f"bases={basis_count}: {probe_count} probes, "
             f"matched {per_strategy}"
         )
-    result.series = [series[s] for s in strategies]
+    result.series = list(series.values())
     return result
 
 
-def _strategy_label(strategy: str) -> str:
-    return {
-        "array": "Array",
-        "normalization": "Normalization",
-        "sorted_sid": "Sorted SID",
-    }[strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +886,10 @@ def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
     answers — the same for every backend, so the smoke regression gate
     passes unchanged whichever backend ran.  The wall-clock-derived
     values (``draw_crossover_size``, ``validate_crossover_size``) ride
-    along as non-gated keys, like ``seconds``.  ``*_agreement`` counters
+    along as informational keys, like ``seconds``, and only when a
+    non-reference backend was measured: the numpy reference timed
+    against itself has no crossover, so the keys are absent rather than
+    a sentinel.  ``*_agreement`` counters
     are the observed bitwise equality of backend and reference output
     (1.0 on every honest backend): a backend that drifts fails the exact
     gate here even if its self-verification window has been exhausted.
@@ -1063,11 +997,10 @@ def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
         series["validate_backend"].add(
             float(size), 1.0e6 * validate_backend / size
         )
-        if not backend.is_reference:
-            if crossover["draw"] < 0 and draw_backend < draw_ref:
-                crossover["draw"] = float(size)
-            if crossover["validate"] < 0 and validate_backend < validate_ref:
-                crossover["validate"] = float(size)
+        if crossover["draw"] < 0 and draw_backend < draw_ref:
+            crossover["draw"] = float(size)
+        if crossover["validate"] < 0 and validate_backend < validate_ref:
+            crossover["validate"] = float(size)
         counters["draws_total"] = counters.get("draws_total", 0.0) + float(
             size * len(kinds)
         )
@@ -1086,11 +1019,6 @@ def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
         }
     counters["draw_agreement"] = agreement["draw"]
     counters["validate_agreement"] = agreement["validate"]
-    # Wall-clock-derived, hence excluded from the exact gate (like
-    # ``seconds``); -1 means "never crossed" — always so for the
-    # reference backend measured against itself.
-    counters["draw_crossover_size"] = crossover["draw"]
-    counters["validate_crossover_size"] = crossover["validate"]
     result.notes.append(f"backend under test: {backend.describe()}")
     if backend.is_reference:
         result.notes.append(
@@ -1100,6 +1028,10 @@ def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
     else:
         for kernel in ("draw", "validate"):
             at = crossover[kernel]
+            # Wall-clock-derived, hence informational (like ``seconds``)
+            # and recorded only when a backend was measured; -1 means it
+            # never beat the reference at any measured size.
+            counters[f"{kernel}_crossover_size"] = at
             result.notes.append(
                 f"{kernel} kernel crossover: "
                 + (
@@ -1114,3 +1046,57 @@ def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
                     "validate_backend")
     ]
     return result
+
+
+# ---------------------------------------------------------------------------
+# The figure declarations every driver and gate derives its lists from
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One experiment of the suite, declared once.
+
+    ``sweep``: the runner takes the explorer-sweep options (``workers``,
+    ``adaptive``, ``warm_store``, ``checkpoint``); the others have no
+    per-point sample budget to adapt, no basis store to persist and no
+    shards to checkpoint.  ``golden``: the runner's deterministic data
+    points are pinned under ``benchmarks/golden/`` (fig7 is a pure timing
+    table, match and crossover are pinned by their counters).
+    ``informational``: counters that are wall-clock-derived, so they vary
+    per host and are never exact-gated — beside ``seconds``, which the
+    driver records for every figure.
+    """
+
+    name: str
+    runner: Callable
+    sweep: bool = False
+    golden: bool = False
+    informational: FrozenSet[str] = frozenset()
+
+
+_MATCH_CLOCK = frozenset({"match_seconds"})
+_SWEEP = {"sweep": True, "golden": True, "informational": _MATCH_CLOCK}
+
+FIGURES: Tuple[Figure, ...] = (
+    Figure("fig7", run_fig7),
+    Figure("fig8", run_fig8, **_SWEEP),
+    Figure("fig9", run_fig9, **_SWEEP),
+    Figure("fig10", run_fig10, **_SWEEP),
+    Figure("fig11", run_fig11, **_SWEEP),
+    Figure("fig12", run_fig12, golden=True),
+    # The columnar FindMatch engine in isolation (no sampling).
+    Figure("match", run_match, informational=_MATCH_CLOCK),
+    # Reference-vs-backend kernel wall clock.
+    Figure(
+        "crossover",
+        run_crossover,
+        informational=frozenset(
+            {"draw_crossover_size", "validate_crossover_size"}
+        ),
+    ),
+)
+
+#: Per-figure keys of a bench document that are never exact-gated.
+INFORMATIONAL_KEYS: FrozenSet[str] = frozenset({"seconds"}).union(
+    *(figure.informational for figure in FIGURES)
+)

@@ -1,40 +1,16 @@
-"""Timing harness shared by the figure runners and the pytest benchmarks.
+"""Result containers of the figure runners.
 
-Reports both wall-clock time and black-box invocation counts; the paper's
-claims are about relative cost (Jigsaw vs. naive, index vs. scan), so the
-machine-independent invocation ratio is printed next to every timing ratio.
+A figure carries both wall-clock series and machine-independent work
+counters: the paper's claims are about relative cost (Jigsaw vs. naive,
+index vs. scan), so the deterministic counters are what the gates diff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.util import timing
 from repro.util.tables import format_table
-
-
-@dataclass
-class Measurement:
-    """One timed run: seconds elapsed plus arbitrary work counters."""
-
-    label: str
-    seconds: float
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    def per(self, unit_count: int) -> float:
-        """Seconds per unit (per point, per step, ...)."""
-        if unit_count <= 0:
-            raise ValueError("unit_count must be positive")
-        return self.seconds / unit_count
-
-
-def timed(label: str, func: Callable[[], Dict[str, int]]) -> Measurement:
-    """Run ``func`` once; it returns its work counters."""
-    start = timing.perf_counter()
-    counters = func() or {}
-    elapsed = timing.perf_counter() - start
-    return Measurement(label=label, seconds=elapsed, counters=counters)
 
 
 @dataclass

@@ -25,8 +25,8 @@ seed, count) only — request *ordering* under concurrency cannot change
 them, because probes are read-only against the store, refines target
 distinct bases, and per-probe counters are order-independent (the
 ``match_batch`` parity invariant).  Latency and throughput are
-host-dependent and reported informationally (the
-``NON_DETERMINISTIC_KEYS`` convention of ``check_regression.py``).
+host-dependent and reported informationally (the keys listed in
+``repro.bench.checks.SERVE_INFORMATIONAL``).
 """
 
 from __future__ import annotations

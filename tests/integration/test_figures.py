@@ -9,7 +9,8 @@ Two deterministic layers replace what used to be wall-clock assertions:
 * **Golden-figure regression** — each figure's deterministic data points
   (``FigureResult.data``) are compared *exactly* against the committed
   files under ``benchmarks/golden/`` (refresh procedure:
-  ``benchmarks/refresh_golden.py``; see ROADMAP subsystem notes).
+  ``benchmarks/check_regression.py --refresh golden``; see ROADMAP
+  subsystem notes).
 * **Work-counter shapes** — cost claims ("the array scan gets slower with
   more bases") are asserted on the deterministic cost drivers
   (candidates tested per lookup) rather than on milliseconds, and the
@@ -17,12 +18,11 @@ Two deterministic layers replace what used to be wall-clock assertions:
   :class:`repro.util.timing.FakeClock`, making every assertion exact.
 """
 
-import importlib.util
 import json
-import os
 
 import pytest
 
+from repro.bench import checks
 from repro.bench.figures import (
     run_fig7,
     run_fig8,
@@ -31,29 +31,16 @@ from repro.bench.figures import (
     run_fig11,
     run_fig12,
 )
-from repro.bench.workloads import capacity_workload, synth_basis_workload
-from repro.core import BasisStore, ParameterExplorer
-from repro.util.timing import FakeClock, use_clock
-
-_BENCHMARKS_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-    "benchmarks",
+from repro.bench.workloads import (
+    capacity_workload,
+    markov_branch_model,
+    synth_basis_workload,
 )
-
-
-def _load_refresh_golden():
-    """The golden refresh/check script, shared so the runner registry and
-    measurement logic cannot drift between CI's check and this suite."""
-    spec = importlib.util.spec_from_file_location(
-        "_refresh_golden_under_test",
-        os.path.join(_BENCHMARKS_DIR, "refresh_golden.py"),
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-refresh_golden = _load_refresh_golden()
+from repro.blackbox.markov_step import MarkovStepModel
+from repro.core import BasisStore, ParameterExplorer
+from repro.core.markov import MarkovJumpRunner, NaiveMarkovRunner
+from repro.core.seeds import SeedBank
+from repro.util.timing import FakeClock, use_clock
 
 
 class TestFig7:
@@ -233,34 +220,32 @@ class TestGoldenFigures:
     committed under ``benchmarks/golden/``.
 
     This pins the actual estimates (mean expectations, reuse decisions,
-    jump counts) — not just the aggregate counters the bench gate
+    jump counts) — not just the aggregate counters the smoke check
     watches — so a change that shifts what the figures *report* fails
     even when the work accounting happens to be unchanged.  Refresh via
-    ``PYTHONPATH=src python benchmarks/refresh_golden.py`` and commit the
-    diff with an explanation.
+    ``PYTHONPATH=src python benchmarks/check_regression.py --refresh
+    golden`` and commit the diff with an explanation.
     """
 
     @staticmethod
     def _golden(figure):
-        with open(refresh_golden.golden_path(figure)) as handle:
+        with open(checks.golden_path(figure)) as handle:
             return json.load(handle)
 
-    @pytest.mark.parametrize(
-        "figure", sorted(refresh_golden.RUNNERS)
-    )
+    @pytest.mark.parametrize("figure", sorted(checks.GOLDEN))
     def test_data_points_match_golden_exactly(self, figure):
         golden = self._golden(figure)
-        assert golden["scale"] == refresh_golden.SCALE == "smoke"
-        # measure() is the same code CI's --check runs, so the registry
-        # and measurement logic cannot drift between the two gates.  One
-        # json round-trip normalizes float formatting on our side; the
-        # values themselves must then match bit-for-bit.
-        measured = json.loads(json.dumps(refresh_golden.measure(figure)))
+        assert golden["scale"] == checks.SCALE == "smoke"
+        # measure_golden() is the same code CI's golden check runs, so
+        # the figure list and measurement logic cannot drift between the
+        # two gates.  One json round-trip normalizes float formatting on
+        # our side; the values themselves must then match bit-for-bit.
+        measured = json.loads(json.dumps(checks.measure_golden(figure)))
         assert measured["data"] == golden["data"]
 
     def test_golden_files_carry_real_data_points(self):
         """Every golden file pins actual per-x data, not empty shells."""
-        for figure in refresh_golden.RUNNERS:
+        for figure in checks.GOLDEN:
             golden = self._golden(figure)
             assert golden["data"], figure
             for key, entry in golden["data"].items():
@@ -269,3 +254,117 @@ class TestGoldenFigures:
                     isinstance(value, (int, float))
                     for value in entry.values()
                 ), (figure, key)
+
+
+def _sweep(workload, samples, fingerprint_size=10, strategy="normalization"):
+    """One cold explorer sweep of ``workload``: (run stats, store stats)."""
+    explorer = ParameterExplorer(
+        workload.simulation(),
+        samples_per_point=samples,
+        fingerprint_size=fingerprint_size,
+        index_strategy=strategy,
+    )
+    run = explorer.run(workload.points)
+    return run.stats, explorer.store.stats
+
+
+class TestWorkCounterShapes:
+    """The paper-shape claims as deterministic work counts (samples
+    drawn, bases created, candidates tested, step invocations) at the
+    sizes the per-figure benchmarks used — immune to timer noise."""
+
+    def test_fig8_jigsaw_draws_far_fewer_samples(self):
+        workload = capacity_workload(weeks=12, purchase_step=6)
+        stats, _ = _sweep(workload, 80)
+        assert stats.samples_drawn < len(workload.points) * 80 / 3
+
+    def test_fig9_bases_grow_sublinearly_with_structure(self):
+        bases = {
+            size: _sweep(
+                capacity_workload(
+                    weeks=16, purchase_step=8, structure_size=size
+                ),
+                50,
+            )[0].bases_created
+            for size in (0.0, 4.0, 16.0)
+        }
+        assert bases[0.0] <= bases[4.0] <= bases[16.0]
+        assert bases[4.0] > bases[0.0]
+        # Quadrupling the structure size does not quadruple the bases.
+        assert bases[16.0] < 4 * max(bases[4.0], 1)
+
+    @staticmethod
+    def _candidates_tested(basis_count, point_count, strategy):
+        workload = synth_basis_workload(basis_count, point_count)
+        return _sweep(workload, 30, strategy=strategy)[1].candidates_tested
+
+    def test_fig10_hash_indexes_test_far_fewer_candidates(self):
+        """With B bases the array index tests O(B) candidates per
+        lookup; the normalization index prunes to the probe's bucket and
+        the SID-order index to the bases sharing its sort order."""
+        tested = {
+            strategy: self._candidates_tested(60, 400, strategy)
+            for strategy in ("array", "normalization", "sorted_sid")
+        }
+        assert tested["normalization"] < tested["array"] / 5
+        assert tested["sorted_sid"] < tested["array"] / 2
+
+    def test_fig11_array_grows_superlinearly_hash_stays_flat(self):
+        """Basis held at 10% of the space: array candidate tests grow
+        ~quadratically with the basis count, hash indexes ~linearly."""
+        small, large = 20, 80
+        growth = {
+            strategy: self._candidates_tested(large, large * 10, strategy)
+            / self._candidates_tested(small, small * 10, strategy)
+            for strategy in ("array", "normalization")
+        }
+        assert growth["array"] > (large / small) * 1.5
+        assert growth["normalization"] < growth["array"] / 2
+
+    def test_fig12_jump_advantage_decays_with_branching(self):
+        def invocation_ratio(branching):
+            naive = NaiveMarkovRunner(
+                markov_branch_model(branching), instance_count=200
+            ).run(128)
+            jump = MarkovJumpRunner(
+                markov_branch_model(branching),
+                instance_count=200,
+                fingerprint_size=10,
+            ).run(128)
+            return naive.step_invocations / jump.step_invocations
+
+        low, mid, high = (invocation_ratio(b) for b in (1e-4, 1e-2, 1e-1))
+        assert low > 5.0
+        assert low > mid > high
+
+    def test_sweep_cost_grows_with_fingerprint_size(self):
+        """Ablation of the constant the paper fixes at m=10: every point
+        pays m rounds whether or not it reuses, so once reuse dominates
+        the per-sweep sample count grows with m."""
+        workload = capacity_workload(weeks=12, purchase_step=6)
+        drawn = {
+            m: _sweep(workload, 60, fingerprint_size=m)[0].samples_drawn
+            for m in (5, 20)
+        }
+        assert drawn[20] > drawn[5]
+
+    def test_markov_accuracy_improves_with_fingerprint_size(self):
+        """The other side of the ablation: the chance that every observed
+        instance misses a discontinuity decays geometrically in m."""
+        bank = SeedBank(6)
+        naive = NaiveMarkovRunner(
+            MarkovStepModel(release_threshold=20.0),
+            instance_count=120,
+            seed_bank=bank,
+        ).run(60)
+        errors = {}
+        for m in (5, 25):
+            jump = MarkovJumpRunner(
+                MarkovStepModel(release_threshold=20.0),
+                instance_count=120,
+                fingerprint_size=m,
+                seed_bank=bank,
+            ).run(60)
+            errors[m] = abs(jump.states.mean() - naive.states.mean())
+        assert errors[25] <= errors[5] + 1e-9
+        assert errors[25] < 1.0

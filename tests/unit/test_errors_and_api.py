@@ -237,36 +237,6 @@ class TestCliExitCodes:
         assert "warm store" in capsys.readouterr().out
 
 
-class TestRunAllScript:
-    def test_single_experiment_via_only_flag(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            import run_all
-        finally:
-            sys.path.pop(0)
-        out_file = tmp_path / "report.txt"
-        # --bench-out '' disables the bench JSON write: a test run must
-        # never touch the committed BENCH_run_all.json perf baseline.
-        run_all.main(
-            ["--only", "fig12", "--out", str(out_file), "--bench-out", ""]
-        )
-        assert "Figure 12" in capsys.readouterr().out
-        assert "Figure 12" in out_file.read_text()
-
-    def test_unknown_experiment_rejected(self):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            import run_all
-        finally:
-            sys.path.pop(0)
-        with pytest.raises(SystemExit):
-            run_all.main(["--only", "fig99"])
-
-
 class TestDemandObservedVariant:
     def test_observed_demand_is_deterministic(self):
         from repro.blackbox import DemandObservedMarkovStep
