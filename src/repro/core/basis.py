@@ -171,10 +171,15 @@ class EvictionPolicy:
 #: Probes with fewer candidates than this take the scalar loop: a couple of
 #: per-candidate find() calls against cached fingerprints beats the fixed
 #: cost of gathering rows and launching the matrix kernels (measured on a
-#: 389-basis store: 1 candidate/probe 8.8 us scalar vs 42.4 us kernels;
-#: 389 candidates/probe 1,193.6 us scalar vs 121.8 us kernels).  Purely a
-#: latency cutover — both paths return bit-identical results — kept as an
-#: instance attribute so tests can put a store on either side of it.
+#: 389-basis store, kernels reading cached anchor columns and screening
+#: one column: 1 candidate/probe 7.8 us scalar vs 36.7 us kernels; 389
+#: candidates/probe 1,167.8 us scalar vs 54.1 us kernels).  The kernels
+#: win from 6 candidates when all are tested and from 7 when only the last
+#: one matches (from 8 before the anchor columns), but the scalar loop
+#: stops at its first match, so a hit at a uniformly random position
+#: favours it up to about 11: the cutover stays between the two.  Purely
+#: a latency cutover — both paths return bit-identical results — kept as
+#: an instance attribute so tests can put a store on either side of it.
 COLUMNAR_MIN_CANDIDATES = 8
 
 

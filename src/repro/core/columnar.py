@@ -4,9 +4,9 @@ The scalar FindMatch loop touches one :class:`BasisDistribution` at a time;
 every candidate costs a Python ``MappingFamily.find`` call.  This module
 keeps the same data *columnar*: all basis fingerprints of one size live in a
 contiguous, incrementally appended ``(n_bases, fingerprint_size)`` float
-matrix, with parallel SID-order and normal-form key matrices alongside, so
-one ``find_matrix`` call validates every candidate of a probe in a handful
-of array operations.
+matrix, with a parallel SID-order key matrix and Algorithm 2's per-basis
+anchor columns alongside, so one ``find_matrix`` call validates every
+candidate of a probe in a handful of array operations.
 
 Layout notes:
 
@@ -17,10 +17,12 @@ Layout notes:
   therefore grouped into per-size blocks and gathered per probe.
 * Matrices grow geometrically — appends are amortized O(row), and merges
   adopt another store's blocks with one concatenate per size.
-* Key matrices are materialized lazily behind a fill watermark: a store
-  whose family never consults SID orders (or normal forms) never pays for
-  them, and the entries are read from each fingerprint's own cache, so the
-  keys are bitwise the ones the hash indexes inserted.
+* Derived per-row state is materialized lazily behind a fill watermark: a
+  store whose family never consults SID orders (or whose probes never reach
+  the matrix kernels) never pays for it.  SID orders are read from each
+  fingerprint's own cache, so the keys are bitwise the ones the hash
+  indexes inserted; anchor columns are a function of the matrix row and
+  the tolerance alone, so they are recomputed, never persisted.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from repro.core.fingerprint import (
     Fingerprint,
-    batch_normal_forms,
     batch_sid_orders,
+    rows_anchor_columns,
 )
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -40,6 +42,16 @@ _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 #: Tombstoned rows are compacted away once they exceed this fraction of a
 #: store's total rows — removal stays O(1) amortized, matrices stay dense.
 COMPACT_TOMBSTONE_FRACTION = 0.5
+
+#: ``(has_pair, anchor, denominator)`` — see ``rows_anchor_columns``.
+AnchorColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _grown(array: np.ndarray, capacity: int, filled: int) -> np.ndarray:
+    """A fresh ``capacity``-row array holding ``array``'s first ``filled``."""
+    grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
+    grown[:filled] = array[:filled]
+    return grown
 
 
 class _SizeBlock:
@@ -54,7 +66,7 @@ class _SizeBlock:
         self.dead = 0
         self._sid_matrix: Optional[np.ndarray] = None
         self._sid_filled = 0
-        self._nf_matrix: Dict[float, Tuple[np.ndarray, int]] = {}
+        self._anchors: Dict[float, Tuple[AnchorColumns, int]] = {}
 
     def _reserve(self, extra: int) -> None:
         needed = self.count + extra
@@ -67,17 +79,16 @@ class _SizeBlock:
             return
         while capacity < needed:
             capacity *= 2
-        grown = np.empty((capacity, self.size), dtype=np.float64)
-        grown[: self.count] = self.matrix[: self.count]
-        self.matrix = grown
+        self.matrix = _grown(self.matrix, capacity, self.count)
         if self._sid_matrix is not None:
-            sid = np.empty((capacity, self.size), dtype=np.int64)
-            sid[: self._sid_filled] = self._sid_matrix[: self._sid_filled]
-            self._sid_matrix = sid
-        for rel_tol, (nf, filled) in self._nf_matrix.items():
-            grown_nf = np.empty((capacity, self.size), dtype=np.float64)
-            grown_nf[:filled] = nf[:filled]
-            self._nf_matrix[rel_tol] = (grown_nf, filled)
+            self._sid_matrix = _grown(
+                self._sid_matrix, capacity, self._sid_filled
+            )
+        for rel_tol, (columns, filled) in self._anchors.items():
+            self._anchors[rel_tol] = (
+                tuple(_grown(c, capacity, filled) for c in columns),
+                filled,
+            )
 
     def append(self, basis_id: int, fingerprint: Fingerprint) -> int:
         """Add one fingerprint row; returns its row index."""
@@ -102,9 +113,9 @@ class _SizeBlock:
         Fancy indexing materializes fresh writable matrices, so compacting
         a memory-mapped block is also a copy-on-write promotion — the
         snapshot file is never written through.  Fully filled key matrices
-        are carried over row-for-row (they stay bitwise the inserted keys);
-        partially filled ones are dropped and lazily refilled from the
-        fingerprints' own caches, which yields the same bits.
+        and anchor columns are carried over row-for-row (they stay bitwise
+        the inserted keys); partially filled ones are dropped and lazily
+        refilled from the surviving rows, which yields the same bits.
         """
         if self.dead == 0:
             return 0
@@ -117,9 +128,9 @@ class _SizeBlock:
         else:
             self._sid_matrix = None
             self._sid_filled = 0
-        self._nf_matrix = {
-            rel_tol: (matrix[keep], len(keep))
-            for rel_tol, (matrix, filled) in self._nf_matrix.items()
+        self._anchors = {
+            rel_tol: (tuple(c[keep] for c in columns), len(keep))
+            for rel_tol, (columns, filled) in self._anchors.items()
             if filled == self.count
         }
         self.ids = [self.ids[row] for row in keep]
@@ -155,16 +166,16 @@ class _SizeBlock:
         ids: Sequence[int],
         fingerprints: Sequence[Fingerprint],
         sid_matrix: Optional[np.ndarray] = None,
-        nf_matrices: Optional[Dict[float, np.ndarray]] = None,
     ) -> "_SizeBlock":
         """Rebuild a block from snapshot arrays (``repro.core.persist``).
 
-        ``matrix`` (and the optional key matrices) may be read-only
+        ``matrix`` (and the optional SID key matrix) may be read-only
         memory-mapped views; they are adopted as-is — capacity equals the
         row count, so the first append triggers :meth:`_reserve`'s
         copy-on-write promotion instead of writing through the mapping.
-        Key matrices are marked fully filled: their rows were persisted
+        The key matrix is marked fully filled: its rows were persisted
         from (and stay bitwise equal to) the fingerprints' cached keys.
+        Anchor columns are not part of a snapshot; they fill on first use.
         """
         block = cls.__new__(cls)
         block.size = size
@@ -175,34 +186,41 @@ class _SizeBlock:
         block.dead = 0
         block._sid_matrix = sid_matrix
         block._sid_filled = block.count if sid_matrix is not None else 0
-        block._nf_matrix = {
-            rel_tol: (nf, block.count)
-            for rel_tol, nf in (nf_matrices or {}).items()
-        }
+        block._anchors = {}
         return block
 
-    def nf_matrix(self, rel_tol: float, backend=None) -> np.ndarray:
-        """Normal-form keys, one row per stored fingerprint (lazy, cached
-        per tolerance like :meth:`Fingerprint.normal_form` itself)."""
-        entry = self._nf_matrix.get(rel_tol)
-        if entry is None:
-            entry = (np.empty((len(self.matrix), self.size)), 0)
-        matrix, filled = entry
+    def anchor_columns(self, rel_tol: float) -> AnchorColumns:
+        """Algorithm 2's anchor state, one entry per stored fingerprint.
+
+        ``(has_pair, anchor, denominator)`` as
+        :func:`~repro.core.fingerprint.rows_anchor_columns` computes them,
+        cached per tolerance: only rows past the watermark (appended or
+        adopted since the last call) are computed, so a probe reads what
+        the scalar path re-derives for every candidate.
+        """
+        columns, filled = self._anchors.get(rel_tol) or (
+            tuple(
+                np.empty(len(self.matrix), dtype=dtype)
+                for dtype in (bool, np.int64, np.float64)
+            ),
+            0,
+        )
         if filled < self.count:
-            fresh = self.fingerprints[filled : self.count]
-            matrix[filled : self.count] = batch_normal_forms(
-                fresh, rel_tol, backend=backend
+            fresh = rows_anchor_columns(
+                self.matrix[filled : self.count], rel_tol
             )
-            filled = self.count
-        self._nf_matrix[rel_tol] = (matrix, filled)
-        return matrix[: self.count]
+            for column, values in zip(columns, fresh):
+                column[filled : self.count] = values
+            self._anchors[rel_tol] = (columns, self.count)
+        return tuple(c[: self.count] for c in columns)
 
 
 class CandidateKeys:
     """Lazy per-candidate key-matrix view handed to ``find_matrix``.
 
-    Families that prune on order statistics (monotone) read ``sid_asc()``;
-    families that never ask keep the store from materializing anything.
+    Families that prune on order statistics (monotone) read ``sid_asc()``,
+    the linear family reads ``anchors()``; families that never ask keep
+    the store from materializing anything.
     ``backend`` (carried from the owning store) routes lazy key fills
     through the store's compute backend.
     """
@@ -218,11 +236,11 @@ class CandidateKeys:
         """Ascending SID-order rows for the gathered candidates."""
         return self._block.sid_matrix(backend=self._backend)[self._rows]
 
-    def normal_forms(self, rel_tol: float) -> np.ndarray:
-        """Normal-form key rows for the gathered candidates."""
-        return self._block.nf_matrix(rel_tol, backend=self._backend)[
-            self._rows
-        ]
+    def anchors(self, rel_tol: float) -> AnchorColumns:
+        """``(has_pair, anchor, denominator)`` for the gathered candidates."""
+        return tuple(
+            c[self._rows] for c in self._block.anchor_columns(rel_tol)
+        )
 
 
 class ColumnarStore:

@@ -64,7 +64,7 @@ class Fingerprint:
             object.__setattr__(
                 self,
                 "values",
-                tuple(float(v) for v in np.asarray(self.values, dtype=float)),
+                tuple(np.asarray(self.values, dtype=float).tolist()),
             )
         if len(self.values) == 0:
             raise FingerprintError("a fingerprint needs at least one entry")
@@ -201,6 +201,25 @@ def rows_first_distinct(
     position = distinct.argmax(axis=1)
     has_pair = distinct[np.arange(len(matrix)), position]
     return has_pair, position
+
+
+def rows_anchor_columns(
+    matrix: np.ndarray, rel_tol: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 2's per-source anchor state, one array pass.
+
+    Returns ``(has_pair, anchor, denominator)``: :func:`rows_first_distinct`
+    plus ``denominator[r] = matrix[r, anchor[r]] - matrix[r, 0]``, the
+    divisor of the candidate slope.  All three depend on the source row
+    and the tolerance only — never on the probe — which is what lets the
+    columnar store compute them once per stored basis
+    (:meth:`repro.core.columnar.CandidateKeys.anchors`) instead of once per
+    candidate per probe.  Rows without a pair carry ``anchor == 0`` and a
+    zero denominator that nothing reads.
+    """
+    has_pair, anchor = rows_first_distinct(matrix, rel_tol)
+    denominator = matrix[np.arange(len(matrix)), anchor] - matrix[:, 0]
+    return has_pair, anchor, denominator
 
 
 def _pending_by_size(

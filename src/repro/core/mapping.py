@@ -22,7 +22,7 @@ from repro.core.fingerprint import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     Fingerprint,
-    rows_first_distinct,
+    rows_anchor_columns,
     values_close,
 )
 from repro.errors import MappingError
@@ -214,9 +214,10 @@ class MappingFamily(ABC):
         scalar arithmetic operation for operation, so even the IEEE rounding
         of ``alpha``/``beta`` matches bitwise.  ``sources`` rows must already
         have the target's entry count (the columnar store guarantees this).
-        ``keys``, when given, exposes precomputed per-row index-key matrices
-        (``sid_asc()`` — see :class:`repro.core.columnar.CandidateKeys`) so
-        monotone order checks read order statistics instead of re-sorting.
+        ``keys``, when given, exposes precomputed per-row state (``sid_asc()``,
+        ``anchors()`` — see :class:`repro.core.columnar.CandidateKeys`) so
+        monotone order checks read order statistics instead of re-sorting
+        and the linear fit reads its anchors instead of re-deriving them.
         ``backend`` selects the compute backend for the dense validation
         kernels (default: the process-active one); the generic
         per-row fallback here never launches one.
@@ -269,17 +270,32 @@ def _rows_affine_valid(
     ``backend`` routes the dense kernel through a compute backend
     (default: the process-active one); accelerated implementations are
     self-verified against the numpy expression.
+
+    FindMatch keeps only the first survivor and most candidates of a probe
+    fail, so from three entries up the kernel first *screens* on the last
+    column alone (the entry farthest from the anchors, which pass by
+    construction) and runs full-width only on the rows that pass.  The
+    screen is one conjunct of the full check computed by the same IEEE
+    operations, so the accept set is bitwise the unscreened one.
     """
     from repro.core.backend import resolve_backend
 
+    validate = resolve_backend(backend).affine_validate
+    sources = np.asarray(sources, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    target_array = target.array
     tol = max(rel_tol * max(target.scale(), 1.0), abs_tol)
-    return resolve_backend(backend).affine_validate(
-        np.asarray(sources, dtype=np.float64),
-        np.asarray(alpha, dtype=np.float64),
-        np.asarray(beta, dtype=np.float64),
-        target.array,
-        tol,
-    )
+    last = sources.shape[1] - 1
+    if last < 2:
+        return validate(sources, alpha, beta, target_array, tol)
+    valid = validate(sources[:, last:], alpha, beta, target_array[last:], tol)
+    passed = np.nonzero(valid)[0]
+    if len(passed):
+        valid[passed] = validate(
+            sources[passed], alpha[passed], beta[passed], target_array, tol
+        )
+    return valid
 
 
 class LinearMappingFamily(MappingFamily):
@@ -343,7 +359,11 @@ class LinearMappingFamily(MappingFamily):
         beta = np.zeros(rows)
         valid = np.zeros(rows, dtype=bool)
         if rows:
-            has_pair, position = rows_first_distinct(sources, rel_tol)
+            has_pair, anchors, denominators = (
+                keys.anchors(rel_tol)
+                if keys is not None
+                else rows_anchor_columns(sources, rel_tol)
+            )
             target_array = target.array
             if target.is_constant(rel_tol):
                 # Constant target: only constant sources reach it (by pure
@@ -352,13 +372,18 @@ class LinearMappingFamily(MappingFamily):
                 valid[constant] = True
                 beta[constant] = target_array[0] - sources[constant, 0]
             elif bool(has_pair.any()):
-                fit = np.nonzero(has_pair)[0]
-                anchors = position[fit]
-                fit_sources = sources[fit]
-                fit_alpha = (target_array[anchors] - target_array[0]) / (
-                    fit_sources[np.arange(len(fit)), anchors]
-                    - fit_sources[:, 0]
+                # With no constant basis among the candidates (the common
+                # case) every row is fitted in place: a full slice makes
+                # the selections below views, not fancy-index copies.
+                fit = (
+                    slice(None)
+                    if bool(has_pair.all())
+                    else np.nonzero(has_pair)[0]
                 )
+                fit_sources = sources[fit]
+                fit_alpha = (
+                    target_array[anchors[fit]] - target_array[0]
+                ) / denominators[fit]
                 fit_beta = target_array[0] - fit_alpha * fit_sources[:, 0]
                 alpha[fit] = fit_alpha
                 beta[fit] = fit_beta

@@ -52,12 +52,13 @@ What is (not) persisted
 
 Persisted: bases (fingerprints, raw sample vectors, metrics), the
 fingerprint index with verbatim bucket order (first-match-wins depends on
-it), the columnar matrices including any materialized SID-order /
-normal-form key matrices, and the deterministic ``StoreStats`` counters.
-Not persisted: ``match_seconds`` (wall clock), and the match path's
-runtime state (``columnar_min_candidates``, ``columnar_check``) — a loaded
-store re-verifies its first columnar lookups against the scalar loop,
-exactly like a fresh one.
+it), the columnar matrices including a materialized SID-order key
+matrix, and the deterministic ``StoreStats`` counters.
+Not persisted: ``match_seconds`` (wall clock), the columnar blocks' anchor
+columns (a function of the matrix rows, refilled on first use), and the
+match path's runtime state (``columnar_min_candidates``,
+``columnar_check``) — a loaded store re-verifies its first columnar
+lookups against the scalar loop, exactly like a fresh one.
 """
 
 from __future__ import annotations
@@ -295,15 +296,6 @@ def _dump_store(name: str, store: BasisStore, arrays: dict) -> dict:
         if block._sid_matrix is not None and block._sid_filled == block.count:
             arrays[f"{prefix}.sid"] = block._sid_matrix[: block.count]
             entry["sid"] = f"{prefix}.sid"
-        normal_forms = {}
-        for rel_tol, (nf_matrix, filled) in sorted(block._nf_matrix.items()):
-            if filled != block.count:
-                continue
-            key = encode_float(rel_tol)
-            arrays[f"{prefix}.nf{key}"] = nf_matrix[: block.count]
-            normal_forms[key] = f"{prefix}.nf{key}"
-        if normal_forms:
-            entry["normal_forms"] = normal_forms
         blocks[str(size)] = entry
 
     bases = []
@@ -401,18 +393,9 @@ def _restore_store(
                 sid_matrix.shape == (count, size),
                 "SID key matrix shape disagrees with its block",
             )
-        nf_matrices = {}
-        for rel_tol_text, array_name in block_entry.get(
-            "normal_forms", {}
-        ).items():
-            nf_matrix = load_array(array_name)
-            _require(
-                nf_matrix.shape == (count, size),
-                "normal-form key matrix shape disagrees with its block",
-            )
-            nf_matrices[decode_float(rel_tol_text)] = nf_matrix
+        # A ``normal_forms`` entry (written by earlier builds) is ignored.
         blocks[size] = _SizeBlock.restore(
-            size, matrix, ids, fingerprints, sid_matrix, nf_matrices
+            size, matrix, ids, fingerprints, sid_matrix
         )
     columnar = ColumnarStore()
     columnar.restore_blocks(blocks)

@@ -16,6 +16,8 @@ exhausted so a wrong columnar answer is not masked by the fallback) and at
 the default.  This is the guard against retired-id aliasing in the columnar
 layout: retired fingerprints are re-probed, stale rows get compacted away
 and refilled, snapshots come back memory-mapped and are appended to.
+The blocks' lazily filled anchor columns are held to the same contract:
+below their watermark they equal a from-scratch pass over the rows.
 """
 
 import os
@@ -34,7 +36,7 @@ from hypothesis.stateful import (
 
 from repro.core import persist
 from repro.core.basis import BasisStore, EvictionPolicy
-from repro.core.fingerprint import Fingerprint
+from repro.core.fingerprint import Fingerprint, rows_anchor_columns
 from repro.core.index import INDEX_STRATEGIES
 from repro.core.mapping import LinearMappingFamily, MonotoneMappingFamily
 
@@ -299,6 +301,19 @@ class StoreMachine(RuleBasedStateMachine):
             entry.hits for entry in self.naive.entries
         ]
         assert len(self.store.columnar) >= len(bases)
+
+    @invariant()
+    def anchor_columns_equal_from_scratch(self):
+        """Checked as maintained — nothing is filled here, so partially
+        filled columns reach the growth, compaction and adoption steps."""
+        if not hasattr(self, "store"):
+            return
+        for block in self.store.columnar._blocks.values():
+            for rel_tol, (columns, filled) in block._anchors.items():
+                assert filled <= block.count
+                fresh = rows_anchor_columns(block.matrix[:filled], rel_tol)
+                for have, want in zip(columns, fresh):
+                    np.testing.assert_array_equal(have[:filled], want)
 
 
 class AlwaysColumnarMachine(StoreMachine):

@@ -1,5 +1,6 @@
 """Unit tests for fingerprints (paper section 3.1)."""
 
+import numpy as np
 import pytest
 
 from repro.core.fingerprint import (
@@ -31,6 +32,16 @@ class TestConstruction:
     def test_from_values_coerces_floats(self):
         fp = fingerprint_from_values([1, 2, 3])
         assert fp.values == (1.0, 2.0, 3.0)
+
+    def test_sequence_inputs_become_python_floats(self):
+        """Lists, integer arrays and float32 sample vectors all land as a
+        tuple of Python floats — the doubles ``float(v)`` would give."""
+        samples = np.array([0.1, -2.5, 3.0], dtype=np.float32)
+        for values in ([1, 2, 3], np.arange(3), samples):
+            fp = Fingerprint(values)
+            assert isinstance(fp.values, tuple)
+            assert all(type(v) is float for v in fp.values)
+            assert fp.values == tuple(float(v) for v in values)
 
     def test_repr_truncates(self):
         fp = Fingerprint(tuple(float(i) for i in range(10)))

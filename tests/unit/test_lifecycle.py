@@ -32,7 +32,7 @@ from repro.api import (
 from repro.blackbox.rng import DeterministicRng
 from repro.core import persist
 from repro.core.basis import BasisStore, EvictionPolicy
-from repro.core.fingerprint import Fingerprint
+from repro.core.fingerprint import Fingerprint, rows_first_distinct
 from repro.core.index import INDEX_STRATEGIES, NormalizationIndex
 from repro.core.mapping import (
     IdentityMappingFamily,
@@ -351,6 +351,141 @@ class TestUnreachability:
         positions, rows, block = store.columnar.gather(seven, 7)
         assert block is None
         assert_differential(store)
+
+
+def anchor_watermarks(store):
+    """Filled-row count of each block's anchor columns (0: none held)."""
+    return {
+        size: block._anchors.get(store.rel_tol, (None, 0))[1]
+        for size, block in store.columnar._blocks.items()
+    }
+
+
+def snapshot_bytes(path):
+    payload = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as handle:
+            payload[name] = handle.read()
+    return payload
+
+
+def assert_anchor_columns_from_scratch(store):
+    """Whatever the blocks hold below their watermark, and what they hand
+    out once filled, is what a from-scratch pass over the rows gives."""
+    for block in store.columnar._blocks.values():
+        matrix = block.matrix[: block.count]
+        want_pair, want_anchor = rows_first_distinct(matrix, store.rel_tol)
+        want = (
+            want_pair,
+            want_anchor,
+            matrix[np.arange(block.count), want_anchor] - matrix[:, 0],
+        )
+        for columns, filled in block._anchors.values():
+            assert filled <= block.count
+            for have, column in zip(columns, want):
+                np.testing.assert_array_equal(have[:filled], column[:filled])
+        for have, column in zip(block.anchor_columns(store.rel_tol), want):
+            np.testing.assert_array_equal(have, column)
+
+
+class TestAnchorColumnsLifecycle:
+    """The blocks' cached Algorithm 2 anchors (``has_pair``, ``anchor``,
+    ``denominator``) fill lazily behind a watermark; every lifecycle step
+    must leave them equal to a from-scratch ``rows_first_distinct``."""
+
+    @staticmethod
+    def fingerprints(count, start=0):
+        """Distinct same-size rows: constants, late anchors, plain ones."""
+        out = []
+        for index in range(start, start + count):
+            if index % 4 == 0:
+                values = (float(index),) * 5
+            elif index % 4 == 1:
+                values = (1.0, 1.0, 1.0, 1.0, 2.0 + index)
+            else:
+                values = tuple(float((index * k) % 7) for k in range(1, 6))
+            out.append(Fingerprint(values))
+        return out
+
+    def test_add_never_materializes_them(self):
+        store = build_store("linear", "array", MIXED)
+        assert anchor_watermarks(store) == {5: 0, 7: 0}
+        store.columnar_min_candidates = 10**9  # scalar probes only
+        warm(store)
+        assert anchor_watermarks(store) == {5: 0, 7: 0}
+
+    def test_growth_tombstones_and_compaction(self):
+        store = build_store("linear", "array", self.fingerprints(5))
+        assert store.match(BASE) is None  # first columnar probe fills
+        assert anchor_watermarks(store) == {5: 5}
+        assert_anchor_columns_from_scratch(store)
+
+        # Append past the capacity doubling (8 rows): the filled prefix is
+        # carried into the grown columns, the rest fills on the next use.
+        for fingerprint in self.fingerprints(6, start=5):
+            store.add(fingerprint, SAMPLES)
+        assert anchor_watermarks(store) == {5: 5}
+        assert_anchor_columns_from_scratch(store)
+        assert anchor_watermarks(store) == {5: 11}
+
+        store.remove(3)  # a tombstone moves nothing
+        assert store.columnar.tombstones == 1
+        assert_anchor_columns_from_scratch(store)
+
+        # Threshold compaction of fully filled columns carries them over.
+        for basis_id in (0, 1, 2, 4, 5):
+            store.remove(basis_id)
+        assert store.columnar.tombstones == 0
+        assert anchor_watermarks(store) == {5: 5}
+        assert_anchor_columns_from_scratch(store)
+
+        # Explicit compaction of partially filled columns drops them; the
+        # next use refills from the surviving rows.
+        for fingerprint in self.fingerprints(2, start=11):
+            store.add(fingerprint, SAMPLES)
+        store.remove(6)
+        assert store.compact() == 1
+        assert anchor_watermarks(store) == {5: 0}
+        assert_anchor_columns_from_scratch(store)
+        assert anchor_watermarks(store) == {5: 6}
+        assert_differential(store)
+
+    def test_verbatim_merge_adoption(self):
+        store = build_store("linear", "array", self.fingerprints(5))
+        shard = build_store("linear", "array", self.fingerprints(6, start=5))
+        assert_anchor_columns_from_scratch(store)
+        assert_anchor_columns_from_scratch(shard)
+        store.merge(shard, reprobe=False)
+        # Adopted rows land past the watermark (and past a growth).
+        assert anchor_watermarks(store) == {5: 5}
+        assert_anchor_columns_from_scratch(store)
+        assert anchor_watermarks(store) == {5: 11}
+        assert_differential(store)
+
+    def test_mmap_load_then_add_never_writes_through(self, tmp_path):
+        live = build_store("linear", "array", self.fingerprints(6))
+        assert_anchor_columns_from_scratch(live)
+        path = str(tmp_path / "snap")
+        persist.save_store(live, path)
+        before = snapshot_bytes(path)
+        assert not [name for name in before if "anchor" in name]
+
+        loaded = persist.load_store(
+            path, like=BasisStore(index_strategy="array"), mmap=True
+        )
+        loaded.columnar_min_candidates = 0
+        loaded.columnar_check.exhaust()
+        block = loaded.columnar._blocks[5]
+        assert anchor_watermarks(loaded) == {5: 0}  # not persisted
+        assert_anchor_columns_from_scratch(loaded)  # fills off the mapping
+        assert not block.matrix.flags.writeable
+
+        loaded.add(self.fingerprints(1, start=6)[0], SAMPLES)
+        assert block.matrix.flags.writeable  # copy-on-write promotion
+        assert anchor_watermarks(loaded) == {5: 6}
+        assert_anchor_columns_from_scratch(loaded)
+        assert_differential(loaded)
+        assert snapshot_bytes(path) == before
 
 
 class TestEvictionPolicy:

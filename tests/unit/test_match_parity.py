@@ -12,6 +12,12 @@ rather than masked by the fallback), ``ALWAYS_SCALAR`` the reference loop.
 import numpy as np
 import pytest
 
+from repro.core.backend import (
+    NumpyBackend,
+    backend_available,
+    backend_names,
+    create_backend,
+)
 from repro.core.basis import BasisStore, MatchResult
 from repro.core.columnar import CandidateKeys
 from repro.core.fingerprint import (
@@ -272,28 +278,192 @@ class TestBatchedKeys:
             assert batched == per_probe
 
     def test_columnar_key_matrices_mirror_fingerprint_keys(self):
-        """The parallel SID-order and normal-form key matrices must hold,
-        row for row, exactly the keys the hash indexes inserted — that is
-        what makes pruning on them sound."""
+        """The parallel SID-order key matrix must hold, row for row,
+        exactly the keys the hash index inserted — that is what makes
+        pruning on it sound — and the anchor columns exactly what the
+        scalar ``find`` anchors on."""
         store = build_store("linear", "array", "mixed", True)
         blocks = store.columnar._blocks
         assert sum(block.count for block in blocks.values()) == len(store)
         for block in blocks.values():
             sid_rows = block.sid_matrix()
-            nf_rows = block.nf_matrix(store.rel_tol)
+            has_pair, anchor, denominator = block.anchor_columns(
+                store.rel_tol
+            )
             for row, fingerprint in enumerate(block.fingerprints):
                 assert tuple(sid_rows[row]) == fingerprint.sid_order()
-                assert (
-                    tuple(nf_rows[row])
-                    == fingerprint.normal_form(store.rel_tol)
-                )
+                pair = fingerprint.first_distinct_pair(store.rel_tol)
+                assert bool(has_pair[row]) == (pair is not None)
+                if pair is not None:
+                    assert (0, int(anchor[row])) == pair
+                    assert (
+                        denominator[row]
+                        == fingerprint[pair[1]] - fingerprint[0]
+                    )
         # The gathered per-candidate view families receive sees the same.
         block = blocks[BASE.size]
-        keys = CandidateKeys(block, np.arange(block.count))
-        np.testing.assert_array_equal(keys.sid_asc(), block.sid_matrix())
+        rows = np.arange(block.count)[::-1]
+        keys = CandidateKeys(block, rows)
         np.testing.assert_array_equal(
-            keys.normal_forms(store.rel_tol), block.nf_matrix(store.rel_tol)
+            keys.sid_asc(), block.sid_matrix()[rows]
         )
+        for gathered, column in zip(
+            keys.anchors(store.rel_tol), block.anchor_columns(store.rel_tol)
+        ):
+            np.testing.assert_array_equal(gathered, column[rows])
+
+
+#: Every backend this host can run: the optional-deps CI job reruns this
+#: file with numba installed, which hands the JIT ``affine_validate`` the
+#: screen's one-column matrices.
+BACKENDS = tuple(
+    name for name in backend_names() if backend_available(name)
+)
+
+
+#: Seven entries: wide enough that anchors, screen column and the entries
+#: only the full-width pass sees are all different columns.
+WIDE = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0, 3.0, 0.25))
+
+
+def _bits(mapping):
+    return mapping.alpha.hex(), mapping.beta.hex()
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestLinearFindMatrixAnchors:
+    """``find_matrix`` reading the store's cached anchor columns, deriving
+    them itself (``keys=None``) and the row-wise scalar ``find`` must agree
+    on the mask and on every bit of alpha and beta."""
+
+    def check(self, sources, target, backend_name):
+        """Returns the scalar answers, last source first."""
+        family = LinearMappingFamily()
+        store = filled_store(sources, "linear", "array", True)
+        block = store.columnar._blocks[target.size]
+        # Reversed, so a keys view that ignored its row selection shows.
+        rows = np.arange(block.count)[::-1]
+        gathered = block.matrix[rows]
+        expected = [family.find(sources[row], target) for row in rows]
+        for keys in (CandidateKeys(block, rows), None):
+            valid, build = family.find_matrix(
+                gathered,
+                target,
+                keys=keys,
+                backend=create_backend(backend_name),
+            )
+            assert valid.tolist() == [want is not None for want in expected]
+            for row, want in enumerate(expected):
+                if want is not None:
+                    assert _bits(build(row)) == _bits(want)
+        return expected
+
+    def test_mixed_constant_and_fitted_sources(self, backend_name):
+        sources = [
+            WIDE,
+            Fingerprint((4.0,) * 7),  # constant: excluded from the fit
+            _affine(WIDE, -1.5, 0.25),
+            Fingerprint((0.0,) * 7),
+            _cubic(WIDE),  # fitted, rejected
+        ]
+        target = _affine(WIDE, 3.0, -2.0)
+        found = self.check(sources, target, backend_name)
+        assert [want is not None for want in found] == [
+            False, False, True, False, True,
+        ]
+
+    def test_constant_target(self, backend_name):
+        sources = [WIDE, Fingerprint((4.0,) * 7), Fingerprint((0.0,) * 7)]
+        found = self.check(sources, Fingerprint((7.5,) * 7), backend_name)
+        assert [want is not None for want in found] == [True, True, False]
+
+    @pytest.mark.parametrize("size", (1, 2))
+    def test_too_narrow_to_screen(self, size, backend_name):
+        sources = [
+            Fingerprint(WIDE.values[:size]),
+            Fingerprint((2.0,) * size),
+            Fingerprint((5.0, 3.0)[:size]),
+        ]
+        target = Fingerprint((1.0, 4.0)[:size])
+        assert any(self.check(sources, target, backend_name))
+
+    def test_anchor_is_the_screen_column(self, backend_name):
+        """First distinct entry == last entry: the screen column passes
+        by construction and only the full-width pass can reject."""
+        late = Fingerprint((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0))
+        sources = [late, _affine(late, 2.0, 1.0)]
+        image = _affine(late, -3.0, 0.5)
+        assert all(self.check(sources, image, backend_name))
+        bumped = Fingerprint((1.0, 1.0, 1.0, 9.0, 1.0, 1.0, 2.0))
+        assert not any(self.check(sources, bumped, backend_name))
+
+    def test_rows_passing_the_screen_but_not_the_full_check(
+        self, backend_name
+    ):
+        """Agreeing with the target on both anchors and on the screen
+        column is not enough."""
+        nudged = list(WIDE.values)
+        nudged[3] += 0.5
+        sources = [Fingerprint(tuple(nudged)), WIDE]
+        target = _affine(WIDE, 2.0, 1.0)
+        found = self.check(sources, target, backend_name)
+        assert [want is not None for want in found] == [True, False]
+
+    def test_duplicates_all_pass_and_the_first_wins(self, backend_name):
+        sources = [_cubic(WIDE)] + [
+            Fingerprint(WIDE.values) for _ in range(12)
+        ]
+        probe = _affine(WIDE, 0.5, 4.0)
+        found = self.check(sources, probe, backend_name)
+        assert [want is not None for want in found] == [True] * 12 + [False]
+        reference = filled_store(sources, "linear", "array", False)
+        columnar = filled_store(sources, "linear", "array", True)
+        columnar.backend = create_backend(backend_name)
+        want, got = reference.match(probe), columnar.match(probe)
+        assert_same_match(want, got)
+        assert got.basis.basis_id == 1
+        assert columnar.stats.as_dict() == reference.stats.as_dict()
+        assert columnar.stats.candidates_tested == 2
+
+
+class TestValidationScreen:
+    class Spy(NumpyBackend):
+        def __init__(self):
+            super().__init__()
+            self.shapes = []
+
+        def _affine_validate(self, sources, alpha, beta, target, tol):
+            self.shapes.append((sources.shape, target.shape))
+            return super()._affine_validate(sources, alpha, beta, target, tol)
+
+    def test_one_column_first_then_full_width_on_survivors(self):
+        sources = np.stack(
+            [WIDE.array, _cubic(WIDE).array, WIDE.array, -WIDE.array]
+        )
+        sources[2, 3] += 0.5  # passes the screen, fails full-width
+        spy = self.Spy()
+        valid, _ = LinearMappingFamily().find_matrix(
+            sources, _affine(WIDE, 2.0, 1.0), backend=spy
+        )
+        assert valid.tolist() == [True, False, False, True]
+        assert spy.shapes == [((4, 1), (1,)), ((3, 7), (7,))]
+
+    def test_no_survivor_no_second_launch(self):
+        spy = self.Spy()
+        valid, _ = LinearMappingFamily().find_matrix(
+            np.stack([_cubic(WIDE).array] * 3), WIDE, backend=spy
+        )
+        assert not valid.any()
+        assert spy.shapes == [((3, 1), (1,))]
+
+    def test_two_entries_are_validated_in_one_launch(self):
+        spy = self.Spy()
+        LinearMappingFamily().find_matrix(
+            np.array([[0.0, 1.0], [2.0, 5.0]]),
+            Fingerprint((1.0, 3.0)),
+            backend=spy,
+        )
+        assert spy.shapes == [((2, 2), (2,))]
 
 
 class TestSortedSIDFastPaths:

@@ -197,6 +197,33 @@ class TestSaveLoadProbeParity:
                 == live_basis.fingerprint.values
             )
 
+    def test_snapshot_listing_normal_form_matrices_still_loads(
+        self, tmp_path
+    ):
+        """Earlier builds also wrote a per-block normal-form key matrix;
+        nothing reads it any more and the loader skips the entry."""
+        import json
+        import zlib
+
+        live = build_store("linear", "normalization", CONTENTS["mixed"])
+        path = tmp_path / "snap"
+        persist.save_store(live, str(path))
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        body = manifest["body"]
+        for block_entry in body["stores"]["default"]["blocks"].values():
+            name = block_entry["matrix"]
+            body["arrays"][name + ".nf"] = body["arrays"][name]
+            block_entry["normal_forms"] = {
+                persist.encode_float(live.rel_tol): name + ".nf"
+            }
+        manifest["crc32"] = zlib.crc32(persist._canonical(body))
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = persist.load_store(str(path), like=fresh_like(live))
+        loaded.columnar_min_candidates = 0
+        loaded.columnar_check.exhaust()
+        assert_probe_parity(live, loaded)
+
     def test_no_mmap_mode_matches_mmap_mode(self, tmp_path):
         live = build_store("linear", "normalization", CONTENTS["mixed"])
         persist.save_store(live, str(tmp_path / "snap"))
