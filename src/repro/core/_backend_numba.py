@@ -128,14 +128,15 @@ if numba is not None:  # pragma: no cover - exercised in the CI extras job
             ok[lane] = lane_ok
 
     @numba.njit(cache=True)
-    def _affine_validate_kernel(sources, alpha, beta, target, tol, valid):
+    def _affine_validate_kernel(sources, alpha, beta, targets, tols, valid):
         rows, entries = sources.shape
         for r in range(rows):
             a = alpha[r]
             b = beta[r]
+            tol = tols[r]
             row_ok = True
             for c in range(entries):
-                deviation = a * sources[r, c] + b - target[c]
+                deviation = a * sources[r, c] + b - targets[r, c]
                 if deviation < 0.0:
                     deviation = -deviation
                 if not (deviation <= tol):
@@ -181,17 +182,22 @@ def affine_validate(
     alpha: np.ndarray,
     beta: np.ndarray,
     target: np.ndarray,
-    tol: float,
+    tol,
 ) -> np.ndarray:
-    """JIT row-wise affine validation; signature of the numpy reference."""
+    """JIT row-wise affine validation; signature of the numpy reference.
+
+    The kernel always reads a target row and a bound per source row; a
+    shared target vector or a single bound reaches it as a zero-stride
+    broadcast view, so the one-target call copies nothing extra.
+    """
     sources = np.ascontiguousarray(sources, dtype=np.float64)
     valid = np.empty(len(sources), dtype=np.bool_)
     _affine_validate_kernel(
         sources,
         np.ascontiguousarray(alpha, dtype=np.float64),
         np.ascontiguousarray(beta, dtype=np.float64),
-        np.ascontiguousarray(target, dtype=np.float64),
-        float(tol),
+        np.broadcast_to(np.asarray(target, dtype=np.float64), sources.shape),
+        np.broadcast_to(np.asarray(tol, dtype=np.float64), len(sources)),
         valid,
     )
     return valid

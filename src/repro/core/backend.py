@@ -71,10 +71,20 @@ def _reference_affine_validate(
     alpha: np.ndarray,
     beta: np.ndarray,
     target: np.ndarray,
-    tol: float,
+    tol,
 ) -> np.ndarray:
-    """Row-wise affine validation; see ``mapping._rows_affine_valid``."""
-    deviation = np.abs(alpha[:, None] * sources + beta[:, None] - target)
+    """Row-wise affine validation; see ``mapping._rows_affine_valid``.
+
+    ``target`` is one vector shared by every row or one row per source
+    row, ``tol`` one bound or one per row (the block probe's ragged pair
+    set); the single-probe call is the one-target case.
+    """
+    deviation = alpha[:, None] * sources
+    deviation += beta[:, None]
+    deviation -= target
+    np.abs(deviation, out=deviation)
+    if getattr(tol, "ndim", 0):
+        tol = tol[:, None]
     return (deviation <= tol).all(axis=1)
 
 
@@ -219,9 +229,14 @@ class ComputeBackend:
         alpha: np.ndarray,
         beta: np.ndarray,
         target: np.ndarray,
-        tol: float,
+        tol,
     ) -> np.ndarray:
-        """Row-wise ``|alpha*source + beta - target| <= tol`` accept mask."""
+        """Row-wise ``|alpha*source + beta - target| <= tol`` accept mask.
+
+        ``target`` is ``(entries,)`` or ``(rows, entries)`` and ``tol`` a
+        float or ``(rows,)``: per-row targets and bounds validate a whole
+        block's (probe x candidate) pairs in one launch.
+        """
         return self._checked(
             "affine_validate", sources, alpha, beta, target, tol
         )

@@ -82,7 +82,8 @@ class StoreStats:
     candidates_tested: int = 0
     matches: int = 0
     bases_created: int = 0
-    #: Wall-clock seconds spent inside match()/match_batch().  Measured with
+    #: Wall-clock seconds spent inside match()/match_batch()/block probes
+    #: (one seam: ``BasisStore._timed``).  Measured with
     #: the raw OS clock, not the injectable bench clock (a per-probe tick
     #: would distort the fake-clock figure tests), excluded from equality
     #: and from :meth:`as_dict` — parity suites compare only the
@@ -168,9 +169,11 @@ class EvictionPolicy:
         return victims
 
 
-#: Probes with fewer candidates than this take the scalar loop: a couple of
-#: per-candidate find() calls against cached fingerprints beats the fixed
-#: cost of gathering rows and launching the matrix kernels (measured on a
+#: Single probes (:meth:`BasisStore.match`, and every probe a block probe
+#: does not speculate) with fewer candidates than this take the scalar
+#: loop: a couple of per-candidate find() calls against cached fingerprints
+#: beats the fixed cost of gathering rows and launching the matrix kernels
+#: for one probe (measured on a
 #: 389-basis store, kernels reading cached anchor columns and screening
 #: one column: 1 candidate/probe 7.8 us scalar vs 36.7 us kernels; 389
 #: candidates/probe 1,167.8 us scalar vs 54.1 us kernels).  The kernels
@@ -180,7 +183,190 @@ class EvictionPolicy:
 #: favours it up to about 11: the cutover stays between the two.  Purely
 #: a latency cutover — both paths return bit-identical results — kept as
 #: an instance attribute so tests can put a store on either side of it.
+#: A block probe shares those fixed costs across a block, so it speculates
+#: exactly the candidate lists on the kernel side of this same cutover.
 COLUMNAR_MIN_CANDIDATES = 8
+
+#: Reading ahead for a block has a fixed cost that this many probes repay.
+#: A block speculates only when at least this many of its probes have a
+#: candidate list on the kernel side of the cutover: the pair pass costs
+#: about three single-probe kernel matches to launch (12 / 60 / 390 / 2,000
+#: candidates per probe: 1 probe 184 / 136 / 150 / 223 us through the block
+#: vs 60 / 46 / 55 / 125 us single; 4 probes 35 / 38 / 45 / 79 us per probe
+#: vs 37 / 43 / 56 / 129).  And a block of fewer probes than this does not
+#: even batch its index keys — each probe is answered as ``match`` would
+#: (256-basis store, us per probe, vectorized key pass vs per-probe keys:
+#: normalization 1 probe 54 vs 31, 2: 36 vs 31, 3: 29 vs 31, 4: 25 vs 31;
+#: sorted_sid 43 vs 25, 35 vs 26, 26 vs 22, 24 vs 22).
+BLOCK_MIN_PROBES = 4
+
+#: Most (probe x candidate) pairs validated in one launch; a block with
+#: more is speculated in several.  The pair pass holds about eight 8-byte
+#: temporaries per pair, so this bounds its transient memory near 2 MiB
+#: however large the store or the batch (cost per probe at 390 candidates
+#: is flat between 12k and 25k pairs a launch and doubles by 50k, where
+#: every temporary is a fresh page-faulting trip to the allocator).
+MAX_LAUNCH_PAIRS = 1 << 15
+
+_UNSPECULATED = object()
+
+
+class BlockProbe:
+    """FindMatch for a block of probes, answered in order (Algorithm 3).
+
+    Opening the handle reads the store once for the whole block: one
+    vectorized key pass and one shared candidate list per distinct index
+    key (:meth:`FingerprintIndex.candidates_batch`), one
+    :meth:`ColumnarStore.gather` per distinct list, and — for families with
+    a pair kernel — one :meth:`LinearMappingFamily.find_block` pass over the
+    block's flattened ragged (probe x candidate) set (split only past
+    :data:`MAX_LAUNCH_PAIRS`), keeping the first valid candidate per probe.
+    That answer is *speculative*: it is what ``store.match`` would have
+    said when the block was opened.
+
+    :meth:`match` makes it sequentially consistent — ``match(i)`` is
+    exactly ``store.match(probe_i)`` at the moment of the call, whatever
+    ``add`` / ``remove`` / ``merge`` ran since the block was opened —
+    by the **prefix rule**.  Whether a candidate validates depends on two
+    immutable fingerprints, never on the rest of the store, so as long as
+    the probe's current candidate list still *starts with* the list that
+    was speculated, every verdict on that prefix stands: a speculative hit
+    is still the first valid candidate, and a speculative miss only has to
+    try the appended tail (``tested = len(old) + tail_tested``).  Anything
+    else — a removal, a bucket that grew in front of a hit — fails the
+    prefix comparison and the probe is answered from scratch.  The rule
+    reads nothing but two candidate lists, so it holds for every index
+    strategy without per-strategy reasoning.
+
+    Not speculated (answered through :meth:`BasisStore.match`'s own path
+    switch at their turn, from the block's candidate list while the store
+    is unchanged): families without a ``find_block`` pair kernel, stores
+    whose ``columnar_check`` still has budget or has degraded, candidate
+    lists under the ``columnar_min_candidates`` cutover, and blocks with
+    fewer than :data:`BLOCK_MIN_PROBES` lists over it; a block of fewer
+    than :data:`BLOCK_MIN_PROBES` probes reads nothing ahead at all.
+    Counters, per-basis ``hits`` and ``candidates_tested`` are accounted
+    per :meth:`match` call, in call order, exactly as the scalar loop
+    would.
+    """
+
+    def __init__(
+        self, store: "BasisStore", fingerprints: Iterable[Fingerprint]
+    ):
+        self._store = store
+        self._probes = list(fingerprints)
+        #: probe -> None (speculative miss) or (position, mapping).
+        self._found: Dict[int, Optional[Tuple[int, Mapping]]] = {}
+        #: Changes whenever a basis is added or removed: every ``add`` /
+        #: verbatim merge raises ``_next_id`` (ids are never reissued)
+        #: and, that being equal, every ``remove`` lowers the live count.
+        self._stamp = (store._next_id, len(store._bases))
+        #: Per probe, what ``index.candidates`` said on opening — or
+        #: nothing at all for a block too small to repay reading ahead.
+        self._candidates: Optional[List[List[int]]] = None
+        if len(self._probes) >= BLOCK_MIN_PROBES:
+            self._candidates = store.index.candidates_batch(
+                self._probes, backend=store.backend
+            )
+            self._speculate()
+
+    def __len__(self) -> int:
+        return len(self._probes)
+
+    def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
+        """``(store.match(probe_i), candidates tested)``, as of now."""
+        return self._store._timed(self._match, i)
+
+    def _speculate(self) -> None:
+        store = self._store
+        check = store.columnar_check
+        if (
+            not store.mapping_family.supports_find_block
+            or check.degraded
+            or check.remaining
+        ):
+            return
+        # One gather per distinct (candidate list, probe size); groups are
+        # then validated together, one pair pass per fingerprint size.
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for i, candidates in enumerate(self._candidates):
+            if len(candidates) >= store.columnar_min_candidates:
+                key = (self._probes[i].size, id(candidates))
+                groups.setdefault(key, []).append(i)
+        if sum(map(len, groups.values())) < BLOCK_MIN_PROBES:
+            return
+        by_size: Dict[int, Tuple[object, list]] = {}
+        for (size, _), members in groups.items():
+            positions, rows, block = store.columnar.gather(
+                self._candidates[members[0]], size
+            )
+            # Speculative misses until a valid pair says otherwise (no
+            # candidate of the probe's size: the scalar loop would have
+            # visited, and counted, each one, matching none).
+            self._found.update(dict.fromkeys(members))
+            if len(rows):
+                by_size.setdefault(size, (block, []))[1].append(
+                    (members, positions, rows)
+                )
+        for block, gathered in by_size.values():
+            parts, pairs = [], 0
+            for members, positions, rows in gathered:
+                step = max(1, MAX_LAUNCH_PAIRS // len(rows))
+                for start in range(0, len(members), step):
+                    chunk = members[start : start + step]
+                    cost = len(chunk) * len(rows)
+                    if parts and pairs + cost > MAX_LAUNCH_PAIRS:
+                        self._launch(block, parts)
+                        parts, pairs = [], 0
+                    parts.append((chunk, positions, rows))
+                    pairs += cost
+            self._launch(block, parts)
+
+    def _launch(self, block, parts) -> None:
+        """First valid candidate per probe, for one fingerprint size."""
+        store = self._store
+        members = [i for group, _, _ in parts for i in group]
+        first, build = store.mapping_family.find_block(
+            block.matrix,
+            np.stack([self._probes[i].array for i in members]),
+            [(len(group), rows) for group, _, rows in parts],
+            rel_tol=store.rel_tol,
+            abs_tol=store.abs_tol,
+            anchors=block.anchor_columns(store.rel_tol),
+            backend=store.backend,
+        )
+        probe = 0
+        for group, positions, _ in parts:
+            for i in group:
+                if first[probe] >= 0:
+                    self._found[i] = (
+                        int(positions[first[probe]]),
+                        build(probe),
+                    )
+                probe += 1
+
+    def _match(self, i: int) -> Tuple[Optional[MatchResult], int]:
+        store = self._store
+        probe = self._probes[i]
+        if self._candidates is None:
+            return store._match_one(probe)
+        old = self._candidates[i]
+        found = self._found.get(i, _UNSPECULATED)
+        current = (
+            old
+            if (store._next_id, len(store._bases)) == self._stamp
+            else store.index.candidates(probe)
+        )
+        if found is _UNSPECULATED or (
+            current is not old and current[: len(old)] != old
+        ):
+            return store._account(*store._find(probe, current))
+        if found is not None:
+            position, mapping = found
+            result = MatchResult(store._bases[old[position]], mapping)
+            return store._account(result, position + 1)
+        result, tested = store._find(probe, current[len(old) :])
+        return store._account(result, len(old) + tested)
 
 
 class BasisStore:
@@ -265,14 +451,21 @@ class BasisStore:
 
         The mapping direction follows the reuse direction: applying M to the
         basis's samples/metrics yields the probe point's.  Single-probe form
-        of :meth:`match_batch` — same candidate validation, same counters.
+        of :meth:`block_probe` — same candidate validation, same counters.
         """
-        started = time.perf_counter()
-        result, _ = self._match_candidates(
-            fingerprint, self.index.candidates(fingerprint)
-        )
-        self.stats.match_seconds += time.perf_counter() - started
-        return result
+        return self._timed(self._match_one, fingerprint)[0]
+
+    def block_probe(self, fingerprints: Iterable[Fingerprint]) -> BlockProbe:
+        """Open a :class:`BlockProbe` over ``fingerprints`` (read-only).
+
+        ``handle.match(i)`` then answers probe ``i`` exactly as
+        :meth:`match` would at that moment — the store may be mutated
+        between calls — while the block's index keys, gathers and (for
+        families with a pair kernel) candidate validation were computed in
+        one pass when the handle was opened.  The one batched matcher:
+        :meth:`match_batch` and the sweep explorers are loops over it.
+        """
+        return self._timed(BlockProbe, self, fingerprints)
 
     def match_batch(
         self,
@@ -281,57 +474,80 @@ class BasisStore:
     ) -> List[Optional[MatchResult]]:
         """:meth:`match` for a batch of probes against the current store.
 
-        Index keys for all probes are computed in one vectorized pass
-        (:meth:`FingerprintIndex.candidates_batch`), then every probe's
-        candidates are validated exactly as :meth:`match` would.  Probes
-        do not see each other: the store is read-only during the call, so
-        result ``i`` is exactly ``match(fps[i])`` — ids, mapping
-        parameters, and counter increments all identical.
+        A loop over one :meth:`block_probe` handle.  Probes do not see
+        each other: the store is read-only during the call, so result
+        ``i`` is exactly ``match(fps[i])`` — ids, mapping parameters, and
+        counter increments all identical.
 
         ``tested_out``, when given, receives one per-probe
         candidates-tested count per result (the serving layer reports it
         on each response; the sum is exactly what ``candidates_tested``
         grew by).
         """
-        started = time.perf_counter()
-        probes = list(fingerprints)
+        return self._timed(self._match_block, fingerprints, tested_out)
+
+    def _match_block(
+        self,
+        fingerprints: Iterable[Fingerprint],
+        tested_out: Optional[List[int]],
+    ) -> List[Optional[MatchResult]]:
+        block = BlockProbe(self, fingerprints)
         results: List[Optional[MatchResult]] = []
-        for probe, candidates in zip(
-            probes,
-            self.index.candidates_batch(probes, backend=self.backend),
-        ):
-            result, tested = self._match_candidates(probe, candidates)
+        for i in range(len(block)):
+            result, tested = block._match(i)
             if tested_out is not None:
                 tested_out.append(tested)
             results.append(result)
-        self.stats.match_seconds += time.perf_counter() - started
         return results
 
-    def _match_candidates(
+    def _timed(self, function: Callable, *args):
+        """The one ``match_seconds`` seam: every public probe entry point
+        (``match``, ``match_batch``, opening a block probe and each of its
+        answers) runs its work through here, so no span is counted
+        twice."""
+        started = time.perf_counter()
+        try:
+            return function(*args)
+        finally:
+            self.stats.match_seconds += time.perf_counter() - started
+
+    def _match_one(
+        self, fingerprint: Fingerprint
+    ) -> Tuple[Optional[MatchResult], int]:
+        """Validate and account one probe; returns (result, tested)."""
+        return self._account(
+            *self._find(fingerprint, self.index.candidates(fingerprint))
+        )
+
+    def _find(
         self, fingerprint: Fingerprint, candidates: Sequence[int]
     ) -> Tuple[Optional[MatchResult], int]:
-        """Validate and account one probe; returns (result, tested).
+        """First candidate with a valid mapping; returns (result, tested).
 
         The path is a function of what the store can observe: the family
         has matrix kernels and the probe has enough candidates to repay
         launching them (``columnar_check`` itself answers through the
         scalar loop once degraded).  ``tested`` is the scalar loop's
         accounting: candidates visited up to and including the first match
-        (all of them on a miss).  Every path's lookup is counted here,
-        once, as is the winning basis's :attr:`~BasisDistribution.hits`.
+        (all of them on a miss).
         """
         if (
             self.mapping_family.supports_find_matrix
             and len(candidates) >= self.columnar_min_candidates
         ):
-            result, tested = self.columnar_check.run(
+            return self.columnar_check.run(
                 self._match_columnar,
                 self._match_scalar,
                 fingerprint,
                 candidates,
             )
-        else:
-            result, tested = self._match_scalar(fingerprint, candidates)
+        return self._match_scalar(fingerprint, candidates)
+
+    def _account(
+        self, result: Optional[MatchResult], tested: int
+    ) -> Tuple[Optional[MatchResult], int]:
+        """Count one answered probe: every path's lookup is counted here,
+        once, as is the winning basis's :attr:`~BasisDistribution.hits`."""
         self.stats.lookups += 1
         self.stats.candidates_tested += tested
         if result is not None:
@@ -514,11 +730,11 @@ class BasisStore:
             # concatenate per fingerprint size, no key recomputation.
             self.columnar.adopt(other.columnar, id_map)
             return translation
-        # Re-probe pass.  Each incoming fingerprint runs through the
-        # columnar match engine; the loop stays per-basis because a miss
-        # *inserts* (changing what later incoming fingerprints may match,
-        # and hence the exact counters the scalar semantics pin down), so
-        # probes are not independent the way a read-only match_batch's are.
+        # Re-probe pass, one match per incoming basis.  A block probe would
+        # be exact here too (its prefix rule repairs whatever an insert
+        # changes), but an incoming basis that misses is inserted, and
+        # shards mostly ship bases the store lacks: nearly every answer
+        # would invalidate the speculation made for the rest.
         for basis in other.bases:
             matched = self.match(basis.fingerprint)
             if matched is not None:

@@ -182,6 +182,13 @@ class Fingerprint:
         return f"Fingerprint([{preview}{suffix}], m={len(self.values)})"
 
 
+def rows_scale(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`Fingerprint.scale` (``max(|entries|)``, zero -> 1.0)."""
+    scales = np.abs(matrix).max(axis=1)
+    scales[scales == 0.0] = 1.0  # Fingerprint.scale's `or 1.0`
+    return scales
+
+
 def rows_first_distinct(
     matrix: np.ndarray, rel_tol: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,9 +200,7 @@ def rows_first_distinct(
     per-row scale (``max(|entries|)`` with zero collapsing to 1.0), the same
     tolerance, the same ``argmax`` tie behavior.
     """
-    scales = np.abs(matrix).max(axis=1)
-    scales[scales == 0.0] = 1.0  # Fingerprint.scale's `or 1.0`
-    tolerances = rel_tol * np.maximum(scales, 1.0)
+    tolerances = rel_tol * np.maximum(rows_scale(matrix), 1.0)
     distinct = np.abs(matrix - matrix[:, :1]) > tolerances[:, None]
     distinct[:, 0] = False
     position = distinct.argmax(axis=1)

@@ -118,6 +118,11 @@ class FingerprintIndex(ABC):
         override this to compute every probe's key in one vectorized
         pass (routed through ``backend``, default the process-active
         compute backend) before the bucket lookups.
+
+        Probes with equal keys are handed the *same* list object — one
+        read-only snapshot per distinct key, never a live bucket — which
+        is what lets a block probe gather and validate a shared candidate
+        set once (:meth:`repro.core.basis.BasisStore.block_probe`).
         """
         return [self.candidates(fp) for fp in fingerprints]
 
@@ -177,7 +182,7 @@ class ArrayIndex(FingerprintIndex):
         self, fingerprints: Sequence[Fingerprint], backend=None
     ) -> List[List[int]]:
         # No keys to vectorize: every probe scans every stored basis.
-        return [list(self._ids) for _ in fingerprints]
+        return [list(self._ids)] * len(fingerprints)
 
     def remove(self, fingerprint: Fingerprint, basis_id: int) -> None:
         try:
@@ -255,7 +260,17 @@ class NormalizationIndex(FingerprintIndex):
         keys = batch_normal_forms(
             list(fingerprints), self._rel_tol, backend=backend
         )
-        return [list(self._buckets.get(key, ())) for key in keys]
+        # Probes that read the same bucket object share one copy of it
+        # (told apart by identity: no second hash of a float-tuple key).
+        copies: Dict[int, List[int]] = {}
+        shared = []
+        for key in keys:
+            bucket = self._buckets.get(key, ())
+            copy = copies.get(id(bucket))
+            if copy is None:
+                copy = copies[id(bucket)] = list(bucket)
+            shared.append(copy)
+        return shared
 
     def remove(self, fingerprint: Fingerprint, basis_id: int) -> None:
         key = fingerprint.normal_form(self._rel_tol)
@@ -322,8 +337,10 @@ class SortedSIDIndex(FingerprintIndex):
         self._size -= 1
 
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
-        return self._candidates_for(
-            fingerprint.sid_order(), fingerprint.sid_order(descending=True)
+        return self._merged(
+            *self._bucket_pair(
+                fingerprint.sid_order(), fingerprint.sid_order(descending=True)
+            )
         )
 
     def candidates_batch(
@@ -334,22 +351,38 @@ class SortedSIDIndex(FingerprintIndex):
         descending = batch_sid_orders(
             probes, descending=True, backend=backend
         )
-        return [
-            self._candidates_for(asc, desc)
-            for asc, desc in zip(ascending, descending)
-        ]
+        # Probes that read the same *pair* of bucket objects share one
+        # merged list.  Both buckets count: probes with tied entries can
+        # agree on one order and differ in the other.
+        merged: Dict[Tuple[int, int], List[int]] = {}
+        shared = []
+        for keys in zip(ascending, descending):
+            pair = self._bucket_pair(*keys)
+            token = (id(pair[0]), id(pair[1]))
+            candidates = merged.get(token)
+            if candidates is None:
+                candidates = merged[token] = self._merged(*pair)
+            shared.append(candidates)
+        return shared
 
-    def _candidates_for(
+    def _bucket_pair(
         self,
         ascending_key: Tuple[int, ...],
         descending_key: Tuple[int, ...],
-    ) -> List[int]:
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """The live (ascending, descending) buckets a probe reads."""
         ascending = self._buckets.get(ascending_key, ())
         if descending_key == ascending_key:
             # Fully tied fingerprints: both orders name the same bucket, so
             # the dedup pass would drop every descending entry anyway.
-            return list(ascending)
-        descending = self._buckets.get(descending_key, ())
+            return ascending, ()
+        return ascending, self._buckets.get(descending_key, ())
+
+    @staticmethod
+    def _merged(
+        ascending: Sequence[int], descending: Sequence[int]
+    ) -> List[int]:
+        """A fresh candidate list: ascending bucket, then descending."""
         # An id lives under exactly one insertion key, so with distinct
         # probe keys the buckets are disjoint and the common ascending-only
         # (or descending-only) probe needs no set/merge work at all.

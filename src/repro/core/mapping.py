@@ -23,6 +23,8 @@ from repro.core.fingerprint import (
     DEFAULT_REL_TOL,
     Fingerprint,
     rows_anchor_columns,
+    rows_first_distinct,
+    rows_scale,
     values_close,
 )
 from repro.errors import MappingError
@@ -188,6 +190,13 @@ class MappingFamily(ABC):
     #: correct but not faster than the loop it replaces).
     supports_find_matrix: bool = False
 
+    #: Whether the family has a ``find_block`` pair kernel (see
+    #: :meth:`LinearMappingFamily.find_block`): it can decide a whole
+    #: block's ragged (probe x candidate) pair set in one pass, which is
+    #: what lets :meth:`repro.core.basis.BasisStore.block_probe` speculate.
+    #: Families without one answer block probes one probe at a time.
+    supports_find_block: bool = False
+
     @abstractmethod
     def find(
         self,
@@ -311,6 +320,7 @@ class LinearMappingFamily(MappingFamily):
     monotone_members = True  # each member is monotone (increasing or
     # decreasing); Sorted-SID probes both orders.
     supports_find_matrix = True
+    supports_find_block = True
 
     def find(
         self,
@@ -401,6 +411,138 @@ class LinearMappingFamily(MappingFamily):
             return AffineMapping(float(alpha[row]), float(beta[row]))
 
         return valid, build
+
+    def find_block(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        groups: Sequence[Tuple[int, np.ndarray]],
+        rel_tol: float = DEFAULT_REL_TOL,
+        abs_tol: float = DEFAULT_ABS_TOL,
+        anchors=None,
+        backend=None,
+    ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
+        """Algorithm 2 over a block's ragged (probe x candidate) pair set.
+
+        ``sources`` is a whole same-size fingerprint matrix and ``targets``
+        the block's probes stacked group by group: ``groups[g] = (count,
+        rows)`` pairs each of the group's ``count`` probes (the next
+        ``count`` rows of ``targets``) with every candidate
+        ``sources[rows]``, in that order.  ``anchors`` is the matrix's
+        :func:`~repro.core.fingerprint.rows_anchor_columns` when the
+        caller keeps them.  Returns ``(first, build)``: ``first[p]`` is the
+        index into probe ``p``'s ``rows`` of its first candidate with a
+        valid mapping (−1: none — FindMatch keeps only the first), and
+        ``build(p)`` is that mapping.
+
+        Each pair's verdict and mapping bits are :meth:`find`'s.  What
+        ``find`` derives from its target — constancy, the tolerance — is
+        derived row-wise by the same IEEE operations; alpha and beta are
+        :meth:`find_matrix`'s expressions broadcast over a group; and the
+        pairs of *all* groups are flattened (group by group, probe by
+        probe) into one ``affine_validate`` launch on the last column —
+        the :func:`_rows_affine_valid` screen with a target entry and a
+        bound per pair — then one full-width launch on the survivors.
+        """
+        from repro.core.backend import resolve_backend
+
+        validate = resolve_backend(backend).affine_validate
+        has_pair, anchor, denominator = (
+            anchors
+            if anchors is not None
+            else rows_anchor_columns(sources, rel_tol)
+        )
+        varying = rows_first_distinct(targets, rel_tol)[0]
+        tol = np.maximum(
+            rel_tol * np.maximum(rows_scale(targets), 1.0), abs_tol
+        )
+        last = sources.shape[1] - 1
+        columns = []
+        start = 0
+        for count, rows in groups:
+            probes = slice(start, start + count)
+            start += count
+            picked = targets[probes]
+            first = picked[:, :1]
+            offset = sources[rows, 0]
+            fits = has_pair[rows]
+            moves = varying[probes][:, None]
+            # In place: a block's pair arrays are large enough that every
+            # temporary is a fresh trip to the allocator.  A constant
+            # source has no slope: it divides by one here and is kept out
+            # of `fit`.
+            alpha = np.take(picked, anchor[rows], axis=1)
+            alpha -= first
+            alpha /= np.where(fits, denominator[rows], 1.0)
+            beta = alpha * offset
+            np.subtract(first, beta, out=beta)
+            # Constant onto constant: pure shift, accepted unvalidated.
+            shift = ~moves & ~fits
+            if bool(shift.any()):
+                alpha[shift] = 1.0
+                beta[shift] = (first - offset)[shift]
+            columns.append(
+                (
+                    alpha.ravel(),
+                    beta.ravel(),
+                    (moves & fits).ravel(),
+                    shift.ravel(),
+                    np.tile(sources[rows, last], count),
+                    np.repeat(picked[:, last], len(rows)),
+                    np.repeat(tol[probes], len(rows)),
+                )
+            )
+        alpha, beta, fit, valid, source, target, bound = (
+            columns[0]
+            if len(columns) == 1
+            else [np.concatenate(column) for column in zip(*columns)]
+        )
+
+        # Flat pair number -> (probe, index into its rows, source row).
+        counts = np.array([count for count, _ in groups])
+        widths = np.array([len(rows) for _, rows in groups])
+        pair_starts = np.cumsum(counts * widths) - counts * widths
+        probe_starts = np.cumsum(counts) - counts
+        row_starts = np.cumsum(widths) - widths
+        every_row = np.concatenate([rows for _, rows in groups])
+
+        def locate(pairs: np.ndarray):
+            group = np.searchsorted(pair_starts, pairs, side="right") - 1
+            probe, candidate = np.divmod(
+                pairs - pair_starts[group], widths[group]
+            )
+            return (
+                probe + probe_starts[group],
+                candidate,
+                every_row[row_starts[group] + candidate],
+            )
+
+        passed = np.nonzero(
+            fit & validate(source[:, None], alpha, beta, target[:, None], bound)
+        )[0]
+        if len(passed):
+            probes, _, rows = locate(passed)
+            valid[passed] = validate(
+                sources[rows],
+                alpha[passed],
+                beta[passed],
+                targets[probes],
+                tol[probes],
+            )
+        # Valid pairs ascend probe by probe, candidate by candidate, so a
+        # probe's first occurrence is the scalar loop's first match.
+        hits = np.nonzero(valid)[0]
+        probes, candidates, _ = locate(hits)
+        winners, at = np.unique(probes, return_index=True)
+        first = np.full(len(targets), -1)
+        first[winners] = candidates[at]
+        pair_of = dict(zip(winners.tolist(), hits[at].tolist()))
+
+        def build(probe: int) -> AffineMapping:
+            pair = pair_of[probe]
+            return AffineMapping(float(alpha[pair]), float(beta[pair]))
+
+        return first, build
 
 
 class IdentityMappingFamily(MappingFamily):

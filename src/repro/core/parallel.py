@@ -35,12 +35,13 @@ therefore guarantees more than the documented invariant — estimates may
 never differ; decisions happen not to either.)  Only the *shard-side* work
 varies with the shard count; :class:`ParallelStats` accounts for it.
 
-Both phases run on the columnar match engine: shard stores and the merged
-replay store validate each probe's candidates through the vectorized
-``find_matrix`` kernels (with contiguous fingerprint/key matrices grown
-incrementally as bases are adopted), so sharding and columnar matching
-compose — and because the columnar path is bit-identical to the scalar
-loop, the replay-merge parity invariant is untouched.  Offline store
+Both phases run on the columnar match engine: shard workers and the merged
+replay consume the serial explorer's one per-visited-point loop
+(:meth:`ParameterExplorer.explore`), so both probe through block probes
+over contiguous fingerprint/key matrices grown incrementally as bases are
+adopted, and sharding and columnar matching compose — because a block
+probe's answers are bit-identical to the scalar loop's, the replay-merge
+parity invariant is untouched.  Offline store
 reconciliation (:meth:`BasisStore.merge`) adopts a shard's columnar
 matrices with one concatenate per fingerprint size in verbatim mode and
 re-probes incoming bases through the same columnar engine otherwise.
@@ -347,20 +348,10 @@ def _run_explorer_shard(
     )
     stats = ExplorerStats()
     records = []
-    # One record per *visited* point, in shard order — explore_point per
-    # point rather than run(), whose result dict would collapse duplicate
-    # parameter points and misalign the replay.
-    for params in context.shards[index]:
-        point = explorer.explore_point(params)
-        stats.points_total += 1
-        stats.fingerprint_samples += context.fingerprint_size
-        if point.reused:
-            stats.points_reused += 1
-        else:
-            stats.bases_created += 1
-            stats.full_samples += (
-                point.samples_drawn - context.fingerprint_size
-            )
+    # One record per *visited* point, in shard order: run()'s result dict
+    # would collapse duplicate parameter points and misalign the replay.
+    for point in explorer.explore(context.shards[index]):
+        stats.record(point)
         samples = (
             None
             if point.reused
@@ -435,6 +426,14 @@ def _decode_explorer_outcome(
     return _ShardOutcome(records, stats)
 
 
+class _ReplayPoint(dict):
+    """A parameter point that knows its place in the canonical order."""
+
+    def __init__(self, params: Dict[str, float], position: int):
+        super().__init__(params)
+        self.position = position
+
+
 class _PlaybackSimulation:
     """Replays worker-recorded sample vectors into a serial explorer.
 
@@ -445,8 +444,12 @@ class _PlaybackSimulation:
     (consumed cursor-wise, so an adaptive budget's multiple completion
     blocks replay as the exact slices the shard drew), and only when a
     shard speculatively reused a point the canonical order must simulate
-    does it fall through to the real batch simulation.  Calls are
-    disambiguated by seed-array identity (the explorer passes its one
+    does it fall through to the real batch simulation.  The explorer draws
+    a whole block's fingerprints before it completes any of the block's
+    points, so call order says nothing about which point a call is for:
+    the replay sweeps :class:`_ReplayPoint` s, each carrying its position
+    (duplicate parameter points stay distinct visits).  Calls are
+    told apart by seed-array identity (the explorer passes its one
     fingerprint-seed array for every fingerprint call), so the protocol is
     safe even when both phases draw equally many rounds.
     """
@@ -459,31 +462,32 @@ class _PlaybackSimulation:
         self._records = records
         self._batch_simulation = batch_simulation
         self._fingerprint_seeds: Optional[np.ndarray] = None
-        self._index = -1
+        self._completing = -1
         self._cursor = 0
-        self._resimulated_index = -1
         self.points_resimulated = 0
 
     def bind(self, fingerprint_seeds: np.ndarray) -> None:
         self._fingerprint_seeds = fingerprint_seeds
 
-    def sample_batch(self, params: Params, seeds: np.ndarray) -> np.ndarray:
+    def sample_batch(
+        self, params: _ReplayPoint, seeds: np.ndarray
+    ) -> np.ndarray:
+        record = self._records[params.position]
         if seeds is self._fingerprint_seeds:
-            self._index += 1
-            record = self._records[self._index]
-            self._cursor = len(record.fingerprint_values)
             return record.fingerprint_values
-        record = self._records[self._index]
-        if record.samples is not None:
-            start = self._cursor
-            self._cursor += len(seeds)
-            return record.samples[start:self._cursor]
-        if self._resimulated_index != self._index:
-            # Count resimulated *points*, not completion calls: under an
-            # adaptive budget one resimulated point draws several blocks.
-            self._resimulated_index = self._index
-            self.points_resimulated += 1
-        return self._batch_simulation(params, seeds)
+        if self._completing != params.position:
+            # First completion call of this point.  Resimulated *points*
+            # are counted, not calls: under an adaptive budget one
+            # resimulated point draws several blocks.
+            self._completing = params.position
+            self._cursor = len(record.fingerprint_values)
+            if record.samples is None:
+                self.points_resimulated += 1
+        if record.samples is None:
+            return self._batch_simulation(params, seeds)
+        start = self._cursor
+        self._cursor += len(seeds)
+        return record.samples[start:self._cursor]
 
 
 class ParallelExplorer:
@@ -680,7 +684,10 @@ class ParallelExplorer:
             adaptive=self.adaptive,
         )
         playback.bind(replay._fingerprint_seeds)
-        result = replay.run(points)
+        result = replay.run(
+            _ReplayPoint(params, position)
+            for position, params in enumerate(points)
+        )
         parallel = ParallelStats(
             workers=self.workers,
             shard_sizes=tuple(len(o.records) for o in outcomes),

@@ -236,7 +236,11 @@ class BasisServer:
         """
         if install_signals:
             self.install_signal_handlers()
-        self.shutdown_requested.wait()
+        # Polled, not one untimed wait: the kernel may deliver a signal to
+        # any thread, and only the main thread runs the Python handler —
+        # blocked on a lock with no timeout it would never wake to do so.
+        while not self.shutdown_requested.wait(_READ_POLL_SECONDS):
+            pass
         self.stop(drain=True)
         return 130 if self._interrupted else 0
 

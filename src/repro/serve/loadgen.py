@@ -432,7 +432,10 @@ def expected_responses(
     """The in-process ground truth for a request stream.
 
     Serves the stream sequentially through ``session.handle`` — the
-    reference the daemon's answers must equal bitwise (used by the
-    parity suite and the smoke gate's hit/miss accounting).
+    reference a *serial* wire stream must equal bitwise (used by the
+    parity suite and the smoke gate's hit/miss accounting).  Under
+    concurrent connections the ``metrics`` of an estimate on a basis
+    that another connection refines may be the pre- or the post-refine
+    value; every gated counter is independent of that.
     """
     return [session.handle(request) for request in requests]

@@ -79,7 +79,7 @@ class TestReuseCorrectness:
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "Known quantization-boundary false negative (ROADMAP item 6): "
+        "Known quantization-boundary false negative (ROADMAP item 4(a)): "
         "normal-form bucket keys round to 6 decimals, and this fingerprint's "
         "normalized coordinate 4.75/800 sits exactly on the 0.0059375 "
         "rounding boundary — float noise puts the stored basis and its "

@@ -3,8 +3,10 @@
 The dynamic-evaluation contract (Berkholz–Keppeler–Schweikardt, PAPERS.md)
 used as a test: *after any update sequence the maintained structure answers
 exactly as a from-scratch evaluation*.  A hypothesis state machine drives
-:class:`BasisStore` through interleaved add / match / match_batch / remove /
-evict / compact / merge / save→load, and after every step compares it with
+:class:`BasisStore` through interleaved add / match / match_batch /
+match_block (a block probe with the machine's own add / remove / merge run
+between its answers) / remove / evict / compact / merge / save→load, and
+after every step compares it with
 a deliberately naive oracle — a plain list of bases in insertion order, a
 linear scan over it, the scalar ``find`` — on the matched basis (through the
 store-id → oracle-entry renumbering), the mapping parameters (exact) and
@@ -62,6 +64,20 @@ probe_specs = st.tuples(
 def _copy(fingerprint):
     """A cache-free twin, so oracle keys are never the store's cached ones."""
     return Fingerprint(fingerprint.values)
+
+
+#: What may happen to the store between two answers of one block probe:
+#: nothing, or one of the machine's own mutating rules with its arguments.
+block_steps = st.one_of(
+    st.none(),
+    st.tuples(st.just("add"), fingerprints),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(
+        st.just("merge"),
+        st.lists(fingerprints, min_size=1, max_size=3),
+        st.booleans(),
+    ),
+)
 
 
 class _Entry:
@@ -225,6 +241,22 @@ class StoreMachine(RuleBasedStateMachine):
         assert len(results) == len(tested) == len(probes)
         for probe, result, work in zip(probes, results, tested):
             self._check(probe, result, work)
+
+    @rule(
+        script=st.lists(
+            st.tuples(probe_specs, block_steps), min_size=4, max_size=8
+        )
+    )
+    def match_block(self, script):
+        """One block probe, the store mutated between its answers: each
+        ``match(i)`` must be what a fresh linear scan says *now*."""
+        probes = [self._probe(spec) for spec, _ in script]
+        handle = self.store.block_probe(probes)
+        for i, (_, step) in enumerate(script):
+            if step is not None:
+                getattr(self, step[0])(*step[1:])
+            result, tested = handle.match(i)
+            self._check(probes[i], result, tested)
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def remove(self, pick):

@@ -18,7 +18,8 @@ from repro.core.backend import (
     backend_names,
     create_backend,
 )
-from repro.core.basis import BasisStore, MatchResult
+import repro.core.basis as basis_module
+from repro.core.basis import BasisStore, EvictionPolicy, MatchResult
 from repro.core.columnar import CandidateKeys
 from repro.core.fingerprint import (
     Fingerprint,
@@ -464,6 +465,366 @@ class TestValidationScreen:
             backend=spy,
         )
         assert spy.shapes == [((2, 2), (2,))]
+
+
+def _answer_bits(answer):
+    result, tested = answer
+    if result is None:
+        return None, tested
+    mapping = result.mapping
+    if isinstance(mapping, AffineMapping):
+        mapping = _bits(mapping)
+    return result.basis.basis_id, type(result.mapping), mapping, tested
+
+
+def answer_sequentially(store, probes, before=None, add_misses=False):
+    """The reference: one ``match`` per probe, ``before[i](store)`` run
+    ahead of probe ``i``, a missed probe added as a basis on request."""
+    answers = []
+    for i, probe in enumerate(probes):
+        if before and i in before:
+            before[i](store)
+        tested = store.stats.candidates_tested
+        result = store.match(probe)
+        answers.append((result, store.stats.candidates_tested - tested))
+        if add_misses and result is None:
+            store.add(probe, SAMPLES)
+    return answers
+
+
+def answer_through_block(store, probes, before=None, add_misses=False):
+    """The same script through one block probe; returns the handle too."""
+    handle = store.block_probe(probes)
+    answers = []
+    for i, probe in enumerate(probes):
+        if before and i in before:
+            before[i](store)
+        answers.append(handle.match(i))
+        if add_misses and answers[-1][0] is None:
+            store.add(probe, SAMPLES)
+    return answers, handle
+
+
+def assert_block_parity(reference, blocked, probes, **script):
+    """Block ``match(i)`` == sequential ``match``: basis id, mapping bits,
+    ``tested``, per-basis ``hits`` and ``StoreStats``.  Returns the handle."""
+    expected = answer_sequentially(reference, probes, **script)
+    actual, handle = answer_through_block(blocked, probes, **script)
+    assert [_answer_bits(a) for a in actual] == [
+        _answer_bits(a) for a in expected
+    ]
+    assert blocked.stats.as_dict() == reference.stats.as_dict()
+    assert [(b.basis_id, b.hits) for b in blocked.bases] == [
+        (b.basis_id, b.hits) for b in reference.bases
+    ]
+    return handle
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+@pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
+class TestBlockProbeParity:
+    """``block_probe(...).match(i)`` is ``match`` at that moment, whatever
+    happened to the store since the block was opened.  The scalar loop is
+    the reference in every comparison; the optional-deps CI job reruns
+    this with numba, handing the JIT ``affine_validate`` per-row targets
+    and tolerances."""
+
+    def stores(self, family_name, strategy, backend_name, content="mixed"):
+        reference = build_store(family_name, strategy, content, False)
+        blocked = build_store(family_name, strategy, content, True)
+        blocked.backend = create_backend(backend_name)
+        return reference, blocked
+
+    def test_read_only_block(self, family_name, strategy, backend_name):
+        for content in sorted(CONTENTS):
+            handle = assert_block_parity(
+                *self.stores(family_name, strategy, backend_name, content),
+                PROBES,
+            )
+            # The linear family has the pair kernel: every probe of the
+            # block was speculated.  The others answer per probe.
+            speculated = family_name == "linear"
+            assert len(handle._found) == (len(PROBES) if speculated else 0)
+
+    def test_adds_between_answers(self, family_name, strategy, backend_name):
+        """(a) Hits survive an ``add``; misses re-test only the tail."""
+        late = Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8))
+        before = {
+            2: lambda store: store.add(_affine(late, 2.0, 0.5), SAMPLES),
+            5: lambda store: store.add(_cubic(late), SAMPLES),
+            9: lambda store: store.add(Fingerprint((9.0,) * 7), SAMPLES),
+        }
+        assert_block_parity(
+            *self.stores(family_name, strategy, backend_name),
+            PROBES,
+            before=before,
+        )
+
+    def test_sweep_shape_adds_every_miss(
+        self, family_name, strategy, backend_name
+    ):
+        """Algorithm 3 itself: a miss inserts, later probes may hit it."""
+        probes = PROBES + [_affine(p, -0.5, 2.0) for p in PROBES]
+        for content in ("empty", "mixed"):
+            assert_block_parity(
+                *self.stores(family_name, strategy, backend_name, content),
+                probes,
+                add_misses=True,
+            )
+
+    def test_removals_force_the_fallback(
+        self, family_name, strategy, backend_name
+    ):
+        """(b) ``remove`` / ``evict`` / ``compact`` mid-block."""
+        before = {
+            1: lambda store: store.remove(0),
+            4: lambda store: store.evict(EvictionPolicy(max_bases=4)),
+            6: lambda store: store.compact(),
+            8: lambda store: store.add(BASE, SAMPLES),
+            11: lambda store: store.remove(store.bases[-1].basis_id),
+        }
+        assert_block_parity(
+            *self.stores(family_name, strategy, backend_name),
+            PROBES,
+            before=before,
+        )
+
+    def test_mixed_sizes(self, family_name, strategy, backend_name):
+        """(c) Sizes mixed in one block and in one store, including a
+        size the store has never held."""
+        seven = Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
+        probes = [
+            _affine(BASE, 2.0, 1.0),
+            _affine(seven, 3.0, 0.0),
+            Fingerprint((1.0, 2.0, 4.0)),
+            _affine(BASE, -1.0, 0.0),
+            _affine(seven, -2.0, 5.0),
+            Fingerprint((1.0, 2.0, 4.0)),
+        ]
+        assert_block_parity(
+            *self.stores(family_name, strategy, backend_name),
+            probes,
+            add_misses=True,
+        )
+
+    def test_constant_probes_and_bases(
+        self, family_name, strategy, backend_name
+    ):
+        """(d) Constant and zero fingerprints on both sides of a pair."""
+        probes = [
+            Fingerprint((7.5,) * 5),
+            _affine(BASE, 2.0, 1.0),
+            Fingerprint((0.0,) * 5),
+            Fingerprint((4.0,) * 5),
+            Fingerprint((-1e-13,) * 5),
+            _affine(BASE, -3.0, 0.0),
+        ]
+        before = {3: lambda store: store.add(Fingerprint((2.0,) * 5), SAMPLES)}
+        assert_block_parity(
+            *self.stores(family_name, strategy, backend_name),
+            probes,
+            before=before,
+        )
+
+    def test_budget_left_and_degraded_stores_answer_per_probe(
+        self, family_name, strategy, backend_name
+    ):
+        """(g) No speculation before ``columnar_check`` has spent its
+        budget, none after it degraded — parity either way."""
+        for degraded in (False, True):
+            reference, blocked = self.stores(
+                family_name, strategy, backend_name
+            )
+            blocked.columnar_check = type(blocked.columnar_check)(
+                "columnar FindMapping",
+                "the scalar find loop",
+                tag="scalar-match",
+                budget=2,
+                equal=blocked._same_result,
+            )
+            blocked.columnar_check.degraded = degraded
+            handle = assert_block_parity(
+                reference, blocked, PROBES, add_misses=True
+            )
+            assert not handle._found
+
+
+class TestBlockProbeIndexCases:
+    """The two ``sorted_sid`` shapes the prefix rule exists for."""
+
+    def stores(self, fingerprints):
+        return (
+            filled_store(fingerprints, "linear", "sorted_sid", False),
+            filled_store(fingerprints, "linear", "sorted_sid", True),
+        )
+
+    def test_tied_probes_share_one_order_not_the_other(self):
+        """(e) ``(0, 4, 4, 4, -2)`` and ``(0, 0, 0, 0, -1)`` sort alike
+        ascending and differently descending: one candidate list per
+        (ascending, descending) pair, not per ascending key."""
+        first = Fingerprint((0.0, 4.0, 4.0, 4.0, -2.0))
+        second = Fingerprint((0.0, 0.0, 0.0, 0.0, -1.0))
+        assert first.sid_order() == second.sid_order()
+        assert first.sid_order(True) != second.sid_order(True)
+        fingerprints = [
+            Fingerprint((0.0, 1.0, 2.0, 3.0, -1.0)),  # shared ascending key
+            _affine(first, -1.0, 0.0),  # first's descending bucket
+            _affine(second, -2.0, 1.0),  # second's descending bucket
+        ]
+        reference, blocked = self.stores(fingerprints)
+        probes = [first, second, first, second]
+        handle = assert_block_parity(reference, blocked, probes)
+        assert handle._candidates[0] is handle._candidates[2]
+        assert handle._candidates[0] != handle._candidates[1]
+        assert [handle._found[i][0] for i in range(4)] == [1, 1, 1, 1]
+
+    def test_descending_hit_preempted_by_an_ascending_insert(self):
+        """(f) The bucket that grew sits *in front of* the speculated
+        hit, so the old list is no prefix and the probe starts over."""
+        probe = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0))
+        filler = Fingerprint((5.0, 4.0, 3.0, 2.0, 1.5))
+        fingerprints = [_affine(probe, -2.0, 1.0), filler]
+        reference, blocked = self.stores(fingerprints)
+        probes = [filler, probe, _affine(probe, 0.5, 0.0), filler]
+        before = {1: lambda store: store.add(_affine(probe, 3.0, 3.0), SAMPLES)}
+        handle = assert_block_parity(
+            reference, blocked, probes, before=before
+        )
+        assert handle._found[1][0] == 0  # speculated: the descending hit
+        assert blocked.get(2).hits == 2  # answered: the inserted basis
+        assert blocked.get(0).hits == 0
+
+
+class TestBlockProbeRules:
+    def block(self, count):
+        store = build_store("linear", "array", "mixed", True)
+        return store, [_affine(BASE, 1.0 + i, float(i)) for i in range(count)]
+
+    def test_small_blocks_answer_per_probe(self):
+        store, probes = self.block(basis_module.BLOCK_MIN_PROBES - 1)
+        assert not store.block_probe(probes)._found
+        store, probes = self.block(basis_module.BLOCK_MIN_PROBES)
+        assert len(store.block_probe(probes)._found) == len(probes)
+
+    @pytest.mark.parametrize("budget", (1, 6, 13, 35))
+    def test_launches_split_past_the_pair_budget(self, monkeypatch, budget):
+        """Six probes x the six same-size bases of the seven stored, plus
+        a second candidate list: every probe is still speculated, in as
+        many launches as the budget makes necessary."""
+        monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", budget)
+        spy = TestValidationScreen.Spy()
+        store, probes = self.block(6)
+        store.backend = spy
+        probes += [Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))] * 2
+        reference = build_store("linear", "array", "mixed", False)
+        handle = assert_block_parity(reference, store, probes)
+        assert len(handle._found) == len(probes)
+        screens = [rows for (rows, width), _ in spy.shapes if width == 1]
+        assert sum(screens) == 6 * 6 + 2 * 1
+        assert max(screens) <= max(budget, 6)
+
+    def test_match_batch_is_one_block(self):
+        reference = build_store("linear", "sorted_sid", "mixed", False)
+        batched = build_store("linear", "sorted_sid", "mixed", True)
+        tested = []
+        got = batched.match_batch(iter(PROBES), tested_out=tested)
+        want = answer_sequentially(reference, PROBES)
+        assert [_answer_bits(a) for a in zip(got, tested)] == [
+            _answer_bits(a) for a in want
+        ]
+        assert batched.stats.as_dict() == reference.stats.as_dict()
+
+    def test_one_ragged_launch_per_block(self):
+        """All (probe x candidate) pairs of a block — two candidate lists
+        of different lengths here — are screened in one launch with a
+        target entry per pair, the survivors in one more."""
+        spy = TestValidationScreen.Spy()
+        fingerprints = [WIDE, _cubic(WIDE), _affine(WIDE, 2.0, 0.0)] + [
+            _affine(WIDE, -1.0, float(shift)) for shift in range(1, 3)
+        ]
+        store = filled_store(fingerprints, "linear", "sorted_sid", True)
+        store.backend = spy
+        probes = [_affine(WIDE, 3.0, 1.0)] * 3 + [_affine(WIDE, -3.0, 1.0)] * 2
+        handle = store.block_probe(probes)
+        # Ascending probes see [0, 1, 2] then the descending bucket
+        # [3, 4]; descending probes the reverse.
+        assert spy.shapes == [((25, 1), (25, 1)), ((20, 7), (20, 7))]
+        assert [handle._found[i][0] for i in range(5)] == [0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestPerRowAffineValidate:
+    def test_per_row_targets_equal_one_call_per_row(self, backend_name):
+        rng = np.random.default_rng(7)
+        sources = rng.uniform(-2.0, 2.0, size=(40, 6))
+        alpha = rng.uniform(0.5, 2.0, size=40)
+        beta = rng.uniform(-1.0, 1.0, size=40)
+        targets = alpha[:, None] * sources + beta[:, None]
+        targets[::3, 4] += 1e-6  # every third row misses one entry
+        tol = np.where(np.arange(40) % 6 == 0, 1e-3, 1e-9)
+        backend = create_backend(backend_name)
+        together = backend.affine_validate(sources, alpha, beta, targets, tol)
+        for width in (slice(None), slice(5, None)):
+            one_by_one = [
+                bool(
+                    backend.affine_validate(
+                        sources[row : row + 1, width],
+                        alpha[row : row + 1],
+                        beta[row : row + 1],
+                        targets[row, width],
+                        float(tol[row]),
+                    )[0]
+                )
+                for row in range(40)
+            ]
+            wide = backend.affine_validate(
+                sources[:, width], alpha, beta, targets[:, width], tol
+            )
+            assert wide.tolist() == one_by_one
+        assert together.tolist() == [
+            row % 3 != 0 or row % 6 == 0 for row in range(40)
+        ]
+
+    def test_find_block_agrees_with_find_pair_by_pair(self, backend_name):
+        family = LinearMappingFamily()
+        sources = [
+            WIDE,
+            Fingerprint((4.0,) * 7),
+            _affine(WIDE, -1.5, 0.25),
+            Fingerprint((0.0,) * 7),
+            _cubic(WIDE),
+            Fingerprint(WIDE.values),
+        ]
+        targets = [
+            _affine(WIDE, 3.0, -2.0),
+            Fingerprint((7.5,) * 7),
+            _cubic(WIDE),
+            _affine(_cubic(WIDE), 1e6, 5.0),
+            Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8, 0.5, 0.4)),
+        ]
+        store = filled_store(sources, "linear", "array", True)
+        block = store.columnar._blocks[7]
+        groups = [(2, np.array([5, 4, 3, 2, 1, 0])), (3, np.array([1, 4]))]
+        for anchors in (block.anchor_columns(store.rel_tol), None):
+            first, build = family.find_block(
+                block.matrix[: block.count],
+                np.stack([target.array for target in targets]),
+                groups,
+                anchors=anchors,
+                backend=create_backend(backend_name),
+            )
+            probe = 0
+            for count, rows in groups:
+                for target in targets[probe : probe + count]:
+                    found = [family.find(sources[r], target) for r in rows]
+                    winner = next(
+                        (k for k, m in enumerate(found) if m is not None), -1
+                    )
+                    assert first[probe] == winner
+                    if winner >= 0:
+                        assert _bits(build(probe)) == _bits(found[winner])
+                    probe += 1
 
 
 class TestSortedSIDFastPaths:

@@ -20,9 +20,15 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.core.basis as basis_module
+import repro.core.explorer as explorer_module
 from repro.blackbox import draws
 from repro.core.basis import BasisStore
-from repro.core.explorer import NaiveExplorer, ParameterExplorer
+from repro.core.explorer import (
+    ExplorerStats,
+    NaiveExplorer,
+    ParameterExplorer,
+)
 from repro.core.fingerprint import Fingerprint
 from repro.core.index import ArrayIndex, NormalizationIndex, SortedSIDIndex
 from repro.core.mapping import IdentityMappingFamily
@@ -182,6 +188,117 @@ class TestParallelExplorerParity:
         for key, serial_point in serial.points.items():
             assert parallel.points[key].metrics == serial_point.metrics
             assert parallel.points[key].reused == serial_point.reused
+
+    @staticmethod
+    def _explorer(cls=ParameterExplorer, **extra):
+        return cls(
+            capacity_workload(weeks=10, purchase_step=4).simulation(),
+            samples_per_point=40,
+            fingerprint_size=10,
+            # Every basis is a candidate: lists reach the kernel cutover,
+            # so the sweep's block probes really speculate.
+            index_strategy="array",
+            **extra,
+        )
+
+    def _per_point_reference(self, points):
+        """``explore_point`` per visit — the single-probe form."""
+        explorer = self._explorer()
+        stats = ExplorerStats()
+        visits = [explorer.explore_point(params) for params in points]
+        for visit in visits:
+            stats.record(visit)
+        return explorer, visits, stats
+
+    @pytest.mark.parametrize("block", (4, None))
+    @pytest.mark.parametrize("workers", (None,) + WORKER_COUNTS)
+    def test_duplicates_straddling_a_block_boundary(
+        self, workers, block, monkeypatch
+    ):
+        """A first visit that misses at the end of one block, its repeat
+        opening the next (a reuse the block could not have speculated), a
+        repeat inside the same block (the appended-tail path): every
+        visit decides as the per-point sweep does, sharded or not."""
+        base = capacity_workload(weeks=10, purchase_step=4).points
+        if block is None:
+            block = explorer_module.BLOCK_PROBES
+        else:
+            monkeypatch.setattr(explorer_module, "BLOCK_PROBES", block)
+        # The serial sweep simulates points 9, 10 and 12 of this workload
+        # in full: each is a first visit wherever it is put.
+        points = base[:9] * 8
+        points = (
+            points[: block - 1]
+            + [base[9], base[9]]  # last of one block, first of the next
+            + points[block - 1 : 2 * block - 1]
+            + [base[10], base[12], base[10], base[12]]  # inside one block
+            + base
+        )
+        reference, visits, stats = self._per_point_reference(points)
+        assert not visits[block - 1].reused and visits[block].reused
+        if workers is None:
+            speculated = []
+            speculate = basis_module.BlockProbe._speculate
+            monkeypatch.setattr(
+                basis_module.BlockProbe,
+                "_speculate",
+                lambda self, *args: (
+                    speculated.append(1), speculate(self, *args)
+                ),
+            )
+            explorer = self._explorer()
+            got = list(explorer.explore(points))
+            assert speculated
+            assert [
+                (v.reused, v.basis_id, v.mapping, v.metrics) for v in got
+            ] == [
+                (v.reused, v.basis_id, v.mapping, v.metrics) for v in visits
+            ]
+            explorer = self._explorer()
+        else:
+            explorer = self._explorer(ParallelExplorer, workers=workers)
+        result = explorer.run(points)
+        assert result.stats == stats
+        assert explorer.store.stats.as_dict() == (
+            reference.store.stats.as_dict()
+        )
+        assert [b.hits for b in explorer.store.bases] == [
+            b.hits for b in reference.store.bases
+        ]
+        for visit in visits:
+            point = result.result(visit.params)
+            assert point.metrics == visit.metrics
+
+    @pytest.mark.parametrize("workers", (None,) + WORKER_COUNTS)
+    def test_lazy_generator_as_space(self, workers):
+        base = capacity_workload(weeks=10, purchase_step=4).points
+        points = base + base[:40]
+        _, visits, stats = self._per_point_reference(points)
+        explorer = (
+            self._explorer()
+            if workers is None
+            else self._explorer(ParallelExplorer, workers=workers)
+        )
+        result = explorer.run(dict(params) for params in points)
+        assert result.stats == stats
+        for visit in visits:
+            assert result.result(visit.params).metrics == visit.metrics
+
+    def test_explore_walks_the_space_a_block_at_a_time(self):
+        base = capacity_workload(weeks=10, purchase_step=4).points
+        pulled = []
+
+        def space():
+            for params in base * 3:
+                pulled.append(params)
+                yield params
+
+        visits = self._explorer().explore(space())
+        next(visits)
+        assert len(pulled) == explorer_module.BLOCK_PROBES
+        for _ in range(explorer_module.BLOCK_PROBES):
+            next(visits)
+        assert len(pulled) == 2 * explorer_module.BLOCK_PROBES
 
     def test_explorer_honors_empty_basis_store(self):
         """Regression: an empty BasisStore is falsy (len() == 0), and the
