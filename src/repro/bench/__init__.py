@@ -8,7 +8,6 @@ from repro.bench.figures import (
     run_fig10,
     run_fig11,
     run_fig12,
-    run_match,
 )
 from repro.bench.harness import FigureResult, Series
 from repro.bench.workloads import (
@@ -35,7 +34,6 @@ __all__ = [
     "run_fig10",
     "run_fig11",
     "run_fig12",
-    "run_match",
     "FigureResult",
     "Series",
     "PAPER_FINGERPRINT_SIZE",

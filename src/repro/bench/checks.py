@@ -16,7 +16,7 @@ smoke      the whole figure suite at ``--scale smoke``; every
            ``smoke:workers=4`` shards the sweeps and
            ``smoke:backend=numba`` swaps the kernels — by the
            replay-merge and backend contracts the *same* baseline must
-           still match.  Wall clock only within ``TIME_FACTOR``.
+           still match.
 warm       cold pass saving every sweep's store, then warm reruns
            serial and with 4 workers: cold == baseline, warm reproduces
            the cold estimates exactly with strictly fewer samples,
@@ -29,7 +29,7 @@ lifecycle  a warmed store evicted to half its size answers every probe
            committed version-1 snapshot fixture still loads.
 golden     per-figure data points (estimates, reuse decisions, jump
            counts) equal ``benchmarks/golden/*.json`` float-for-float.
-serve      a real daemon under open-loop load at smoke scale: request
+serve      a real daemon under concurrent load at smoke scale: request
            counters, final store counters and the SIGTERM drain record
            equal the committed serve baseline.
 =========  ==========================================================
@@ -37,7 +37,11 @@ serve      a real daemon under open-loop load at smoke scale: request
 Counters are pure functions of the fixed seed bank, so any drift is a
 real behaviour change — a bug, or an intentional change that ships with
 ``--refresh`` (which re-measures and rewrites the baseline files of the
-named checks, printing what changed) and an explanation.
+named checks, printing what changed) and an explanation.  The measured
+documents carry no clock and no host-derived key, so they equal the
+committed files verbatim and a refresh of an unchanged tree rewrites
+them byte for byte; no check bounds wall clock (CI's job timeout is the
+runaway guard, ``perfbench/`` the ruler).
 
 Exit status 0 when every named check passes, 1 otherwise.
 """
@@ -59,7 +63,7 @@ from repro.bench.driver import (
     load_document,
     write_document,
 )
-from repro.bench.figures import FIGURES, INFORMATIONAL_KEYS
+from repro.bench.figures import FIGURES
 from repro.core import persist
 from repro.core.backend import active_backend, use_backend
 from repro.core.basis import BasisStore, EvictionPolicy
@@ -76,19 +80,11 @@ V1_FIXTURE = os.path.join(REPO_ROOT, "tests", "unit", "data", "snapshot_v1")
 
 #: Every check measures at the one scale the baselines were committed at.
 SCALE = "smoke"
-#: Wall clock fails the smoke check only beyond this multiple of the
-#: baseline's: it catches order-of-magnitude regressions without flaking
-#: on slow shared CI runners.
-TIME_FACTOR = 25.0
 
 #: Figures whose data points are pinned under ``benchmarks/golden/``.
 GOLDEN = {figure.name: figure for figure in FIGURES if figure.golden}
 _SWEEP_FIGURES = frozenset(f.name for f in FIGURES if f.sweep)
 
-#: Host-dependent keys of a serve report (timing, and the store path).
-SERVE_INFORMATIONAL = frozenset(
-    {"seconds", "throughput_rps", "latency_p50_ms", "latency_p99_ms", "store"}
-)
 #: Counters only a --warm-store run records; ignored when a warm-driver
 #: cold pass is compared with the (cold, untagged) committed baseline.
 WARM_ONLY_KEYS = frozenset({"warm_reuse_fraction", "warm_loaded_bases"})
@@ -124,16 +120,16 @@ def exact_diff(expected, actual, path="$") -> List[str]:
     return []
 
 
-def gated(document, informational=INFORMATIONAL_KEYS):
-    """Copy of a JSON document without its ``informational`` keys, as it
-    would read back from disk (so tuples and float formatting compare
-    equal to a committed file's)."""
+def gated(document, ignored=frozenset()):
+    """Copy of a JSON document as it would read back from disk (so tuples
+    and float formatting compare equal to a committed file's), without
+    its ``ignored`` keys."""
     def strip(node):
         if isinstance(node, dict):
             return {
                 key: strip(value)
                 for key, value in node.items()
-                if key not in informational
+                if key not in ignored
             }
         if isinstance(node, list):
             return [strip(value) for value in node]
@@ -158,20 +154,14 @@ def _run_suite(*options: str) -> Tuple[dict, dict]:
         return load_document(bench_path), load_document(data_path)
 
 
-def _drift_from_smoke_baseline(
-    bench: dict, baselines: dict, informational=INFORMATIONAL_KEYS
-) -> List[str]:
-    """Gated counters of ``bench`` that differ from the committed serial,
-    cold, fixed-budget, numpy baseline's."""
+def _drift_from_smoke_baseline(bench: dict, baselines: dict) -> List[str]:
+    """Counters of ``bench`` that differ from the committed serial, cold,
+    fixed-budget, numpy baseline's."""
     baseline = baselines[SMOKE_BASELINE]
     reason = incompatibility(baseline, {"scale": SCALE})
     if reason is not None:
         return [f"{SMOKE_BASELINE} is not the reference run: {reason}"]
-    return exact_diff(
-        gated(baseline["figures"], informational),
-        gated(bench["figures"], informational),
-        "figures",
-    )
+    return exact_diff(baseline["figures"], bench["figures"], "figures")
 
 
 # -- smoke ------------------------------------------------------------------
@@ -188,18 +178,6 @@ def _measure_smoke(workers="1", backend=None) -> dict:
         return _run_suite(*options)[0]
     finally:
         use_backend(previous)
-
-
-def _judge_smoke(bench: dict, baselines: dict) -> List[str]:
-    failures = _drift_from_smoke_baseline(bench, baselines)
-    budget = baselines[SMOKE_BASELINE].get("total_seconds", 0.0) * TIME_FACTOR
-    total = bench.get("total_seconds", 0.0)
-    if 0 < budget < total:
-        failures.append(
-            f"wall clock regression: {total:.2f}s exceeds "
-            f"{TIME_FACTOR:.0f}x the baseline's"
-        )
-    return failures
 
 
 # -- warm -------------------------------------------------------------------
@@ -239,7 +217,7 @@ def _judge_warm(passes: dict, baselines: dict) -> List[str]:
     failures = [
         f"cold pass drifted from baseline at {difference}"
         for difference in _drift_from_smoke_baseline(
-            cold["bench"], baselines, INFORMATIONAL_KEYS | WARM_ONLY_KEYS
+            gated(cold["bench"], WARM_ONLY_KEYS), baselines
         )
     ]
     # (b) Warm rerun: exact estimates, strictly fewer samples.
@@ -262,8 +240,8 @@ def _judge_warm(passes: dict, baselines: dict) -> List[str]:
         )
     # (b') Figures with no store must be untouched by warm plumbing.
     failures += exact_diff(
-        _storeless(gated(cold["bench"]["figures"])),
-        _storeless(gated(warm["bench"]["figures"])),
+        _storeless(cold["bench"]["figures"]),
+        _storeless(warm["bench"]["figures"]),
         "warm counters of a figure without a store",
     )
     failures += exact_diff(
@@ -273,8 +251,8 @@ def _judge_warm(passes: dict, baselines: dict) -> List[str]:
     )
     # (c) Warm serial and warm sharded agree exactly.
     failures += exact_diff(
-        gated(warm["bench"]["figures"]),
-        gated(warm4["bench"]["figures"]),
+        warm["bench"]["figures"],
+        warm4["bench"]["figures"],
         "warm 4-worker counters",
     )
     failures += exact_diff(warm["data"], warm4["data"], "warm 4-worker data")
@@ -332,7 +310,9 @@ def _load_v1_fixture() -> dict:
         # Version-1 snapshots predate reuse counters: they restore cold.
         hits = sum(basis.hits for basis in loaded.bases)
         answers = loaded.match(loaded.bases[0].fingerprint) is not None
-    except Exception as error:  # noqa: BLE001 - any load failure gates
+    except Exception as error:  # noqa: BLE001
+        # Not a degrade: whatever stops the fixture loading is the
+        # finding, and the judge fails the check on it by name.
         return {"error": f"{type(error).__name__}: {error}"}
     return {
         "version": version,
@@ -409,18 +389,14 @@ def _measure_golden() -> dict:
 
 
 def _judge_golden(measured: dict, baselines: dict) -> List[str]:
-    return exact_diff(baselines, gated(measured, frozenset()))
+    return exact_diff(baselines, gated(measured))
 
 
 # -- serve ------------------------------------------------------------------
 
 
-def _committed_serve(report: dict) -> dict:
-    return {SERVE_BASELINE: gated(report, SERVE_INFORMATIONAL)}
-
-
 def _judge_serve(report: dict, baselines: dict) -> List[str]:
-    return exact_diff(baselines, _committed_serve(report))
+    return exact_diff(baselines, {SERVE_BASELINE: report})
 
 
 # -- the registry and its one runner ----------------------------------------
@@ -444,9 +420,9 @@ class Check:
 CHECKS: Dict[str, Check] = {
     "smoke": Check(
         "every figure's deterministic counters equal the committed serial "
-        "baseline; wall clock within bounds",
+        "baseline",
         _measure_smoke,
-        _judge_smoke,
+        _drift_from_smoke_baseline,
         (SMOKE_BASELINE,),
         lambda bench: {SMOKE_BASELINE: bench},
     ),
@@ -484,7 +460,7 @@ CHECKS: Dict[str, Check] = {
         lambda: serve.run_bench(SCALE),
         _judge_serve,
         (SERVE_BASELINE,),
-        _committed_serve,
+        lambda report: {SERVE_BASELINE: report},
     ),
 }
 

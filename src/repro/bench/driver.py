@@ -18,10 +18,13 @@ wins, by roughly what factor, where crossovers fall — are the reproduced
 quantity; absolute times depend on the host.
 
 Alongside the text report, a machine-readable ``BENCH_run_all.json`` is
-written with per-figure wall-clock seconds and work counters (samples
-drawn, reuse fraction) so future changes have a perf trajectory to regress
-against.  ``--data-out`` additionally dumps each figure's deterministic
-data points (``FigureResult.data``) for exact estimate comparisons.
+written with per-figure work counters (samples drawn, candidates tested,
+reuse fraction).  It carries no clock and no host-derived key — a pure
+function of (tree, flags), so a rerun rewrites it byte for byte; the time
+series live in the text report only, and every wall-clock claim is
+``perfbench/``'s to make.  ``--data-out`` additionally dumps each
+figure's deterministic data points (``FigureResult.data``) for exact
+estimate comparisons.
 
 **One rule guards every bench document** (:func:`incompatibility`): it
 may only replace, be merged into, or be diffed against a document
@@ -32,15 +35,14 @@ other conditions is written only where ``--bench-out`` points elsewhere.
 import argparse
 import json
 import os
-import platform
 import sys
-import time
 from typing import Dict, Optional
 
 from repro.bench.figures import FIGURES
 from repro.core.adaptive import AdaptiveBudget
 from repro.core.backend import use_backend
 from repro.errors import BackendError, EstimatorError
+from repro.util import timing
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(
@@ -57,16 +59,17 @@ def provenance(document: dict) -> Dict[str, object]:
     serial run, and so on), so every committed baseline loads unchanged:
 
     * ``scale`` — workload sizes;
-    * ``workers`` — sharded wall clocks must never pose as the serial
-      perf trajectory (the counters are shard-invariant, the clocks are
-      not);
+    * ``workers`` — the serial run is the reference: sharded counters
+      equal it by the replay-merge contract, which is the claim the
+      ``smoke:workers=4`` check tests, so a sharded run must never
+      become what it is tested against;
     * ``adaptive`` — an adaptive stopping policy draws fewer samples by
       design;
     * ``warm_store`` — a warm start reuses prior-run bases, so its
       counters reflect cross-run amortization;
-    * ``backend`` — counters are bitwise-identical across backends by
-      contract, but the wall clocks and crossover keys are the
-      backend's own.
+    * ``backend`` — likewise the numpy run is the reference: another
+      backend's counters equal it by contract
+      (``smoke:backend=numba``), never the other way round.
     """
     return {
         "scale": document.get("scale"),
@@ -120,12 +123,11 @@ def _merge_partial(existing: Optional[dict], bench: dict) -> dict:
     """Fold a ``--only`` run into the compatible baseline it would replace.
 
     A partial run must never erase the other figures' entries: update
-    just the selected figure and recompute the total from the per-figure
-    seconds.  Whenever the result covers fewer than all figures it carries
-    a ``partial`` key listing what it does cover, and any figure entry
-    stitched in by an ``--only`` run stays listed under ``merged_figures``
-    — so nobody mistakes the file for one full-suite measurement (a plain
-    full run writes neither key).
+    just the selected figure.  Whenever the result covers fewer than all
+    figures it carries a ``partial`` key listing what it does cover, and
+    any figure entry stitched in by an ``--only`` run stays listed under
+    ``merged_figures`` — so nobody mistakes the file for one full-suite
+    measurement (a plain full run writes neither key).
     """
     merged_figures = set(bench["figures"])
     if existing is not None:
@@ -134,9 +136,6 @@ def _merge_partial(existing: Optional[dict], bench: dict) -> dict:
         figures.update(bench["figures"])
         bench = dict(existing, **bench)
         bench["figures"] = figures
-        bench["total_seconds"] = round(
-            sum(entry.get("seconds", 0.0) for entry in figures.values()), 4
-        )
     else:
         bench = dict(bench)
     bench["merged_figures"] = sorted(merged_figures)
@@ -150,9 +149,9 @@ def _merge_partial(existing: Optional[dict], bench: dict) -> dict:
 def _reconcile(bench_out: str, bench: dict, partial: bool) -> Optional[dict]:
     """The document to write at ``bench_out``, or None after refusing.
 
-    The file there is the perf-regression baseline acceptance criteria
-    compare against, so a run under other conditions — or over a file
-    this driver cannot read — leaves it untouched.
+    The file there is the counter baseline acceptance criteria compare
+    against, so a run under other conditions — or over a file this
+    driver cannot read — leaves it untouched.
     """
     existing = None
     if os.path.exists(bench_out):
@@ -235,7 +234,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--bench-out",
         default=os.path.join(REPO_ROOT, "BENCH_run_all.json"),
-        help="machine-readable per-figure timings (empty string disables)",
+        help="machine-readable per-figure counters (empty string disables)",
     )
     parser.add_argument(
         "--data-out",
@@ -308,7 +307,6 @@ def main(argv=None) -> int:
     # default documents stay byte-identical to the ones that predate them.
     bench = {
         "scale": args.scale,
-        "python": platform.python_version(),
         "workers": args.workers,
         "figures": {},
     }
@@ -323,10 +321,9 @@ def main(argv=None) -> int:
         bench["backend"] = args.backend
 
     sections = []
-    total_seconds = 0.0
     data_doc = {}
     for figure in figures:
-        started = time.perf_counter()
+        started = timing.perf_counter()
         print(
             f"running {figure.name} ({args.scale} scale)...", file=sys.stderr
         )
@@ -338,8 +335,8 @@ def main(argv=None) -> int:
             # Figure sweeps flush completed-shard records through
             # --checkpoint as they arrive (each write is atomic), so
             # everything finished before Ctrl-C is already on disk; the
-            # partially measured figure is discarded (its wall clocks
-            # would be meaningless) and the same invocation resumes it.
+            # partially measured figure is discarded and the same
+            # invocation resumes it.
             note = (
                 f"; re-run with --checkpoint {checkpoint} to resume"
                 if checkpoint
@@ -347,20 +344,16 @@ def main(argv=None) -> int:
             )
             print(f"interrupted during {figure.name}{note}", file=sys.stderr)
             return 130
-        elapsed = time.perf_counter() - started
-        total_seconds += elapsed
+        elapsed = timing.perf_counter() - started
         if isinstance(result, str):
             text, counters = result, {}
         else:
-            text, counters = result.to_text(), dict(result.counters)
+            text, counters = result.to_text(), result.counters
             data_doc[figure.name] = result.data
-        entry = {"seconds": round(elapsed, 4)}
-        entry.update(
-            {key: round(float(value), 6) for key, value in counters.items()}
-        )
-        bench["figures"][figure.name] = entry
+        bench["figures"][figure.name] = {
+            key: round(float(value), 6) for key, value in counters.items()
+        }
         sections.append(f"{text}\n  [regenerated in {elapsed:.1f}s]")
-    bench["total_seconds"] = round(total_seconds, 4)
 
     report = ("\n\n" + "=" * 76 + "\n\n").join(sections)
     print(report)

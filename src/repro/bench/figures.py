@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.bench.workloads import (
 )
 from repro.core.basis import BasisStore
 from repro.core.explorer import NaiveExplorer, ParameterExplorer
-from repro.core.fingerprint import Fingerprint
 from repro.core.mapping import IdentityMappingFamily, LinearMappingFamily
 from repro.core.adaptive import (
     AdaptiveBudget,
@@ -226,7 +225,6 @@ def _match_counters(store: BasisStore) -> Dict[str, float]:
     return {
         "candidates_tested": float(stats.candidates_tested),
         "matches": float(stats.matches),
-        "match_seconds": stats.match_seconds,
     }
 
 
@@ -234,22 +232,13 @@ def _fold_match_counters(
     counters: Dict[str, float],
     candidates_tested: float,
     matches_found: float,
-    match_seconds: float,
 ) -> None:
-    """Accumulate one store's match-engine counters into figure totals.
-
-    ``candidates_tested`` and ``matches_found`` are deterministic and
-    regression-gated; ``match_seconds`` is informational wall clock
-    (rounded so the JSON stays tidy).
-    """
+    """Accumulate one store's match-engine counters into figure totals."""
     counters["candidates_tested"] = counters.get(
         "candidates_tested", 0.0
     ) + float(candidates_tested)
     counters["matches_found"] = counters.get("matches_found", 0.0) + float(
         matches_found
-    )
-    counters["match_seconds"] = round(
-        counters.get("match_seconds", 0.0) + match_seconds, 6
     )
 
 
@@ -343,12 +332,7 @@ class _MeasuredSweeps:
         return run, seconds, {key: after[key] - before[key] for key in after}
 
     def fold(self, data_key: str, run, match_counters) -> None:
-        """Add one run's work counters and estimate digest to the figure.
-
-        ``candidates_tested`` and ``matches_found`` are deterministic and
-        regression-gated; ``match_seconds`` is informational wall clock
-        spent inside match()/match_batch().
-        """
+        """Add one run's work counters and estimate digest to the figure."""
         counters = self.result.counters
         counters["samples_drawn"] = counters.get(
             "samples_drawn", 0.0
@@ -366,7 +350,6 @@ class _MeasuredSweeps:
             counters,
             match_counters["candidates_tested"],
             match_counters["matches"],
-            match_counters["match_seconds"],
         )
         self.result.data[data_key] = _sweep_digest(run)
 
@@ -503,7 +486,6 @@ def run_fig8(
             result.counters,
             match_delta["candidates_tested"],
             match_delta["matches"],
-            match_delta["match_seconds"],
         )
         reuse_fractions.append(run.stats.reuse_fraction)
         digest = _sweep_digest(run)
@@ -781,274 +763,6 @@ def run_fig12(
 
 
 # ---------------------------------------------------------------------------
-# Match microbenchmark: the columnar FindMatch engine in isolation
-
-
-def run_match(scale: str = "quick") -> FigureResult:
-    """Batched basis matching against synthetic stores, per index strategy.
-
-    Isolates :meth:`BasisStore.match_batch` from sampling: stores are
-    preloaded with deterministic fingerprints, then a fixed probe mix
-    (affine images that must match, perturbed vectors that must not) is
-    matched in one batch per store.  ``candidates_tested`` and
-    ``matches_found`` are pure functions of the construction, so the
-    smoke regression gate diffs them exactly; ``match_seconds`` tracks
-    the engine's wall clock per probe.
-    """
-    basis_counts = _pick(scale, (32,), (64, 256), (64, 256, 1024))
-    probe_count = _pick(scale, 240, 2400, 12000)
-    fingerprint_size = PAPER_FINGERPRINT_SIZE
-    result = FigureResult(
-        figure="Match microbenchmark",
-        caption="Columnar FindMatch over preloaded stores",
-        x_label="# basis distributions",
-        y_label="match time (us/probe)",
-    )
-    series = _strategy_series()
-    rng = np.random.default_rng(20110613)  # deterministic, scale-independent
-    for basis_count in basis_counts:
-        bases = rng.standard_normal((basis_count, fingerprint_size))
-        probes = []
-        for probe in range(probe_count):
-            source = bases[probe % basis_count]
-            alpha = 1.0 + 0.25 * (probe % 7)
-            beta = float(probe % 5) - 2.0
-            values = alpha * source + beta
-            if probe % 4 == 3:
-                # A miss: break the affine relation on one entry.
-                values = values.copy()
-                values[probe % fingerprint_size] += 0.5
-            probes.append(Fingerprint(values))
-        found_by: Dict[str, int] = {}
-        for strategy in _STRATEGIES:
-            store = BasisStore(index_strategy=strategy)
-            for row in bases:
-                store.add(Fingerprint(row), row)
-            start = timing.perf_counter()
-            matches = store.match_batch(probes)
-            elapsed = timing.perf_counter() - start
-            series[strategy].add(
-                float(basis_count), 1.0e6 * elapsed / probe_count
-            )
-            found_by[strategy] = sum(
-                1 for match in matches if match is not None
-            )
-            _fold_match_counters(
-                result.counters,
-                store.stats.candidates_tested,
-                found_by[strategy],
-                store.stats.match_seconds,
-            )
-            result.data[f"bases={basis_count}|{strategy}"] = {
-                "lookups": float(store.stats.lookups),
-                "candidates_tested": float(store.stats.candidates_tested),
-                "matches_found": float(found_by[strategy]),
-            }
-        per_strategy = ", ".join(
-            f"{strategy}={found_by[strategy]}" for strategy in _STRATEGIES
-        )
-        result.notes.append(
-            f"bases={basis_count}: {probe_count} probes, "
-            f"matched {per_strategy}"
-        )
-    result.series = list(series.values())
-    return result
-
-
-
-
-# ---------------------------------------------------------------------------
-# Crossover study: numpy reference vs the selected compute backend
-
-
-def _best_seconds(func, repeats: int) -> float:
-    """Minimum wall clock over ``repeats`` calls (noise-resistant)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = timing.perf_counter()
-        func()
-        best = min(best, timing.perf_counter() - start)
-    return best
-
-
-def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
-    """CPU/accelerator crossover: reference vs backend kernel wall clock.
-
-    Times the always-on numpy reference against the selected compute
-    backend (:mod:`repro.core.backend`; default: the process-active one)
-    on the two kernel hot paths — the vectorized standard-draw fill
-    (``draw_block``) and the affine-fit validation (``affine_validate``)
-    — across problem sizes, and records where the backend's wall clock
-    crosses below the reference's.
-
-    Every *gated* counter is a pure function of the fixed seed
-    construction and — by the backend contract of bitwise-identical
-    answers — the same for every backend, so the smoke regression gate
-    passes unchanged whichever backend ran.  The wall-clock-derived
-    values (``draw_crossover_size``, ``validate_crossover_size``) ride
-    along as informational keys, like ``seconds``, and only when a
-    non-reference backend was measured: the numpy reference timed
-    against itself has no crossover, so the keys are absent rather than
-    a sentinel.  ``*_agreement`` counters
-    are the observed bitwise equality of backend and reference output
-    (1.0 on every honest backend): a backend that drifts fails the exact
-    gate here even if its self-verification window has been exhausted.
-    """
-    from repro.blackbox import fastrng
-    from repro.core.backend import NumpyBackend, resolve_backend
-
-    backend = resolve_backend(backend)
-    reference = NumpyBackend()
-    sizes = _pick(
-        scale,
-        (8, 32),
-        (16, 64, 256, 1024),
-        (16, 64, 256, 1024, 4096, 16384),
-    )
-    repeats = _pick(scale, 1, 3, 5)
-    kind_cycle = (
-        fastrng.KIND_NORMAL,
-        fastrng.KIND_UNIFORM,
-        fastrng.KIND_EXPONENTIAL,
-    )
-    kinds = tuple(
-        kind_cycle[i % len(kind_cycle)]
-        for i in range(PAPER_FINGERPRINT_SIZE)
-    )
-    result = FigureResult(
-        figure="Crossover",
-        caption=(
-            f"numpy reference vs {backend.name!r} backend, "
-            f"sampling and matching kernels"
-        ),
-        x_label="problem size (rows)",
-        y_label="time (us/row)",
-    )
-    series = {
-        "draw_ref": Series("Reference draws"),
-        "draw_backend": Series(f"{backend.name} draws"),
-        "validate_ref": Series("Reference validate"),
-        "validate_backend": Series(f"{backend.name} validate"),
-    }
-    rng = np.random.default_rng(20110617)  # deterministic, backend-blind
-    counters = result.counters
-    counters["sizes_swept"] = float(len(sizes))
-    crossover = {"draw": -1.0, "validate": -1.0}
-    agreement = {"draw": 1.0, "validate": 1.0}
-    # Warm both kernels outside the timed region: the first VERIFY_CALLS
-    # backend calls pay the self-verification cross-check, and a JIT
-    # backend pays compilation once — neither belongs in the comparison.
-    warm_seeds = np.arange(8, dtype=np.uint64)
-    warm_sources = rng.standard_normal((4, PAPER_FINGERPRINT_SIZE))
-    warm_affine = np.ones(4)
-    for _ in range(5):
-        backend.draw_block(warm_seeds, kinds)
-        reference.draw_block(warm_seeds, kinds)
-        backend.affine_validate(
-            warm_sources, warm_affine, warm_affine, warm_sources[0], 1e-8
-        )
-        reference.affine_validate(
-            warm_sources, warm_affine, warm_affine, warm_sources[0], 1e-8
-        )
-    for size in sizes:
-        seeds = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-        ref_draws = reference.draw_block(seeds, kinds)
-        backend_draws = backend.draw_block(seeds, kinds)
-        if not (
-            np.array_equal(ref_draws[0], backend_draws[0])
-            and np.array_equal(ref_draws[1], backend_draws[1])
-        ):
-            agreement["draw"] = 0.0
-        draw_ref = _best_seconds(
-            lambda: reference.draw_block(seeds, kinds), repeats
-        )
-        draw_backend = _best_seconds(
-            lambda: backend.draw_block(seeds, kinds), repeats
-        )
-
-        sources = rng.standard_normal((size, PAPER_FINGERPRINT_SIZE))
-        alpha = 1.0 + 0.25 * (np.arange(size, dtype=np.float64) % 7)
-        beta = np.arange(size, dtype=np.float64) % 5 - 2.0
-        target = alpha[0] * sources[0] + beta[0]
-        ref_mask = reference.affine_validate(
-            sources, alpha, beta, target, 1e-8
-        )
-        backend_mask = backend.affine_validate(
-            sources, alpha, beta, target, 1e-8
-        )
-        if not np.array_equal(ref_mask, backend_mask):
-            agreement["validate"] = 0.0
-        validate_ref = _best_seconds(
-            lambda: reference.affine_validate(
-                sources, alpha, beta, target, 1e-8
-            ),
-            repeats,
-        )
-        validate_backend = _best_seconds(
-            lambda: backend.affine_validate(
-                sources, alpha, beta, target, 1e-8
-            ),
-            repeats,
-        )
-
-        series["draw_ref"].add(float(size), 1.0e6 * draw_ref / size)
-        series["draw_backend"].add(float(size), 1.0e6 * draw_backend / size)
-        series["validate_ref"].add(float(size), 1.0e6 * validate_ref / size)
-        series["validate_backend"].add(
-            float(size), 1.0e6 * validate_backend / size
-        )
-        if crossover["draw"] < 0 and draw_backend < draw_ref:
-            crossover["draw"] = float(size)
-        if crossover["validate"] < 0 and validate_backend < validate_ref:
-            crossover["validate"] = float(size)
-        counters["draws_total"] = counters.get("draws_total", 0.0) + float(
-            size * len(kinds)
-        )
-        counters["rows_validated"] = counters.get(
-            "rows_validated", 0.0
-        ) + float(size)
-        counters["valid_rows"] = counters.get("valid_rows", 0.0) + float(
-            int(ref_mask.sum())
-        )
-        result.data[f"size={size}"] = {
-            "draws": float(size * len(kinds)),
-            "valid_rows": float(int(ref_mask.sum())),
-            "rejection_patched_lanes": float(
-                int(np.count_nonzero(~ref_draws[1]))
-            ),
-        }
-    counters["draw_agreement"] = agreement["draw"]
-    counters["validate_agreement"] = agreement["validate"]
-    result.notes.append(f"backend under test: {backend.describe()}")
-    if backend.is_reference:
-        result.notes.append(
-            "backend is the numpy reference: timings compare the same "
-            "implementation against itself (crossover not applicable)"
-        )
-    else:
-        for kernel in ("draw", "validate"):
-            at = crossover[kernel]
-            # Wall-clock-derived, hence informational (like ``seconds``)
-            # and recorded only when a backend was measured; -1 means it
-            # never beat the reference at any measured size.
-            counters[f"{kernel}_crossover_size"] = at
-            result.notes.append(
-                f"{kernel} kernel crossover: "
-                + (
-                    f"backend faster from size {at:g}"
-                    if at >= 0
-                    else "reference faster at every measured size"
-                )
-            )
-    result.series = [
-        series[key]
-        for key in ("draw_ref", "draw_backend", "validate_ref",
-                    "validate_backend")
-    ]
-    return result
-
-
-# ---------------------------------------------------------------------------
 # The figure declarations every driver and gate derives its lists from
 
 
@@ -1061,21 +775,16 @@ class Figure:
     per-point sample budget to adapt, no basis store to persist and no
     shards to checkpoint.  ``golden``: the runner's deterministic data
     points are pinned under ``benchmarks/golden/`` (fig7 is a pure timing
-    table, match and crossover are pinned by their counters).
-    ``informational``: counters that are wall-clock-derived, so they vary
-    per host and are never exact-gated — beside ``seconds``, which the
-    driver records for every figure.
+    table).
     """
 
     name: str
     runner: Callable
     sweep: bool = False
     golden: bool = False
-    informational: FrozenSet[str] = frozenset()
 
 
-_MATCH_CLOCK = frozenset({"match_seconds"})
-_SWEEP = {"sweep": True, "golden": True, "informational": _MATCH_CLOCK}
+_SWEEP = {"sweep": True, "golden": True}
 
 FIGURES: Tuple[Figure, ...] = (
     Figure("fig7", run_fig7),
@@ -1084,19 +793,4 @@ FIGURES: Tuple[Figure, ...] = (
     Figure("fig10", run_fig10, **_SWEEP),
     Figure("fig11", run_fig11, **_SWEEP),
     Figure("fig12", run_fig12, golden=True),
-    # The columnar FindMatch engine in isolation (no sampling).
-    Figure("match", run_match, informational=_MATCH_CLOCK),
-    # Reference-vs-backend kernel wall clock.
-    Figure(
-        "crossover",
-        run_crossover,
-        informational=frozenset(
-            {"draw_crossover_size", "validate_crossover_size"}
-        ),
-    ),
-)
-
-#: Per-figure keys of a bench document that are never exact-gated.
-INFORMATIONAL_KEYS: FrozenSet[str] = frozenset({"seconds"}).union(
-    *(figure.informational for figure in FIGURES)
 )

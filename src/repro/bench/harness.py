@@ -2,7 +2,9 @@
 
 A figure carries both wall-clock series and machine-independent work
 counters: the paper's claims are about relative cost (Jigsaw vs. naive,
-index vs. scan), so the deterministic counters are what the gates diff.
+index vs. scan), so the series go to the text report only, and the
+deterministic counters and data points are all a bench document holds
+and all the gates diff.
 """
 
 from __future__ import annotations

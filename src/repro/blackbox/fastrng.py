@@ -313,6 +313,8 @@ def fast_path_available(backend: BackendArg = None) -> bool:
                 lambda: _draw_matrix_scalar(probe, kinds),
             )
         except Exception as exc:
+            # Whatever a vector kernel raises, the scalar reference stream
+            # still answers every draw: degrade (one visible warning).
             check.degrade(f"raised {type(exc).__name__}: {exc}")
     return not check.degraded
 

@@ -7,7 +7,6 @@ Usage::
     python -m repro graph scenario.sql [--samples N]
     python -m repro explain scenario.sql
     python -m repro serve --store DIR [--port P] [--save-store DIR]
-    python -m repro bench [--store DIR] [--rate R] [--concurrency N,M]
     python -m repro store info DIR | verify DIR
     python -m repro store compact DIR [--out DIR]
     python -m repro store evict DIR --max-bases N [--max-bytes B]
@@ -36,13 +35,12 @@ backend would serve the snapshot alongside the manifest summary.
 serves estimate/match/refine over the socket protocol
 (:mod:`repro.serve`), printing one parseable ``SERVE_READY`` line when
 listening; SIGTERM drains and exits 0, Ctrl-C drains and exits 130.
-``bench`` drives the open-loop load generator against an ephemeral
-daemon and prints a JSON latency/throughput summary.  ``store`` inspects
-(``info``) or load-checks (``verify``) a snapshot without serving it,
-and runs the lifecycle maintenance passes offline: ``compact`` rewrites
-a snapshot tombstone-free at the current format version (so it also
-migrates version-1 snapshots), ``evict`` applies a reuse-value-aware
-:class:`~repro.core.basis.EvictionPolicy` bound and rewrites.
+``store`` inspects (``info``) or load-checks (``verify``) a snapshot
+without serving it, and runs the lifecycle maintenance passes offline:
+``compact`` rewrites a snapshot tombstone-free at the current format
+version (so it also migrates version-1 snapshots), ``evict`` applies a
+reuse-value-aware :class:`~repro.core.basis.EvictionPolicy` bound and
+rewrites.
 
 Sweeps are fault tolerant (see :mod:`repro.core.supervise`):
 ``--shard-timeout``/``--shard-retries`` tune the supervision policy,
@@ -317,7 +315,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     # signal the moment it reads it, and must still get a drain.
     server.install_signal_handlers()
     host, port = server.address
-    # One parseable line for orchestrators (CI, the bench harness):
+    # One parseable line for orchestrators (CI, the serve check):
     # everything needed to connect, nothing that varies per host.
     print(
         f"SERVE_READY host={host} port={port} "
@@ -325,62 +323,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
     return server.serve_forever(install_signals=False)
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    """Open-loop load against an ephemeral daemon; JSON summary out."""
-    import json
-
-    from repro.api import Session
-    from repro.serve import (
-        BasisServer,
-        build_fixture_session,
-        build_request_stream,
-        run_open_loop,
-    )
-
-    if args.store:
-        serve_session = Session.open(args.store)
-        probe_session = Session.open(args.store)
-    else:
-        serve_session = build_fixture_session(seed=args.seed)
-        probe_session = build_fixture_session(seed=args.seed)
-    requests = build_request_stream(
-        probe_session, args.requests, seed=args.seed
-    )
-    concurrency_levels = [
-        int(level) for level in args.concurrency.split(",") if level
-    ]
-    runs = []
-    server = BasisServer(serve_session).start()
-    try:
-        host, port = server.address
-        for concurrency in concurrency_levels:
-            result = run_open_loop(
-                host,
-                port,
-                requests,
-                rate=args.rate,
-                concurrency=concurrency,
-                seed=args.seed,
-            )
-            runs.append(result.summarize())
-    finally:
-        server.stop()
-    document = {
-        "requests": len(requests),
-        "seed": args.seed,
-        "store": args.store or "(seeded fixture)",
-        "runs": runs,
-    }
-    text = json.dumps(document, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"bench summary written to {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
 
 
 def _command_store(args: argparse.Namespace) -> int:
@@ -621,43 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_argument(serve)
     serve.set_defaults(handler=_command_serve)
-
-    bench = subparsers.add_parser(
-        "bench", help="open-loop load against an ephemeral daemon"
-    )
-    bench.add_argument(
-        "--store",
-        default=None,
-        help=(
-            "snapshot to serve and probe (default: a seeded built-in "
-            "fixture store)"
-        ),
-    )
-    bench.add_argument(
-        "--requests",
-        type=_positive_int,
-        default=400,
-        help="length of the seeded request stream (default 400)",
-    )
-    bench.add_argument(
-        "--rate",
-        type=_positive_float,
-        default=1000.0,
-        help="target open-loop arrival rate, requests/second",
-    )
-    bench.add_argument(
-        "--concurrency",
-        default="1,4",
-        help="comma-separated client connection counts (default 1,4)",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--out",
-        default=None,
-        help="write the JSON summary here instead of stdout",
-    )
-    _add_backend_argument(bench)
-    bench.set_defaults(handler=_command_bench)
 
     store = subparsers.add_parser(
         "store",

@@ -396,6 +396,9 @@ def backend_available(name: str) -> bool:
     try:
         return bool(spec.available())
     except Exception:
+        # A probe imports optional native code and may fail in any way;
+        # "unavailable" ends in create_backend's typed BackendError,
+        # never in another backend answering.
         return False
 
 

@@ -9,8 +9,7 @@ skipped and the basis's metrics are remapped instead.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -82,13 +81,6 @@ class StoreStats:
     candidates_tested: int = 0
     matches: int = 0
     bases_created: int = 0
-    #: Wall-clock seconds spent inside match()/match_batch()/block probes
-    #: (one seam: ``BasisStore._timed``).  Measured with
-    #: the raw OS clock, not the injectable bench clock (a per-probe tick
-    #: would distort the fake-clock figure tests), excluded from equality
-    #: and from :meth:`as_dict` — parity suites compare only the
-    #: deterministic counters above.
-    match_seconds: float = field(default=0.0, compare=False)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -273,10 +265,6 @@ class BlockProbe:
     def __len__(self) -> int:
         return len(self._probes)
 
-    def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
-        """``(store.match(probe_i), candidates tested)``, as of now."""
-        return self._store._timed(self._match, i)
-
     def _speculate(self) -> None:
         store = self._store
         check = store.columnar_check
@@ -345,7 +333,8 @@ class BlockProbe:
                     )
                 probe += 1
 
-    def _match(self, i: int) -> Tuple[Optional[MatchResult], int]:
+    def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
+        """``(store.match(probe_i), candidates tested)``, as of now."""
         store = self._store
         probe = self._probes[i]
         if self._candidates is None:
@@ -453,7 +442,7 @@ class BasisStore:
         basis's samples/metrics yields the probe point's.  Single-probe form
         of :meth:`block_probe` — same candidate validation, same counters.
         """
-        return self._timed(self._match_one, fingerprint)[0]
+        return self._match_one(fingerprint)[0]
 
     def block_probe(self, fingerprints: Iterable[Fingerprint]) -> BlockProbe:
         """Open a :class:`BlockProbe` over ``fingerprints`` (read-only).
@@ -465,7 +454,7 @@ class BasisStore:
         one pass when the handle was opened.  The one batched matcher:
         :meth:`match_batch` and the sweep explorers are loops over it.
         """
-        return self._timed(BlockProbe, self, fingerprints)
+        return BlockProbe(self, fingerprints)
 
     def match_batch(
         self,
@@ -484,32 +473,14 @@ class BasisStore:
         on each response; the sum is exactly what ``candidates_tested``
         grew by).
         """
-        return self._timed(self._match_block, fingerprints, tested_out)
-
-    def _match_block(
-        self,
-        fingerprints: Iterable[Fingerprint],
-        tested_out: Optional[List[int]],
-    ) -> List[Optional[MatchResult]]:
         block = BlockProbe(self, fingerprints)
         results: List[Optional[MatchResult]] = []
         for i in range(len(block)):
-            result, tested = block._match(i)
+            result, tested = block.match(i)
             if tested_out is not None:
                 tested_out.append(tested)
             results.append(result)
         return results
-
-    def _timed(self, function: Callable, *args):
-        """The one ``match_seconds`` seam: every public probe entry point
-        (``match``, ``match_batch``, opening a block probe and each of its
-        answers) runs its work through here, so no span is counted
-        twice."""
-        started = time.perf_counter()
-        try:
-            return function(*args)
-        finally:
-            self.stats.match_seconds += time.perf_counter() - started
 
     def _match_one(
         self, fingerprint: Fingerprint

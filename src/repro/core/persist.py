@@ -53,12 +53,12 @@ What is (not) persisted
 Persisted: bases (fingerprints, raw sample vectors, metrics), the
 fingerprint index with verbatim bucket order (first-match-wins depends on
 it), the columnar matrices including a materialized SID-order key
-matrix, and the deterministic ``StoreStats`` counters.
-Not persisted: ``match_seconds`` (wall clock), the columnar blocks' anchor
-columns (a function of the matrix rows, refilled on first use), and the
-match path's runtime state (``columnar_min_candidates``,
-``columnar_check``) — a loaded store re-verifies its first columnar
-lookups against the scalar loop, exactly like a fresh one.
+matrix, and the ``StoreStats`` counters.
+Not persisted: the columnar blocks' anchor columns (a function of the
+matrix rows, refilled on first use), and the match path's runtime state
+(``columnar_min_candidates``, ``columnar_check``) — a loaded store
+re-verifies its first columnar lookups against the scalar loop, exactly
+like a fresh one.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.core.estimator import Estimator, MetricSet
 from repro.core.fingerprint import Fingerprint
 from repro.core.mapping import AffineMapping, Mapping
 from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank
-from repro.errors import InteractiveError
+from repro.errors import InteractiveError, MappingError
 from repro.interactive.heuristics import (
     AdjacentExploreHeuristic,
     RoundRobinTaskHeuristic,
@@ -277,6 +277,15 @@ class InteractiveSession:
             return TickReport(
                 task=TASK_REFINEMENT, point=dict(point), samples_drawn=0
             )
+        return TickReport(
+            task=TASK_REFINEMENT,
+            point=dict(point),
+            samples_drawn=self._deepen(state),
+        )
+
+    def _deepen(self, state: PointState) -> int:
+        """Draw one more chunk at an attached point and recycle it into
+        its basis through M⁻¹; returns the number of samples drawn."""
         basis = self.store.get(state.basis_id)  # type: ignore[arg-type]
         next_id = int(basis.samples.size)
         sample_ids = list(range(next_id, next_id + self.chunk))
@@ -284,16 +293,13 @@ class InteractiveSession:
         assert state.mapping is not None
         try:
             inverse = state.mapping.inverse()
-            self.store.extend_basis(basis.basis_id, inverse.apply_array(values))
-        except Exception:
+        except MappingError:
             # Non-invertible mapping: refine the point privately by
             # spawning a dedicated basis seeded with everything known.
             self._rebind_from_scratch(state)
-        return TickReport(
-            task=TASK_REFINEMENT,
-            point=dict(point),
-            samples_drawn=len(sample_ids),
-        )
+        else:
+            self.store.extend_basis(basis.basis_id, inverse.apply_array(values))
+        return len(sample_ids)
 
     def _do_validation(self, point: Dict[str, float]) -> TickReport:
         """Duplicate basis sample ids at the point; extend its fingerprint."""
@@ -342,19 +348,7 @@ class InteractiveSession:
             drawn = 0
         else:
             # Already attached: deepen its basis slightly.
-            basis = self.store.get(state.basis_id)
-            next_id = int(basis.samples.size)
-            sample_ids = list(range(next_id, next_id + self.chunk))
-            values = self._draw(state, sample_ids)
-            assert state.mapping is not None
-            try:
-                inverse = state.mapping.inverse()
-                self.store.extend_basis(
-                    basis.basis_id, inverse.apply_array(values)
-                )
-            except Exception:
-                self._rebind_from_scratch(state)
-            drawn = len(sample_ids)
+            drawn = self._deepen(state)
         return TickReport(
             task=TASK_EXPLORATION, point=dict(neighbor), samples_drawn=drawn
         )

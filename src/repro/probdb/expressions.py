@@ -290,6 +290,8 @@ class CaseWhen(Expression):
         except BatchUnsupported:
             raise
         except Exception as error:
+            # Whatever failed, the per-world scalar loop this reroutes to
+            # is the reference: it raises for itself any error that is real.
             raise BatchUnsupported(
                 f"CASE branch failed under eager evaluation: {error}"
             ) from error

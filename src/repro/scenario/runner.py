@@ -289,9 +289,8 @@ class ScenarioRunner:
 
         Every column's store answers probes through the columnar match
         engine (:meth:`BasisStore.match` — the single-probe form of
-        ``match_batch``); ``candidates_tested``/``matches`` here are
-        deterministic and identical for any worker count, while
-        ``match_seconds`` reports the engine's wall clock.
+        ``match_batch``); every counter here is deterministic and
+        identical for any worker count.
         """
         return {
             column: store.stats for column, store in self._stores.items()

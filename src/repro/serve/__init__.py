@@ -8,7 +8,8 @@ requests into micro-batches routed through the columnar
 wire protocol is 4-byte-length-prefixed JSON with hex-encoded floats
 (:mod:`repro.serve.protocol`); :class:`ServeClient` is the Python
 client; :mod:`repro.serve.loadgen` generates deterministic request
-streams and open-loop Poisson load for the bench harness.
+streams and drives them over concurrent connections for the ``serve``
+check and the parity suite.
 
 Quickstart::
 
@@ -29,7 +30,7 @@ from repro.serve.loadgen import (
     build_fixture_session,
     build_request_stream,
     expected_responses,
-    run_open_loop,
+    run_concurrent,
 )
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -48,7 +49,7 @@ __all__ = [
     "encode_frame",
     "expected_responses",
     "recv_frame",
-    "run_open_loop",
+    "run_concurrent",
     "send_frame",
     "serve_snapshot",
 ]

@@ -10,30 +10,27 @@ independently:
   images of stored fingerprints (guaranteed warm hits), unrelated
   probes (misses), one refine per distinct basis, and periodic stats
   requests.  Same seed + same snapshot -> byte-identical stream;
-* :func:`run_open_loop` — an open-loop driver: arrivals follow a seeded
-  Poisson process at a target rate *independent of completions* (the
-  honest way to measure a server — a closed loop would slow arrivals
-  down exactly when the server struggles), dispatched over a fixed pool
-  of pipelining connections.  Latency for a request counts from its
-  *scheduled* arrival, so queueing delay under overload is visible.
+* :func:`run_concurrent` — drives a stream over a fixed pool of
+  pipelining connections, as fast as they will take it.  It keeps no
+  schedule and reads no clock: what it returns is a function of the
+  stream alone.  Latency and throughput under a seeded open-loop
+  Poisson schedule are ``perfbench/``'s to measure (``python3
+  perfbench/run.py --workload serve_mixed``).
 
-Determinism contract (what the CI smoke gate diffs exactly): the
+Determinism contract (what the ``serve`` check diffs exactly): the
 request mix, per-kind response counts, hit/miss counts, the summed
 per-probe ``candidates_tested``, the warm-reuse fraction, and the
 daemon's final ``StoreStats`` counters are functions of (snapshot,
 seed, count) only — request *ordering* under concurrency cannot change
 them, because probes are read-only against the store, refines target
 distinct bases, and per-probe counters are order-independent (the
-``match_batch`` parity invariant).  Latency and throughput are
-host-dependent and reported informationally (the keys listed in
-``repro.bench.checks.SERVE_INFORMATIONAL``).
+``match_batch`` parity invariant).
 """
 
 from __future__ import annotations
 
-import queue as queue_module
+import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -204,17 +201,12 @@ def build_request_stream(
 
 @dataclass
 class LoadResult:
-    """One open-loop run: responses plus timing, split by determinism."""
+    """One concurrent run's responses, in stream order."""
 
     responses: List[object]
-    #: Seconds from *scheduled* arrival to response, per request.
-    latencies: List[float]
-    elapsed_seconds: float
-    rate: float
-    concurrency: int
 
     def deterministic_counters(self) -> Dict[str, int]:
-        """The exactly-reproducible half (see module docstring)."""
+        """The exactly-reproducible counters (see module docstring)."""
         by_kind: Dict[str, int] = {}
         hits = misses = 0
         candidates_tested = 0
@@ -239,174 +231,72 @@ class LoadResult:
         return counters
 
     def warm_reuse_fraction(self) -> float:
-        probes = sum(
-            1
-            for r in self.responses
-            if isinstance(r, (MatchResponse, EstimateResponse))
-        )
-        if probes == 0:
-            return 0.0
-        hits = sum(
-            1
-            for r in self.responses
-            if isinstance(r, (MatchResponse, EstimateResponse))
-            and r.matched
-        )
-        return hits / probes
-
-    def summarize(self) -> dict:
-        """Bench document fragment: deterministic counters + timing."""
-        return {
-            "rate": self.rate,
-            "concurrency": self.concurrency,
-            "counters": self.deterministic_counters(),
-            "warm_reuse_fraction": self.warm_reuse_fraction(),
-            # Host-dependent; informational only (never exact-gated).
-            "seconds": self.elapsed_seconds,
-            "throughput_rps": (
-                len(self.responses) / self.elapsed_seconds
-                if self.elapsed_seconds > 0
-                else 0.0
-            ),
-            "latency_p50_ms": _percentile_ms(self.latencies, 50.0),
-            "latency_p99_ms": _percentile_ms(self.latencies, 99.0),
-        }
+        """Hits over probes (0.0 for a stream without probes)."""
+        counters = self.deterministic_counters()
+        probes = counters["hits"] + counters["misses"]
+        return counters["hits"] / probes if probes else 0.0
 
 
-def _percentile_ms(latencies: Sequence[float], pct: float) -> float:
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = int(np.ceil(pct / 100.0 * len(ordered))) - 1
-    return ordered[max(0, min(rank, len(ordered) - 1))] * 1000.0
-
-
-@dataclass
-class _Slot:
-    """Bookkeeping for one in-flight request on one connection."""
-
-    position: int
-    scheduled: float
-
-
-def run_open_loop(
+def run_concurrent(
     host: str,
     port: int,
     requests: Sequence[object],
-    rate: float = 500.0,
     concurrency: int = 4,
-    seed: int = 0,
     timeout: float = 60.0,
 ) -> LoadResult:
-    """Drive the daemon with open-loop Poisson arrivals.
+    """Drive the daemon over ``concurrency`` pipelining connections.
 
-    ``rate`` is the target arrival rate (requests/second); interarrival
-    gaps are seeded exponentials, so the schedule is reproducible even
-    though actual wall clocks are not.  Arrivals round-robin over
-    ``concurrency`` pipelining connections: each worker sends its
-    request at the scheduled instant (or as soon as it can — falling
-    behind *is* the overload signal) and a paired receiver loop collects
-    in-order responses.  Latency is measured from the scheduled arrival,
-    so queueing shows up in p99 instead of silently stretching the run.
+    Requests round-robin over the connections (stream position ``p``
+    goes out on connection ``p % concurrency``), so every per-connection
+    stream is deterministic.  Each connection is a sender paired with a
+    receiver thread: the sender writes its slice back to back while the
+    receiver collects the responses (they come back in send order on one
+    connection), so a slice longer than the socket buffers cannot
+    deadlock the two ends.  The first failure on any connection is
+    raised as :class:`ServeError`, as is a request left unanswered.
     """
     if concurrency < 1:
         raise ServeError("concurrency must be at least 1")
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / rate, size=len(requests))
-    arrivals = np.cumsum(gaps)
-    # Round-robin assignment keeps per-connection streams deterministic.
-    assignments: List[List[Tuple[int, float]]] = [
-        [] for _ in range(concurrency)
-    ]
-    for position, arrival in enumerate(arrivals):
-        assignments[position % concurrency].append(
-            (position, float(arrival))
-        )
-
     responses: List[Optional[object]] = [None] * len(requests)
-    latencies: List[Optional[float]] = [None] * len(requests)
-    failures: List[BaseException] = []
-    start_barrier = threading.Barrier(concurrency + 1)
+    failures: List[Exception] = []
 
-    def worker(worker_index: int) -> None:
-        plan = assignments[worker_index]
-        if not plan:
-            start_barrier.wait()
-            return
-        client = ServeClient(host, port, timeout=timeout)
+    def receive(client: ServeClient, sent: "queue.Queue") -> None:
         try:
-            client.connect()
-        except BaseException as error:
+            for position in iter(sent.get, None):
+                responses[position] = client.recv()
+        except Exception as error:  # surfaced to the caller below
             failures.append(error)
-            try:
-                start_barrier.abort()
-            except threading.BrokenBarrierError:
-                pass
-            return
-        # The sender keeps the arrival clock; a paired receiver records
-        # each completion the moment it arrives (responses come back in
-        # send order on one connection), so latency is response time,
-        # not when the sender got around to reading.
-        in_flight: "queue_module.Queue[Optional[_Slot]]" = (
-            queue_module.Queue()
-        )
 
-        def receive() -> None:
-            try:
-                while True:
-                    slot = in_flight.get()
-                    if slot is None:
-                        return
-                    responses[slot.position] = client.recv()
-                    latencies[slot.position] = max(
-                        0.0,
-                        time.perf_counter() - t_zero - slot.scheduled,
-                    )
-            except BaseException as error:
-                failures.append(error)
-
-        receiver = threading.Thread(
-            target=receive, name=f"loadgen-recv-{worker_index}"
-        )
+    def connection(index: int) -> None:
+        sent: "queue.Queue[Optional[int]]" = queue.Queue()
         try:
-            start_barrier.wait()
-            receiver.start()
-            for position, scheduled in plan:
-                delay = t_zero + scheduled - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                client.send(requests[position])
-                in_flight.put(
-                    _Slot(position=position, scheduled=scheduled)
+            with ServeClient(host, port, timeout=timeout) as client:
+                receiver = threading.Thread(
+                    target=receive,
+                    args=(client, sent),
+                    name=f"loadgen-recv-{index}",
                 )
-        except BaseException as error:  # surfaced to the caller below
+                receiver.start()
+                try:
+                    for position in range(index, len(requests), concurrency):
+                        client.send(requests[position])
+                        sent.put(position)
+                finally:
+                    sent.put(None)
+                    receiver.join()
+        except Exception as error:  # surfaced to the caller below
             failures.append(error)
-            try:
-                start_barrier.abort()
-            except threading.BrokenBarrierError:
-                pass
-        finally:
-            in_flight.put(None)
-            if receiver.is_alive() or receiver.ident is not None:
-                receiver.join()
-            client.close()
 
     threads = [
         threading.Thread(
-            target=worker, args=(index,), name=f"loadgen-{index}"
+            target=connection, args=(index,), name=f"loadgen-{index}"
         )
         for index in range(concurrency)
     ]
     for thread in threads:
         thread.start()
-    t_zero = time.perf_counter() + 0.05
-    try:
-        start_barrier.wait()
-    except threading.BrokenBarrierError:
-        pass
     for thread in threads:
         thread.join()
-    elapsed = time.perf_counter() - t_zero
     if failures:
         raise ServeError(
             f"load generation failed: {failures[0]!r}"
@@ -417,13 +307,7 @@ def run_open_loop(
             f"{len(missing)} requests went unanswered "
             f"(first: {missing[0]})"
         )
-    return LoadResult(
-        responses=list(responses),
-        latencies=[lat for lat in latencies if lat is not None],
-        elapsed_seconds=elapsed,
-        rate=rate,
-        concurrency=concurrency,
-    )
+    return LoadResult(responses)
 
 
 def expected_responses(

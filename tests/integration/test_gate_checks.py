@@ -3,23 +3,27 @@
 CI runs the named checks against the committed baselines; this suite
 proves each of them can actually *fail*.  Every check is measured once
 (the expensive half), then its pure ``judge`` is fed a doctored copy of
-the evidence or of the committed baselines: a gated counter moved by one
-must fail the check with a message naming that counter, an informational
-key moved by a mile must not.  (The root ``conftest.py`` runs this module
-last: measuring six checks saturates the CPU for seconds.)
+the evidence or of the committed baselines: a counter moved by one must
+fail the check with a message naming that counter.  The documents carry
+no clock and no host-derived key, so what a check measures *is* what is
+committed — verbatim — and ``--refresh`` on an unchanged tree rewrites
+the same bytes.  (The root ``conftest.py`` runs this module last:
+measuring six checks saturates the CPU for seconds.)
 """
 
 import copy
 import dataclasses
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from repro.bench import checks
+from repro.bench import checks, serve
 from repro.bench.checks import SERVE_BASELINE, SMOKE_BASELINE
+from repro.serve import build_fixture_session
 
 _EVIDENCE = {}
 
@@ -45,31 +49,24 @@ def _doctor(document, path, delta):
     document[path[-1]] += delta
 
 
-#: check -> (side to doctor, path to one gated counter), and the same for
-#: one informational key (None where the check's documents have none).
+#: check -> (side to doctor, path to one gated counter).
 MUTATIONS = {
     "smoke": (
-        ("baselines", [SMOKE_BASELINE, "figures", "fig9", "samples_drawn"]),
-        ("baselines", [SMOKE_BASELINE, "figures", "fig9", "match_seconds"]),
+        "baselines", [SMOKE_BASELINE, "figures", "fig9", "samples_drawn"]
     ),
     "warm": (
-        ("evidence", ["warm", "data", "fig10", "bases=10|array",
-                      "mean_expectation"]),
-        ("evidence", ["warm4", "bench", "figures", "fig10", "seconds"]),
+        "evidence",
+        ["warm", "data", "fig10", "bases=10|array", "mean_expectation"],
     ),
     "faults": (
-        ("evidence", ["bench", "figures", "fig11", "candidates_tested"]),
-        ("evidence", ["bench", "figures", "fig11", "seconds"]),
+        "evidence", ["bench", "figures", "fig11", "candidates_tested"]
     ),
-    "lifecycle": (("evidence", ["lived", 0, "candidates_tested"]), None),
+    "lifecycle": ("evidence", ["lived", 0, "candidates_tested"]),
     "golden": (
-        ("baselines", ["golden/fig12.json", "data", "branching=0.1",
-                       "jumps"]),
-        None,
+        "baselines", ["golden/fig12.json", "data", "branching=0.1", "jumps"]
     ),
     "serve": (
-        ("baselines", [SERVE_BASELINE, "runs", 1, "counters", "hits"]),
-        ("evidence", ["runs", 0, "latency_p99_ms"]),
+        "baselines", [SERVE_BASELINE, "runs", 1, "counters", "hits"]
     ),
 }
 
@@ -83,6 +80,22 @@ def _judge_doctored(name, side, path, delta):
     return _judge(name, **sides)
 
 
+def _sandboxed(name, tmp_path, monkeypatch):
+    """The named check, re-registered to read and write a temp copy of
+    the committed baselines and to "measure" the session's evidence."""
+    _evidence(name)  # by the real measure, before it is stubbed
+    shutil.copytree(checks.BASELINE_DIR, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(checks, "BASELINE_DIR", str(tmp_path))
+    monkeypatch.setitem(
+        checks.CHECKS,
+        name,
+        dataclasses.replace(
+            checks.CHECKS[name], measure=lambda: _evidence(name)
+        ),
+    )
+    return checks.CHECKS[name]
+
+
 class TestEveryCheckCanFail:
     def test_mutation_table_covers_the_registry(self):
         assert set(MUTATIONS) == set(checks.CHECKS)
@@ -93,17 +106,10 @@ class TestEveryCheckCanFail:
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_doctored_gated_counter_fails_naming_it(self, name):
-        side, path = MUTATIONS[name][0]
+        side, path = MUTATIONS[name]
         failures = _judge_doctored(name, side, path, 1)
         assert failures
         assert all(path[-1] in failure for failure in failures), failures
-
-    @pytest.mark.parametrize(
-        "name", sorted(n for n, (_, info) in MUTATIONS.items() if info)
-    )
-    def test_doctored_informational_key_still_passes(self, name):
-        side, path = MUTATIONS[name][1]
-        assert _judge_doctored(name, side, path, 1.0e6) == []
 
     def test_faults_check_fails_when_the_plan_never_fires(self):
         evidence = _evidence("faults")
@@ -139,14 +145,16 @@ class TestEveryCheckCanFail:
         (failure,) = _judge("smoke", baselines=baselines)
         assert "workers=4" in failure
 
-    def test_smoke_check_bounds_wall_clock(self):
-        bench = _evidence("smoke")
-        baseline_seconds = checks.load_baselines(checks.CHECKS["smoke"])[
-            SMOKE_BASELINE
-        ]["total_seconds"]
-        bench["total_seconds"] = baseline_seconds * checks.TIME_FACTOR * 2
-        (failure,) = _judge("smoke", bench)
-        assert "wall clock" in failure
+    @pytest.mark.parametrize(
+        "name, file", [("smoke", SMOKE_BASELINE), ("serve", SERVE_BASELINE)]
+    )
+    def test_measured_document_is_the_committed_one_verbatim(
+        self, name, file
+    ):
+        """No projection between what is measured and what is committed:
+        a key that varied by run or by host would show here."""
+        committed = checks.load_baselines(checks.CHECKS[name])[file]
+        assert _evidence(name) == committed
 
 
 class TestExactDiff:
@@ -160,9 +168,16 @@ class TestExactDiff:
             "$.new: unexpected",
         ]
 
-    def test_gated_strips_informational_keys_at_any_depth(self):
-        document = {"seconds": 1.0, "runs": [{"seconds": 2.0, "hits": (3,)}]}
-        assert checks.gated(document) == {"runs": [{"hits": [3]}]}
+    def test_gated_reads_as_from_disk_without_the_ignored_keys(self):
+        """The warm check's cold pass carries warm-only counters the
+        cold baseline has not; tuples compare as the lists JSON holds."""
+        document = {"fig9": {"warm_loaded_bases": 0.0, "points": (3,)}}
+        assert checks.gated(document) == {
+            "fig9": {"warm_loaded_bases": 0.0, "points": [3]}
+        }
+        assert checks.gated(document, checks.WARM_ONLY_KEYS) == {
+            "fig9": {"points": [3]}
+        }
 
 
 class TestEntryPoint:
@@ -225,17 +240,8 @@ class TestEntryPoint:
         """Doctor a copy of the committed baselines so the check fails,
         ``--refresh`` it (reporting the counter that changed), and the
         same check passes — with the committed files never touched."""
-        shutil.copytree(checks.BASELINE_DIR, tmp_path, dirs_exist_ok=True)
-        monkeypatch.setattr(checks, "BASELINE_DIR", str(tmp_path))
-        monkeypatch.setitem(
-            checks.CHECKS,
-            name,
-            dataclasses.replace(
-                checks.CHECKS[name], measure=lambda: _evidence(name)
-            ),
-        )
-        check = checks.CHECKS[name]
-        _, path = MUTATIONS[name][0]
+        check = _sandboxed(name, tmp_path, monkeypatch)
+        _, path = MUTATIONS[name]
         stale = checks.load_baselines(check)
         _doctor(stale, path, 1)
         checks.write_document(str(tmp_path / path[0]), stale[path[0]])
@@ -245,3 +251,42 @@ class TestEntryPoint:
         assert checks.main(["--refresh", name]) == 0
         assert path[-1] in capsys.readouterr().out
         assert checks.main([name]) == 0
+
+    @pytest.mark.parametrize("name", ["smoke", "golden", "serve"])
+    def test_refresh_of_an_unchanged_tree_rewrites_the_same_bytes(
+        self, name, tmp_path, monkeypatch
+    ):
+        """What CI's ``--refresh ... && git diff --exit-code`` steps prove:
+        the committed baselines are exactly what the tree produces."""
+        check = _sandboxed(name, tmp_path, monkeypatch)
+        assert checks.refresh(check) == []
+        for file in check.baselines:
+            committed = os.path.join(checks.REPO_ROOT, "benchmarks", file)
+            with open(committed, "rb") as ours, open(
+                tmp_path / file, "rb"
+            ) as theirs:
+                assert theirs.read() == ours.read(), file
+
+
+class TestServeDaemonBoot:
+    def test_daemon_stderr_reaches_the_parent(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        """The daemon inherits stderr, so a degrade ``RuntimeWarning`` is
+        on the operator's console (and no unread pipe can fill and stall
+        it).  The warning comes from a ``sitecustomize`` on the child's
+        ``PYTHONPATH``: whatever the daemon process warns, we see."""
+        (tmp_path / "sitecustomize.py").write_text(
+            "import warnings\n"
+            "warnings.warn('kernel degraded (says the test)', "
+            "RuntimeWarning)\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        snapshot = str(tmp_path / "snapshot")
+        build_fixture_session(bases=4).save(snapshot)
+        process, _, _ = serve._boot_daemon(
+            snapshot, str(tmp_path / "flushed")
+        )
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
+        assert "kernel degraded (says the test)" in capfd.readouterr().err

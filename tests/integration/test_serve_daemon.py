@@ -38,13 +38,14 @@ from repro.api import (
     ShutdownRequest,
     StatsRequest,
 )
+from repro.errors import ServeError
 from repro.serve import (
     BasisServer,
     ServeClient,
     build_fixture_session,
     build_request_stream,
     expected_responses,
-    run_open_loop,
+    run_concurrent,
 )
 
 REPO_SRC = os.path.abspath(
@@ -98,16 +99,14 @@ class TestSerialParity:
 
 
 class TestConcurrentParity:
-    def test_open_loop_probes_are_bitwise_with_equal_counters(
+    def test_concurrent_probes_are_bitwise_with_equal_counters(
         self, snapshot, server
     ):
         reference = Session.open(snapshot)
         requests = build_request_stream(reference, 300, seed=11)
         want = expected_responses(Session.open(snapshot), requests)
         host, port = server.address
-        result = run_open_loop(
-            host, port, requests, rate=3000.0, concurrency=4, seed=2
-        )
+        result = run_concurrent(host, port, requests, concurrency=4)
         by_id = {
             response.request_id: response
             for response in result.responses
@@ -158,6 +157,14 @@ class TestConcurrentParity:
             serial.handle(request)
         assert final.counters == serial.stats().counters
         assert final.bases == serial.stats().bases
+
+    def test_a_failed_connection_surfaces_as_serve_error(self, snapshot):
+        gone = BasisServer(Session.open(snapshot)).start()
+        host, port = gone.address
+        gone.stop()
+        requests = build_request_stream(Session.open(snapshot), 8, seed=1)
+        with pytest.raises(ServeError, match="load generation failed"):
+            run_concurrent(host, port, requests, concurrency=2, timeout=5.0)
 
     def test_errors_do_not_poison_the_stream(self, server):
         host, port = server.address

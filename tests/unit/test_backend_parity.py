@@ -151,19 +151,23 @@ class TestKernelParity:
         assert under_test.backend.degraded_kernels() == ()
 
     @pytest.mark.parametrize("name", AVAILABLE)
-    def test_backend_kernels_bitwise_match_reference(self, name):
+    @pytest.mark.parametrize("size", [8, 32, 256, 1024])
+    def test_backend_kernels_bitwise_match_reference(self, name, size):
+        """Block sizes on both sides of where a JIT kernel would start to
+        pay, full-range seeds, and calls past the verification window —
+        where nothing but this test compares the backend to numpy."""
         backend = create_backend(name)
         reference = NumpyBackend()
         rng = np.random.default_rng(7)
-        seeds = np.arange(64, dtype=np.uint64)
         for _ in range(VERIFY_CALLS + 2):  # beyond the verification window
+            seeds = rng.integers(0, 2**63, size=size, dtype=np.uint64)
             ours = backend.draw_block(seeds, KINDS)
             theirs = reference.draw_block(seeds, KINDS)
             assert np.array_equal(ours[0], theirs[0])
             assert np.array_equal(ours[1], theirs[1])
-            sources = rng.standard_normal((32, 10))
-            alpha = 1.0 + 0.25 * (np.arange(32, dtype=np.float64) % 7)
-            beta = np.arange(32, dtype=np.float64) % 5 - 2.0
+            sources = rng.standard_normal((size, 10))
+            alpha = 1.0 + 0.25 * (np.arange(size, dtype=np.float64) % 7)
+            beta = np.arange(size, dtype=np.float64) % 5 - 2.0
             target = alpha[3] * sources[3] + beta[3]
             assert np.array_equal(
                 backend.affine_validate(sources, alpha, beta, target, 1e-8),

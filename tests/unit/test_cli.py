@@ -136,47 +136,3 @@ class TestStoreCommand:
             handle.write(text[: len(text) // 2])
         assert main(["store", "verify", snapshot]) == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestBenchCommand:
-    def test_fixture_bench_writes_summary(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--requests", "60",
-                "--rate", "1500",
-                "--concurrency", "1,2",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert len(document["runs"]) == 2
-        first, second = document["runs"]
-        # Deterministic counters are concurrency-independent.
-        assert first["counters"] == second["counters"]
-        for run in document["runs"]:
-            assert run["latency_p50_ms"] >= 0.0
-            assert run["throughput_rps"] > 0.0
-
-    def test_bench_against_snapshot(self, tmp_path, capsys):
-        from repro.serve import build_fixture_session
-
-        snap = str(tmp_path / "snap")
-        build_fixture_session(bases=6, seed=3).save(snap)
-        code = main(
-            [
-                "bench",
-                "--store", snap,
-                "--requests", "40",
-                "--concurrency", "1",
-            ]
-        )
-        assert code == 0
-        import json
-
-        document = json.loads(capsys.readouterr().out)
-        assert document["store"] == snap

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blackbox.rng import DeterministicRng
+from repro.core.mapping import AffineMapping, PiecewiseLinearMapping
 from repro.core.seeds import SeedBank
 from repro.errors import InteractiveError
 from repro.interactive.heuristics import (
@@ -154,6 +155,63 @@ class TestTicks:
             TASK_EXPLORATION,
         )
         assert report.samples_drawn >= 0
+
+
+class _Always:
+    """Task heuristic stub: every tick runs the one task."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def next_task(self, focused_point):
+        return self.task
+
+
+@pytest.mark.parametrize(
+    "task, week",
+    # Refinement recycles into the focused point's basis, exploration
+    # into its (already attached) forward neighbour's.
+    [(TASK_REFINEMENT, 2.0), (TASK_EXPLORATION, 3.0)],
+)
+class TestSampleRecycling:
+    """Recycling new samples through M^-1: only a mapping without an
+    inverse rebinds the point; anything else that fails is a real error."""
+
+    def _attached(self, task, week):
+        s = session(task_heuristic=_Always(task))
+        s.focus({"week": 3.0})
+        s.focus({"week": 2.0})
+        return s, s._state({"week": week})
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            AffineMapping(0.0, 1.0),
+            PiecewiseLinearMapping((0.0, 1.0, 2.0), (0.0, 1.0, 1.0)),
+        ],
+        ids=["degenerate-affine", "non-strict-piecewise"],
+    )
+    def test_mapping_without_inverse_rebinds(
+        self, task, week, mapping, monkeypatch
+    ):
+        s, state = self._attached(task, week)
+        state.mapping = mapping
+        rebound = []
+        monkeypatch.setattr(s, "_rebind_from_scratch", rebound.append)
+        before = len(s.store.get(state.basis_id).samples)
+        assert s.tick().samples_drawn == s.chunk
+        assert rebound == [state]
+        assert len(s.store.get(state.basis_id).samples) == before
+
+    def test_extend_basis_failure_propagates(self, task, week, monkeypatch):
+        s, _ = self._attached(task, week)
+
+        def refuse(basis_id, new_samples):
+            raise RuntimeError("cannot extend the basis")
+
+        monkeypatch.setattr(s.store, "extend_basis", refuse)
+        with pytest.raises(RuntimeError, match="cannot extend"):
+            s.tick()
 
 
 class TestMappedEstimates:

@@ -1,10 +1,13 @@
 """Unit tests for shared utilities: stats, timing, tables."""
 
+import ast
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.util.stats import RunningStats, histogram, quantiles
 from repro.util.tables import format_table
 from repro.util.timing import (
@@ -163,6 +166,35 @@ class TestClockInjection:
             assert perf_counter() == 1.0
         finally:
             assert set_clock(previous) is fake
+
+
+    def test_timing_is_the_only_module_that_reads_the_os_clock(self):
+        """Everything under ``src/repro`` that measures time reads the
+        injectable clock, so ``use_clock`` swaps it completely and no
+        library object carries a reading a test cannot fake.  (Sleeping
+        — ``supervise``'s injectable ``time.sleep`` — is not reading.)"""
+        readers = {"perf_counter", "time", "monotonic", "process_time"}
+        readers |= {f"{name}_ns" for name in readers}
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "util" / "timing.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "time"
+                    and node.attr in readers
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "time"
+                    and readers & {alias.name for alias in node.names}
+                ):
+                    offenders.append(
+                        f"{path.relative_to(root)}:{node.lineno}"
+                    )
+        assert offenders == []
 
 
 class TestInvocationCounter:
