@@ -12,22 +12,44 @@ the same shared-seed property the paper's fingerprints exploit.
 ``(len(seeds), len(kinds))`` standard draws of the given kind sequence for
 each seed — under a bounded float budget with least-recently-used eviction.
 Evictions are safe: entries are recomputed (bit-identically) on demand.
+
+Where a box pushes its draws through a transform that is *not* affine (a
+quantile function, a threshold), the transform of the draws is as
+parameter-invariant as the draws are, as long as it reads only model
+constants.  ``derived(seeds, kinds, tag, build)`` caches it beside the
+matrices — same budget, same eviction, same ``clear()`` — so that it too is
+paid once per seed slice and the per-point work is affine again.  The
+draws it is built from are not kept, and ``build`` sees them
+:data:`DERIVED_CHUNK_SEEDS` seeds at a time, so its temporaries stay small.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blackbox import fastrng
 
-_CacheKey = Tuple[bytes, Tuple[str, ...]]
+#: Seeds per ``build`` call of a derived entry.  Measured on perfbench
+#: ``sweep_simulate`` (UserSelection, 500 users x 1000 seeds; ``build``
+#: holds about ten (seeds x users) temporaries): ``peak_rss_mb`` 85.1 built
+#: whole, 71.5 at 256, 67.6 at 128, 66.3 at 64, 66.2 at 32 and 16 — below
+#: 64 the draw itself is the high-water mark — with ``setup_s`` 0.09 at
+#: every height.
+DERIVED_CHUNK_SEEDS = 64
+
+
+def _seed_array(rng_seeds) -> np.ndarray:
+    return np.ascontiguousarray(
+        np.atleast_1d(np.asarray(rng_seeds, dtype=np.uint64))
+    )
 
 
 class StandardDrawCache:
-    """Memoized standard-draw matrices keyed by (seed bank slice, kinds).
+    """Memoized standard draws — and arrays derived from them — keyed by
+    (seed bank slice, kinds[, tag]).
 
     ``backend`` pins the compute backend used for cache fills (default:
     the process-active one, resolved per fill).  The cache key is
@@ -40,7 +62,7 @@ class StandardDrawCache:
             raise ValueError("max_floats must be non-negative")
         self.max_floats = max_floats
         self.backend = backend
-        self._matrices: "OrderedDict[_CacheKey, np.ndarray]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._floats_cached = 0
         self._hits = 0
         self._misses = 0
@@ -52,33 +74,79 @@ class StandardDrawCache:
 
         The returned array is shared — callers must not mutate it.
         """
-        seeds = np.ascontiguousarray(
-            np.atleast_1d(np.asarray(rng_seeds, dtype=np.uint64))
-        )
+        seeds = _seed_array(rng_seeds)
         kinds = tuple(kinds)
-        key = (seeds.tobytes(), kinds)
-        cached = self._matrices.get(key)
+        return self._entry(
+            (seeds.tobytes(), kinds),
+            lambda: fastrng.draw_matrix(seeds, kinds, backend=self.backend),
+        )
+
+    def derived(
+        self,
+        rng_seeds: np.ndarray,
+        kinds: Sequence[str],
+        tag: Hashable,
+        build: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``build`` of the standard draws of ``(seeds, kinds)``; cached.
+
+        ``build`` maps a ``(c, len(kinds))`` block of :meth:`matrix` rows
+        to an array whose *last* axis indexes those ``c`` seeds, each
+        seed's slice a function of that seed's row alone; the entry is the
+        blocks joined along that axis, C-contiguous.  ``tag`` must name the
+        transform and carry every constant it closes over — it is the only
+        thing that tells two transforms of the same draws apart — and
+        ``build`` must read nothing a parameter point can change.
+
+        The returned array is shared — callers must not mutate it.
+        """
+        seeds = _seed_array(rng_seeds)
+        kinds = tuple(kinds)
+        return self._entry(
+            (seeds.tobytes(), kinds, tag),
+            lambda: self._build_in_chunks(seeds, kinds, build),
+        )
+
+    def _build_in_chunks(self, seeds, kinds, build) -> np.ndarray:
+        # Drawn whole — the kernel loops over stream positions, so a row
+        # chunk of it costs nearly what the whole slice does — and dropped
+        # once built; only ``build``'s temporaries are chunk-sized.
+        draws = fastrng.draw_matrix(seeds, kinds, backend=self.backend)
+        count = seeds.shape[0]
+        entry = None
+        # An empty slice still takes one (empty) block: it fixes the shape.
+        for start in range(0, max(count, 1), DERIVED_CHUNK_SEEDS):
+            stop = start + DERIVED_CHUNK_SEEDS
+            block = build(draws[start:stop])
+            if entry is None:
+                entry = np.empty(
+                    block.shape[:-1] + (count,), dtype=block.dtype
+                )
+            entry[..., start:stop] = block
+        return entry
+
+    def _entry(
+        self, key: tuple, compute: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        cached = self._entries.get(key)
         if cached is not None:
             self._hits += 1
-            self._matrices.move_to_end(key)
+            self._entries.move_to_end(key)
             return cached
         self._misses += 1
-        matrix = fastrng.draw_matrix(seeds, kinds, backend=self.backend)
-        matrix.setflags(write=False)
-        self._store(key, matrix)
-        return matrix
-
-    def _store(self, key: _CacheKey, matrix: np.ndarray) -> None:
-        if matrix.size > self.max_floats:
-            return  # too large to ever cache; hand it back uncached
-        self._matrices[key] = matrix
-        self._floats_cached += matrix.size
-        while self._floats_cached > self.max_floats and self._matrices:
-            _, evicted = self._matrices.popitem(last=False)
-            self._floats_cached -= evicted.size
+        array = compute()
+        array.setflags(write=False)
+        if array.size <= self.max_floats:
+            # (Larger ones can never fit: handed back uncached.)
+            self._entries[key] = array
+            self._floats_cached += array.size
+            while self._floats_cached > self.max_floats:
+                _, evicted = self._entries.popitem(last=False)
+                self._floats_cached -= evicted.size
+        return array
 
     def clear(self) -> None:
-        self._matrices.clear()
+        self._entries.clear()
         self._floats_cached = 0
         self._hits = 0
         self._misses = 0
@@ -86,14 +154,14 @@ class StandardDrawCache:
     @property
     def stats(self) -> Dict[str, int]:
         return {
-            "entries": len(self._matrices),
+            "entries": len(self._entries),
             "floats_cached": self._floats_cached,
             "hits": self._hits,
             "misses": self._misses,
         }
 
     def __len__(self) -> int:
-        return len(self._matrices)
+        return len(self._entries)
 
 
 _DERIVED_SEED_CACHE: "OrderedDict[Tuple[bytes, int], np.ndarray]" = OrderedDict()
@@ -109,9 +177,7 @@ def derived_seed_array_cached(rng_seeds: np.ndarray, salt: int) -> np.ndarray:
     """
     from repro.core.seeds import derive_seed_array
 
-    seeds = np.ascontiguousarray(
-        np.atleast_1d(np.asarray(rng_seeds, dtype=np.uint64))
-    )
+    seeds = _seed_array(rng_seeds)
     key = (seeds.tobytes(), int(salt))
     cached = _DERIVED_SEED_CACHE.get(key)
     if cached is not None:

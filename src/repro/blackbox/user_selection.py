@@ -11,6 +11,7 @@ preserving that crossover.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -82,30 +83,49 @@ class UserSelectionModel(BlackBox):
     def _sample_batch(
         self, params: Params, seeds: np.ndarray
     ) -> Optional[np.ndarray]:
-        """All seeds at once: one (seeds × 2·users) standard-uniform matrix.
+        """All seeds at once, from the cached quantile-transformed draws.
 
-        Per-user arithmetic matches :meth:`_sample` lane for lane, and the
-        user contributions are accumulated left to right, one column at a
-        time, so the floating-point sum is bit-identical to the scalar loop
-        without materializing a (seeds × users) cumulative-sum matrix.
+        Only ``growth`` depends on the point.  Each user's clamped
+        requirement — zero where the user is inactive — depends on the
+        seeds and the model constants alone, so the (users x seeds) matrix
+        of them is a derived entry of the draw cache, built once per seed
+        slice (:meth:`_requirements`).  A point costs one multiply and one
+        sum: per lane the same ``max(requirement, 0.0) * growth`` terms as
+        :meth:`_sample`, added in the same user order.
+
+        An inactive lane adds ``0.0 * growth`` where the scalar loop adds
+        nothing.  For finite ``growth`` that is ``+0.0`` or ``-0.0``, and a
+        running total that starts at ``+0.0`` is never ``-0.0`` (a sum is
+        ``-0.0`` only when both terms are), so adding either leaves every
+        bit of it alone.  For a non-finite ``growth`` it is NaN, and the
+        point is left to the scalar loop.
         """
         week = float(params["current_week"])
         growth = self._growth_factor(week)
+        if not math.isfinite(growth):
+            return None
         kinds = (KIND_UNIFORM,) * (2 * self.user_count)
-        draws = DEFAULT_DRAW_CACHE.matrix(seeds, kinds)
-        activity_draws = draws[:, 0::2]
-        requirement_draws = draws[:, 1::2]
-        active = activity_draws < self.activity_probability
+        # The constants are read per call: a model whose attribute was
+        # changed since its last call asks for a different entry.
+        tag = (
+            "UserSelect.requirements",
+            self.mean_requirement,
+            self.requirement_spread,
+            self.activity_probability,
+        )
+        requirements = DEFAULT_DRAW_CACHE.derived(
+            seeds, kinds, tag, self._requirements
+        )
+        return _sum_rows_in_order(requirements * growth)
+
+    def _requirements(self, draws: np.ndarray) -> np.ndarray:
+        """(users x seeds) clamped requirements of a (seeds x 2·users)
+        block of uniforms; zero where the user is inactive."""
+        active = draws[:, 0::2] < self.activity_probability
         requirement = self.mean_requirement + (
-            self.requirement_spread * _normal_ppf(requirement_draws)
+            self.requirement_spread * _normal_ppf(draws[:, 1::2])
         )
-        contributions = np.where(
-            active, np.maximum(requirement, 0.0) * growth, 0.0
-        )
-        total = np.zeros(contributions.shape[0], dtype=np.float64)
-        for column in range(contributions.shape[1]):
-            total += contributions[:, column]
-        return total
+        return np.where(active, np.maximum(requirement, 0.0), 0.0).T
 
     def sample_vectorized(self, params: Params, seed: int) -> float:
         """Set-at-a-time evaluation: the bulk path a DBMS engine would take.
@@ -128,6 +148,23 @@ class UserSelectionModel(BlackBox):
         self._invocations += 1
         contributions = np.where(active, np.maximum(requirement, 0.0), 0.0)
         return float(contributions.sum() * growth)
+
+
+def _sum_rows_in_order(rows: np.ndarray) -> np.ndarray:
+    """``((0.0 + rows[0]) + rows[1]) + ...`` per column of a C-contiguous
+    matrix: the scalar loop's left-to-right sum, every column at once.
+
+    numpy adds "each number individually to the result" except along the
+    fast axis in memory, where it sums pairwise (``numpy.sum``, Notes).
+    Axis 0 is the fast axis exactly when there is a single column, so that
+    case is added up here.
+    """
+    if rows.shape[1] == 1:
+        total = 0.0
+        for value in rows[:, 0].tolist():
+            total += value
+        return np.array([total])
+    return np.add.reduce(rows, axis=0, initial=0.0)
 
 
 def _normal_ppf(u: np.ndarray) -> np.ndarray:

@@ -8,20 +8,33 @@ built-in box and both Markov models, including the rare ziggurat-rejection
 lanes that fall back to per-seed generators.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.blackbox import fastrng
+from repro.blackbox import draws, fastrng
 from repro.blackbox.base import MarkovModel
 from repro.blackbox.capacity import CapacityModel
 from repro.blackbox.demand import DemandModel
-from repro.blackbox.draws import StandardDrawCache, derived_seed_array_cached
+from repro.blackbox.draws import (
+    DEFAULT_DRAW_CACHE,
+    DERIVED_CHUNK_SEEDS,
+    StandardDrawCache,
+    derived_seed_array_cached,
+)
 from repro.blackbox.markov_branch import MarkovBranchModel
 from repro.blackbox.markov_step import DemandObservedMarkovStep, MarkovStepModel
 from repro.blackbox.overload import OverloadModel
 from repro.blackbox.rng import DeterministicRng
 from repro.blackbox.synth_basis import SynthBasisModel
 from repro.blackbox.user_selection import UserSelectionModel
+from repro.core.backend import (
+    active_backend,
+    backend_available,
+    backend_names,
+    use_backend,
+)
 from repro.core.estimator import MetricSet
 from repro.core.explorer import NaiveExplorer, ParameterExplorer
 from repro.core.markov import MarkovJumpRunner, NaiveMarkovRunner
@@ -149,6 +162,118 @@ class TestBlackBoxBatchParity:
             box.sample_batch(params, SEEDS).tolist()
             == DemandModel().sample_batch(params, SEEDS).tolist()
         )
+
+
+def _bits(values):
+    """Sign of zero included; NaN compares equal to NaN."""
+    return [float(value).hex() for value in values]
+
+
+#: Every backend this host can run: the optional-deps CI job reruns this
+#: file with numba installed, so the JIT ``draw_block`` fills the derived
+#: entries below and is cross-checked on their shapes.
+BACKENDS = tuple(
+    name for name in backend_names() if backend_available(name)
+)
+
+
+@pytest.fixture(params=BACKENDS)
+def cold_cache_backend(request):
+    """The named backend process-active over an empty draw cache."""
+    previous = active_backend()
+    use_backend(request.param)
+    DEFAULT_DRAW_CACHE.clear()
+    yield request.param
+    use_backend(previous)
+    DEFAULT_DRAW_CACHE.clear()
+
+
+@functools.lru_cache(maxsize=None)
+def _user_selection_scalars(user_count, seed_count, week=6.0, **constants):
+    box = UserSelectionModel(user_count=user_count, **constants)
+    return _bits(
+        box.sample({"current_week": week}, int(seed))
+        for seed in BANK.seed_array(seed_count)
+    )
+
+
+class TestUserSelectionBatchParity:
+    """The batch path sums a cached (users x seeds) matrix; the scalar path
+    adds user by user.  Summation order is where they can part: numpy sums
+    a *single* column pairwise (from 8 rows up), which no test at one seed
+    count could see."""
+
+    @pytest.mark.parametrize(
+        "seed_count",
+        [1, 2, 3, 17, DERIVED_CHUNK_SEEDS, DERIVED_CHUNK_SEEDS + 1],
+    )
+    @pytest.mark.parametrize("user_count", [1, 8, 129, 500])
+    def test_every_shape_bitwise_equals_scalar_loop(
+        self, user_count, seed_count, cold_cache_backend
+    ):
+        box = UserSelectionModel(user_count=user_count)
+        params = {"current_week": 6.0}
+        seeds = BANK.seed_array(seed_count)
+        expected = _user_selection_scalars(user_count, seed_count)
+        assert _bits(box.sample_batch(params, seeds)) == expected  # cold
+        assert _bits(box.sample_batch(params, seeds)) == expected  # warm
+        # Seeds as a plain list, and as a strided view of a longer array.
+        assert _bits(box.sample_batch(params, seeds.tolist())) == expected
+        strided = np.repeat(seeds, 2)[::2]
+        assert not strided.flags["C_CONTIGUOUS"] or seed_count == 1
+        assert _bits(box.sample_batch(params, strided)) == expected
+
+    def test_empty_batch(self):
+        box = UserSelectionModel(user_count=8)
+        empty = box.sample_batch({"current_week": 6.0}, [])
+        assert empty.shape == (0,) and box.invocations == 0
+
+    @pytest.mark.parametrize(
+        "week,constants",
+        [
+            (6.0, {"weekly_growth": -0.05}),  # inactive lanes are -0.0
+            (40.0, {"weekly_growth": -0.05}),  # growth itself negative
+            (20.0, {"weekly_growth": -0.05}),  # growth exactly zero
+            (-3.0, {}),  # clamped to week 0
+            (6.0, {"activity_probability": 0.0}),
+            (6.0, {"activity_probability": 1.0}),
+            (6.0, {"activity_probability": 0.0, "weekly_growth": -0.05}),
+            (6.0, {"mean_requirement": -1.0}),  # most lanes clamp to zero
+            (6.0, {"requirement_spread": 0.0}),
+            # Non-finite growth: 0 * growth is NaN, so an inactive lane
+            # must be skipped, not multiplied.
+            (float("inf"), {}),
+            (float("inf"), {"activity_probability": 0.0}),
+            (float("nan"), {"activity_probability": 0.0}),
+            (6.0, {"weekly_growth": float("inf")}),
+            (6.0, {"weekly_growth": float("-inf"), "mean_requirement": -9.0}),
+        ],
+    )
+    @pytest.mark.parametrize("seed_count", [1, 17])
+    def test_every_accepted_input_bitwise_equals_scalar_loop(
+        self, week, constants, seed_count
+    ):
+        box = UserSelectionModel(user_count=24, **constants)
+        batch = box.sample_batch(
+            {"current_week": week}, BANK.seed_array(seed_count)
+        )
+        assert _bits(batch) == _user_selection_scalars(
+            24, seed_count, week, **constants
+        )
+
+    def test_all_inactive_is_positive_zero(self):
+        box = UserSelectionModel(
+            user_count=24, activity_probability=0.0, weekly_growth=-0.05
+        )
+        for week in (6.0, float("inf")):
+            batch = box.sample_batch({"current_week": week}, SEEDS)
+            assert _bits(batch) == [(0.0).hex()] * len(SEEDS)
+
+    def test_invocations_count_every_seed_on_both_routes(self):
+        box = UserSelectionModel(user_count=8)
+        box.sample_batch({"current_week": 6.0}, SEEDS)
+        box.sample_batch({"current_week": float("inf")}, SEEDS)
+        assert box.invocations == 2 * len(SEEDS)
 
 
 class _ScalarOnly(MarkovModel):
@@ -281,6 +406,23 @@ class TestExplorerBatchParity:
             )
             assert batch_point.metrics == scalar_point.metrics
 
+    def test_user_selection_sweep_matches_scalar_path(self):
+        """Nothing is reusable here: every point is simulated in full, the
+        way perfbench's ``sweep_simulate`` runs it."""
+        space = [{"current_week": float(week)} for week in (3, 11, 3, 40)]
+        batch_box = UserSelectionModel(user_count=30)
+        scalar_box = UserSelectionModel(user_count=30)
+        batch_result = ParameterExplorer(
+            batch_box, samples_per_point=40, fingerprint_size=10
+        ).run(space)
+        scalar_result = ParameterExplorer(
+            _strip_batch(scalar_box), samples_per_point=40, fingerprint_size=10
+        ).run(space)
+        assert batch_result.stats == scalar_result.stats
+        assert batch_box.invocations == scalar_box.invocations
+        for key, batch_point in batch_result.points.items():
+            assert batch_point.metrics == scalar_result.points[key].metrics
+
     def test_naive_explorer_metrics_match_scalar_path(self):
         params = {"current_week": 9.0, "feature_release": 6.0}
         batch = NaiveExplorer(DemandModel(), samples_per_point=50)
@@ -317,6 +459,173 @@ class TestStandardDrawCache:
         matrix = cache.matrix(SEEDS, (fastrng.KIND_UNIFORM,))
         assert matrix.shape == (len(SEEDS), 1)
         assert len(cache) == 0
+
+
+def _double_transposed(block):
+    return (2.0 * block).T
+
+
+class TestDerivedDrawTier:
+    """``derived`` entries live in the same store, under the same rules,
+    as the matrices they are computed from."""
+
+    KINDS = (fastrng.KIND_UNIFORM, fastrng.KIND_NORMAL, fastrng.KIND_UNIFORM)
+
+    def test_hit_returns_same_object_and_counts_as_a_hit(self):
+        cache = StandardDrawCache()
+        calls = []
+
+        def build(block):
+            calls.append(block.shape)
+            return _double_transposed(block)
+
+        first = cache.derived(SEEDS, self.KINDS, "double", build)
+        second = cache.derived(SEEDS, self.KINDS, "double", build)
+        assert first is second
+        assert calls == [(len(SEEDS), 3)]
+        assert cache.stats["hits"] == 1 and cache.stats["misses"] == 1
+        # The draws it was built from are not kept beside it.
+        assert cache.stats["entries"] == 1
+        assert cache.stats["floats_cached"] == first.size
+
+    def test_entries_are_read_only(self):
+        cache = StandardDrawCache()
+        entry = cache.derived(SEEDS, self.KINDS, "double", _double_transposed)
+        with pytest.raises(ValueError):
+            entry[0, 0] = 0.0
+
+    def test_chunks_join_along_the_last_axis(self):
+        seeds = BANK.seed_array(2 * DERIVED_CHUNK_SEEDS + 22)
+        cache = StandardDrawCache()
+        heights = []
+
+        def build(block):
+            heights.append(block.shape[0])
+            return _double_transposed(block)
+
+        entry = cache.derived(seeds, self.KINDS, "double", build)
+        assert heights == [DERIVED_CHUNK_SEEDS, DERIVED_CHUNK_SEEDS, 22]
+        assert entry.flags["C_CONTIGUOUS"]
+        whole = _double_transposed(fastrng.draw_matrix(seeds, self.KINDS))
+        assert entry.tobytes() == np.ascontiguousarray(whole).tobytes()
+
+    def test_empty_seed_slice(self):
+        entry = StandardDrawCache().derived(
+            [], self.KINDS, "double", _double_transposed
+        )
+        assert entry.shape == (3, 0)
+
+    def test_tag_tells_transforms_of_the_same_draws_apart(self):
+        cache = StandardDrawCache()
+        doubled = cache.derived(
+            SEEDS, self.KINDS, "double", _double_transposed
+        )
+        plain = cache.derived(
+            SEEDS, self.KINDS, "plain", lambda block: block.T
+        )
+        matrix = cache.matrix(SEEDS, self.KINDS)
+        assert len(cache) == 3
+        assert np.array_equal(plain, matrix.T)
+        assert np.array_equal(doubled, 2.0 * plain)
+
+    def test_floats_count_against_budget_and_eviction_rebuilds_identically(
+        self,
+    ):
+        size = 3 * len(SEEDS)
+        cache = StandardDrawCache(max_floats=2 * size)
+        first = cache.derived(SEEDS, self.KINDS, "double", _double_transposed)
+        first_bytes = first.tobytes()
+        assert cache.stats["floats_cached"] == size
+        cache.matrix(SEEDS, self.KINDS)
+        assert cache.stats["floats_cached"] == 2 * size
+        # One more entry evicts the least recently used: the derived one.
+        cache.derived(SEEDS, self.KINDS, "plain", lambda block: block.T)
+        assert cache.stats["floats_cached"] == 2 * size and len(cache) == 2
+        again = cache.derived(SEEDS, self.KINDS, "double", _double_transposed)
+        assert again is not first
+        assert again.tobytes() == first_bytes
+
+    def test_a_hit_refreshes_lru_order(self):
+        size = 3 * len(SEEDS)
+        cache = StandardDrawCache(max_floats=2 * size)
+        kept = cache.derived(SEEDS, self.KINDS, "double", _double_transposed)
+        cache.matrix(SEEDS, self.KINDS)
+        assert cache.derived(SEEDS, self.KINDS, "double", None) is kept
+        cache.derived(SEEDS, self.KINDS, "plain", lambda block: block.T)
+        # The matrix went, not the entry that was just read.
+        assert cache.derived(SEEDS, self.KINDS, "double", None) is kept
+
+    def test_oversized_entry_is_served_uncached(self):
+        cache = StandardDrawCache(max_floats=4)
+        entry = cache.derived(SEEDS, self.KINDS, "double", _double_transposed)
+        assert entry.shape == (3, len(SEEDS))
+        assert not entry.flags["WRITEABLE"]
+        assert len(cache) == 0 and cache.stats["floats_cached"] == 0
+
+    def test_clear_drops_derived_entries(self):
+        cache = StandardDrawCache()
+        cache.derived(SEEDS, self.KINDS, "double", _double_transposed)
+        cache.clear()
+        assert cache.stats == {
+            "entries": 0, "floats_cached": 0, "hits": 0, "misses": 0
+        }
+
+    def test_initialize_worker_drops_derived_entries(self):
+        DEFAULT_DRAW_CACHE.clear()
+        box = UserSelectionModel(user_count=8)
+        box.sample_batch({"current_week": 6.0}, SEEDS)
+        assert DEFAULT_DRAW_CACHE.stats["floats_cached"] == 8 * len(SEEDS)
+        draws.initialize_worker()
+        assert len(DEFAULT_DRAW_CACHE) == 0
+        assert DEFAULT_DRAW_CACHE.stats["floats_cached"] == 0
+
+    @pytest.mark.parametrize(
+        "constant,value",
+        [
+            ("activity_probability", 0.3),
+            ("mean_requirement", 1.25),
+            ("requirement_spread", 2.0),
+        ],
+    )
+    def test_models_differing_in_one_constant_never_share_an_entry(
+        self, constant, value
+    ):
+        DEFAULT_DRAW_CACHE.clear()
+        params = {"current_week": 6.0}
+        default = UserSelectionModel(user_count=24)
+        other = UserSelectionModel(user_count=24, **{constant: value})
+        first = default.sample_batch(params, SEEDS)
+        second = other.sample_batch(params, SEEDS)
+        assert len(DEFAULT_DRAW_CACHE) == 2
+        assert _bits(first) != _bits(second)
+        assert _bits(second) == _user_selection_scalars(
+            24, len(SEEDS), **{constant: value}
+        )
+        # The constants are read per call: changing one on a model that
+        # has already sampled asks for the other model's entry, not its own.
+        setattr(default, constant, value)
+        assert _bits(default.sample_batch(params, SEEDS)) == _bits(second)
+        assert len(DEFAULT_DRAW_CACHE) == 2
+        assert DEFAULT_DRAW_CACHE.stats["hits"] == 1
+
+    def test_cold_warm_and_just_evicted_calls_return_identical_bits(self):
+        box = UserSelectionModel(user_count=24)
+        params = {"current_week": 6.0}
+        budget = DEFAULT_DRAW_CACHE.max_floats
+        try:
+            # Room for exactly one of this box's entries.
+            draws.initialize_worker(max_floats=24 * len(SEEDS))
+            cold = box.sample_batch(params, SEEDS)
+            warm = box.sample_batch(params, SEEDS)
+            assert DEFAULT_DRAW_CACHE.stats["hits"] == 1
+            box.sample_batch(params, SEEDS[::-1])  # evicts the first entry
+            assert len(DEFAULT_DRAW_CACHE) == 1
+            evicted = box.sample_batch(params, SEEDS)
+            assert DEFAULT_DRAW_CACHE.stats["hits"] == 1
+        finally:
+            draws.initialize_worker(max_floats=budget)
+        assert _bits(cold) == _bits(warm) == _bits(evicted)
+        assert _bits(cold) == _user_selection_scalars(24, len(SEEDS))
 
 
 class TestQueryBatchParity:
