@@ -10,6 +10,7 @@ skipped and the basis's metrics are remapped instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -36,6 +37,7 @@ from repro.core.fingerprint import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     Fingerprint,
+    stack_by_size,
 )
 from repro.core.index import FingerprintIndex, make_index
 from repro.core.mapping import (
@@ -175,22 +177,44 @@ class EvictionPolicy:
 #: favours it up to about 11: the cutover stays between the two.  Purely
 #: a latency cutover — both paths return bit-identical results — kept as
 #: an instance attribute so tests can put a store on either side of it.
-#: A block probe shares those fixed costs across a block, so it speculates
-#: exactly the candidate lists on the kernel side of this same cutover.
+#: A block probe sorts its candidate lists by this same cutover, but only
+#: to pick the front of its pair kernel: lists on the kernel side are
+#: shared by many probes and broadcast (:data:`BLOCK_MIN_PROBES`), shorter
+#: ones — a selective index: each probe its own — are flattened into an
+#: explicit pair list (:data:`PAIR_PASS_MIN_PROBES`).
 COLUMNAR_MIN_CANDIDATES = 8
 
 #: Reading ahead for a block has a fixed cost that this many probes repay.
-#: A block speculates only when at least this many of its probes have a
-#: candidate list on the kernel side of the cutover: the pair pass costs
+#: A block speculates its shared lists only when at least this many of its
+#: probes have a candidate list on the kernel side of the cutover: the
+#: pair pass costs
 #: about three single-probe kernel matches to launch (12 / 60 / 390 / 2,000
 #: candidates per probe: 1 probe 184 / 136 / 150 / 223 us through the block
 #: vs 60 / 46 / 55 / 125 us single; 4 probes 35 / 38 / 45 / 79 us per probe
 #: vs 37 / 43 / 56 / 129).  And a block of fewer probes than this does not
 #: even batch its index keys — each probe is answered as ``match`` would
 #: (256-basis store, us per probe, vectorized key pass vs per-probe keys:
-#: normalization 1 probe 54 vs 31, 2: 36 vs 31, 3: 29 vs 31, 4: 25 vs 31;
-#: sorted_sid 43 vs 25, 35 vs 26, 26 vs 22, 24 vs 22).
+#: normalization 1 probe 66 vs 33, 2: 43 vs 33, 3: 34 vs 33, 4: 25 vs 31;
+#: sorted_sid 40 vs 23, 32 vs 24, 30 vs 24, 28 vs 23, 8 probes 24 vs 24).
 BLOCK_MIN_PROBES = 4
+
+#: A block of at least this many probes also speculates its *short* lists,
+#: all of them in one explicit pair pass.  Against a one-candidate probe the
+#: scalar loop costs about 8 us, so the pass has only its own interpreter
+#: toll to win back — its fixed cost (about 100 us a launch) spread over
+#: the block (256-basis store, one candidate a probe, us per probe, pair
+#: pass vs the per-probe scalar loop behind the same key pass:
+#: normalization 4 probes 44.6 vs 27.9, 8: 24.4 vs 20.2, 16: 15.1 vs 16.5,
+#: 24: 11.2 vs 15.0, 32: 9.4 vs 14.7, 64: 7.1 vs 13.4, 512: 4.5 vs 12.4;
+#: sorted_sid 4: 35.5 vs 28.0, 8: 20.1 vs 24.2, 16: 13.2 vs 21.8, 24: 10.0
+#: vs 21.6, 32: 9.2 vs 20.4, 512: 4.8 vs 19.8).  The lines cross between 8
+#: and 16 probes on the dearer strategy; the constant is the first
+#: measured size that wins clearly on both.  The daemon's micro-batches
+#: (16 probes at most under ``serve_mixed``) sit at the crossing, with
+#: nothing to win, and stay on the per-probe side.  Checked on the
+#: block's size before anything is set aside for the pass: smaller blocks
+#: pay nothing.
+PAIR_PASS_MIN_PROBES = 24
 
 #: Most (probe x candidate) pairs validated in one launch; a block with
 #: more is speculated in several.  The pair pass holds about eight 8-byte
@@ -200,19 +224,25 @@ BLOCK_MIN_PROBES = 4
 #: every temporary is a fresh page-faulting trip to the allocator).
 MAX_LAUNCH_PAIRS = 1 << 15
 
-_UNSPECULATED = object()
-
 
 class BlockProbe:
     """FindMatch for a block of probes, answered in order (Algorithm 3).
 
-    Opening the handle reads the store once for the whole block: one
-    vectorized key pass and one shared candidate list per distinct index
-    key (:meth:`FingerprintIndex.candidates_batch`), one
-    :meth:`ColumnarStore.gather` per distinct list, and — for families with
-    a pair kernel — one :meth:`LinearMappingFamily.find_block` pass over the
-    block's flattened ragged (probe x candidate) set (split only past
-    :data:`MAX_LAUNCH_PAIRS`), keeping the first valid candidate per probe.
+    Opening the handle reads the store once for the whole block: the
+    probes are stacked into one matrix per fingerprint size, one
+    vectorized key pass over it yields one candidate list per distinct
+    index key (:meth:`FingerprintIndex.candidates_batch`), and — for
+    families with a pair kernel — the block's (probe x candidate) pairs
+    are decided in one pass per size (split only past
+    :data:`MAX_LAUNCH_PAIRS`), keeping the first valid candidate per
+    probe.  The pair kernel has two fronts and one back half.  Lists on
+    the kernel side of ``columnar_min_candidates`` are shared by many
+    probes: one :meth:`ColumnarStore.gather` per distinct list, pairs
+    formed by broadcasting (:meth:`LinearMappingFamily.find_block`).
+    Shorter lists — a selective index hands each probe about one
+    candidate of its own — are concatenated: one gather over all their
+    ids (wrong-size ids drop out there, and still count as tested), one
+    explicit pair list (:meth:`LinearMappingFamily.find_pairs`).
     That answer is *speculative*: it is what ``store.match`` would have
     said when the block was opened.
 
@@ -232,11 +262,19 @@ class BlockProbe:
 
     Not speculated (answered through :meth:`BasisStore.match`'s own path
     switch at their turn, from the block's candidate list while the store
-    is unchanged): families without a ``find_block`` pair kernel, stores
-    whose ``columnar_check`` still has budget or has degraded, candidate
-    lists under the ``columnar_min_candidates`` cutover, and blocks with
-    fewer than :data:`BLOCK_MIN_PROBES` lists over it; a block of fewer
-    than :data:`BLOCK_MIN_PROBES` probes reads nothing ahead at all.
+    is unchanged): everything, for families without a pair kernel and for
+    stores whose ``columnar_check`` has degraded; shared lists, while
+    ``columnar_check`` still has budget (``_match_columnar`` has not been
+    vouched for) and in blocks with fewer than :data:`BLOCK_MIN_PROBES`
+    probes bringing one; short lists, in blocks of fewer than
+    :data:`PAIR_PASS_MIN_PROBES` probes.  A block of fewer than
+    :data:`BLOCK_MIN_PROBES` probes reads nothing ahead at all.  The
+    explicit pair pass is reachable on a store that never sees a long
+    list, so it carries its own verification: the first
+    :data:`~repro.core.backend.VERIFY_CALLS` answers it gives on a store
+    (``pair_checks_left``) are held against the scalar loop when the
+    block is opened, and a disagreement degrades ``columnar_check`` —
+    the one degrade site — and drops what the block read ahead.
     Counters, per-basis ``hits`` and ``candidates_tested`` are accounted
     per :meth:`match` call, in call order, exactly as the scalar loop
     would.
@@ -257,8 +295,11 @@ class BlockProbe:
         #: nothing at all for a block too small to repay reading ahead.
         self._candidates: Optional[List[List[int]]] = None
         if len(self._probes) >= BLOCK_MIN_PROBES:
+            #: The probes as one matrix per fingerprint size: what the key
+            #: pass hashes is what the pair kernel validates.
+            self._stacks = stack_by_size(self._probes)
             self._candidates = store.index.candidates_batch(
-                self._probes, backend=store.backend
+                self._probes, backend=store.backend, stacks=self._stacks
             )
             self._speculate()
 
@@ -268,35 +309,65 @@ class BlockProbe:
     def _speculate(self) -> None:
         store = self._store
         check = store.columnar_check
-        if (
-            not store.mapping_family.supports_find_block
-            or check.degraded
-            or check.remaining
-        ):
+        if not store.mapping_family.supports_find_block or check.degraded:
             return
-        # One gather per distinct (candidate list, probe size); groups are
-        # then validated together, one pair pass per fingerprint size.
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for i, candidates in enumerate(self._candidates):
-            if len(candidates) >= store.columnar_min_candidates:
-                key = (self._probes[i].size, id(candidates))
-                groups.setdefault(key, []).append(i)
-        if sum(map(len, groups.values())) < BLOCK_MIN_PROBES:
+        shared_lists = not check.remaining
+        short_lists = len(self._probes) >= PAIR_PASS_MIN_PROBES
+        if not (shared_lists or short_lists):
             return
-        by_size: Dict[int, Tuple[object, list]] = {}
-        for (size, _), members in groups.items():
-            positions, rows, block = store.columnar.gather(
-                self._candidates[members[0]], size
+        cutover = store.columnar_min_candidates
+        # Stack rows by what their probe brings: a list on the kernel side
+        # of the cutover (keyed by the list, shared by every probe with an
+        # equal index key), or a short one of its own.
+        shared: Dict[Tuple[int, int], List[int]] = {}
+        short: Dict[int, List[int]] = {}
+        for size, (indices, _) in self._stacks.items():
+            for row, i in enumerate(indices):
+                candidates = self._candidates[i]
+                if len(candidates) >= cutover:
+                    if shared_lists:
+                        shared.setdefault((size, id(candidates)), []).append(
+                            row
+                        )
+                elif short_lists:
+                    # A speculative miss until a valid pair says otherwise
+                    # (as is a probe none of whose candidates has its
+                    # size: the scalar loop would have visited, and
+                    # counted, each one, matching none).
+                    self._found[i] = None
+                    if candidates:
+                        short.setdefault(size, []).append(row)
+        if sum(map(len, shared.values())) >= BLOCK_MIN_PROBES:
+            self._speculate_shared(shared)
+        for size, rows in short.items():
+            self._speculate_short(size, rows)
+        if short and store.pair_checks_left:
+            self._cross_check(
+                [
+                    self._stacks[size][0][row]
+                    for size, rows in short.items()
+                    for row in rows
+                ][: store.pair_checks_left]
             )
-            # Speculative misses until a valid pair says otherwise (no
-            # candidate of the probe's size: the scalar loop would have
-            # visited, and counted, each one, matching none).
-            self._found.update(dict.fromkeys(members))
+
+    def _speculate_shared(
+        self, shared: Dict[Tuple[int, int], List[int]]
+    ) -> None:
+        """One gather per distinct (candidate list, probe size); groups
+        are then validated together, one pair pass per fingerprint size."""
+        store = self._store
+        by_size: Dict[int, Tuple[object, list]] = {}
+        for (size, _), members in shared.items():
+            indices = self._stacks[size][0]
+            positions, rows, block = store.columnar.gather(
+                self._candidates[indices[members[0]]], size
+            )
+            self._found.update(dict.fromkeys(indices[m] for m in members))
             if len(rows):
                 by_size.setdefault(size, (block, []))[1].append(
                     (members, positions, rows)
                 )
-        for block, gathered in by_size.values():
+        for size, (block, gathered) in by_size.items():
             parts, pairs = [], 0
             for members, positions, rows in gathered:
                 step = max(1, MAX_LAUNCH_PAIRS // len(rows))
@@ -304,19 +375,20 @@ class BlockProbe:
                     chunk = members[start : start + step]
                     cost = len(chunk) * len(rows)
                     if parts and pairs + cost > MAX_LAUNCH_PAIRS:
-                        self._launch(block, parts)
+                        self._launch_shared(size, block, parts)
                         parts, pairs = [], 0
                     parts.append((chunk, positions, rows))
                     pairs += cost
-            self._launch(block, parts)
+            self._launch_shared(size, block, parts)
 
-    def _launch(self, block, parts) -> None:
+    def _launch_shared(self, size: int, block, parts) -> None:
         """First valid candidate per probe, for one fingerprint size."""
         store = self._store
-        members = [i for group, _, _ in parts for i in group]
+        indices, targets = self._stacks[size]
+        members = [row for group, _, _ in parts for row in group]
         first, build = store.mapping_family.find_block(
             block.matrix,
-            np.stack([self._probes[i].array for i in members]),
+            targets[members],
             [(len(group), rows) for group, _, rows in parts],
             rel_tol=store.rel_tol,
             abs_tol=store.abs_tol,
@@ -325,13 +397,67 @@ class BlockProbe:
         )
         probe = 0
         for group, positions, _ in parts:
-            for i in group:
+            for row in group:
                 if first[probe] >= 0:
-                    self._found[i] = (
+                    self._found[indices[row]] = (
                         int(positions[first[probe]]),
                         build(probe),
                     )
                 probe += 1
+
+    def _speculate_short(self, size: int, members: List[int]) -> None:
+        """The explicit pair pass: every (probe, candidate) pair of the
+        short lists of one fingerprint size, flattened probe by probe —
+        one gather over the concatenated ids, one pair list a launch."""
+        store = self._store
+        indices, targets = self._stacks[size]
+        every_list = [self._candidates[indices[row]] for row in members]
+        step = max(1, MAX_LAUNCH_PAIRS // max(map(len, every_list)))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            lists = every_list[start : start + step]
+            counts = np.fromiter(map(len, lists), np.int64, len(lists))
+            positions, rows, block = store.columnar.gather(
+                list(chain.from_iterable(lists)), size
+            )
+            if len(rows):
+                # Pair -> (probe of the chunk, position in its own list).
+                probes = np.repeat(np.arange(len(chunk)), counts)[positions]
+                candidates = positions - (np.cumsum(counts) - counts)[probes]
+                first, build = store.mapping_family.find_pairs(
+                    block.matrix,
+                    targets[chunk],
+                    probes,
+                    candidates,
+                    rows,
+                    rel_tol=store.rel_tol,
+                    abs_tol=store.abs_tol,
+                    anchors=block.anchor_columns(store.rel_tol),
+                    backend=store.backend,
+                )
+                for probe in np.nonzero(first >= 0)[0].tolist():
+                    self._found[indices[chunk[probe]]] = (
+                        int(first[probe]),
+                        build(probe),
+                    )
+
+    def _cross_check(self, probes: List[int]) -> None:
+        """Hold what the pair pass found for ``probes`` against the scalar
+        loop, spending the store's budget; a disagreement degrades the
+        store and drops everything this block read ahead."""
+        store = self._store
+        store.pair_checks_left -= len(probes)
+        for i in probes:
+            result, tested = store._match_scalar(
+                self._probes[i], self._candidates[i]
+            )
+            expected = None if result is None else (tested - 1, result.mapping)
+            if self._found[i] != expected:
+                store.columnar_check.degrade(
+                    "pair pass disagreed with the scalar find loop"
+                )
+                self._found.clear()
+                return
 
     def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
         """``(store.match(probe_i), candidates tested)``, as of now."""
@@ -340,20 +466,22 @@ class BlockProbe:
         if self._candidates is None:
             return store._match_one(probe)
         old = self._candidates[i]
-        found = self._found.get(i, _UNSPECULATED)
         current = (
             old
             if (store._next_id, len(store._bases)) == self._stamp
             else store.index.candidates(probe)
         )
-        if found is _UNSPECULATED or (
+        if i not in self._found or (
             current is not old and current[: len(old)] != old
         ):
             return store._account(*store._find(probe, current))
+        found = self._found[i]
         if found is not None:
             position, mapping = found
             result = MatchResult(store._bases[old[position]], mapping)
             return store._account(result, position + 1)
+        if len(current) == len(old):
+            return store._account(None, len(old))
         result, tested = store._find(probe, current[len(old) :])
         return store._account(result, len(old) + tested)
 
@@ -424,6 +552,13 @@ class BasisStore:
             budget=VERIFY_CALLS,
             equal=self._same_result,
         )
+        #: The block probe's explicit pair pass answers short candidate
+        #: lists, which never spend ``columnar_check``'s budget (that one
+        #: vouches for ``_match_columnar``, and a selective store may
+        #: never get there): its first answers on this store are held
+        #: against the scalar loop on a budget of their own, and a
+        #: disagreement degrades ``columnar_check``.
+        self.pair_checks_left = VERIFY_CALLS
 
     def __len__(self) -> int:
         return len(self._bases)

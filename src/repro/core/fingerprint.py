@@ -20,7 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -173,7 +182,7 @@ class Fingerprint:
         if key not in self._cache:
             array = -self.array if descending else self.array
             order = np.argsort(array, kind="stable")
-            self._cache[key] = tuple(int(i) for i in order)
+            self._cache[key] = tuple(order.tolist())
         return self._cache[key]  # type: ignore[return-value]
 
     def __repr__(self) -> str:
@@ -227,15 +236,56 @@ def rows_anchor_columns(
     return has_pair, anchor, denominator
 
 
-def _pending_by_size(
-    fingerprints: Sequence[Fingerprint], cache_key: object
-) -> Dict[int, list]:
-    """Group the indices of fingerprints missing ``cache_key`` by size."""
-    pending: Dict[int, list] = {}
+#: ``{size: (indices, matrix)}`` — see :func:`stack_by_size`.
+SizeStacks = Dict[int, Tuple[List[int], np.ndarray]]
+
+
+def stack_by_size(
+    fingerprints: Sequence[Fingerprint], missing: object = None
+) -> SizeStacks:
+    """Same-size fingerprints stacked into one float64 matrix per size.
+
+    Returns ``{size: (indices, matrix)}``: ``matrix[row]`` holds the entries
+    of ``fingerprints[indices[row]]``, ``indices`` ascending.  With
+    ``missing`` only the fingerprints whose cache lacks that key are
+    stacked.  A block probe stacks its probes once and hands the result to
+    the key pass and to validation alike.
+    """
+    by_size: Dict[int, List[int]] = {}
     for index, fingerprint in enumerate(fingerprints):
-        if cache_key not in fingerprint._cache:
-            pending.setdefault(fingerprint.size, []).append(index)
-    return pending
+        if missing is None or missing not in fingerprint._cache:
+            by_size.setdefault(len(fingerprint.values), []).append(index)
+    return {
+        size: (
+            indices,
+            np.array(
+                [fingerprints[i].values for i in indices], dtype=np.float64
+            ),
+        )
+        for size, indices in by_size.items()
+    }
+
+
+def _pending_stacks(
+    fingerprints: Sequence[Fingerprint],
+    cache_key: object,
+    stacks: Optional[SizeStacks],
+) -> Iterator[Tuple[List[int], np.ndarray]]:
+    """``(indices, matrix)`` per size over the fingerprints whose cache
+    lacks ``cache_key``, cut from the caller's ``stacks`` when given."""
+    if stacks is None:
+        yield from stack_by_size(fingerprints, missing=cache_key).values()
+        return
+    for indices, matrix in stacks.values():
+        pending = [
+            row
+            for row, i in enumerate(indices)
+            if cache_key not in fingerprints[i]._cache
+        ]
+        if len(pending) == len(indices):
+            yield indices, matrix
+        elif pending:
+            yield [indices[row] for row in pending], matrix[pending]
 
 
 def _normal_forms_matrix(
@@ -260,10 +310,27 @@ def _normal_forms_matrix(
     return has_pair, position, forward, reflected
 
 
+def _rows_lexicographic_min(
+    forward: np.ndarray, reflected: np.ndarray
+) -> np.ndarray:
+    """Row-wise ``min(tuple(forward[r]), tuple(reflected[r]))``.
+
+    Tuple comparison is decided by the first entry at which the two rows
+    differ, and ``min`` keeps its first argument unless the second is
+    strictly smaller there — so rows that never differ, and rows that
+    first differ at a NaN, keep ``forward``.
+    """
+    rows = np.arange(len(forward))
+    at = (forward != reflected).argmax(axis=1)
+    flip = reflected[rows, at] < forward[rows, at]
+    return np.where(flip[:, None], reflected, forward)
+
+
 def batch_normal_forms(
     fingerprints: Sequence[Fingerprint],
     rel_tol: float = DEFAULT_REL_TOL,
     backend=None,
+    stacks: Optional[SizeStacks] = None,
 ) -> list:
     """:meth:`Fingerprint.normal_form` for many probes in vectorized passes.
 
@@ -273,34 +340,26 @@ def batch_normal_forms(
     into its fingerprint's cache (later scalar probes reuse it for free).
     ``backend`` routes the matrix kernel through a compute backend
     (default: the process-active one) — every backend returns the same
-    bits or degrades trying.
+    bits or degrades trying.  ``stacks`` is the caller's
+    :func:`stack_by_size` of these very fingerprints, when it keeps one.
     """
     from repro.core.backend import resolve_backend
 
     cache_key = ("normal_form", rel_tol)
     distinct_key = ("distinct", rel_tol)
-    pending = _pending_by_size(fingerprints, cache_key)
-    if pending:
-        backend = resolve_backend(backend)
-    for size, indices in pending.items():
-        matrix = np.stack([fingerprints[i].array for i in indices])
+    backend = resolve_backend(backend)
+    for indices, matrix in _pending_stacks(fingerprints, cache_key, stacks):
         has_pair, position, forward, reflected = backend.normal_forms(
             matrix, rel_tol
         )
-        for row, i in enumerate(indices):
-            fingerprint = fingerprints[i]
-            if distinct_key not in fingerprint._cache:
-                fingerprint._cache[distinct_key] = (
-                    (0, int(position[row])) if has_pair[row] else None
-                )
-            if has_pair[row]:
-                key = min(
-                    tuple(forward[row].tolist()),
-                    tuple(reflected[row].tolist()),
-                )
-            else:
-                key = tuple(0.0 for _ in range(size))
-            fingerprint._cache[cache_key] = key
+        keys = _rows_lexicographic_min(forward, reflected)
+        keys[~has_pair] = 0.0  # constant fingerprints: all zeros
+        for i, key, varies, second in zip(
+            indices, keys.tolist(), has_pair.tolist(), position.tolist()
+        ):
+            cache = fingerprints[i]._cache
+            cache[cache_key] = tuple(key)
+            cache.setdefault(distinct_key, (0, second) if varies else None)
     return [fp.normal_form(rel_tol) for fp in fingerprints]
 
 
@@ -308,6 +367,7 @@ def batch_sid_orders(
     fingerprints: Sequence[Fingerprint],
     descending: bool = False,
     backend=None,
+    stacks: Optional[SizeStacks] = None,
 ) -> list:
     """:meth:`Fingerprint.sid_order` for many probes in vectorized passes.
 
@@ -315,23 +375,17 @@ def batch_sid_orders(
     per-fingerprint argsort entry for entry; results land in each
     fingerprint's cache, exactly as a scalar probe would have left them.
     ``backend`` routes the argsort kernel through a compute backend
-    (default: the process-active one).
+    (default: the process-active one); ``stacks`` as in
+    :func:`batch_normal_forms`.
     """
     from repro.core.backend import resolve_backend
 
     cache_key = "sid_desc" if descending else "sid_asc"
-    pending = _pending_by_size(fingerprints, cache_key)
-    if pending:
-        backend = resolve_backend(backend)
-    for _, indices in pending.items():
-        matrix = np.stack([fingerprints[i].array for i in indices])
-        if descending:
-            matrix = -matrix
-        orders = backend.sid_orders(matrix)
-        for row, i in enumerate(indices):
-            fingerprints[i]._cache[cache_key] = tuple(
-                int(entry) for entry in orders[row]
-            )
+    backend = resolve_backend(backend)
+    for indices, matrix in _pending_stacks(fingerprints, cache_key, stacks):
+        orders = backend.sid_orders(-matrix if descending else matrix)
+        for i, order in zip(indices, orders.tolist()):
+            fingerprints[i]._cache[cache_key] = tuple(order)
     return [fp.sid_order(descending=descending) for fp in fingerprints]
 
 

@@ -20,11 +20,12 @@ Three strategies, as evaluated in Figures 9-11:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import (
     DEFAULT_REL_TOL,
     Fingerprint,
+    SizeStacks,
     batch_normal_forms,
     batch_sid_orders,
 )
@@ -108,7 +109,10 @@ class FingerprintIndex(ABC):
         )
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self,
+        fingerprints: Sequence[Fingerprint],
+        backend=None,
+        stacks: Optional[SizeStacks] = None,
     ) -> List[List[int]]:
         """Per-probe candidate lists for a whole batch of probes.
 
@@ -117,7 +121,9 @@ class FingerprintIndex(ABC):
         path's first-match-wins tie-breaking.  Hash-keyed strategies
         override this to compute every probe's key in one vectorized
         pass (routed through ``backend``, default the process-active
-        compute backend) before the bucket lookups.
+        compute backend) before the bucket lookups, over the caller's
+        :func:`~repro.core.fingerprint.stack_by_size` matrices
+        (``stacks``) when it has stacked the probes already.
 
         Probes with equal keys are handed the *same* list object — one
         read-only snapshot per distinct key, never a live bucket — which
@@ -179,7 +185,10 @@ class ArrayIndex(FingerprintIndex):
         return list(self._ids)
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self,
+        fingerprints: Sequence[Fingerprint],
+        backend=None,
+        stacks: Optional[SizeStacks] = None,
     ) -> List[List[int]]:
         # No keys to vectorize: every probe scans every stored basis.
         return [list(self._ids)] * len(fingerprints)
@@ -255,10 +264,13 @@ class NormalizationIndex(FingerprintIndex):
         return list(self._buckets.get(key, ()))
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self,
+        fingerprints: Sequence[Fingerprint],
+        backend=None,
+        stacks: Optional[SizeStacks] = None,
     ) -> List[List[int]]:
         keys = batch_normal_forms(
-            list(fingerprints), self._rel_tol, backend=backend
+            list(fingerprints), self._rel_tol, backend=backend, stacks=stacks
         )
         # Probes that read the same bucket object share one copy of it
         # (told apart by identity: no second hash of a float-tuple key).
@@ -344,12 +356,15 @@ class SortedSIDIndex(FingerprintIndex):
         )
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self,
+        fingerprints: Sequence[Fingerprint],
+        backend=None,
+        stacks: Optional[SizeStacks] = None,
     ) -> List[List[int]]:
         probes = list(fingerprints)
-        ascending = batch_sid_orders(probes, backend=backend)
+        ascending = batch_sid_orders(probes, backend=backend, stacks=stacks)
         descending = batch_sid_orders(
-            probes, descending=True, backend=backend
+            probes, descending=True, backend=backend, stacks=stacks
         )
         # Probes that read the same *pair* of bucket objects share one
         # merged list.  Both buckets count: probes with tied entries can

@@ -190,10 +190,11 @@ class MappingFamily(ABC):
     #: correct but not faster than the loop it replaces).
     supports_find_matrix: bool = False
 
-    #: Whether the family has a ``find_block`` pair kernel (see
-    #: :meth:`LinearMappingFamily.find_block`): it can decide a whole
-    #: block's ragged (probe x candidate) pair set in one pass, which is
-    #: what lets :meth:`repro.core.basis.BasisStore.block_probe` speculate.
+    #: Whether the family has a pair kernel — ``find_block`` and
+    #: ``find_pairs``, its two fronts (see :class:`LinearMappingFamily`):
+    #: it can decide a whole block's ragged (probe x candidate) pair set
+    #: in one pass, which is what lets
+    #: :meth:`repro.core.basis.BasisStore.block_probe` speculate.
     #: Families without one answer block probes one probe at a time.
     supports_find_block: bool = False
 
@@ -424,6 +425,8 @@ class LinearMappingFamily(MappingFamily):
     ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
         """Algorithm 2 over a block's ragged (probe x candidate) pair set.
 
+        The *broadcast* front of the pair kernel, for candidate lists
+        shared by many probes (:meth:`find_pairs` is the explicit one).
         ``sources`` is a whole same-size fingerprint matrix and ``targets``
         the block's probes stacked group by group: ``groups[g] = (count,
         rows)`` pairs each of the group's ``count`` probes (the next
@@ -440,22 +443,14 @@ class LinearMappingFamily(MappingFamily):
         derived row-wise by the same IEEE operations; alpha and beta are
         :meth:`find_matrix`'s expressions broadcast over a group; and the
         pairs of *all* groups are flattened (group by group, probe by
-        probe) into one ``affine_validate`` launch on the last column —
-        the :func:`_rows_affine_valid` screen with a target entry and a
-        bound per pair — then one full-width launch on the survivors.
+        probe) into the pair columns :func:`_first_valid_pairs` decides.
         """
-        from repro.core.backend import resolve_backend
-
-        validate = resolve_backend(backend).affine_validate
         has_pair, anchor, denominator = (
             anchors
             if anchors is not None
             else rows_anchor_columns(sources, rel_tol)
         )
-        varying = rows_first_distinct(targets, rel_tol)[0]
-        tol = np.maximum(
-            rel_tol * np.maximum(rows_scale(targets), 1.0), abs_tol
-        )
+        varying, tol = _targets_state(targets, rel_tol, abs_tol)
         last = sources.shape[1] - 1
         columns = []
         start = 0
@@ -463,36 +458,23 @@ class LinearMappingFamily(MappingFamily):
             probes = slice(start, start + count)
             start += count
             picked = targets[probes]
-            first = picked[:, :1]
-            offset = sources[rows, 0]
-            fits = has_pair[rows]
-            moves = varying[probes][:, None]
-            # In place: a block's pair arrays are large enough that every
-            # temporary is a fresh trip to the allocator.  A constant
-            # source has no slope: it divides by one here and is kept out
-            # of `fit`.
-            alpha = np.take(picked, anchor[rows], axis=1)
-            alpha -= first
-            alpha /= np.where(fits, denominator[rows], 1.0)
-            beta = alpha * offset
-            np.subtract(first, beta, out=beta)
-            # Constant onto constant: pure shift, accepted unvalidated.
-            shift = ~moves & ~fits
-            if bool(shift.any()):
-                alpha[shift] = 1.0
-                beta[shift] = (first - offset)[shift]
+            fitted = _fit_pairs(
+                np.take(picked, anchor[rows], axis=1),
+                picked[:, :1],
+                sources[rows, 0],
+                has_pair[rows],
+                denominator[rows],
+                varying[probes][:, None],
+            )
             columns.append(
-                (
-                    alpha.ravel(),
-                    beta.ravel(),
-                    (moves & fits).ravel(),
-                    shift.ravel(),
+                tuple(column.ravel() for column in fitted)
+                + (
                     np.tile(sources[rows, last], count),
                     np.repeat(picked[:, last], len(rows)),
                     np.repeat(tol[probes], len(rows)),
                 )
             )
-        alpha, beta, fit, valid, source, target, bound = (
+        columns = (
             columns[0]
             if len(columns) == 1
             else [np.concatenate(column) for column in zip(*columns)]
@@ -517,32 +499,139 @@ class LinearMappingFamily(MappingFamily):
                 every_row[row_starts[group] + candidate],
             )
 
-        passed = np.nonzero(
-            fit & validate(source[:, None], alpha, beta, target[:, None], bound)
-        )[0]
-        if len(passed):
-            probes, _, rows = locate(passed)
-            valid[passed] = validate(
-                sources[rows],
-                alpha[passed],
-                beta[passed],
-                targets[probes],
-                tol[probes],
-            )
-        # Valid pairs ascend probe by probe, candidate by candidate, so a
-        # probe's first occurrence is the scalar loop's first match.
-        hits = np.nonzero(valid)[0]
-        probes, candidates, _ = locate(hits)
-        winners, at = np.unique(probes, return_index=True)
-        first = np.full(len(targets), -1)
-        first[winners] = candidates[at]
-        pair_of = dict(zip(winners.tolist(), hits[at].tolist()))
+        return _first_valid_pairs(
+            sources, targets, tol, columns, locate, backend
+        )
 
-        def build(probe: int) -> AffineMapping:
-            pair = pair_of[probe]
-            return AffineMapping(float(alpha[pair]), float(beta[pair]))
+    def find_pairs(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        probes: np.ndarray,
+        candidates: np.ndarray,
+        rows: np.ndarray,
+        rel_tol: float = DEFAULT_REL_TOL,
+        abs_tol: float = DEFAULT_ABS_TOL,
+        anchors=None,
+        backend=None,
+    ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
+        """:meth:`find_block` over an explicit pair list.
 
-        return first, build
+        The front for probes that each bring their own short candidate
+        list (a selective index): pair ``k`` tests ``sources[rows[k]]``
+        against ``targets[probes[k]]`` and is the probe's candidate number
+        ``candidates[k]``.  Pairs ascend probe by probe, candidate by
+        candidate.  ``first[p]`` is the candidate number of probe ``p``'s
+        first valid pair (−1: none); everything behind the pair columns
+        is :meth:`find_block`'s.
+        """
+        has_pair, anchor, denominator = (
+            anchors
+            if anchors is not None
+            else rows_anchor_columns(sources, rel_tol)
+        )
+        varying, tol = _targets_state(targets, rel_tol, abs_tol)
+        last = sources.shape[1] - 1
+        columns = _fit_pairs(
+            targets[probes, anchor[rows]],
+            targets[probes, 0],
+            sources[rows, 0],
+            has_pair[rows],
+            denominator[rows],
+            varying[probes],
+        ) + (sources[rows, last], targets[probes, last], tol[probes])
+
+        def locate(pairs: np.ndarray):
+            return probes[pairs], candidates[pairs], rows[pairs]
+
+        return _first_valid_pairs(
+            sources, targets, tol, columns, locate, backend
+        )
+
+
+def _targets_state(
+    targets: np.ndarray, rel_tol: float, abs_tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What :meth:`LinearMappingFamily.find` derives from its target, row
+    by row: ``(varying, tol)`` — not constant, and the validation bound."""
+    varying = rows_first_distinct(targets, rel_tol)[0]
+    tol = np.maximum(rel_tol * np.maximum(rows_scale(targets), 1.0), abs_tol)
+    return varying, tol
+
+
+def _fit_pairs(anchored, first, offset, fits, denominator, moves):
+    """Algorithm 2's candidate map for every pair, one array pass.
+
+    Operands broadcast against each other — ``(probes, 1)`` against
+    ``(candidates,)`` for a shared list, one entry per pair for an
+    explicit one: ``anchored`` / ``first`` are the target's anchor and
+    first entries, ``offset`` / ``fits`` / ``denominator`` the source's
+    first entry and anchor state, ``moves`` whether the target varies.
+    Returns ``(alpha, beta, fit, shift)``: ``fit`` pairs still need
+    validating, ``shift`` pairs (constant onto constant: pure shift) are
+    accepted as they are, the rest cannot match.
+    """
+    # In place (``anchored`` is the caller's fresh gather): a block's pair
+    # arrays are large enough that every temporary is a fresh trip to the
+    # allocator.  A constant source has no slope: it divides by one here
+    # and is kept out of `fit`.
+    alpha = anchored
+    alpha -= first
+    alpha /= np.where(fits, denominator, 1.0)
+    beta = alpha * offset
+    np.subtract(first, beta, out=beta)
+    shift = ~moves & ~fits
+    if bool(shift.any()):
+        alpha[shift] = 1.0
+        beta[shift] = (first - offset)[shift]
+    return alpha, beta, moves & fits, shift
+
+
+def _first_valid_pairs(sources, targets, tol, columns, locate, backend):
+    """The pair kernel's back half: first valid pair per probe.
+
+    ``columns`` holds one entry per pair — ``(alpha, beta, fit, valid,
+    source, target, bound)``, the last three being the pair's last-column
+    source and target entries and its bound — and ``locate(pairs)`` names
+    each pair's ``(probe, candidate, source row)``.  All ``fit`` pairs go
+    through one ``affine_validate`` launch on the last column — the
+    :func:`_rows_affine_valid` screen with a target entry and a bound per
+    pair — then one full-width launch on the survivors; ``valid`` arrives
+    holding the pairs accepted without validation.  Returns ``(first,
+    build)`` as :meth:`LinearMappingFamily.find_block` documents them.
+    """
+    from repro.core.backend import resolve_backend
+
+    validate = resolve_backend(backend).affine_validate
+    alpha, beta, fit, valid, source, target, bound = columns
+    passed = np.nonzero(
+        fit & validate(source[:, None], alpha, beta, target[:, None], bound)
+    )[0]
+    if len(passed):
+        probes, _, rows = locate(passed)
+        valid[passed] = validate(
+            sources[rows],
+            alpha[passed],
+            beta[passed],
+            targets[probes],
+            tol[probes],
+        )
+    # Valid pairs ascend probe by probe, candidate by candidate, so a
+    # probe's first occurrence is the scalar loop's first match.
+    hits = np.nonzero(valid)[0]
+    probes, candidates, _ = locate(hits)
+    winners, at = np.unique(probes, return_index=True)
+    first = np.full(len(targets), -1)
+    first[winners] = candidates[at]
+    won = hits[at]
+    fitted = dict(
+        zip(winners.tolist(), zip(alpha[won].tolist(), beta[won].tolist()))
+    )
+
+    def build(probe: int) -> AffineMapping:
+        return AffineMapping(*fitted[probe])
+
+    return first, build
 
 
 class IdentityMappingFamily(MappingFamily):

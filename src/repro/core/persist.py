@@ -56,9 +56,9 @@ it), the columnar matrices including a materialized SID-order key
 matrix, and the ``StoreStats`` counters.
 Not persisted: the columnar blocks' anchor columns (a function of the
 matrix rows, refilled on first use), and the match path's runtime state
-(``columnar_min_candidates``, ``columnar_check``) — a loaded store
-re-verifies its first columnar lookups against the scalar loop, exactly
-like a fresh one.
+(``columnar_min_candidates``, ``columnar_check``, ``pair_checks_left``)
+— a loaded store re-verifies its first columnar lookups and its first
+pair-pass answers against the scalar loop, exactly like a fresh one.
 """
 
 from __future__ import annotations

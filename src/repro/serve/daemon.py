@@ -20,7 +20,10 @@ Architecture
   per connection;
 * **reader threads** decode frames into typed requests and enqueue them
   on one admission queue (per-connection order is preserved end to
-  end: one queue, one dispatcher);
+  end: one queue, one dispatcher); a reader that exits — EOF, a framing
+  error, a drain — queues a farewell behind what it admitted, and the
+  dispatcher closes and forgets the connection when it gets there, so a
+  client costs the daemon a descriptor and a thread only while it lasts;
 * a single **dispatcher thread** drains the queue in micro-batches of
   up to ``max_batch`` requests and answers them through
   :meth:`Session.handle_batch`, which routes probe runs straight into
@@ -68,13 +71,20 @@ DEFAULT_MAX_BATCH = 64
 _READ_POLL_SECONDS = 0.1
 
 
+#: What a reader leaves on the admission queue as it exits: behind
+#: everything its connection admitted, so when the dispatcher reaches it
+#: all of that has been answered and the connection can go.
+_READER_DONE = object()
+
+
 class _Connection:
-    """One client socket plus its ordered-send lock."""
+    """One client socket, its ordered-send lock and its reader thread."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.send_lock = threading.Lock()
         self.alive = True
+        self.reader: Optional[threading.Thread] = None
 
     def send(self, body: dict) -> None:
         with self.send_lock:
@@ -116,9 +126,10 @@ class BasisServer:
         self._queue: "queue.Queue[Tuple[_Connection, object]]" = (
             queue.Queue()
         )
+        #: Open connections: from accept until the dispatcher has
+        #: answered everything the connection's (exited) reader admitted.
         self._connections: List[_Connection] = []
         self._connections_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
         self._accept_thread: Optional[threading.Thread] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._draining = threading.Event()
@@ -186,7 +197,9 @@ class BasisServer:
             self._accept_thread.join()
         # Readers notice the drain flag at their next poll, sweep any
         # frames their peer already sent, and exit.
-        for thread in self._threads:
+        with self._connections_lock:
+            readers = [connection.reader for connection in self._connections]
+        for thread in readers:
             thread.join()
         if not drain:
             # Drop whatever is still queued, unanswered.
@@ -264,16 +277,15 @@ class BasisServer:
             # Frames are small; Nagle + delayed ACK would add ~40ms.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection = _Connection(sock)
-            with self._connections_lock:
-                self._connections.append(connection)
-            thread = threading.Thread(
+            connection.reader = threading.Thread(
                 target=self._read_loop,
                 args=(connection,),
                 name="serve-read",
                 daemon=True,
             )
-            self._threads.append(thread)
-            thread.start()
+            with self._connections_lock:
+                self._connections.append(connection)
+            connection.reader.start()
 
     def _read_loop(self, connection: _Connection) -> None:
         """Decode frames into requests until EOF, error, or drain.
@@ -281,7 +293,10 @@ class BasisServer:
         During a drain the loop keeps consuming frames the peer already
         sent (they are admitted work) and exits at the first quiet
         poll — so "drain in-flight" covers everything on the wire at
-        shutdown time, not just what happened to be queued.
+        shutdown time, not just what happened to be queued.  However it
+        ends, the last thing admitted is :data:`_READER_DONE`: a peer
+        that half-closes after pipelining still gets every answer, and
+        only then is its socket closed.
         """
         while True:
             try:
@@ -307,6 +322,7 @@ class BasisServer:
                     request_id=body.get("id"),
                 )
             self._queue.put((connection, request))
+        self._queue.put((connection, _READER_DONE))
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -330,8 +346,9 @@ class BasisServer:
         to_serve: List[object] = []
         serve_slots: List[int] = []
         for position, (connection, item) in enumerate(batch):
-            if isinstance(item, ErrorResponse):
-                # Pre-answered by the reader (malformed request).
+            if item is _READER_DONE or isinstance(item, ErrorResponse):
+                # Nothing to compute: the reader's farewell, or a
+                # malformed request it pre-answered.
                 pending.append((connection, item))
                 continue
             if isinstance(item, ShutdownRequest):
@@ -353,8 +370,18 @@ class BasisServer:
             for slot, response in zip(serve_slots, responses):
                 pending[slot] = (pending[slot][0], response)
         for connection, response in pending:
+            if response is _READER_DONE:
+                self._forget(connection)
+                continue
             connection.send(encode_response(response))
             self.requests_served += 1
+
+    def _forget(self, connection: _Connection) -> None:
+        """Close a connection nobody reads any more, everything it
+        admitted having been answered, and drop it from the books."""
+        connection.close()
+        with self._connections_lock:
+            self._connections.remove(connection)
 
 
 def serve_snapshot(

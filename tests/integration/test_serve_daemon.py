@@ -23,8 +23,11 @@ The acceptance contract of the serve tentpole:
 import dataclasses
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -208,6 +211,77 @@ class TestDrain:
         ).start()
         server.stop(drain=False)
         assert Session.open(out).basis_count() == 10
+
+
+def _books(server):
+    """What one client may cost the daemon only while it lasts."""
+    readers = [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "serve-read"
+    ]
+    return (
+        len(server._connections),
+        len(readers),
+        len(os.listdir("/proc/self/fd")),
+    )
+
+
+def _idle_books(server, timeout=10.0):
+    """``_books`` once no connection and no reader is left: the
+    dispatcher forgets a connection (socket closed first) a moment after
+    its client hung up."""
+    deadline = time.monotonic() + timeout
+    while _books(server)[:2] != (0, 0) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return _books(server)
+
+
+class TestConnectionLifetime:
+    """A connection is closed and forgotten once its reader has exited
+    and everything it admitted has been answered — not at ``stop()``."""
+
+    @pytest.fixture
+    def idle(self, server):
+        """The books after a first client has come and gone."""
+        with ServeClient(*server.address) as client:
+            client.stats()
+        books = _idle_books(server)
+        assert books[:2] == (0, 0)
+        return books
+
+    def test_connect_close_cycles_leave_the_books_flat(self, server, idle):
+        for _ in range(25):
+            with ServeClient(*server.address) as client:
+                assert client.stats().bases == {"default": 10}
+        assert _idle_books(server) == idle
+        assert server.requests_served == 26
+
+    def test_a_framing_error_drops_the_peer_for_good(self, server, idle):
+        with socket.create_connection(server.address) as raw:
+            raw.sendall(b"\xff\xff\xff\xff not a frame")
+            assert _idle_books(server)[:2] == (0, 0)
+        assert _idle_books(server) == idle
+
+    def test_half_closed_pipeline_still_gets_every_answer(
+        self, snapshot, server, idle
+    ):
+        """Pipeline k requests, ``shutdown(SHUT_WR)``, keep reading: the
+        reader sees EOF at once, the k answers must still arrive — in
+        order — before the daemon hangs up."""
+        reference = Session.open(snapshot)
+        requests = build_request_stream(reference, 40, seed=8)
+        want = expected_responses(reference, requests)
+        with ServeClient(*server.address) as client:
+            for request in requests:
+                client.send(request)
+            client._sock.shutdown(socket.SHUT_WR)
+            got = [client.recv() for _ in requests]
+            with pytest.raises(ServeError, match="closed the connection"):
+                client.recv()
+        assert got == want
+        assert server.requests_served == len(requests) + 1
+        assert _idle_books(server)[:2] == (0, 0)
 
 
 def _boot_daemon(snapshot, tmp_path, extra_args=()):

@@ -20,6 +20,11 @@ layout: retired fingerprints are re-probed, stale rows get compacted away
 and refilled, snapshots come back memory-mapped and are appended to.
 The blocks' lazily filled anchor columns are held to the same contract:
 below their watermark they equal a from-scratch pass over the rows.
+A third run sits on both sides of the block probe's *pair-pass* cutover:
+``match_block`` draws 4–8 probes, under any cutover worth having, so that
+run patches ``PAIR_PASS_MIN_PROBES`` down to the smallest block there is
+and every block's short candidate lists go through the explicit pair
+pass (its cross-check spent, for the same reason).
 """
 
 import os
@@ -36,6 +41,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro.core.basis as basis_module
 from repro.core import persist
 from repro.core.basis import BasisStore, EvictionPolicy
 from repro.core.fingerprint import Fingerprint, rows_anchor_columns
@@ -352,6 +358,30 @@ class AlwaysColumnarMachine(StoreMachine):
     min_candidates = 0
 
 
+class PairPassMachine(StoreMachine):
+    """Default cutover — short lists stay short — with every block of at
+    least ``BLOCK_MIN_PROBES`` probes taking the pair pass.  Linear family
+    only: it is the one with the pair kernel, and any other would repeat
+    :class:`StoreMachine`."""
+
+    def __init__(self):
+        super().__init__()
+        self.cutover = basis_module.PAIR_PASS_MIN_PROBES
+        basis_module.PAIR_PASS_MIN_PROBES = basis_module.BLOCK_MIN_PROBES
+
+    def teardown(self):
+        basis_module.PAIR_PASS_MIN_PROBES = self.cutover
+        super().teardown()
+
+    def _configure(self, store):
+        store.pair_checks_left = 0
+        return super()._configure(store)
+
+    @initialize(strategy=st.sampled_from(INDEX_STRATEGIES))
+    def build(self, strategy):
+        super().build(strategy, LinearMappingFamily)
+
+
 _SETTINGS = settings(
     max_examples=40,
     stateful_step_count=40,
@@ -363,3 +393,5 @@ TestStoreAtDefaultCutover = StoreMachine.TestCase
 TestStoreAtDefaultCutover.settings = _SETTINGS
 TestStoreAlwaysColumnar = AlwaysColumnarMachine.TestCase
 TestStoreAlwaysColumnar.settings = _SETTINGS
+TestStorePairPass = PairPassMachine.TestCase
+TestStorePairPass.settings = _SETTINGS

@@ -10,7 +10,8 @@ Three contracts are enforced here:
   the plumbing); the optional-deps job installs numba and runs the same
   tests against the JIT kernels.
 * **Degrade** — all three fast paths (backend kernels, the fastrng
-  draw stream, the columnar matcher) run under the one
+  draw stream, the columnar matcher — single-probe kernels and the
+  block probe's pair pass alike) run under the one
   ``VerifyThenDegrade`` harness: a lying path is caught by the first-N
   cross-check, warns exactly once, and answers through the reference
   from then on; the degrade is scoped to the instance (one bad store
@@ -39,7 +40,7 @@ from repro.core.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.core.basis import BasisStore
+from repro.core.basis import PAIR_PASS_MIN_PROBES, BasisStore
 from repro.core.fingerprint import Fingerprint
 from repro.core.mapping import (
     AffineMapping,
@@ -291,9 +292,52 @@ def _columnar_site():
     )
 
 
+class _LyingPairFamily(LinearMappingFamily):
+    """A broken explicit-pair front: every mapping it builds is shifted."""
+
+    def find_pairs(self, *args, **kwargs):
+        first, build = super().find_pairs(*args, **kwargs)
+
+        def shifted(probe):
+            mapping = build(probe)
+            return AffineMapping(mapping.alpha, mapping.beta + 1.0)
+
+        return first, shifted
+
+
+def _pair_pass_site():
+    """A selective store — one candidate a probe, ``columnar_check``'s own
+    budget never touched — whose block probe's pair pass lies."""
+    store = BasisStore(mapping_family=_LyingPairFamily())
+    base = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0))
+    store.add(base, np.arange(4.0))
+    probes = [
+        Fingerprint(tuple(2.0 * v + shift for v in base.values))
+        for shift in range(PAIR_PASS_MIN_PROBES)
+    ]
+
+    def digest():
+        tested = []
+        results = store.match_batch(probes, tested_out=tested)
+        return [(r.basis.basis_id, r.mapping) for r in results], tested
+
+    return (
+        digest,
+        (
+            [
+                (0, AffineMapping(2.0, float(shift)))
+                for shift in range(PAIR_PASS_MIN_PROBES)
+            ],
+            [1] * PAIR_PASS_MIN_PROBES,
+        ),
+        lambda: store.backend.describe(store.columnar_check),
+        "numpy[scalar-match]",
+    )
+
+
 class TestDegradeSemantics:
     @pytest.mark.parametrize(
-        "site", [_kernel_site, _stream_site, _columnar_site]
+        "site", [_kernel_site, _stream_site, _columnar_site, _pair_pass_site]
     )
     def test_each_site_warns_once_degrades_for_good_serves_reference(
         self, site

@@ -12,7 +12,9 @@ rather than masked by the fallback), ``ALWAYS_SCALAR`` the reference loop.
 import numpy as np
 import pytest
 
+from repro.core import persist
 from repro.core.backend import (
+    VERIFY_CALLS,
     NumpyBackend,
     backend_available,
     backend_names,
@@ -227,7 +229,7 @@ class TestMergeParity:
 
 
 class TestSelfVerification:
-    """The degrade half lives with the other two sites of the one harness:
+    """The degrade halves live with the other sites of the one harness:
     ``test_backend_parity.py::TestDegradeSemantics``."""
 
     def test_agreement_spends_the_budget_and_stays_columnar(self):
@@ -238,6 +240,28 @@ class TestSelfVerification:
             assert store.match(_affine(BASE, 2.0, 1.0)) is not None
         assert store.columnar_check.remaining == 0
         assert not store.columnar_check.degraded
+        assert store.backend.describe(store.columnar_check) == "numpy"
+
+    def test_the_pair_pass_has_its_own_verification_budget(self):
+        """Its first ``VERIFY_CALLS`` answers on a store are held against
+        the scalar loop; ``columnar_check``'s budget — the one
+        ``_match_columnar`` is vouched for with, should the store ever
+        see a long list — is not spent on them."""
+        store = BasisStore()
+        for fingerprint in SELECTIVE:
+            store.add(fingerprint, SAMPLES)
+        checked = []
+        scalar = store._match_scalar
+        store._match_scalar = lambda *args: checked.append(args) or scalar(
+            *args
+        )
+        count = basis_module.PAIR_PASS_MIN_PROBES
+        store.match_batch(selective_probes(count))
+        assert len(checked) == VERIFY_CALLS
+        assert store.pair_checks_left == 0
+        store.match_batch(selective_probes(count))
+        assert len(checked) == VERIFY_CALLS
+        assert store.columnar_check.remaining == VERIFY_CALLS
         assert store.backend.describe(store.columnar_check) == "numpy"
 
 
@@ -751,6 +775,278 @@ class TestBlockProbeRules:
         # [3, 4]; descending probes the reverse.
         assert spy.shapes == [((25, 1), (25, 1)), ((20, 7), (20, 7))]
         assert [handle._found[i][0] for i in range(5)] == [0, 0, 0, 0, 0]
+
+
+def _nudged(fp, column, by=1e-7):
+    """``fp`` with one entry moved out of tolerance, not out of its index
+    bucket: it rounds to the same normal form and sorts the same."""
+    values = list(fp.values)
+    values[column] *= 1.0 + by
+    return Fingerprint(tuple(values))
+
+
+#: A selective store: every candidate list is shorter than the default
+#: single-probe cutover.  Seven bases, so even the ``array`` scan is — and
+#: there the one five-entry basis is a wrong-size id in every list:
+#: untestable, but counted.
+SELECTIVE = [
+    _nudged(WIDE, 6),  # near-miss in the last column: the screen rejects
+    _nudged(WIDE, 3),  # in an early one: only the full width rejects
+    _affine(WIDE, 2.0, 1.0),  # the first match, third in its bucket
+    _affine(WIDE, -1.0, 0.5),  # decreasing image
+    Fingerprint((4.0,) * 7),  # constant
+    Fingerprint((0.0,) * 7),  # zero
+    BASE,  # the other size, a bucket of one
+]
+
+SELECTIVE_PROBES = [
+    _affine(WIDE, 3.0, -2.0),
+    _affine(WIDE, -2.0, 1.0),
+    _affine(_nudged(WIDE, 6, 3e-7), 2.0, 0.0),  # misses the whole bucket
+    _affine(_nudged(WIDE, 3), 0.5, 1.0),  # hits its own near-miss basis
+    Fingerprint((7.5,) * 7),  # constant probe: a pure shift
+    Fingerprint((0.0,) * 7),
+    _cubic(WIDE),  # monotone, not affine
+    _affine(BASE, 2.0, 1.0),
+    Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8, 0.5, 0.4)),  # unrelated
+    Fingerprint((1.0, 2.0, 4.0)),  # a size the store never held
+    _affine(WIDE, 1.0, 0.0),
+]
+
+
+def selective_probes(count):
+    """``count`` fresh probes (no cached keys), cycling the list above."""
+    return [
+        Fingerprint(SELECTIVE_PROBES[i % len(SELECTIVE_PROBES)].values)
+        for i in range(count)
+    ]
+
+
+#: Block sizes on both sides of the pair-pass cutover, and well past it.
+SELECTIVE_BLOCKS = (
+    basis_module.PAIR_PASS_MIN_PROBES - 1,
+    basis_module.PAIR_PASS_MIN_PROBES,
+    3 * basis_module.PAIR_PASS_MIN_PROBES + 1,
+)
+
+
+class _FindLog:
+    """Wraps ``store._find``, keeping the candidate lists it was given."""
+
+    def __init__(self, store):
+        self.lists = []
+        self._find = store._find
+        store._find = self
+
+    def __call__(self, fingerprint, candidates):
+        self.lists.append(list(candidates))
+        return self._find(fingerprint, candidates)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+@pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
+class TestBlockProbeSelective:
+    """The block probe where the index does its job: every probe brings
+    its own candidate list, shorter than the single-probe cutover, and a
+    block of :data:`PAIR_PASS_MIN_PROBES` decides all of them in one
+    explicit pair pass.  Stores sit at the *default*
+    ``columnar_min_candidates`` with ``columnar_check``'s budget unspent
+    — the lists never get long enough to spend it.  A degrade (a masked
+    wrong answer) is an error here; the optional-deps CI job reruns this
+    with numba, handing the JIT ``affine_validate`` the pair pass's
+    shapes: one-column sources with a target entry and a bound per pair,
+    pair counts from 1 up."""
+
+    def stores(self, family_name, strategy, backend_name, fingerprints=None):
+        fingerprints = SELECTIVE if fingerprints is None else fingerprints
+        reference = filled_store(fingerprints, family_name, strategy, False)
+        blocked = BasisStore(
+            mapping_family=FAMILY_FACTORIES[family_name](),
+            index_strategy=strategy,
+            backend=create_backend(backend_name),
+        )
+        for fingerprint in fingerprints:
+            blocked.add(fingerprint, SAMPLES)
+        return reference, blocked
+
+    @pytest.mark.parametrize("count", SELECTIVE_BLOCKS)
+    def test_read_only_block(self, family_name, strategy, backend_name, count):
+        reference, blocked = self.stores(family_name, strategy, backend_name)
+        log = _FindLog(blocked)
+        handle = assert_block_parity(
+            reference, blocked, selective_probes(count)
+        )
+        fired = (
+            family_name == "linear"
+            and count >= basis_module.PAIR_PASS_MIN_PROBES
+        )
+        assert len(handle._found) == (count if fired else 0)
+        # Every answer was read ahead: nothing left for the per-probe
+        # path, not even an empty tail.
+        assert len(log.lists) == (0 if fired else count)
+        assert blocked.columnar_check.remaining == VERIFY_CALLS
+        assert blocked.pair_checks_left == (0 if fired else VERIFY_CALLS)
+
+    def test_pair_counts_from_one_up(self, family_name, strategy, backend_name):
+        """One to seven candidates a probe: a store that grows under a
+        block of images of everything it holds."""
+        count = basis_module.PAIR_PASS_MIN_PROBES
+        for held in range(1, 8):
+            fingerprints = [_nudged(WIDE, 3, 1e-7 * k) for k in range(held)]
+            reference, blocked = self.stores(
+                family_name, strategy, backend_name, fingerprints
+            )
+            probes = [
+                _affine(fingerprints[i % held], 2.0, float(i))
+                for i in range(count)
+            ]
+            assert_block_parity(reference, blocked, probes)
+            assert blocked.stats.candidates_tested >= count
+
+    def test_single_pair_launches(
+        self, family_name, strategy, backend_name, monkeypatch
+    ):
+        """The smallest launch there is: one probe, one candidate."""
+        monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", 1)
+        count = basis_module.PAIR_PASS_MIN_PROBES
+        reference, blocked = self.stores(
+            family_name, strategy, backend_name, [WIDE]
+        )
+        spy = TestValidationScreen.Spy()
+        if backend_name == "numpy":
+            blocked.backend = spy
+        probes = [
+            _affine(WIDE, 2.0, float(i)) if i % 3 else _nudged(WIDE, 3)
+            for i in range(count)
+        ]
+        assert_block_parity(reference, blocked, probes)
+        if family_name == "linear" and backend_name == "numpy":
+            screens = [rows for (rows, width), _ in spy.shapes if width == 1]
+            assert screens == [1] * count
+
+    def test_add_appends_to_a_speculated_bucket(
+        self, family_name, strategy, backend_name
+    ):
+        """Only the appended tail is re-tested — for the probe that missed
+        its bucket and for the one that had no bucket at all; a probe
+        that hit is not touched by an append."""
+        count = basis_module.PAIR_PASS_MIN_PROBES
+        probes = selective_probes(count)
+        before = {
+            2: lambda store: store.add(_affine(probes[2], 0.5, 0.5), SAMPLES),
+            8: lambda store: store.add(_affine(probes[8], -1.0, 0.0), SAMPLES),
+        }
+        reference, blocked = self.stores(family_name, strategy, backend_name)
+        log = _FindLog(blocked)
+        assert_block_parity(reference, blocked, probes, before=before)
+        if family_name == "linear" and strategy == "normalization":
+            # (The array scan appends to *every* list; a sorted_sid
+            # bucket can grow in front of another probe's descending
+            # half, which starts that probe over.)
+            tails = [ids for ids in log.lists if ids]
+            assert all(set(ids) <= {7, 8} for ids in tails)
+            assert [7] in tails and [8] in tails
+
+    def test_remove_breaks_the_prefix(
+        self, family_name, strategy, backend_name
+    ):
+        """A basis retired after the block was opened: probes that had it
+        on their list start over, and its stale id — zeroed in the
+        columnar layout, still on the speculated lists — wins nothing."""
+        count = basis_module.PAIR_PASS_MIN_PROBES + 5
+        before = {
+            1: lambda store: store.remove(2),
+            12: lambda store: store.remove(4),
+            20: lambda store: store.add(_affine(WIDE, 5.0, 5.0), SAMPLES),
+        }
+        assert_block_parity(
+            *self.stores(family_name, strategy, backend_name),
+            selective_probes(count),
+            before=before,
+        )
+
+    def test_sweep_shape_adds_every_miss(
+        self, family_name, strategy, backend_name
+    ):
+        count = 2 * basis_module.PAIR_PASS_MIN_PROBES
+        for fingerprints in ([], SELECTIVE):
+            assert_block_parity(
+                *self.stores(
+                    family_name, strategy, backend_name, fingerprints
+                ),
+                selective_probes(count),
+                add_misses=True,
+            )
+
+    def test_tombstoned_and_restored_stores(
+        self, family_name, strategy, backend_name, tmp_path
+    ):
+        """Rows tombstoned in place, then the same store back from a
+        memory-mapped snapshot (compacted on save): same answers as the
+        scalar loop over a store that lived the same life."""
+        count = basis_module.PAIR_PASS_MIN_PROBES
+        reference, blocked = self.stores(family_name, strategy, backend_name)
+        for store in (reference, blocked):
+            store.remove(1)
+            store.remove(5)
+        assert blocked.columnar.tombstones == 2
+        assert_block_parity(reference, blocked, selective_probes(count))
+        restored = []
+        for name, store in (("reference", reference), ("blocked", blocked)):
+            path = str(tmp_path / name)
+            persist.save_store(store, path)
+            restored.append(persist.load_store(path, mmap=True))
+        reference, blocked = restored
+        reference.columnar_min_candidates = ALWAYS_SCALAR
+        blocked.backend = create_backend(backend_name)
+        assert not blocked.columnar._blocks[7].matrix.flags.writeable
+        assert_block_parity(
+            reference, blocked, selective_probes(count), add_misses=True
+        )
+
+    @pytest.mark.parametrize("budget", (1, 5, 40))
+    def test_launches_split_past_the_pair_budget(
+        self, family_name, strategy, backend_name, monkeypatch, budget
+    ):
+        monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", budget)
+        count = basis_module.PAIR_PASS_MIN_PROBES + 3
+        reference, blocked = self.stores(family_name, strategy, backend_name)
+        spy = TestValidationScreen.Spy()
+        if backend_name == "numpy":
+            blocked.backend = spy
+        handle = assert_block_parity(
+            reference, blocked, selective_probes(count)
+        )
+        if family_name == "linear":
+            assert len(handle._found) == count
+        screens = [rows for (rows, width), _ in spy.shapes if width == 1]
+        # A launch holds whole probes: at most the budget, or one list.
+        assert all(rows <= max(budget, 7) for rows in screens)
+
+
+class TestBlockProbeSelectiveIndexCases:
+    """``sorted_sid`` at the default cutover, in a block the pair pass
+    speculates."""
+
+    def test_ascending_bucket_grows_in_front_of_a_descending_hit(self):
+        probe = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0))
+        filler = Fingerprint((5.0, 4.0, 3.0, 2.0, 1.5))
+        fingerprints = [_affine(probe, -2.0, 1.0), filler]
+        reference = filled_store(fingerprints, "linear", "sorted_sid", False)
+        blocked = BasisStore(index_strategy="sorted_sid")
+        for fingerprint in fingerprints:
+            blocked.add(fingerprint, SAMPLES)
+        count = basis_module.PAIR_PASS_MIN_PROBES
+        probes = [filler, probe, _affine(probe, 0.5, 0.0)] + [filler] * count
+        before = {1: lambda store: store.add(_affine(probe, 3.0, 3.0), SAMPLES)}
+        handle = assert_block_parity(
+            reference, blocked, probes, before=before
+        )
+        assert handle._found[1][0] == 0  # speculated: the descending hit
+        assert blocked.get(2).hits == 2  # answered: the inserted basis
+        assert blocked.get(0).hits == 0
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
