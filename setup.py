@@ -1,9 +1,9 @@
-"""Legacy setup shim.
+"""The package's only build configuration (there is no ``pyproject.toml``).
 
-The canonical build configuration lives in ``pyproject.toml``; this file
-exists so ``pip install -e . --no-use-pep517`` works in offline environments
+``pip install -e . --no-use-pep517`` works with it in offline environments
 where the ``wheel`` package (required by the PEP 517 editable path) is not
-installed.
+installed; the tests and drivers need no install at all, only
+``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup
@@ -14,10 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    extras_require={
-        # Optional JIT compute backend (repro.core.backend); the library
-        # runs fully on numpy without it.
-        "accel": ["numba"],
-    },
     python_requires=">=3.9",
 )

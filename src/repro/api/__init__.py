@@ -1,10 +1,10 @@
 """Unified session API: typed requests over basis-store reuse state.
 
 :class:`Session` is the single warm-start and query surface for the
-library's precomputed reuse state (the older per-component entry points
-— explorer ``basis_store=`` arguments, ``ScenarioRunner.save_stores`` /
-``load_stores``, ``InteractiveSession.save_store``/``load_store``, and
-the CLI's ``--store``/``--save-store`` — all delegate here).  The same
+library's precomputed reuse state (a Session goes wherever an explorer
+or the interactive session takes ``basis_store=``;
+``ScenarioRunner.save_stores`` / ``load_stores`` and the CLI's
+``--store``/``--save-store`` delegate here).  The same
 typed request/response dataclasses drive the in-process facade and the
 :mod:`repro.serve` daemon, with bitwise-identical answers.
 

@@ -329,6 +329,19 @@ def encode_request(request) -> dict:
     return body
 
 
+def _decode_store(body: dict, default: Optional[str]) -> Optional[str]:
+    """The store a request names.  Wire input: anything but a string —
+    or, where ``default`` is None (evict, compact: every store), null —
+    is refused here rather than reaching a session's name lookup."""
+    store = body.get("store", default)
+    if isinstance(store, str) or (store is None and default is None):
+        return store
+    raise ProtocolError(
+        f"malformed {body.get('kind', '?')!r} request (store must be a "
+        f"string, got {type(store).__name__})"
+    )
+
+
 def decode_request(body: dict):
     """JSON dict -> request dataclass (inverse of :func:`encode_request`)."""
     try:
@@ -339,7 +352,7 @@ def decode_request(body: dict):
                 fingerprint=tuple(
                     decode_float(v) for v in body["fingerprint"]
                 ),
-                store=body.get("store", DEFAULT_STORE),
+                store=_decode_store(body, DEFAULT_STORE),
                 request_id=request_id,
             )
         if kind == "estimate":
@@ -347,14 +360,14 @@ def decode_request(body: dict):
                 fingerprint=tuple(
                     decode_float(v) for v in body["fingerprint"]
                 ),
-                store=body.get("store", DEFAULT_STORE),
+                store=_decode_store(body, DEFAULT_STORE),
                 request_id=request_id,
             )
         if kind == "refine":
             return RefineRequest(
                 basis_id=int(body["basis_id"]),
                 samples=tuple(decode_float(v) for v in body["samples"]),
-                store=body.get("store", DEFAULT_STORE),
+                store=_decode_store(body, DEFAULT_STORE),
                 request_id=request_id,
             )
         if kind == "stats":
@@ -366,19 +379,20 @@ def decode_request(body: dict):
                 max_bases=None if max_bases is None else int(max_bases),
                 max_bytes=None if max_bytes is None else int(max_bytes),
                 keep=str(body.get("keep", "value")),
-                store=body.get("store"),
+                store=_decode_store(body, None),
                 request_id=request_id,
             )
         if kind == "compact":
             return CompactRequest(
-                store=body.get("store"),
+                store=_decode_store(body, None),
                 request_id=request_id,
             )
         if kind == "shutdown":
             return ShutdownRequest(request_id=request_id)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        # OverflowError: int(1e400), a hex float past the double range.
         raise ProtocolError(
             f"malformed {body.get('kind', '?')!r} request "
             f"({type(error).__name__}: {error})"

@@ -1,17 +1,15 @@
 """The unified session facade over basis-store reuse state.
 
 Before this module the library had four divergent warm-start entry
-points — ``ParameterExplorer``/``ParallelExplorer(basis_store=)``,
-``ScenarioRunner.save_stores``/``load_stores``,
-``InteractiveSession.save_store``/``load_store``, and the CLI's
-``--store``/``--save-store`` — each calling :mod:`repro.core.persist`
-with its own conventions.  :class:`Session` is the one surface behind
-all of them:
+points, each calling :mod:`repro.core.persist` with its own
+conventions.  :class:`Session` is the one surface behind what remains
+of them — ``basis_store=`` on the explorers and the interactive session,
+``ScenarioRunner.save_stores``/``load_stores`` and the CLI's
+``--store``/``--save-store``:
 
 * it owns a named collection of :class:`~repro.core.basis.BasisStore`
   instances plus the seed bank they were fingerprinted under,
-* it opens and saves snapshots (:meth:`Session.open` / :meth:`save` —
-  the old entry points now delegate here and keep working),
+* it opens and saves snapshots (:meth:`Session.open` / :meth:`save`),
 * it answers the typed request vocabulary of
   :mod:`repro.api.messages` (estimate / match / refine / stats, plus
   the evict / compact lifecycle admin kinds), both one at a time

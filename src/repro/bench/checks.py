@@ -13,10 +13,8 @@ derived configuration, return its evidence) and a pure ``judge``
 =========  ==========================================================
 smoke      the whole figure suite at ``--scale smoke``; every
            deterministic counter equals the committed serial baseline.
-           ``smoke:workers=4`` shards the sweeps and
-           ``smoke:backend=numba`` swaps the kernels — by the
-           replay-merge and backend contracts the *same* baseline must
-           still match.
+           ``smoke:workers=4`` shards the sweeps — by the replay-merge
+           contract the *same* baseline must still match.
 warm       cold pass saving every sweep's store, then warm reruns
            serial and with 4 workers: cold == baseline, warm reproduces
            the cold estimates exactly with strictly fewer samples,
@@ -65,7 +63,6 @@ from repro.bench.driver import (
 )
 from repro.bench.figures import FIGURES
 from repro.core import persist
-from repro.core.backend import active_backend, use_backend
 from repro.core.basis import BasisStore, EvictionPolicy
 from repro.core.fingerprint import Fingerprint
 from repro.serve import build_fixture_session, build_request_stream
@@ -167,17 +164,8 @@ def _drift_from_smoke_baseline(bench: dict, baselines: dict) -> List[str]:
 # -- smoke ------------------------------------------------------------------
 
 
-def _measure_smoke(workers="1", backend=None) -> dict:
-    options = ["--workers", str(workers)]
-    if backend is not None:
-        options += ["--backend", backend]
-    # The driver installs --backend process-wide; later checks of the
-    # same invocation must run on what was active before.
-    previous = active_backend()
-    try:
-        return _run_suite(*options)[0]
-    finally:
-        use_backend(previous)
+def _measure_smoke(workers="1") -> dict:
+    return _run_suite("--workers", str(workers))[0]
 
 
 # -- warm -------------------------------------------------------------------
@@ -524,7 +512,7 @@ def main(argv=None) -> int:
         nargs="+",
         metavar="CHECK",
         help=f"one of {', '.join(CHECKS)}, optionally parametrised "
-        f"(smoke:workers=4, smoke:backend=numba)",
+        f"(smoke:workers=4)",
     )
     parser.add_argument(
         "--refresh",

@@ -68,8 +68,8 @@ def provenance(document: dict) -> Dict[str, object]:
     * ``warm_store`` — a warm start reuses prior-run bases, so its
       counters reflect cross-run amortization;
     * ``backend`` — likewise the numpy run is the reference: another
-      backend's counters equal it by contract
-      (``smoke:backend=numba``), never the other way round.
+      backend's counters equal it by contract, never the other way
+      round.
     """
     return {
         "scale": document.get("scale"),

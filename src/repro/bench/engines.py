@@ -28,13 +28,13 @@ from typing import List, Optional
 from repro.blackbox.base import BlackBox, BlackBoxRegistry, Params
 from repro.blackbox.user_selection import UserSelectionModel
 from repro.core.estimator import Estimator, MetricSet
-from repro.core.seeds import (
-    DEFAULT_SEED_BANK,
-    SeedBank,
-    derive_seed,
-    derive_seed_array,
-)
+from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank, derive_seed
 from repro.lang.binder import compile_query
+
+
+#: JSON round trips per sampled row across the simulated process
+#: boundary (the wrapper prototype's IPC cost).
+MARSHALLING_ROUNDS = 3
 
 
 @dataclass
@@ -48,12 +48,9 @@ class EngineRun:
 class CoreEngine:
     """Direct black-box driver: the Ruby-prototype analogue.
 
-    ``vectorized=False`` (the default) preserves the prototype's defining
-    cost model — row-at-a-time black-box invocation — which is what
-    Figure 7's crossover against the set-oriented wrapper measures.
-    ``vectorized=True`` switches to the batch sampling engine (bit-identical
-    answers, one array call per point) for callers that want the production
-    path rather than the paper's baseline.
+    Keeps the prototype's defining cost model — row-at-a-time black-box
+    invocation — which is what Figure 7's crossover against the
+    set-oriented wrapper measures.
     """
 
     name = "core"
@@ -64,27 +61,16 @@ class CoreEngine:
         samples_per_point: int = 1000,
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
-        vectorized: bool = False,
     ):
         self.box = box
         self.samples_per_point = samples_per_point
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self.estimator = estimator or Estimator()
-        self.vectorized = vectorized
 
     def evaluate_point(self, params: Params) -> EngineRun:
         # Seed derivation matches the query layer's single-call-site salt
         # (salt 0) so both prototypes produce bit-identical sample sets: the
         # engines differ in cost, never in answer.
-        if self.vectorized:
-            seeds = derive_seed_array(
-                self.seed_bank.seed_array(self.samples_per_point), 0
-            )
-            samples = self.box.sample_batch(params, seeds)
-            return EngineRun(
-                metrics=self.estimator.estimate(samples),
-                samples_drawn=int(samples.shape[0]),
-            )
         samples = [
             self.box.sample(params, derive_seed(seed, 0))
             for seed in self.seed_bank.seeds(self.samples_per_point)
@@ -118,7 +104,6 @@ class WrapperEngine:
         samples_per_point: int = 1000,
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
-        marshalling_rounds: int = 3,
     ):
         self.box = box
         self.query_template = query_template
@@ -126,7 +111,6 @@ class WrapperEngine:
         self.samples_per_point = samples_per_point
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self.estimator = estimator or Estimator()
-        self.marshalling_rounds = marshalling_rounds
 
     def evaluate_point(self, params: Params) -> EngineRun:
         samples: List[float] = []
@@ -151,7 +135,7 @@ class WrapperEngine:
     def _marshal_round_trip(self, params: Params, value: float) -> float:
         """Serialize the result row across the simulated process boundary."""
         payload = {"params": dict(params), "value": value}
-        for _ in range(self.marshalling_rounds):
+        for _ in range(MARSHALLING_ROUNDS):
             payload = json.loads(json.dumps(payload))
         return float(payload["value"])
 

@@ -307,7 +307,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         session,
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
         save_path=args.save_store,
     )
     server.start()
@@ -541,12 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="port to listen on (0 picks a free one; see SERVE_READY)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=64,
-        help="largest micro-batch the dispatcher forms (default 64)",
     )
     serve.add_argument(
         "--save-store",

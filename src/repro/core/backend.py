@@ -19,12 +19,11 @@ touching the bitwise contract every CI gate pins:
 * :class:`ComputeBackend` names the four kernels (``draw_block``,
   ``affine_validate``, ``sid_orders``, ``normal_forms``) and runs every
   non-reference implementation under that harness.
-* A tiny registry maps names to factories.  ``numpy`` is always
-  registered and always available; ``numba`` is registered but only
-  available when the optional dependency imports
-  (:mod:`repro.core._backend_numba`).  A ``cupy`` device backend would
-  register the same way — the kernel signatures are plain arrays in,
-  plain arrays out, so a device implementation only has to move data.
+* A tiny registry maps names to factories.  ``numpy`` is the one
+  backend that ships; an accelerated one registers through
+  :func:`register_backend` with an ``available`` probe for its optional
+  dependency — the kernel signatures are plain arrays in, plain arrays
+  out, so a device implementation only has to move data.
 * Selection is explicit and typed: :func:`create_backend` refuses
   unknown or unavailable names with :class:`~repro.errors.BackendError`
   instead of silently running numpy.
@@ -291,7 +290,7 @@ class ComputeBackend:
         )
 
     def describe(self, *store_checks: VerifyThenDegrade) -> str:
-        """Human/store-info descriptor, e.g. ``numba[degraded:draw_block]``.
+        """Human/store-info descriptor, e.g. ``numpy[scalar-match]``.
 
         A clean backend is just its name; degraded kernels, a failed
         fastrng fast-path self-test and any degraded ``store_checks`` (a
@@ -321,34 +320,6 @@ class NumpyBackend(ComputeBackend):
 
     name = "numpy"
     is_reference = True
-
-
-class NumbaBackend(ComputeBackend):
-    """Optional JIT path over the integer/float kernels numba compiles
-    bitwise-faithfully (no fastmath, so no FMA contraction; uint64
-    arithmetic wraps exactly as numpy's).
-
-    Only ``draw_block`` and ``affine_validate`` are overridden: the
-    PCG64 stream replay and the dense affine validation are pure
-    integer/multiply-add loops, while stable argsort and decimal
-    rounding (the key kernels) have numpy-internal semantics a JIT
-    cannot be trusted to reproduce bit-for-bit — those inherit the
-    reference.  Self-verification covers the overrides regardless.
-    """
-
-    name = "numba"
-
-    def _draw_block(self, seeds, kinds):
-        from repro.core import _backend_numba
-
-        return _backend_numba.draw_block(seeds, kinds)
-
-    def _affine_validate(self, sources, alpha, beta, target, tol):
-        from repro.core import _backend_numba
-
-        return _backend_numba.affine_validate(
-            sources, alpha, beta, target, tol
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +394,7 @@ def create_backend(name: str) -> ComputeBackend:
     return spec.factory()
 
 
-def _numba_available() -> bool:
-    from repro.core import _backend_numba
-
-    return _backend_numba.available()
-
-
 register_backend("numpy", NumpyBackend)
-register_backend(
-    "numba", NumbaBackend, available=_numba_available, requires="numba"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +436,7 @@ def resolve_backend(backend: BackendArg = None) -> ComputeBackend:
     """Coerce a backend argument to an instance.
 
     ``None`` resolves to the process-active backend; a name builds a
-    *fresh* instance (so a store constructed with ``backend="numba"``
+    *fresh* instance (so a store constructed with ``backend="numpy"``
     gets store-scoped verification/degrade state); an instance passes
     through.
     """

@@ -264,6 +264,79 @@ def shard_slices(total: int, shard_count: int) -> List[slice]:
     ]
 
 
+def adaptive_config(budget: Optional[AdaptiveBudget]) -> Optional[dict]:
+    """An adaptive budget as a checkpoint config records it (floats
+    bitwise, so a resume under any other stopping rule refuses)."""
+    if budget is None:
+        return None
+    return {
+        "rtol": float(budget.rtol).hex(),
+        "atol": float(budget.atol).hex(),
+        "confidence": float(budget.confidence).hex(),
+        "max_samples": budget.max_samples,
+        "min_samples": budget.min_samples,
+        "method": budget.method,
+    }
+
+
+def run_shards(
+    runner: Callable[[Any, int], Any],
+    context: Any,
+    shard_count: int,
+    workers: int,
+    *,
+    policy: Optional[SupervisionPolicy],
+    checkpoint: Optional[str],
+    config: Callable[[], dict],
+    encode: Callable[[Any], Tuple[dict, Dict[str, np.ndarray]]],
+    decode: Callable[[dict, Dict[str, np.ndarray]], Any],
+) -> Tuple[List[Any], int, Optional[SupervisionReport]]:
+    """Every shard's outcome, resumed from ``checkpoint`` where possible.
+
+    The one sharded-run driver both sweep engines use: with a
+    ``checkpoint`` path, valid completed-shard records of the same
+    sweep (``config()`` is its identity; a different one refuses, see
+    :class:`~repro.core.persist.SweepCheckpoint`) are decoded instead of
+    recomputed and each newly accepted outcome is recorded as it
+    arrives; the remainder runs through :func:`fork_map` under
+    ``policy``.  Returns ``(outcomes in shard order, shards resumed, the
+    fan-out's supervision report — None when nothing had to run)``.
+    Shards are deterministic, so the outcomes are the same either way.
+    """
+    loaded: Dict[int, Any] = {}
+    on_complete = None
+    if checkpoint is not None:
+        from repro.core.persist import SweepCheckpoint
+
+        store = SweepCheckpoint(checkpoint, config())
+        loaded = {
+            index: decode(meta, arrays)
+            for index, (meta, arrays) in store.load().items()
+            if 0 <= index < shard_count
+        }
+
+        def on_complete(index: int, outcome: Any) -> None:
+            store.record(index, *encode(outcome))
+
+    remaining = [i for i in range(shard_count) if i not in loaded]
+    reports: List[SupervisionReport] = []
+    by_index = dict(loaded)
+    if remaining:
+        computed = fork_map(
+            runner,
+            context,
+            shard_count,
+            workers,
+            policy=policy,
+            indices=remaining,
+            on_shard_complete=on_complete,
+            report_sink=reports.append,
+        )
+        by_index.update(zip(remaining, computed))
+    outcomes = [by_index[index] for index in range(shard_count)]
+    return outcomes, len(loaded), reports[0] if reports else None
+
+
 # ---------------------------------------------------------------------------
 # Parallel explorer
 
@@ -576,17 +649,6 @@ class ParallelExplorer:
         self.checkpoint = checkpoint
 
     def _checkpoint_config(self, points, shards) -> dict:
-        adaptive = None
-        if self.adaptive is not None:
-            budget = self.adaptive
-            adaptive = {
-                "rtol": float(budget.rtol).hex(),
-                "atol": float(budget.atol).hex(),
-                "confidence": float(budget.confidence).hex(),
-                "max_samples": budget.max_samples,
-                "min_samples": budget.min_samples,
-                "method": budget.method,
-            }
         return {
             "engine": "explorer",
             "space": space_digest(points),
@@ -594,7 +656,7 @@ class ParallelExplorer:
             "samples_per_point": int(self.samples_per_point),
             "fingerprint_size": int(self.fingerprint_size),
             "seed_master": int(self.seed_bank.master_seed),
-            "adaptive": adaptive,
+            "adaptive": adaptive_config(self.adaptive),
         }
 
     def run(self, space: Iterable[Params]) -> ExplorationResult:
@@ -618,43 +680,21 @@ class ParallelExplorer:
             store_factory=self._store_factory,
             adaptive=self.adaptive,
         )
-        loaded: Dict[int, _ShardOutcome] = {}
-        on_complete = None
-        if self.checkpoint is not None:
-            from repro.core.persist import SweepCheckpoint
-
-            store = SweepCheckpoint(
-                self.checkpoint, self._checkpoint_config(points, shards)
-            )
-            loaded = {
-                index: _decode_explorer_outcome(meta, arrays)
-                for index, (meta, arrays) in store.load().items()
-                if 0 <= index < len(shards)
-            }
-
-            def on_complete(index: int, outcome: _ShardOutcome) -> None:
-                store.record(index, *_encode_explorer_outcome(outcome))
-
-        remaining = [i for i in range(len(shards)) if i not in loaded]
-        reports: List[SupervisionReport] = []
-        by_index = dict(loaded)
-        if remaining:
-            computed = fork_map(
-                _run_explorer_shard,
-                context,
-                len(shards),
-                self.workers,
-                policy=self.supervision,
-                indices=remaining,
-                on_shard_complete=on_complete,
-                report_sink=reports.append,
-            )
-            by_index.update(zip(remaining, computed))
-        outcomes = [by_index[index] for index in range(len(shards))]
+        outcomes, resumed, report = run_shards(
+            _run_explorer_shard,
+            context,
+            len(shards),
+            self.workers,
+            policy=self.supervision,
+            checkpoint=self.checkpoint,
+            config=lambda: self._checkpoint_config(points, shards),
+            encode=_encode_explorer_outcome,
+            decode=_decode_explorer_outcome,
+        )
         result = self._merge(points, outcomes)
         if result.parallel is not None:
-            result.parallel.shards_resumed = len(loaded)
-            result.parallel.supervision = reports[0] if reports else None
+            result.parallel.shards_resumed = resumed
+            result.parallel.supervision = report
         return result
 
     def _merge(

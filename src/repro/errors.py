@@ -145,8 +145,8 @@ class BackendError(JigsawError):
 
     Raised for unknown backend names and for backends whose optional
     dependency is not importable on this host.  Selection never falls
-    back silently: a caller who asked for ``numba`` either gets numba
-    or gets this error — the only *automatic* fallback is the
+    back silently: a caller who asked for a backend by name either gets
+    that backend or gets this error — the only *automatic* fallback is the
     self-verification degrade, which is per-instance, warned about, and
     visible in ``fast_path_status()`` / ``repro store info``.
     """

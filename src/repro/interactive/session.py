@@ -142,43 +142,6 @@ class InteractiveSession:
         """Run several iterations (the GUI's background loop)."""
         return [self.tick() for _ in range(ticks)]
 
-    def save_store(self, path: str, metadata=None) -> None:
-        """Snapshot the session's basis store for later warm starts.
-
-        Delegates to the unified :class:`repro.api.Session` surface
-        (same snapshot format as before; saved stores load anywhere).
-        """
-        from repro.api import Session
-
-        Session(self.store, seed_bank=self.seed_bank).save(
-            path, metadata=metadata
-        )
-
-    def load_store(self, path: str, mmap: bool = True) -> None:
-        """Warm-start the session from a saved store snapshot.
-
-        Must be called before any point is focused: per-point states bind
-        basis ids of the store they were probed against, so swapping the
-        store underneath them would dangle every binding.  The loaded
-        store is memory-mapped read-only; refinement and rebinding
-        (:meth:`_rebind_from_scratch` included) promote copy-on-write and
-        never write through to the snapshot.
-        """
-        from repro.api import Session
-
-        if self._states:
-            raise InteractiveError(
-                "load_store must run before any point is focused; start a "
-                "fresh session to switch stores"
-            )
-        self.store = Session.open(
-            path,
-            like=self.store,
-            seed_bank=self.seed_bank,
-            estimator=self.estimator,
-            mmap=mmap,
-        ).resolve_basis_store()
-
     def estimate(self, point: Mapping[str, float]) -> Optional[MetricSet]:
         """Current best estimate for a point, or None if never visited."""
         state = self._states.get(param_key(point))

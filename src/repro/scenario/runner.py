@@ -12,6 +12,7 @@ one unmappable column forces the full simulation for the whole row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -23,11 +24,12 @@ from repro.core.estimator import Estimator, MetricSet
 from repro.core.fingerprint import Fingerprint
 from repro.core.parallel import (
     ParallelStats,
-    fork_map,
+    adaptive_config,
+    run_shards,
     shard_slices,
     space_digest,
 )
-from repro.core.supervise import SupervisionPolicy, SupervisionReport
+from repro.core.supervise import SupervisionPolicy
 from repro.core.mapping import (
     IdentityMappingFamily,
     LinearMappingFamily,
@@ -284,18 +286,6 @@ class ScenarioRunner:
             mmap=mmap,
         ).stores
 
-    def match_stats(self) -> Dict[str, "object"]:
-        """Per-column basis-match counters (StoreStats), for diagnostics.
-
-        Every column's store answers probes through the columnar match
-        engine (:meth:`BasisStore.match` — the single-probe form of
-        ``match_batch``); every counter here is deterministic and
-        identical for any worker count.
-        """
-        return {
-            column: store.stats for column, store in self._stores.items()
-        }
-
     def _clone_serial(self) -> "ScenarioRunner":
         """A fresh single-worker runner with this runner's configuration
         (shard workers build their local per-column stores through this)."""
@@ -313,17 +303,6 @@ class ScenarioRunner:
         )
 
     def _checkpoint_config(self, points, shards) -> dict:
-        adaptive = None
-        if self.adaptive is not None:
-            budget = self.adaptive
-            adaptive = {
-                "rtol": float(budget.rtol).hex(),
-                "atol": float(budget.atol).hex(),
-                "confidence": float(budget.confidence).hex(),
-                "max_samples": budget.max_samples,
-                "min_samples": budget.min_samples,
-                "method": budget.method,
-            }
         return {
             "engine": "scenario",
             "space": space_digest(points),
@@ -333,7 +312,7 @@ class ScenarioRunner:
             "seed_master": int(self.seed_bank.master_seed),
             "columns": list(self.scenario.output_columns),
             "use_fingerprints": bool(self.use_fingerprints),
-            "adaptive": adaptive,
+            "adaptive": adaptive_config(self.adaptive),
         }
 
     def run(self) -> ScenarioResult:
@@ -371,41 +350,17 @@ class ScenarioRunner:
         shards = [points[s] for s in slices]
         context = _ScenarioShardContext(self._clone_serial, shards)
         columns = tuple(self.scenario.output_columns)
-        loaded: Dict[int, Tuple[List[_ScenarioPointRecord], RunnerStats]] = {}
-        on_complete = None
-        if self.checkpoint is not None:
-            from repro.core.persist import SweepCheckpoint
-
-            checkpoint_store = SweepCheckpoint(
-                self.checkpoint, self._checkpoint_config(points, shards)
-            )
-            loaded = {
-                index: _decode_scenario_outcome(columns, meta, arrays)
-                for index, (meta, arrays) in checkpoint_store.load().items()
-                if 0 <= index < len(shards)
-            }
-
-            def on_complete(index, outcome) -> None:
-                checkpoint_store.record(
-                    index, *_encode_scenario_outcome(columns, outcome)
-                )
-
-        remaining = [i for i in range(len(shards)) if i not in loaded]
-        reports: List[SupervisionReport] = []
-        by_index = dict(loaded)
-        if remaining:
-            computed = fork_map(
-                _run_scenario_shard,
-                context,
-                len(shards),
-                self.workers,
-                policy=self.supervision,
-                indices=remaining,
-                on_shard_complete=on_complete,
-                report_sink=reports.append,
-            )
-            by_index.update(zip(remaining, computed))
-        outcomes = [by_index[index] for index in range(len(shards))]
+        outcomes, resumed, report = run_shards(
+            _run_scenario_shard,
+            context,
+            len(shards),
+            self.workers,
+            policy=self.supervision,
+            checkpoint=self.checkpoint,
+            config=lambda: self._checkpoint_config(points, shards),
+            encode=partial(_encode_scenario_outcome, columns),
+            decode=partial(_decode_scenario_outcome, columns),
+        )
         parallel = ParallelStats(
             workers=self.workers,
             shard_sizes=tuple(len(records) for records, _ in outcomes),
@@ -413,8 +368,8 @@ class ScenarioRunner:
                 stats.rounds_executed for _, stats in outcomes
             ),
             shard_stats=[stats for _, stats in outcomes],
-            shards_resumed=len(loaded),
-            supervision=reports[0] if reports else None,
+            shards_resumed=resumed,
+            supervision=report,
         )
         shard_bases = sum(stats.bases_created for _, stats in outcomes)
         records = [

@@ -25,7 +25,7 @@ Architecture
   dispatcher closes and forgets the connection when it gets there, so a
   client costs the daemon a descriptor and a thread only while it lasts;
 * a single **dispatcher thread** drains the queue in micro-batches of
-  up to ``max_batch`` requests and answers them through
+  up to :data:`MAX_BATCH` requests and answers them through
   :meth:`Session.handle_batch`, which routes probe runs straight into
   :meth:`BasisStore.match_batch` — so concurrent clients get the
   columnar kernels' batched throughput while every response stays
@@ -64,7 +64,7 @@ from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import recv_frame, send_frame
 
 #: Largest micro-batch the dispatcher forms from the admission queue.
-DEFAULT_MAX_BATCH = 64
+MAX_BATCH = 64
 
 #: Reader poll interval: how quickly an idle connection notices a drain
 #: (and the final buffered-frame sweep window during one).
@@ -112,13 +112,9 @@ class BasisServer:
         session: Session,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_batch: int = DEFAULT_MAX_BATCH,
         save_path: Optional[str] = None,
     ):
-        if max_batch < 1:
-            raise ServeError("max_batch must be at least 1")
         self.session = session
-        self.max_batch = int(max_batch)
         self.save_path = save_path
         self._host = host
         self._port = int(port)
@@ -333,7 +329,7 @@ class BasisServer:
                     return
                 continue
             batch = [first]
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(self._queue.get_nowait())
                 except queue.Empty:
@@ -388,16 +384,11 @@ def serve_snapshot(
     path: str,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_batch: int = DEFAULT_MAX_BATCH,
     save_path: Optional[str] = None,
     mmap: bool = True,
 ) -> BasisServer:
     """Open a snapshot as a warm session and start a server over it."""
     session = Session.open(path, mmap=mmap)
     return BasisServer(
-        session,
-        host=host,
-        port=port,
-        max_batch=max_batch,
-        save_path=save_path,
+        session, host=host, port=port, save_path=save_path
     ).start()

@@ -21,9 +21,11 @@ The acceptance contract of the serve tentpole:
 """
 
 import dataclasses
+import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -261,6 +263,44 @@ class TestConnectionLifetime:
         with socket.create_connection(server.address) as raw:
             raw.sendall(b"\xff\xff\xff\xff not a frame")
             assert _idle_books(server)[:2] == (0, 0)
+        assert _idle_books(server) == idle
+
+    def test_malformed_requests_are_answered_and_cost_nobody(
+        self, server, idle
+    ):
+        """Well-framed requests ``decode_request`` must refuse — numbers
+        ``int()`` cannot take (``1e400`` is hand-framed: ``json.dumps``
+        never emits it) and a ``store`` that is not a name — each get a
+        typed ``ProtocolError`` answer in order, and neither the reader
+        of that connection nor the one dispatcher everyone shares goes
+        down with them."""
+        hostile = [
+            b'{"kind":"refine","basis_id":1e400,"samples":[],"id":"huge"}',
+            b'{"kind":"evict","max_bases":Infinity,"id":"inf"}',
+            b'{"kind":"match","fingerprint":[],"store":["x"],"id":"list"}',
+            b'{"kind":"compact","store":{"a":1},"id":"dict"}',
+        ]
+        with ServeClient(*server.address, timeout=10.0) as client:
+            with ServeClient(*server.address, timeout=10.0) as bystander:
+                sent = []
+                for number, payload in enumerate(hostile):
+                    client.send(StatsRequest(request_id=number))
+                    client._sock.sendall(
+                        struct.pack(">I", len(payload)) + payload
+                    )
+                    sent += [number, json.loads(payload)["id"]]
+                    assert bystander.stats().bases == {"default": 10}
+                client.send(StatsRequest(request_id="last"))
+                sent.append("last")
+                got = [client.recv() for _ in sent]
+        assert [response.request_id for response in got] == sent
+        refused = {json.loads(payload)["id"] for payload in hostile}
+        for response in got:
+            if response.request_id in refused:
+                assert isinstance(response, ErrorResponse)
+                assert response.code == "ProtocolError"
+            else:
+                assert response.bases == {"default": 10}
         assert _idle_books(server) == idle
 
     def test_half_closed_pipeline_still_gets_every_answer(

@@ -268,9 +268,31 @@ class TestWireCodec:
         with pytest.raises(ProtocolError):
             decode_request({"kind": "refine", "basis_id": "x", "samples": []})
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # int(inf) and an out-of-range hex float raise OverflowError.
+            {"kind": "refine", "basis_id": float("inf"), "samples": []},
+            {"kind": "evict", "max_bases": float("inf")},
+            {"kind": "evict", "max_bytes": float("-inf")},
+            {"kind": "match", "fingerprint": ["0x1p+99999"]},
+            # A store is a name: anything else is refused here, before
+            # a session hashes it on the daemon's one dispatcher thread.
+            {"kind": "match", "fingerprint": [], "store": ["x"]},
+            {"kind": "estimate", "fingerprint": [], "store": {"a": 1}},
+            {"kind": "refine", "basis_id": 0, "samples": [], "store": 5},
+            {"kind": "match", "fingerprint": [], "store": None},
+            {"kind": "evict", "max_bases": 1, "store": ["x"]},
+            {"kind": "compact", "store": {"a": 1}},
+        ],
+    )
+    def test_hostile_request_fields_refused_with_protocol_error(self, body):
+        with pytest.raises(ProtocolError, match=f"malformed {body['kind']!r}"):
+            decode_request(body)
+
 
 class TestLegacyEntryPointsDelegate:
-    """The four pre-Session warm-start spellings keep working."""
+    """Every warm-start surface takes, or routes through, a Session."""
 
     def test_explorer_accepts_a_session(self):
         from repro.core.explorer import ParameterExplorer
@@ -329,10 +351,20 @@ class TestLegacyEntryPointsDelegate:
         first = InteractiveSession(simulation, space)
         first.focus({"x": 1.0})
         first.run(4)
-        first.save_store(str(tmp_path / "snap"))
+        Session(first.store, seed_bank=first.seed_bank).save(
+            str(tmp_path / "snap")
+        )
 
-        second = InteractiveSession(simulation, space)
-        second.load_store(str(tmp_path / "snap"))
+        second = InteractiveSession(
+            simulation,
+            space,
+            basis_store=Session.open(
+                str(tmp_path / "snap"),
+                like=BasisStore(),
+                seed_bank=first.seed_bank,
+                estimator=first.estimator,
+            ),
+        )
         assert len(second.store) == len(first.store)
         for basis in first.store.bases:
             twin = second.store.get(basis.basis_id)

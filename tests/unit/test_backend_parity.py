@@ -5,10 +5,10 @@ Three contracts are enforced here:
 * **Parity** — every available compute backend produces *bitwise* the
   same draws, mapping parameters, match decisions, and
   ``candidates_tested`` counters as the numpy reference, across all
-  five mapping families and all three index strategies.  On the default
-  CI matrix only ``numpy`` is available (the parametrization then pins
-  the plumbing); the optional-deps job installs numba and runs the same
-  tests against the JIT kernels.
+  five mapping families and all three index strategies.  ``numpy`` is
+  the one backend that ships, so the parametrization pins the plumbing;
+  ``TestAddingABackend`` runs the registration recipe end to end with a
+  faithful stand-in.
 * **Degrade** — all three fast paths (backend kernels, the fastrng
   draw stream, the columnar matcher — single-probe kernels and the
   block probe's pair pass alike) run under the one
@@ -23,6 +23,8 @@ Three contracts are enforced here:
   never falls back silently.
 """
 
+import json
+import os
 import warnings
 
 import numpy as np
@@ -37,6 +39,7 @@ from repro.core.backend import (
     backend_available,
     backend_names,
     create_backend,
+    register_backend,
     resolve_backend,
     use_backend,
 )
@@ -56,9 +59,21 @@ AVAILABLE = tuple(
     name for name in backend_names() if backend_available(name)
 )
 
-needs_numba = pytest.mark.skipif(
-    not backend_available("numba"), reason="numba is not installed"
-)
+
+@pytest.fixture
+def registry(monkeypatch):
+    """Registrations and selections made by one test are undone after it
+    (the registry and the process-active backend are module state)."""
+    from repro.core import backend as backend_module
+
+    monkeypatch.setattr(
+        backend_module, "_REGISTRY", dict(backend_module._REGISTRY)
+    )
+    monkeypatch.setattr(backend_module, "_ACTIVE", backend_module._ACTIVE)
+    register_backend(
+        "absent", NumpyBackend, available=lambda: False, requires="nosuchpkg"
+    )
+
 
 #: (family factory, per-probe transform builder): the transform maps a
 #: stored base row to a probe the family must match.  All transforms are
@@ -175,16 +190,6 @@ class TestKernelParity:
                 reference.affine_validate(sources, alpha, beta, target, 1e-8),
             )
         assert backend.degraded_kernels() == ()
-
-    @needs_numba
-    def test_numba_backend_actually_overrides_kernels(self):
-        backend = create_backend("numba")
-        assert backend._checks["draw_block"].remaining == VERIFY_CALLS
-        assert backend._checks["affine_validate"].remaining == VERIFY_CALLS
-        # Key kernels inherit the reference: numpy-internal semantics
-        # (stable argsort, decimal rounding) are not JIT-delegated.
-        assert backend._checks["sid_orders"].remaining == 0
-        assert backend._checks["normal_forms"].remaining == 0
 
 
 class _LyingAffineBackend(ComputeBackend):
@@ -443,15 +448,14 @@ class TestSelectionAndRefusal:
             create_backend("nope")
         assert issubclass(BackendError, JigsawError)
 
-    def test_unavailable_name_refused_not_defaulted(self):
-        if backend_available("numba"):
-            pytest.skip("numba installed: unavailability not testable")
-        with pytest.raises(BackendError, match="not available on this host"):
-            create_backend("numba")
+    def test_unavailable_name_refused_not_defaulted(self, registry):
+        assert "absent" in backend_names()
+        assert not backend_available("absent")
+        with pytest.raises(BackendError, match="requires 'nosuchpkg'"):
+            create_backend("absent")
 
-    def test_registry_lists_numpy_and_numba(self):
-        assert "numpy" in backend_names()
-        assert "numba" in backend_names()
+    def test_registry_ships_numpy_only(self):
+        assert backend_names() == ("numpy",)
         assert backend_available("numpy")
 
     def test_use_backend_rejects_non_backends(self):
@@ -472,15 +476,84 @@ class TestSelectionAndRefusal:
         assert main(["store", "info", "ignored", "--backend", "nope"]) == 2
         assert "unknown compute backend" in capsys.readouterr().err
 
-    @pytest.mark.skipif(
-        backend_available("numba"),
-        reason="numba installed: unavailability not testable",
-    )
-    def test_cli_refuses_unavailable_backend_with_exit_2(self, capsys):
+    def test_cli_refuses_unavailable_backend_with_exit_2(
+        self, registry, capsys
+    ):
         from repro.cli import main
 
-        assert main(["store", "info", "ignored", "--backend", "numba"]) == 2
+        assert main(["store", "info", "ignored", "--backend", "absent"]) == 2
         assert "not available on this host" in capsys.readouterr().err
+
+
+class _FaithfulBackend(ComputeBackend):
+    """What an accelerated backend is: its own code for some kernels,
+    the reference's bits.  (Same operations in the same order, spelled
+    without the reference's in-place buffer.)"""
+
+    name = "faithful"
+
+    def _draw_block(self, seeds, kinds):
+        out, ok = super()._draw_block(seeds, kinds)
+        return out.copy(), ok.copy()
+
+    def _affine_validate(self, sources, alpha, beta, target, tol):
+        deviation = np.abs(alpha[:, None] * sources + beta[:, None] - target)
+        bound = tol[:, None] if np.ndim(tol) else tol
+        return (deviation <= bound).all(axis=1)
+
+
+class TestAddingABackend:
+    """ROADMAP's "Adding a backend" recipe, executed: subclass, override
+    kernels, register, select by name."""
+
+    def test_overridden_kernels_are_verified_inherited_ones_are_not(self):
+        budgets = {
+            kernel: check.remaining
+            for kernel, check in _FaithfulBackend()._checks.items()
+        }
+        assert budgets == {
+            "draw_block": VERIFY_CALLS,
+            "affine_validate": VERIFY_CALLS,
+            "sid_orders": 0,
+            "normal_forms": 0,
+        }
+
+    def test_registered_name_serves_a_sharded_sweep_bitwise(
+        self, registry, tmp_path
+    ):
+        """Selection by registry name, through the figure driver, with
+        shard workers that rebuild the backend from that name
+        (``_inheritable_backend_name``): counters equal the committed
+        numpy baseline's and nothing degraded."""
+        from repro.bench import checks, driver
+        from repro.core.parallel import _inheritable_backend_name
+
+        built_in = tmp_path / "built_in"
+
+        def factory():
+            with open(built_in, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return _FaithfulBackend()
+
+        register_backend("faithful", factory)
+        out = tmp_path / "bench.json"
+        arguments = ["--scale", "smoke", "--only", "fig9", "--workers", "2"]
+        assert driver.main(
+            [*arguments, "--backend", "faithful", "--bench-out", str(out)]
+        ) == 0
+        bench = json.loads(out.read_text())
+        baseline = checks.load_baselines(checks.CHECKS["smoke"])
+        assert bench["backend"] == "faithful"
+        assert bench["figures"]["fig9"] == (
+            baseline[checks.SMOKE_BASELINE]["figures"]["fig9"]
+        )
+        serving = active_backend()
+        assert isinstance(serving, _FaithfulBackend)
+        assert serving.describe() == "faithful"
+        assert serving._checks["affine_validate"].remaining < VERIFY_CALLS
+        assert _inheritable_backend_name() == "faithful"
+        builders = {int(pid) for pid in built_in.read_text().split()}
+        assert builders > {os.getpid()}  # the driver, and shard workers
 
 
 class TestBackendReporting:

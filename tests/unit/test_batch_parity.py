@@ -169,9 +169,9 @@ def _bits(values):
     return [float(value).hex() for value in values]
 
 
-#: Every backend this host can run: the optional-deps CI job reruns this
-#: file with numba installed, so the JIT ``draw_block`` fills the derived
-#: entries below and is cross-checked on their shapes.
+#: Every registered backend this host can run: a newly registered one
+#: has its ``draw_block`` fill the derived entries below and is
+#: cross-checked on their shapes.
 BACKENDS = tuple(
     name for name in backend_names() if backend_available(name)
 )

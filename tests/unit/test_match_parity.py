@@ -338,9 +338,8 @@ class TestBatchedKeys:
             np.testing.assert_array_equal(gathered, column[rows])
 
 
-#: Every backend this host can run: the optional-deps CI job reruns this
-#: file with numba installed, which hands the JIT ``affine_validate`` the
-#: screen's one-column matrices.
+#: Every registered backend this host can run: a newly registered one is
+#: handed the screen's one-column matrices through ``affine_validate``.
 BACKENDS = tuple(
     name for name in backend_names() if backend_available(name)
 )
@@ -550,9 +549,8 @@ def assert_block_parity(reference, blocked, probes, **script):
 class TestBlockProbeParity:
     """``block_probe(...).match(i)`` is ``match`` at that moment, whatever
     happened to the store since the block was opened.  The scalar loop is
-    the reference in every comparison; the optional-deps CI job reruns
-    this with numba, handing the JIT ``affine_validate`` per-row targets
-    and tolerances."""
+    the reference in every comparison; every registered backend's
+    ``affine_validate`` gets per-row targets and tolerances here."""
 
     def stores(self, family_name, strategy, backend_name, content="mixed"):
         reference = build_store(family_name, strategy, content, False)
@@ -854,10 +852,9 @@ class TestBlockProbeSelective:
     explicit pair pass.  Stores sit at the *default*
     ``columnar_min_candidates`` with ``columnar_check``'s budget unspent
     — the lists never get long enough to spend it.  A degrade (a masked
-    wrong answer) is an error here; the optional-deps CI job reruns this
-    with numba, handing the JIT ``affine_validate`` the pair pass's
-    shapes: one-column sources with a target entry and a bound per pair,
-    pair counts from 1 up."""
+    wrong answer) is an error here; every registered backend's
+    ``affine_validate`` gets the pair pass's shapes: one-column sources
+    with a target entry and a bound per pair, pair counts from 1 up."""
 
     def stores(self, family_name, strategy, backend_name, fingerprints=None):
         fingerprints = SELECTIVE if fingerprints is None else fingerprints

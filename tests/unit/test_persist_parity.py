@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core import persist
 from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator
@@ -30,7 +31,7 @@ from repro.core.mapping import (
     ScaleMappingFamily,
     ShiftMappingFamily,
 )
-from repro.core.seeds import SeedBank
+from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank
 from repro.errors import (
     PersistError,
     SnapshotCompatibilityError,
@@ -336,8 +337,13 @@ class TestCopyOnWrite:
 
         session = InteractiveSession(
             explorer_sim, space, fingerprint_size=4, chunk=3,
+            basis_store=Session.open(
+                str(path),
+                like=BasisStore(),
+                seed_bank=DEFAULT_SEED_BANK,
+                estimator=live.estimator,
+            ),
         )
-        session.load_store(str(path))
         assert len(session.store) == len(live)
         session.focus({"x": 2.0})
         for _ in range(9):
@@ -347,21 +353,6 @@ class TestCopyOnWrite:
         session._rebind_from_scratch(state)
         assert session.estimate({"x": 2.0}) is not None
         assert self._snapshot_bytes(path) == before
-
-    def test_interactive_load_after_focus_refused(self, tmp_path):
-        live = build_store("linear", "normalization", CONTENTS["singleton"])
-        path = tmp_path / "snap"
-        persist.save_store(live, str(path))
-        session = InteractiveSession(
-            lambda params, seed: float(seed % 7),
-            ParameterSpace([RangeParameter("x", 1.0, 2.0, 1.0)]),
-            fingerprint_size=4,
-        )
-        session.focus({"x": 1.0})
-        from repro.errors import InteractiveError
-
-        with pytest.raises(InteractiveError):
-            session.load_store(str(path))
 
 
 class TestAtomicityAndRefusals:

@@ -98,8 +98,8 @@ class TestIncompatibility:
             (_document(), _document(warm_store=True), "warm_store"),
             (_document(warm_store=True), _document(), "warm_store"),
             (_document(warm_store=False), _document(), None),
-            (_document(), _document(backend="numba"), "backend"),
-            (_document(backend="numba"), _document(), "backend"),
+            (_document(), _document(backend="other"), "backend"),
+            (_document(backend="other"), _document(), "backend"),
             # The first differing field is the one named.
             (_document(), _document(scale="smoke", workers=4), "scale"),
             # Keys that are not provenance never matter.

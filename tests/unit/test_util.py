@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -194,6 +195,29 @@ class TestClockInjection:
                     offenders.append(
                         f"{path.relative_to(root)}:{node.lineno}"
                     )
+        assert offenders == []
+
+    def test_the_library_imports_only_stdlib_numpy_and_itself(self):
+        """The host rule (ROADMAP): a dependency no session can install
+        is code no session can run or measure, so nothing under
+        ``src/repro`` may import one — not at module level, not inside a
+        function, not behind ``try:``."""
+        allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:  # not an import, or a relative one (inside repro)
+                    continue
+                offenders += [
+                    f"{path.relative_to(root)}:{node.lineno} {module}"
+                    for module in modules
+                    if module.partition(".")[0] not in allowed
+                ]
         assert offenders == []
 
 
