@@ -23,7 +23,10 @@ faults     the suite at 4 workers with shard 1's first attempt of every
            sweep crashed: the supervised retry must reproduce the
            serial baseline, and the injection must actually have fired.
 lifecycle  a warmed store evicted to half its size answers every probe
-           exactly like a store rebuilt from only the survivors; the
+           exactly like a store rebuilt from only the survivors; a
+           store built by adds with no read between them (its index
+           keys them late, in bulk) snapshots to the same bytes and
+           answers the same as one probed after every add; the
            committed version-1 snapshot fixture still loads.
 golden     per-figure data points (estimates, reuse decisions, jump
            counts) equal ``benchmarks/golden/*.json`` float-for-float.
@@ -45,6 +48,7 @@ Exit status 0 when every named check passes, 1 otherwise.
 """
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -310,6 +314,42 @@ def _load_v1_fixture() -> dict:
     }
 
 
+def _empty_like(store: BasisStore) -> BasisStore:
+    """A fresh store that matches the way ``store`` does."""
+    fresh = BasisStore(
+        mapping_family=type(store.mapping_family)(),
+        index_strategy=type(store.index).strategy,
+    )
+    fresh.columnar_min_candidates = store.columnar_min_candidates
+    fresh.columnar_check.exhaust()
+    return fresh
+
+
+def _built_by_adds(source, fingerprints, read_between: bool) -> dict:
+    """``source``'s bases added to a fresh store — the index read after
+    every add, or not once — then evicted to half and saved: the
+    snapshot's bytes (a digest per file) and every probe's answer."""
+    store = _empty_like(source)
+    for basis in source.bases:
+        # A twin: no store sees a key the other one's reads computed.
+        fingerprint = Fingerprint(basis.fingerprint.values)
+        store.add(fingerprint, basis.samples)
+        if read_between:
+            store.index.candidates(fingerprint)
+    store.evict(EvictionPolicy(max_bases=_LIFECYCLE_BASES // 2))
+    with tempfile.TemporaryDirectory(prefix="repro-lifecycle-") as scratch:
+        path = os.path.join(scratch, "snapshot")
+        persist.save_store(store, path)
+        snapshot = {}
+        for name in sorted(os.listdir(path)):
+            with open(os.path.join(path, name), "rb") as handle:
+                snapshot[name] = hashlib.sha256(handle.read()).hexdigest()
+    return {
+        "snapshot": snapshot,
+        "answers": [_answer(store, fp) for fp in fingerprints],
+    }
+
+
 def _measure_lifecycle() -> dict:
     """Warm a fixture store with a deterministic probe stream, evict half
     of it by the reuse-value policy, and answer every probe from both the
@@ -324,16 +364,15 @@ def _measure_lifecycle() -> dict:
         )
         if isinstance(request, (MatchRequest, EstimateRequest))
     ]
+    burst = {  # from the whole fixture, before anything is evicted
+        "keyed_on_arrival": _built_by_adds(store, fingerprints, True),
+        "keyed_late": _built_by_adds(store, fingerprints, False),
+    }
     for fingerprint in fingerprints:  # warm: bump reuse counters
         store.match(fingerprint)
     evicted = store.evict(EvictionPolicy(max_bases=_LIFECYCLE_BASES // 2))
 
-    rebuild = BasisStore(
-        mapping_family=type(store.mapping_family)(),
-        index_strategy=type(store.index).strategy,
-    )
-    rebuild.columnar_min_candidates = store.columnar_min_candidates
-    rebuild.columnar_check.exhaust()
+    rebuild = _empty_like(store)
     renumbered = {}
     for new_id, basis in enumerate(store.bases):
         renumbered[basis.basis_id] = new_id
@@ -342,6 +381,7 @@ def _measure_lifecycle() -> dict:
         "eviction": {"survivors": len(store), "evicted": len(evicted)},
         "lived": [_answer(store, fp, renumbered) for fp in fingerprints],
         "rebuilt": [_answer(rebuild, fp) for fp in fingerprints],
+        "burst": burst,
         "v1_fixture": _load_v1_fixture(),
     }
 
@@ -355,6 +395,11 @@ def _judge_lifecycle(evidence: dict, baselines: dict) -> List[str]:
             "eviction",
         )
         + exact_diff(evidence["rebuilt"], evidence["lived"], "lived")
+        + exact_diff(
+            evidence["burst"]["keyed_on_arrival"],
+            evidence["burst"]["keyed_late"],
+            "burst.keyed_late",
+        )
         + exact_diff(_V1_EXPECTED, evidence["v1_fixture"], "v1_fixture")
     )
 
@@ -431,7 +476,9 @@ CHECKS: Dict[str, Check] = {
     ),
     "lifecycle": Check(
         "an evicted store answers exactly like a survivors-only rebuild; "
-        "the version-1 snapshot fixture still loads",
+        "a store whose index keyed a burst of adds late snapshots and "
+        "answers like one keyed on arrival; the version-1 snapshot fixture "
+        "still loads",
         _measure_lifecycle,
         _judge_lifecycle,
     ),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -134,28 +135,34 @@ class EvictionPolicy:
             if bound is not None and int(bound) < 0:
                 raise LifecycleError(f"{name} must be non-negative")
 
+    def _exceeded(self, count: int, total: int) -> bool:
+        return (
+            self.max_bases is not None and count > int(self.max_bases)
+        ) or (self.max_bytes is not None and total > int(self.max_bytes))
+
     def victims(self, store: "BasisStore") -> List[int]:
         """Basis ids to evict, in eviction order (store unchanged)."""
-        bases = store.bases
-        if self.keep == "value":
-            ranked = sorted(bases, key=lambda b: (b.hits, b.basis_id))
-        else:
-            ranked = list(bases)  # ascending id == oldest first
+        bases = store._bases.values()
         count = len(bases)
         total = (
             sum(basis.nbytes() for basis in bases)
             if self.max_bytes is not None
             else 0
         )
+        if not self._exceeded(count, total):
+            return []
+        # One ranking over the live bases, whatever order the dict holds
+        # them in (a restored store's need not be ascending id): least hit
+        # first with ties toward the older id, or oldest first.
+        ranked = sorted(
+            bases,
+            key=attrgetter("hits", "basis_id")
+            if self.keep == "value"
+            else attrgetter("basis_id"),
+        )
         victims: List[int] = []
         for basis in ranked:
-            over_count = (
-                self.max_bases is not None and count > int(self.max_bases)
-            )
-            over_bytes = (
-                self.max_bytes is not None and total > int(self.max_bytes)
-            )
-            if not (over_count or over_bytes):
+            if not self._exceeded(count, total):
                 break
             victims.append(basis.basis_id)
             count -= 1
@@ -863,10 +870,12 @@ class BasisStore:
         every correlated point's estimate more accurate at once.
         """
         basis = self._bases[basis_id]
-        basis.samples = np.concatenate(
+        samples = np.concatenate(
             [basis.samples, np.asarray(new_samples, dtype=float)]
         )
-        basis.metrics = self.estimator.estimate(basis.samples)
+        # Estimate first: a refused estimate leaves the basis as it was.
+        basis.metrics = self.estimator.estimate(samples)
+        basis.samples = samples
         return basis
 
     def metrics_for(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,36 +187,115 @@ class Estimator:
             raise EstimatorError("histogram_bins must be non-negative")
         self.quantile_probabilities = tuple(quantile_probabilities)
         self.histogram_bins = histogram_bins
+        #: The probabilities as ``np.quantile`` would read them.
+        self._probabilities = np.asanyarray(self.quantile_probabilities)
+        #: ``(n, plan)`` of the last sample count seen: derived state.
+        self._plan: Tuple[int, tuple] = (0, ())
 
     def estimate(self, samples: Sequence[float]) -> MetricSet:
+        """Reduce ``samples`` to a :class:`MetricSet`, reading them once.
+
+        Every value carries the bits of the numpy call that defines it —
+        ``np.quantile(a, probabilities)``, ``a.mean()``, ``a.std()``,
+        ``a.min()``, ``a.max()`` — computed as the IEEE operations those
+        calls perform, without their Python wrappers
+        (``tests/property/test_prop_estimator.py`` holds the two side by
+        side against the installed numpy).
+        """
         array = np.asarray(samples, dtype=float)
-        if array.size == 0:
+        count = array.size
+        if count == 0:
             raise EstimatorError("cannot estimate metrics from zero samples")
-        if self.quantile_probabilities:
-            quantile_values = np.quantile(array, self.quantile_probabilities)
-            quantiles = tuple(
-                (float(p), float(v))
-                for p, v in zip(self.quantile_probabilities, quantile_values)
-            )
-        else:
+        if not self.quantile_probabilities:
             quantiles = ()
+        else:
+            if self._probabilities.dtype == np.float64:
+                quantile_values = self._quantile_values(array)
+            else:
+                # Integer (or otherwise exotic) probabilities take numpy's
+                # no-interpolation branch, which is not mirrored here.
+                quantile_values = np.quantile(
+                    array, self.quantile_probabilities
+                ).tolist()
+            quantiles = tuple(
+                zip(map(float, self.quantile_probabilities), quantile_values)
+            )
         histogram = None
         if self.histogram_bins:
-            counts, edges = np.histogram(array, bins=self.histogram_bins)
+            try:
+                counts, edges = np.histogram(array, bins=self.histogram_bins)
+            except ValueError as error:
+                # numpy refuses a range it cannot cut into finite bins
+                # (inf, NaN, max - min overflowing).
+                raise EstimatorError(
+                    f"cannot build a {self.histogram_bins}-bin histogram: "
+                    f"{error}"
+                ) from error
             histogram = Histogram(
                 tuple(int(c) for c in counts),
                 tuple(float(e) for e in edges),
             )
+        # ndarray.mean / ndarray.std (population std: metrics describe the
+        # sampled worlds directly), as the reductions they are.
+        mean = np.add.reduce(array, axis=None) / count
+        deviations = array - mean
+        np.square(deviations, out=deviations)
+        variance = np.add.reduce(deviations, axis=None) / count
         return MetricSet(
-            count=int(array.size),
-            expectation=float(array.mean()),
-            # Population std: metrics describe the sampled worlds directly.
-            stddev=float(array.std()),
-            minimum=float(array.min()),
-            maximum=float(array.max()),
+            count=count,
+            expectation=float(mean),
+            stddev=float(np.sqrt(variance)),
+            # Reductions over the samples as given, not reads off a
+            # partitioned copy: with -0.0 / 0.0 ties and NaN the answer
+            # depends on the order visited.
+            minimum=float(np.minimum.reduce(array, axis=None)),
+            maximum=float(np.maximum.reduce(array, axis=None)),
             quantiles=quantiles,
             histogram=histogram,
         )
+
+    def _quantile_values(self, array: np.ndarray) -> List[float]:
+        """``np.quantile(array, probabilities)`` (method ``"linear"``): one
+        partition of a flat copy, then numpy's interpolation expression."""
+        planned_for, plan = self._plan
+        if planned_for != array.size:
+            plan = self._quantile_plan(array.size)
+            self._plan = (array.size, plan)
+        kth, lower, upper, gamma, one_minus_gamma, upper_half = plan
+        ordered = array.flatten()
+        ordered.partition(kth)
+        below = ordered[lower]
+        above = ordered[upper]
+        spread = above - below
+        values = below + spread * gamma
+        np.subtract(
+            above, spread * one_minus_gamma, out=values, where=upper_half
+        )
+        last = ordered[-1]
+        if last != last:
+            # NaN sorts last, and one NaN makes every quantile that NaN.
+            return [float(last)] * len(values)
+        return values.tolist()
+
+    def _quantile_plan(self, n: int) -> tuple:
+        """What ``np.quantile`` derives from ``(n, probabilities)`` alone.
+
+        The virtual index is numpy's ``(n - 1) * q`` for the linear method
+        (the general Hyndman-Fan form differs from it in the last bit);
+        an index at or past the last element reads ``-1`` on both sides,
+        with the weight numpy then gets from ``virtual - (-1)``.
+        """
+        virtual = (n - 1) * self._probabilities
+        lower = np.floor(virtual)
+        upper = lower + 1
+        past_end = virtual >= n - 1
+        lower[past_end] = -1
+        upper[past_end] = -1
+        lower = lower.astype(np.intp)
+        upper = upper.astype(np.intp)
+        gamma = virtual - lower
+        kth = np.unique(np.concatenate(([0, -1], lower, upper)))
+        return kth, lower, upper, gamma, 1 - gamma, gamma >= 0.5
 
     def halfwidth(self, metrics: MetricSet, policy: AdaptiveBudget) -> float:
         """CI half-width on ``metrics.expectation`` under ``policy``.

@@ -213,13 +213,21 @@ class ArrayIndex(FingerprintIndex):
 
 
 class NormalizationIndex(FingerprintIndex):
-    """Hash lookup on the affine normal form (first two distinct entries
-    mapped to 0 and 1).
+    """Hash lookup on the affine normal form (minimum and maximum mapped
+    to 0 and 1, the smaller of the form and its reflection kept — see
+    :meth:`Fingerprint.normal_form`).
 
     Two fingerprints related by a linear map share their normal form, so a
     single hash probe finds all linear-mappable candidates.  Normal-form
     entries are rounded (see :mod:`repro.core.fingerprint`), so fingerprints
     within arithmetic noise of each other land in the same bucket.
+
+    Arrivals are keyed in bulk: :meth:`insert` only queues its pair, and
+    whoever next reads the buckets (``candidates``, ``candidates_batch``,
+    ``remove``, ``dump_state``, either side of ``merge``) first settles
+    the queue — one vectorized key pass, then appends in arrival order.
+    Keys are a pure function of the fingerprint, so the buckets, their
+    order and every snapshot byte are those of an index keyed on arrival.
     """
 
     strategy = "normalization"
@@ -230,8 +238,31 @@ class NormalizationIndex(FingerprintIndex):
         # (``int.hex`` does not exist; ``float.hex`` does).
         self._rel_tol = float(rel_tol)
         self._buckets: Dict[Tuple[float, ...], List[int]] = {}
+        #: Inserted, not yet keyed: ``(fingerprint, basis_id)`` as arrived.
+        self._pending: List[Tuple[Fingerprint, int]] = []
+
+    def _settle(self) -> None:
+        """Key the queued arrivals and append them to their buckets."""
+        from repro.core.basis import BLOCK_MIN_PROBES
+
+        pending = self._pending
+        fingerprints = [fingerprint for fingerprint, _ in pending]
+        if len(pending) >= BLOCK_MIN_PROBES:
+            # The crossover of a block's key pass: below it the scalar key
+            # is the cheaper one.  Either way the keys land in the
+            # fingerprints' caches.
+            keys = batch_normal_forms(fingerprints, self._rel_tol)
+        else:
+            keys = [fp.normal_form(self._rel_tol) for fp in fingerprints]
+        # Every key exists before any bucket changes: a failed key pass
+        # leaves the queue as it was.
+        self._pending = []
+        for key, (_, basis_id) in zip(keys, pending):
+            self._buckets.setdefault(key, []).append(basis_id)
 
     def dump_state(self) -> dict:
+        if self._pending:
+            self._settle()
         # Bucket keys are rounded floats; hex encoding keeps the round
         # trip bitwise, and the bucket list order (dict insertion order)
         # is preserved verbatim.
@@ -255,11 +286,12 @@ class NormalizationIndex(FingerprintIndex):
         return index
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
-        key = fingerprint.normal_form(self._rel_tol)
-        self._buckets.setdefault(key, []).append(basis_id)
+        self._pending.append((fingerprint, basis_id))
         self._size += 1
 
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
+        if self._pending:
+            self._settle()
         key = fingerprint.normal_form(self._rel_tol)
         return list(self._buckets.get(key, ()))
 
@@ -269,6 +301,8 @@ class NormalizationIndex(FingerprintIndex):
         backend=None,
         stacks: Optional[SizeStacks] = None,
     ) -> List[List[int]]:
+        if self._pending:
+            self._settle()
         keys = batch_normal_forms(
             list(fingerprints), self._rel_tol, backend=backend, stacks=stacks
         )
@@ -285,6 +319,8 @@ class NormalizationIndex(FingerprintIndex):
         return shared
 
     def remove(self, fingerprint: Fingerprint, basis_id: int) -> None:
+        if self._pending:
+            self._settle()
         key = fingerprint.normal_form(self._rel_tol)
         _remove_from_bucket(self._buckets, key, basis_id)
         self._size -= 1
@@ -299,6 +335,9 @@ class NormalizationIndex(FingerprintIndex):
                 "cannot merge normalization indexes with different "
                 "rel_tol values: their bucket keys are incompatible"
             )
+        for index in (self, other):
+            if index._pending:
+                index._settle()
         for key, ids in other._buckets.items():
             adopted = [id_map[i] for i in ids if i in id_map]
             if adopted:

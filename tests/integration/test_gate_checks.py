@@ -133,6 +133,17 @@ class TestEveryCheckCanFail:
         (failure,) = _judge("warm", passes)
         assert "4-worker" in failure and "matches_found" in failure
 
+    def test_lifecycle_check_fails_when_late_keying_shows(self):
+        evidence = _evidence("lifecycle")
+        late = evidence["burst"]["keyed_late"]
+        assert len(late["snapshot"]) >= 3  # the manifest and its arrays
+        assert any(answer["basis"] is not None for answer in late["answers"])
+        late["snapshot"]["manifest.json"] = "0" * 64
+        late["answers"][0]["candidates_tested"] += 1
+        failures = _judge("lifecycle", evidence)
+        assert len(failures) == 2
+        assert all("burst.keyed_late" in failure for failure in failures)
+
     def test_lifecycle_check_fails_on_an_unloadable_v1_fixture(self):
         evidence = _evidence("lifecycle")
         evidence["v1_fixture"] = {"error": "SnapshotCorruptionError: boom"}

@@ -1,11 +1,20 @@
 """Property-based tests for estimator math and metric remapping."""
 
+import struct
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimator import Estimator, merge_metric_sets
+from repro.core.estimator import (
+    DEFAULT_QUANTILES,
+    Estimator,
+    merge_metric_sets,
+)
 from repro.core.mapping import AffineMapping
+from repro.errors import EstimatorError
 from repro.util.stats import RunningStats
 
 sample_lists = st.lists(
@@ -93,3 +102,162 @@ class TestRunningStats:
         assert combined.count == sequential.count
         assert abs(combined.mean - sequential.mean) <= 1e-7 * scale
         assert abs(combined.variance - sequential.variance) <= 1e-6 * scale
+
+
+def _bits(value: float) -> bytes:
+    """The eight bytes of a double: tells -0.0 from 0.0, NaN from NaN."""
+    return struct.pack("d", value)
+
+
+def _reference(samples, probabilities, bins):
+    """The five numpy calls ``Estimator.estimate`` is defined by."""
+    array = np.asarray(samples, dtype=float)
+    quantiles = ()
+    if probabilities:
+        quantiles = tuple(
+            (_bits(float(p)), _bits(float(v)))
+            for p, v in zip(probabilities, np.quantile(array, probabilities))
+        )
+    histogram = None
+    if bins:
+        counts, edges = np.histogram(array, bins=bins)
+        histogram = (
+            tuple(int(c) for c in counts),
+            tuple(_bits(float(e)) for e in edges),
+        )
+    return (
+        int(array.size),
+        _bits(float(array.mean())),
+        _bits(float(array.std())),
+        _bits(float(array.min())),
+        _bits(float(array.max())),
+        quantiles,
+        histogram,
+    )
+
+
+def _observed(estimator, samples):
+    metrics = estimator.estimate(samples)
+    histogram = metrics.histogram
+    return (
+        metrics.count,
+        _bits(metrics.expectation),
+        _bits(metrics.stddev),
+        _bits(metrics.minimum),
+        _bits(metrics.maximum),
+        tuple((_bits(p), _bits(v)) for p, v in metrics.quantiles),
+        None
+        if histogram is None
+        else (histogram.counts, tuple(_bits(e) for e in histogram.edges)),
+    )
+
+
+def _recorded(call, refusal):
+    """``(outcome, warning kinds)``; numpy's refusal to bin a non-finite
+    range and the estimator's typed one both read ``"refused"``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = call()
+        except refusal:
+            outcome = "refused"
+    return outcome, {(w.category, str(w.message)) for w in caught}
+
+
+def _assert_same_bits(samples, probabilities, bins, estimator=None):
+    estimator = estimator or Estimator(probabilities, histogram_bins=bins)
+    expected = _recorded(
+        lambda: _reference(samples, probabilities, bins), ValueError
+    )
+    observed = _recorded(lambda: _observed(estimator, samples), EstimatorError)
+    assert observed == expected
+
+
+#: Every size to 130, then the edges of numpy's pairwise-summation blocks.
+GRID_SIZES = tuple(range(1, 131)) + (255, 256, 257, 1000, 2000)
+
+PROBABILITY_TUPLES = (
+    (),
+    (0.0, 1.0),
+    (0.999,),
+    (1 / 3, 2 / 3),
+    DEFAULT_QUANTILES,
+)
+
+
+def _grid_cases(rng, n):
+    """Sample vectors of ``n`` values that stress one statistic each."""
+    yield rng.normal(size=n)
+    yield rng.integers(0, 3, size=n).astype(float)  # ties
+    yield rng.choice([0.0, -0.0], size=n)
+    mixed = rng.normal(size=n)
+    mixed[rng.integers(0, n, size=max(1, n // 3))] = rng.choice([0.0, -0.0])
+    yield mixed
+    inf, nan = np.inf, np.nan
+    for specials in ((inf,), (-inf, inf), (nan,), (nan, inf)):
+        spiked = rng.normal(size=n)
+        spiked[rng.integers(0, n, size=len(specials))] = specials
+        yield spiked
+    payload = rng.normal(size=n)
+    payload[rng.integers(0, n)] = struct.unpack(
+        "d", struct.pack("Q", 0xFFF8_0000_0000_BEEF)
+    )[0]
+    yield payload
+    yield np.full(n, 3.25)
+    yield rng.normal(size=n) * 1e300  # squares overflow
+    yield rng.normal(size=n) * 1e-300
+    yield rng.integers(-2000, 2000, size=n) * 5e-324  # subnormals
+    yield rng.normal(size=(n, 3))[:, 1]  # strided view
+    yield rng.normal(size=n + 1)[::-1][:n]  # negative stride
+    yield rng.normal(size=(2, n))
+    yield rng.normal(size=(n, 2)).T  # 2-D, not contiguous
+    yield rng.integers(-5, 5, size=n)
+    yield rng.normal(size=n).tolist()
+    yield [rng.normal(size=n).tolist(), rng.normal(size=n).tolist()]
+
+
+class TestEstimateBitsMatchNumpy:
+    """``Estimator.estimate`` spells out what ``np.quantile``, ``mean``,
+    ``std``, ``min`` and ``max`` compute instead of calling them; this is
+    the guard that the spelling is numpy's, to the bit, on the installed
+    numpy (MetricSet values are exact-compared by every baseline)."""
+
+    @pytest.mark.parametrize("bins", [0, 4])
+    @pytest.mark.parametrize("probabilities", PROBABILITY_TUPLES)
+    def test_grid(self, probabilities, bins):
+        rng = np.random.default_rng([20261003, len(probabilities), bins])
+        # One instance across sizes: the per-size plan is replaced, never
+        # read for the wrong size.
+        estimator = Estimator(probabilities, histogram_bins=bins)
+        for n in GRID_SIZES:
+            for samples in _grid_cases(rng, n):
+                _assert_same_bits(samples, probabilities, bins, estimator)
+
+    @given(
+        samples=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, width=64)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+            min_size=1,
+            max_size=80,
+        ),
+        probabilities=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), max_size=6
+        ).map(tuple),
+        bins=st.sampled_from([0, 1, 7]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_samples_any_probabilities(self, samples, probabilities, bins):
+        _assert_same_bits(samples, probabilities, bins)
+
+    def test_integer_probabilities_keep_numpys_own_branch(self):
+        # np.quantile does not interpolate integer q: [1, inf] at q=1 is
+        # inf there and NaN (inf - inf) through the interpolation.
+        _assert_same_bits([1.0, np.inf, 2.0], (0, 1), 0)
+        _assert_same_bits([3.0, 1.0, 2.0], (True,), 0)
+
+    def test_overflow_is_warned_where_numpy_warns(self):
+        samples = [1e300, -1e300, 1e299]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            np.asarray(samples).std()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            Estimator().estimate(samples)

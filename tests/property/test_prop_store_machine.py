@@ -10,7 +10,11 @@ after every step compares it with
 a deliberately naive oracle — a plain list of bases in insertion order, a
 linear scan over it, the scalar ``find`` — on the matched basis (through the
 store-id → oracle-entry renumbering), the mapping parameters (exact) and
-the per-probe ``candidates_tested`` work.
+the per-probe ``candidates_tested`` work.  The store's index is held, after
+every step and without being read, to an index of its own class that was
+handed the same inserts and removals and probed after each one: an index
+that keys its arrivals late (``add_burst``: 2–70 adds with nothing read
+between) must be the index that keyed them on arrival.
 
 The machine runs on both sides of the ``columnar_min_candidates`` cutover:
 at 0 (every probe through the columnar gather and kernels, cross-check
@@ -27,6 +31,7 @@ and every block's short candidate lists go through the explicit pair
 pass (its cross-check spent, for the same reason).
 """
 
+import copy
 import os
 import shutil
 import tempfile
@@ -191,6 +196,8 @@ class StoreMachine(RuleBasedStateMachine):
         self.family_class = family_class
         self.store = self._new_store()
         self.naive = NaiveStore(self.store)
+        #: The store's index, had every arrival been keyed on arrival.
+        self.eager_index = type(self.store.index)()
         self.entry_of = {}  # live store basis id -> oracle entry
         self.retired = []  # fingerprints of removed bases
 
@@ -217,12 +224,15 @@ class StoreMachine(RuleBasedStateMachine):
             assert result.mapping == mapping
 
     def _adopt(self, basis_id, fingerprint):
-        self.entry_of[basis_id] = self.naive.add(fingerprint)
+        entry = self.entry_of[basis_id] = self.naive.add(fingerprint)
+        self.eager_index.insert(entry.fingerprint, basis_id)
+        self.eager_index.candidates(entry.fingerprint)  # a read: keyed now
 
     def _retire(self, basis_id):
         entry = self.entry_of.pop(basis_id)
         self.naive.entries.remove(entry)
         self.retired.append(entry.fingerprint)
+        self.eager_index.remove(entry.fingerprint, basis_id)
 
     # -- rules --------------------------------------------------------------
 
@@ -230,6 +240,13 @@ class StoreMachine(RuleBasedStateMachine):
     def add(self, fingerprint):
         basis = self.store.add(fingerprint, np.asarray(fingerprint.values))
         self._adopt(basis.basis_id, fingerprint)
+
+    @rule(burst=st.lists(fingerprints, min_size=2, max_size=70))
+    def add_burst(self, burst):
+        """Adds with no read of the index between them, on both sides of
+        the crossover at which a settle keys its queue in one pass."""
+        for fingerprint in burst:
+            self.add(fingerprint)
 
     @rule(spec=probe_specs)
     def match(self, spec):
@@ -339,6 +356,18 @@ class StoreMachine(RuleBasedStateMachine):
             entry.hits for entry in self.naive.entries
         ]
         assert len(self.store.columnar) >= len(bases)
+
+    @invariant()
+    def index_is_the_one_keyed_on_arrival(self):
+        """Compared on a copy: reading the store's own index would key
+        its queue, and the next rule is owed an index with arrivals still
+        unkeyed (the copy also goes the way a worker's pickle does)."""
+        if not hasattr(self, "store"):
+            return
+        assert (
+            copy.deepcopy(self.store.index).dump_state()
+            == self.eager_index.dump_state()
+        )
 
     @invariant()
     def anchor_columns_equal_from_scratch(self):

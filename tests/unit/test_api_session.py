@@ -29,6 +29,7 @@ from repro.api import (
     encode_response,
 )
 from repro.core.basis import BasisStore
+from repro.core.estimator import Estimator
 from repro.core.fingerprint import Fingerprint
 from repro.errors import ApiError, ProtocolError
 from repro.serve import build_fixture_session, build_request_stream
@@ -145,6 +146,28 @@ class TestTypedHandlers:
         )
         assert isinstance(response, ErrorResponse)
         assert response.code == "ApiError"
+
+    def test_handle_refuses_an_unbinnable_refine_and_keeps_the_basis(self):
+        """One inf sample under a histogram estimator used to escape
+        ``handle`` as numpy's bare ValueError (on the daemon: the one
+        dispatcher thread) with the samples already appended."""
+        store = BasisStore(estimator=Estimator(histogram_bins=4))
+        store.add(BASE, SAMPLES)
+        session = Session(store)
+        basis = store.get(0)
+        samples, metrics = basis.samples, basis.metrics
+        response = session.handle(
+            RefineRequest(basis_id=0, samples=(float("inf"),), request_id=9)
+        )
+        assert isinstance(response, ErrorResponse)
+        assert response.code == "EstimatorError"
+        assert response.request_id == 9
+        assert basis.samples is samples
+        assert basis.metrics is metrics
+        # The session still serves, and a finite refine still lands.
+        assert session.handle(
+            RefineRequest(basis_id=0, samples=(0.5,))
+        ).sample_count == SAMPLES.size + 1
 
     def test_handle_unknown_type(self):
         response = make_session().handle(object())

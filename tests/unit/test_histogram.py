@@ -30,6 +30,20 @@ class TestConstruction:
         with pytest.raises(EstimatorError):
             Histogram((1, 2), (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "samples",
+        [(1.0, np.inf), (-np.inf, 0.0), (1.0, np.nan), (1e308, -1e308)],
+        ids=["inf", "-inf", "nan", "range-overflow"],
+    )
+    def test_unbinnable_range_is_a_typed_error(self, samples):
+        # numpy says ValueError; the estimator's callers map JigsawError.
+        # (errstate: inf - inf and the like warn on the way, as in numpy.)
+        with np.errstate(all="ignore"):
+            with pytest.raises(EstimatorError, match="4-bin histogram"):
+                Estimator(histogram_bins=4).estimate(samples)
+            # Without bins the same samples are estimable.
+            assert Estimator().estimate(samples).count == 2
+
     def test_density_sums_to_one(self):
         histogram = Estimator(histogram_bins=4).estimate(SAMPLES).histogram
         assert sum(histogram.density()) == pytest.approx(1.0)

@@ -505,6 +505,23 @@ class TestEvictionPolicy:
         policy = EvictionPolicy(max_bases=2, keep="recent")
         assert policy.victims(store) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "keep, expected", [("recent", [0, 1]), ("value", [2, 0])]
+    )
+    def test_ranking_does_not_read_the_dict_order(self, keep, expected):
+        store = self._store_with_hits([1, 5, 0, 5])
+        store._bases = {i: store._bases[i] for i in (3, 1, 2, 0)}
+        policy = EvictionPolicy(max_bases=2, keep=keep)
+        assert policy.victims(store) == expected
+
+    def test_a_store_within_its_bounds_is_not_ranked(self):
+        store = self._store_with_hits([0, 1, 2])
+        store.get(1).hits = None  # unrankable, were anything to rank it
+        within = EvictionPolicy(
+            max_bases=3, max_bytes=3 * store.get(0).nbytes()
+        )
+        assert within.victims(store) == []
+
     def test_max_bytes_bound(self):
         store = self._store_with_hits([0, 1, 2])
         per_basis = store.get(0).nbytes()
