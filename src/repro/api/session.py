@@ -30,7 +30,7 @@ changing a single answer.
 
 **Thread safety.**  A Session serializes store access behind one
 reentrant lock: concurrent threads may share a Session (the daemon's
-dispatcher, the concurrent-reader tests), and counter totals equal the
+loop, the concurrent-reader tests), and counter totals equal the
 serial sequence's.  The underlying stores themselves remain
 single-threaded objects — never bypass a shared Session to poke one.
 """

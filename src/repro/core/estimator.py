@@ -224,9 +224,11 @@ class Estimator:
         if self.histogram_bins:
             try:
                 counts, edges = np.histogram(array, bins=self.histogram_bins)
-            except ValueError as error:
+            except (ValueError, IndexError) as error:
                 # numpy refuses a range it cannot cut into finite bins
-                # (inf, NaN, max - min overflowing).
+                # (inf, NaN, max - min overflowing) — or, with finite
+                # edges whose difference overflows, trips over its own
+                # NaN bin index.
                 raise EstimatorError(
                     f"cannot build a {self.histogram_bins}-bin histogram: "
                     f"{error}"

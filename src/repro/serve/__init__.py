@@ -34,6 +34,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    FrameDecoder,
     encode_frame,
     recv_frame,
     send_frame,
@@ -41,6 +42,7 @@ from repro.serve.protocol import (
 
 __all__ = [
     "BasisServer",
+    "FrameDecoder",
     "LoadResult",
     "MAX_FRAME_BYTES",
     "ServeClient",

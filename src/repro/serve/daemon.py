@@ -16,41 +16,56 @@ it, and in-flight probes still see a consistent store.
 Architecture
 ------------
 
-* an **accept thread** admits connections and starts one reader thread
-  per connection;
-* **reader threads** decode frames into typed requests and enqueue them
-  on one admission queue (per-connection order is preserved end to
-  end: one queue, one dispatcher); a reader that exits — EOF, a framing
-  error, a drain — queues a farewell behind what it admitted, and the
-  dispatcher closes and forgets the connection when it gets there, so a
-  client costs the daemon a descriptor and a thread only while it lasts;
-* a single **dispatcher thread** drains the queue in micro-batches of
-  up to :data:`MAX_BATCH` requests and answers them through
-  :meth:`Session.handle_batch`, which routes probe runs straight into
-  :meth:`BasisStore.match_batch` — so concurrent clients get the
+One thread, ``serve-loop``, runs one ``selectors`` loop over the
+listener and every client socket, all non-blocking.  A turn of it
+
+* accepts a connection if one is waiting;
+* takes **one** ``recv`` from each readable socket into that
+  connection's :class:`~repro.serve.protocol.FrameDecoder` — a frame may
+  arrive in any number of pieces over any length of time, a slow sender
+  holds up nobody — and decodes every frame those bytes completed into a
+  typed request, in arrival order (a well-framed but malformed request
+  becomes its own typed ``ProtocolError`` answer, in order, and the
+  stream continues; a framing error ends the reading of that peer);
+* answers the lot with **one** :meth:`Session.handle_batch` call, which
+  routes probe runs straight into :meth:`BasisStore.match_batch` — the
+  micro-batch is whatever was ready, so concurrent clients get the
   columnar kernels' batched throughput while every response stays
   bitwise what a sequential in-process call would return (the
-  ``handle_batch`` invariant).
+  ``handle_batch`` invariant);
+* appends each encoded answer to its connection's unsent buffer and
+  sends what the socket takes.  What it does not take waits for the
+  socket to turn writable, so a slow reader holds up nobody either, and
+  while it is owed more than :data:`MAX_UNSENT_BYTES` the daemon stops
+  reading it: its requests wait in the kernel's buffers, then in its
+  own, and the daemon's memory stays bounded.
+
+A connection is closed and forgotten once its peer has finished — EOF,
+a framing error, the drain sweep — *and* it is owed nothing: a peer
+that half-closes after pipelining still gets every answer, and a client
+costs the daemon a descriptor only while it lasts and never a thread.
 
 Shutdown
 --------
 
 ``stop(drain=True)`` (and SIGTERM under :meth:`serve_forever`) is
-graceful: the listener closes, readers sweep already-sent frames off
-their sockets and exit, the dispatcher answers everything admitted,
-connections close, and — when a ``save_path`` is configured — the
-session flushes through the atomic snapshot writer.  A client that got
-a response got a true one; a client mid-send sees a clean EOF.  The
+graceful: the loop finishes its turn, the listener closes, every socket
+is read until it would block — everything its peer had sent by then —
+the lot is answered, each peer gets until :data:`_DRAIN_SECONDS` have
+passed to take what it is owed, connections close, and — when a
+``save_path`` is configured — the session flushes through the atomic
+snapshot writer.  A client that got a response got a true one; a client
+mid-send sees a clean EOF.  The
 :class:`~repro.api.messages.ShutdownRequest` kind triggers the same
 sequence without a signal (for tests and orchestrators).
 """
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.api.messages import (
     ErrorResponse,
@@ -61,47 +76,37 @@ from repro.api.messages import (
 )
 from repro.api.session import Session
 from repro.errors import ProtocolError, ServeError
-from repro.serve.protocol import recv_frame, send_frame
+from repro.serve.protocol import FrameDecoder, encode_frame
+from repro.util import timing
 
-#: Largest micro-batch the dispatcher forms from the admission queue.
-MAX_BATCH = 64
+#: Most one ``recv`` takes from a socket, and so what bounds a turn's
+#: batch: a turn answers what one read of each ready socket completed.
+_RECV_BYTES = 64 * 1024
 
-#: Reader poll interval: how quickly an idle connection notices a drain
-#: (and the final buffered-frame sweep window during one).
-_READ_POLL_SECONDS = 0.1
+#: A peer owed more than this is not read until it has taken some of it.
+#: What it is owed can pass the mark by the answers to one ``recv``, no
+#: further.
+MAX_UNSENT_BYTES = 1024 * 1024
 
+#: How long a drain waits for peers to take what they are owed.
+_DRAIN_SECONDS = 5.0
 
-#: What a reader leaves on the admission queue as it exits: behind
-#: everything its connection admitted, so when the dispatcher reaches it
-#: all of that has been answered and the connection can go.
-_READER_DONE = object()
+#: How often :meth:`BasisServer.serve_forever` returns to the
+#: interpreter so that a signal's Python handler can run.
+_SIGNAL_POLL_SECONDS = 0.1
 
 
 class _Connection:
-    """One client socket, its ordered-send lock and its reader thread."""
+    """One client socket, its half-read frame and its unsent answers."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.send_lock = threading.Lock()
-        self.alive = True
-        self.reader: Optional[threading.Thread] = None
-
-    def send(self, body: dict) -> None:
-        with self.send_lock:
-            if not self.alive:
-                return
-            try:
-                send_frame(self.sock, body)
-            except OSError:
-                self.alive = False
-
-    def close(self) -> None:
-        with self.send_lock:
-            self.alive = False
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+        self.decoder = FrameDecoder()
+        self.unsent = bytearray()
+        #: Nothing more will be read: EOF, a framing error, a drain.
+        self.finished = False
+        #: What the selector is watching this socket for.
+        self.events = selectors.EVENT_READ
 
 
 class BasisServer:
@@ -119,20 +124,17 @@ class BasisServer:
         self._host = host
         self._port = int(port)
         self._listener: Optional[socket.socket] = None
-        self._queue: "queue.Queue[Tuple[_Connection, object]]" = (
-            queue.Queue()
-        )
-        #: Open connections: from accept until the dispatcher has
-        #: answered everything the connection's (exited) reader admitted.
-        self._connections: List[_Connection] = []
-        self._connections_lock = threading.Lock()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._dispatcher: Optional[threading.Thread] = None
-        self._draining = threading.Event()
-        self._finish = threading.Event()
+        self._selector: Optional[selectors.BaseSelector] = None
+        #: ``stop()`` writes to one end, which wakes the loop's select on
+        #: the other; ``stop()`` closes both once the loop has exited.
+        self._wake: Tuple[socket.socket, ...] = ()
+        self._loop: Optional[threading.Thread] = None
+        #: Open connections, touched by the loop thread only: from
+        #: accept until the peer has finished and is owed nothing.
+        self._connections: Set[_Connection] = set()
+        #: ``None`` while serving; ``stop(drain)`` leaves its argument.
+        self._stop_drains: Optional[bool] = None
         self.shutdown_requested = threading.Event()
-        self._started = False
-        self._stopped = False
         self._interrupted = False
         #: Requests answered over this server's lifetime (diagnostics).
         self.requests_served = 0
@@ -147,8 +149,8 @@ class BasisServer:
         return self._listener.getsockname()[:2]
 
     def start(self) -> "BasisServer":
-        """Bind, listen, and start the accept/dispatch threads."""
-        if self._started:
+        """Bind, listen, and start the loop thread."""
+        if self._loop is not None:
             raise ServeError("server already started")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -160,58 +162,33 @@ class BasisServer:
                 f"cannot bind {self._host}:{self._port}: {error}"
             ) from error
         listener.listen(128)
-        listener.settimeout(_READ_POLL_SECONDS)
+        listener.setblocking(False)
         self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="serve-accept", daemon=True
+        self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(self._wake[0], selectors.EVENT_READ)
+        self._loop = threading.Thread(
+            target=self._serve_loop, name="serve-loop", daemon=True
         )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        self._accept_thread.start()
-        self._dispatcher.start()
-        self._started = True
+        self._loop.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop serving; with ``drain`` answer everything admitted first.
+        """Stop serving; with ``drain`` answer everything sent first.
 
-        Idempotent.  With ``drain=False`` queued requests are dropped
-        (connections just close) — the store is still flushed if a
-        ``save_path`` is configured, atomically either way.
+        Idempotent.  With ``drain=False`` requests not yet answered are
+        dropped (connections just close) — the store is still flushed if
+        a ``save_path`` is configured, atomically either way.
         """
-        if not self._started or self._stopped:
+        if self._loop is None or self._stop_drains is not None:
             return
-        self._stopped = True
-        self._draining.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-        # Readers notice the drain flag at their next poll, sweep any
-        # frames their peer already sent, and exit.
-        with self._connections_lock:
-            readers = [connection.reader for connection in self._connections]
-        for thread in readers:
-            thread.join()
-        if not drain:
-            # Drop whatever is still queued, unanswered.
-            try:
-                while True:
-                    self._queue.get_nowait()
-            except queue.Empty:
-                pass
-        # The dispatcher empties the queue before honoring _finish.
-        self._finish.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-        with self._connections_lock:
-            for connection in self._connections:
-                connection.close()
-            self._connections.clear()
+        self._stop_drains = drain
+        self._wake[1].send(b"\0")
+        self._loop.join()
+        for sock in self._wake:
+            sock.close()
+        self._selector.close()
         if self.save_path is not None:
             self.session.save(self.save_path)
 
@@ -248,7 +225,7 @@ class BasisServer:
         # Polled, not one untimed wait: the kernel may deliver a signal to
         # any thread, and only the main thread runs the Python handler —
         # blocked on a lock with no timeout it would never wake to do so.
-        while not self.shutdown_requested.wait(_READ_POLL_SECONDS):
+        while not self.shutdown_requested.wait(_SIGNAL_POLL_SECONDS):
             pass
         self.stop(drain=True)
         return 130 if self._interrupted else 0
@@ -259,54 +236,65 @@ class BasisServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop(drain=exc_type is None)
 
-    # -- threads ------------------------------------------------------------
+    # -- the loop -----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._draining.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            sock.settimeout(_READ_POLL_SECONDS)
-            # Frames are small; Nagle + delayed ACK would add ~40ms.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _Connection(sock)
-            connection.reader = threading.Thread(
-                target=self._read_loop,
-                args=(connection,),
-                name="serve-read",
-                daemon=True,
-            )
-            with self._connections_lock:
-                self._connections.append(connection)
-            connection.reader.start()
+    def _serve_loop(self) -> None:
+        selector = self._selector
+        try:
+            while self._stop_drains is None:
+                arrivals: List[Tuple[_Connection, object]] = []
+                ready = selector.select()
+                for key, mask in ready:
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif mask & selectors.EVENT_READ and key.data:
+                        self._read(key.data, arrivals)
+                self._answer(arrivals)
+                for key, _ in ready:
+                    if key.data:
+                        self._flush(key.data)
+            selector.unregister(self._wake[0])
+            selector.unregister(self._listener)
+            self._listener.close()
+            if self._stop_drains:
+                self._drain()
+        finally:
+            self._listener.close()
+            for connection in self._connections:
+                connection.sock.close()
+            self._connections.clear()
 
-    def _read_loop(self, connection: _Connection) -> None:
-        """Decode frames into requests until EOF, error, or drain.
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            # The peer gave up between the readiness and the call.
+            return
+        sock.setblocking(False)
+        # Frames are small; Nagle + delayed ACK would add ~40ms.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = _Connection(sock)
+        self._connections.add(connection)
+        self._selector.register(sock, connection.events, connection)
 
-        During a drain the loop keeps consuming frames the peer already
-        sent (they are admitted work) and exits at the first quiet
-        poll — so "drain in-flight" covers everything on the wire at
-        shutdown time, not just what happened to be queued.  However it
-        ends, the last thing admitted is :data:`_READER_DONE`: a peer
-        that half-closes after pipelining still gets every answer, and
-        only then is its socket closed.
+    def _read(self, connection: _Connection, arrivals: list) -> bool:
+        """One ``recv``: the requests it completed join ``arrivals``.
+
+        False once the socket has nothing more to give for now (it would
+        block) or for good (the connection is then ``finished``).
         """
-        while True:
-            try:
-                body = recv_frame(connection.sock)
-            except socket.timeout:
-                if self._draining.is_set():
-                    break
-                continue
-            except (ProtocolError, OSError):
-                # Framing is unrecoverable mid-stream: drop the peer.
-                connection.alive = False
-                break
-            if body is None:
-                break
+        try:
+            data = connection.sock.recv(_RECV_BYTES)
+            bodies = connection.decoder.feed(data)
+        except BlockingIOError:
+            return False
+        except (ProtocolError, OSError):
+            # Framing that cannot be resynchronized, or a reset.
+            data = b""
+        if not data:
+            connection.finished = True
+            return False
+        for body in bodies:
             try:
                 request = decode_request(body)
             except ProtocolError as error:
@@ -317,67 +305,77 @@ class BasisServer:
                     message=str(error),
                     request_id=body.get("id"),
                 )
-            self._queue.put((connection, request))
-        self._queue.put((connection, _READER_DONE))
+            arrivals.append((connection, request))
+        return True
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=_READ_POLL_SECONDS)
-            except queue.Empty:
-                if self._finish.is_set():
-                    return
-                continue
-            batch = [first]
-            while len(batch) < MAX_BATCH:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            self._serve_batch(batch)
-
-    def _serve_batch(self, batch) -> None:
-        """Answer one admission batch through the session facade."""
-        pending: List[Tuple[_Connection, object]] = []
-        to_serve: List[object] = []
-        serve_slots: List[int] = []
-        for position, (connection, item) in enumerate(batch):
-            if item is _READER_DONE or isinstance(item, ErrorResponse):
-                # Nothing to compute: the reader's farewell, or a
-                # malformed request it pre-answered.
-                pending.append((connection, item))
-                continue
+    def _answer(self, arrivals: list) -> None:
+        """Answer one turn's arrivals through the session facade, each
+        onto its connection's unsent buffer, in arrival order."""
+        to_serve = [
+            item
+            for _, item in arrivals
+            if not isinstance(item, (ErrorResponse, ShutdownRequest))
+        ]
+        served = iter(self.session.handle_batch(to_serve) if to_serve else ())
+        for connection, item in arrivals:
             if isinstance(item, ShutdownRequest):
-                pending.append(
-                    (
-                        connection,
-                        ShutdownResponse(
-                            draining=True, request_id=item.request_id
-                        ),
-                    )
+                item = ShutdownResponse(
+                    draining=True, request_id=item.request_id
                 )
                 self.shutdown_requested.set()
-                continue
-            pending.append((connection, None))
-            to_serve.append(item)
-            serve_slots.append(len(pending) - 1)
-        if to_serve:
-            responses = self.session.handle_batch(to_serve)
-            for slot, response in zip(serve_slots, responses):
-                pending[slot] = (pending[slot][0], response)
-        for connection, response in pending:
-            if response is _READER_DONE:
-                self._forget(connection)
-                continue
-            connection.send(encode_response(response))
+            elif not isinstance(item, ErrorResponse):
+                item = next(served)
+            connection.unsent += encode_frame(encode_response(item))
             self.requests_served += 1
 
-    def _forget(self, connection: _Connection) -> None:
-        """Close a connection nobody reads any more, everything it
-        admitted having been answered, and drop it from the books."""
-        connection.close()
-        with self._connections_lock:
+    def _flush(self, connection: _Connection) -> None:
+        """Send what the socket takes of what the connection is owed,
+        then watch it for what it can still do — or close it, when its
+        peer has finished and it is owed nothing."""
+        if connection.unsent:
+            try:
+                sent = connection.sock.send(connection.unsent)
+                del connection.unsent[:sent]
+            except BlockingIOError:
+                pass
+            except OSError:
+                # The peer is gone; nobody is owed anything.
+                connection.unsent.clear()
+                connection.finished = True
+        events = selectors.EVENT_WRITE if connection.unsent else 0
+        if (
+            not connection.finished
+            and len(connection.unsent) <= MAX_UNSENT_BYTES
+        ):
+            events |= selectors.EVENT_READ
+        if events == connection.events:
+            return
+        connection.events = events
+        if events:
+            self._selector.modify(connection.sock, events, connection)
+        else:
+            self._selector.unregister(connection.sock)
+            connection.sock.close()
             self._connections.remove(connection)
+
+    def _drain(self) -> None:
+        """Answer everything the peers had sent, and give them one
+        bounded wait to take it."""
+        arrivals: List[Tuple[_Connection, object]] = []
+        for connection in self._connections:
+            while self._read(connection, arrivals):
+                pass
+            connection.finished = True
+        self._answer(arrivals)
+        for connection in list(self._connections):
+            self._flush(connection)
+        deadline = timing.perf_counter() + _DRAIN_SECONDS
+        while self._connections:
+            remaining = deadline - timing.perf_counter()
+            if remaining <= 0:
+                break
+            for key, _ in self._selector.select(remaining):
+                self._flush(key.data)
 
 
 def serve_snapshot(

@@ -7,7 +7,9 @@ bytes of UTF-8 JSON encoding one object.  Requests and responses are the
 bitwise.  The framing is deliberately boring: any language can speak it
 with a dozen lines, and a stuck peer can never desynchronize the stream
 (the length is read before the body, oversized frames are refused
-before allocation).
+before allocation).  Reading is incremental — :class:`FrameDecoder`
+takes the stream in whatever pieces it arrives — so the daemon never
+waits on a socket for the rest of a frame.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import ProtocolError
 
@@ -46,49 +48,81 @@ def send_frame(sock: socket.socket, body: dict) -> None:
     sock.sendall(encode_frame(body))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; None on clean EOF at a boundary,
-    ProtocolError on EOF mid-message."""
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if remaining == count and not chunks:
-                return None
+class FrameDecoder:
+    """Frames out of a byte stream, however the stream was cut up.
+
+    The one place a frame is parsed: the daemon's loop feeds it whatever
+    one ``recv`` returned, :func:`recv_frame` feeds it exactly the bytes
+    the frame in progress still :attr:`missing`.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        #: Bytes until the frame in progress can be complete.
+        self.missing = _LENGTH.size
+
+    def feed(self, data: bytes) -> List[dict]:
+        """Take the next bytes of the stream; return, in order, the
+        bodies of the frames they complete.
+
+        Raises :class:`ProtocolError` at the first frame no peer should
+        have sent — an oversized announcement as soon as its prefix is
+        in, before any of the body is — after which the stream cannot be
+        resynchronized and the decoder is done for.
+        """
+        buffer = self._buffer
+        buffer += data
+        bodies: List[dict] = []
+        start = 0
+        while True:
+            end = start + _LENGTH.size
+            if len(buffer) >= end:
+                (length,) = _LENGTH.unpack_from(buffer, start)
+                if length > MAX_FRAME_BYTES:
+                    raise ProtocolError(
+                        f"peer announced a {length}-byte frame, over the "
+                        f"{MAX_FRAME_BYTES}-byte limit"
+                    )
+                end += length
+            if len(buffer) < end:
+                self.missing = end - len(buffer)
+                break
+            try:
+                body = json.loads(
+                    buffer[start + _LENGTH.size : end].decode("utf-8")
+                )
+            except (UnicodeDecodeError, ValueError) as error:
+                raise ProtocolError(
+                    f"frame body is not valid UTF-8 JSON "
+                    f"({type(error).__name__}: {error})"
+                ) from error
+            if not isinstance(body, dict):
+                raise ProtocolError(
+                    f"frame body must be a JSON object, got "
+                    f"{type(body).__name__}"
+                )
+            bodies.append(body)
+            start = end
+        del buffer[:start]
+        return bodies
+
+    def close(self) -> None:
+        """The stream has ended: :class:`ProtocolError` if mid-frame."""
+        if self._buffer:
             raise ProtocolError(
-                f"connection closed mid-frame ({count - remaining} of "
-                f"{count} bytes read)"
+                f"connection closed mid-frame ({len(self._buffer)} of "
+                f"{len(self._buffer) + self.missing} bytes read)"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def recv_frame(sock: socket.socket) -> Optional[dict]:
     """Read one framed message; None on clean EOF between frames."""
-    prefix = _recv_exact(sock, _LENGTH.size)
-    if prefix is None:
-        return None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame, over the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    payload = _recv_exact(sock, length) if length else b""
-    if payload is None:
-        raise ProtocolError("connection closed between prefix and body")
-    try:
-        body = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        raise ProtocolError(
-            f"frame body is not valid UTF-8 JSON "
-            f"({type(error).__name__}: {error})"
-        ) from error
-    if not isinstance(body, dict):
-        raise ProtocolError(
-            f"frame body must be a JSON object, got "
-            f"{type(body).__name__}"
-        )
-    return body
+    decoder = FrameDecoder()
+    while True:
+        chunk = sock.recv(decoder.missing)
+        if not chunk:
+            decoder.close()
+            return None
+        bodies = decoder.feed(chunk)
+        if bodies:
+            return bodies[0]

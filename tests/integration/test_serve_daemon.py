@@ -23,6 +23,7 @@ The acceptance contract of the serve tentpole:
 import dataclasses
 import json
 import os
+import selectors
 import signal
 import socket
 import struct
@@ -42,6 +43,9 @@ from repro.api import (
     Session,
     ShutdownRequest,
     StatsRequest,
+    decode_response,
+    encode_request,
+    encode_response,
 )
 from repro.errors import ServeError
 from repro.serve import (
@@ -49,7 +53,10 @@ from repro.serve import (
     ServeClient,
     build_fixture_session,
     build_request_stream,
+    daemon,
+    encode_frame,
     expected_responses,
+    recv_frame,
     run_concurrent,
 )
 
@@ -124,7 +131,7 @@ class TestConcurrentParity:
         }
         # The stream refines some bases while estimates on other
         # connections hit those same bases: which side of the refine the
-        # dispatcher saw such an estimate on decides its metrics (sample
+        # daemon saw such an estimate on decides its metrics (sample
         # count included).  Each basis is refined at most once, so there
         # are exactly two legitimate values — never-refined and
         # every-refine-applied sessions supply them.
@@ -217,31 +224,21 @@ class TestDrain:
 
 def _books(server):
     """What one client may cost the daemon only while it lasts."""
-    readers = [
-        thread
-        for thread in threading.enumerate()
-        if thread.name == "serve-read"
-    ]
-    return (
-        len(server._connections),
-        len(readers),
-        len(os.listdir("/proc/self/fd")),
-    )
+    return len(server._connections), len(os.listdir("/proc/self/fd"))
 
 
 def _idle_books(server, timeout=10.0):
-    """``_books`` once no connection and no reader is left: the
-    dispatcher forgets a connection (socket closed first) a moment after
-    its client hung up."""
+    """``_books`` once no connection is left: the loop closes and
+    forgets a connection a moment after its client hung up."""
     deadline = time.monotonic() + timeout
-    while _books(server)[:2] != (0, 0) and time.monotonic() < deadline:
+    while _books(server)[0] and time.monotonic() < deadline:
         time.sleep(0.02)
     return _books(server)
 
 
 class TestConnectionLifetime:
-    """A connection is closed and forgotten once its reader has exited
-    and everything it admitted has been answered — not at ``stop()``."""
+    """A connection is closed and forgotten once its peer has finished
+    and it is owed nothing — not at ``stop()``."""
 
     @pytest.fixture
     def idle(self, server):
@@ -249,7 +246,7 @@ class TestConnectionLifetime:
         with ServeClient(*server.address) as client:
             client.stats()
         books = _idle_books(server)
-        assert books[:2] == (0, 0)
+        assert books[0] == 0
         return books
 
     def test_connect_close_cycles_leave_the_books_flat(self, server, idle):
@@ -262,7 +259,7 @@ class TestConnectionLifetime:
     def test_a_framing_error_drops_the_peer_for_good(self, server, idle):
         with socket.create_connection(server.address) as raw:
             raw.sendall(b"\xff\xff\xff\xff not a frame")
-            assert _idle_books(server)[:2] == (0, 0)
+            assert _idle_books(server)[0] == 0
         assert _idle_books(server) == idle
 
     def test_malformed_requests_are_answered_and_cost_nobody(
@@ -271,9 +268,8 @@ class TestConnectionLifetime:
         """Well-framed requests ``decode_request`` must refuse — numbers
         ``int()`` cannot take (``1e400`` is hand-framed: ``json.dumps``
         never emits it) and a ``store`` that is not a name — each get a
-        typed ``ProtocolError`` answer in order, and neither the reader
-        of that connection nor the one dispatcher everyone shares goes
-        down with them."""
+        typed ``ProtocolError`` answer in order, and the one loop
+        everyone shares does not go down with them."""
         hostile = [
             b'{"kind":"refine","basis_id":1e400,"samples":[],"id":"huge"}',
             b'{"kind":"evict","max_bases":Infinity,"id":"inf"}',
@@ -321,7 +317,136 @@ class TestConnectionLifetime:
                 client.recv()
         assert got == want
         assert server.requests_served == len(requests) + 1
-        assert _idle_books(server)[:2] == (0, 0)
+        assert _idle_books(server)[0] == 0
+
+
+def _stats_frame(request_id):
+    return encode_frame(encode_request(StatsRequest(request_id=request_id)))
+
+
+def _most_owed(server):
+    """The longest unsent buffer, as a bystander thread may read it."""
+    return max(len(c.unsent) for c in list(server._connections))
+
+
+class TestSlowPeers:
+    """A peer slow to send or slow to read loses no answer and holds up
+    nobody else."""
+
+    def test_a_dribbled_frame_is_answered_and_holds_up_nobody(self, server):
+        frame = _stats_frame("slow")
+        with socket.create_connection(
+            server.address, timeout=10.0
+        ) as raw, ServeClient(*server.address, timeout=10.0) as bystander:
+            for piece in (frame[:10], frame[10:20], frame[20:]):
+                raw.sendall(piece)
+                time.sleep(0.15)
+                assert bystander.stats().bases == {"default": 10}
+            answer = decode_response(recv_frame(raw))
+        assert answer.request_id == "slow"
+        assert answer.bases == {"default": 10}
+
+    def test_a_late_reader_gets_every_answer_and_is_not_read_meanwhile(
+        self, server
+    ):
+        """Pipeline far more than the socket buffers hold and start
+        reading late: past :data:`daemon.MAX_UNSENT_BYTES` owed the
+        daemon stops reading this peer — its memory stays bounded, the
+        rest of the requests wait in the kernel's buffers and in the
+        client's ``sendall`` — and every answer arrives, in order."""
+        count = 30_000
+        frames = [_stats_frame(number) for number in range(count)]
+        with ServeClient(*server.address) as client:
+            answer = client.request(StatsRequest(request_id=count))
+            reply = len(encode_frame(encode_response(answer)))
+        assert count * reply > 4 * daemon.MAX_UNSENT_BYTES
+        # Owed when reading stopped, plus the answers to one last recv.
+        bound = daemon.MAX_UNSENT_BYTES + reply * (
+            daemon._RECV_BYTES // len(frames[0]) + 1
+        )
+        peak, paused = 0, False
+        raw = socket.socket()
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        raw.settimeout(10.0)
+        raw.connect(server.address)
+        sender = threading.Thread(
+            target=raw.sendall, args=(b"".join(frames),), daemon=True
+        )
+        with raw, ServeClient(*server.address, timeout=10.0) as bystander:
+            sender.start()
+            late = time.monotonic() + 1.0
+            while time.monotonic() < late:
+                assert bystander.stats().bases == {"default": 10}
+                peak = max(peak, _most_owed(server))
+                paused |= any(
+                    not connection.events & selectors.EVENT_READ
+                    for connection in list(server._connections)
+                )
+                time.sleep(0.01)
+            for number in range(count):
+                assert recv_frame(raw)["id"] == number
+                if number % 100 == 0:
+                    peak = max(peak, _most_owed(server))
+            sender.join(timeout=10.0)
+            assert not sender.is_alive()
+        assert paused, "the peer was never owed enough to stop reading it"
+        assert daemon.MAX_UNSENT_BYTES < peak <= bound
+        assert _idle_books(server)[0] == 0
+
+
+class TestOneLoop:
+    """The daemon is one thread however many clients it has, and goes
+    away whole."""
+
+    def test_thread_count_does_not_depend_on_the_clients(self, server):
+        census = {0: threading.active_count()}
+        clients = []
+        try:
+            for count in (1, 8, 32):
+                while len(clients) < count:
+                    clients.append(ServeClient(*server.address).connect())
+                for client in clients:
+                    assert client.stats().bases == {"default": 10}
+                assert len(server._connections) == count
+                census[count] = threading.active_count()
+        finally:
+            for client in clients:
+                client.close()
+        assert len(set(census.values())) == 1, census
+        assert [t.name for t in threading.enumerate()].count(
+            "serve-loop"
+        ) == 1
+
+    def test_stop_with_an_idle_client_is_prompt(self, snapshot):
+        server = BasisServer(Session.open(snapshot)).start()
+        with ServeClient(*server.address) as client:
+            assert client.stats().bases == {"default": 10}
+            began = time.monotonic()
+            server.stop()
+            assert time.monotonic() - began < 0.05
+            with pytest.raises(ServeError, match="closed the connection"):
+                client.recv()
+
+    def test_hang_ups_racing_stop_leave_nothing_behind(
+        self, snapshot, monkeypatch
+    ):
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        session = Session.open(snapshot)
+        BasisServer(session).start().stop()  # first-use imports and caches
+        before = threading.active_count(), len(os.listdir("/proc/self/fd"))
+        for cycle in range(200):
+            server = BasisServer(session).start()
+            raw = socket.create_connection(server.address)
+            raw.sendall(_stats_frame(cycle)[: cycle % 40])
+            closer = threading.Thread(target=raw.close)
+            closer.start()
+            server.stop(drain=cycle % 2 == 0)
+            closer.join(timeout=10.0)
+            assert not server._connections
+        assert not crashes, crashes[0]
+        after = threading.active_count(), len(os.listdir("/proc/self/fd"))
+        assert after == before
 
 
 def _boot_daemon(snapshot, tmp_path, extra_args=()):

@@ -167,7 +167,8 @@ def _recorded(call, refusal):
 def _assert_same_bits(samples, probabilities, bins, estimator=None):
     estimator = estimator or Estimator(probabilities, histogram_bins=bins)
     expected = _recorded(
-        lambda: _reference(samples, probabilities, bins), ValueError
+        lambda: _reference(samples, probabilities, bins),
+        (ValueError, IndexError),
     )
     observed = _recorded(lambda: _observed(estimator, samples), EstimatorError)
     assert observed == expected
@@ -248,6 +249,15 @@ class TestEstimateBitsMatchNumpy:
     @settings(max_examples=300, deadline=None)
     def test_any_samples_any_probabilities(self, samples, probabilities, bins):
         _assert_same_bits(samples, probabilities, bins)
+
+    def test_a_range_that_overflows_is_refused_not_an_index_error(self):
+        # Both edges are finite, so numpy's range check passes; max - min
+        # is inf, the bin index NaN, and numpy raises IndexError.
+        _assert_same_bits([1.797693124862316e308, -1e300], (), 1)
+        with pytest.raises(EstimatorError, match="1-bin histogram"):
+            Estimator((), histogram_bins=1).estimate(
+                [1.797693124862316e308, -1e300]
+            )
 
     def test_integer_probabilities_keep_numpys_own_branch(self):
         # np.quantile does not interpolate integer q: [1, inf] at q=1 is

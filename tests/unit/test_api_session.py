@@ -150,7 +150,7 @@ class TestTypedHandlers:
     def test_handle_refuses_an_unbinnable_refine_and_keeps_the_basis(self):
         """One inf sample under a histogram estimator used to escape
         ``handle`` as numpy's bare ValueError (on the daemon: the one
-        dispatcher thread) with the samples already appended."""
+        serving thread) with the samples already appended."""
         store = BasisStore(estimator=Estimator(histogram_bins=4))
         store.add(BASE, SAMPLES)
         session = Session(store)
@@ -300,7 +300,7 @@ class TestWireCodec:
             {"kind": "evict", "max_bytes": float("-inf")},
             {"kind": "match", "fingerprint": ["0x1p+99999"]},
             # A store is a name: anything else is refused here, before
-            # a session hashes it on the daemon's one dispatcher thread.
+            # a session hashes it on the daemon's one serving thread.
             {"kind": "match", "fingerprint": [], "store": ["x"]},
             {"kind": "estimate", "fingerprint": [], "store": {"a": 1}},
             {"kind": "refine", "basis_id": 0, "samples": [], "store": 5},

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    FrameDecoder,
     encode_frame,
     recv_frame,
     send_frame,
@@ -115,3 +116,39 @@ class TestChunkedDelivery:
             left.sendall(frame[offset : offset + 3])
         thread.join(timeout=5)
         assert received["body"] == {"kind": "estimate", "fingerprint": []}
+
+
+class TestFrameDecoder:
+    """The same discipline with no socket: bytes in, bodies out."""
+
+    def test_a_frame_dribbled_in_three_pieces(self):
+        body = {"kind": "stats", "id": "slow"}
+        frame = encode_frame(body)
+        decoder = FrameDecoder()
+        assert decoder.feed(frame[:10]) == []
+        assert decoder.feed(frame[10:20]) == []
+        assert decoder.feed(frame[20:]) == [body]
+        decoder.close()
+
+    def test_one_feed_may_complete_many_frames_and_start_another(self):
+        frames = [encode_frame({"i": index}) for index in range(3)]
+        decoder = FrameDecoder()
+        assert decoder.feed(frames[0] + frames[1] + frames[2][:5]) == [
+            {"i": 0},
+            {"i": 1},
+        ]
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            decoder.close()
+        assert decoder.feed(frames[2][5:]) == [{"i": 2}]
+        decoder.close()
+
+    def test_missing_is_what_the_frame_in_progress_still_needs(self):
+        frame = encode_frame({"kind": "stats"})
+        decoder = FrameDecoder()
+        assert decoder.missing == 4
+        decoder.feed(frame[:3])
+        assert decoder.missing == 1
+        decoder.feed(frame[3:6])
+        assert decoder.missing == len(frame) - 6
+        assert decoder.feed(frame[6:]) == [{"kind": "stats"}]
+        assert decoder.missing == 4
