@@ -164,8 +164,6 @@ def _make_explorer(
             workers=workers,
             samples_per_point=samples,
             fingerprint_size=fingerprint_size,
-            index_strategy=index_strategy,
-            mapping_family=mapping_family,
             adaptive=adaptive,
             basis_store=store,
             checkpoint=checkpoint,

@@ -141,8 +141,15 @@ class AdaptiveBudget:
         )
 
     def satisfied_by(self, samples: np.ndarray) -> bool:
-        """:meth:`satisfied` evaluated directly on a sample vector."""
+        """:meth:`satisfied` evaluated directly on a sample vector.
+
+        A rounds x columns block (one possible world computes every
+        column of a scenario row at once) is satisfied when every column
+        is: rounds are drawn jointly, so they are stopped jointly.
+        """
         array = np.asarray(samples, dtype=float)
+        if array.ndim == 2:
+            return all(self.satisfied_by(column) for column in array.T)
         if array.size < self.min_samples:
             return False
         mean = float(array.mean())
@@ -185,10 +192,10 @@ def grow_samples(
     and the returned vector — is a pure function of the sample values.
     """
     samples = np.asarray(initial, dtype=float)
-    while samples.size < cap and not policy.satisfied_by(samples):
-        target = next_target(int(samples.size), cap, policy)
+    while len(samples) < cap and not policy.satisfied_by(samples):
+        target = next_target(len(samples), cap, policy)
         block = np.asarray(
-            draw(int(samples.size), target - int(samples.size)), dtype=float
+            draw(len(samples), target - len(samples)), dtype=float
         )
         samples = np.concatenate([samples, block])
     return samples

@@ -152,7 +152,20 @@ class ExplorationResult:
 
 
 class ParameterExplorer:
-    """Sweeps a parameter space, reusing Monte Carlo work via fingerprints."""
+    """Sweeps a parameter space, reusing Monte Carlo work via fingerprints.
+
+    The one Algorithm 3 loop.  ``basis_store`` is a
+    :class:`~repro.core.basis.BasisStore` or anything answering the
+    ``block_probe`` / ``metrics_for`` / ``add`` that :meth:`explore`
+    calls (and the ``get`` a shard reads its samples back with):
+    :class:`repro.scenario.runner.ScenarioRunner` sweeps a multi-column
+    query through this class with one store per column standing in for
+    one store, over a simulation whose draws are rounds x columns blocks.
+    Such a store names what it probes with (``fingerprint``; a plain
+    store probes with a :class:`~repro.core.fingerprint.Fingerprint` of
+    the drawn vector), and the loop itself only ever takes a block's
+    ``len`` and concatenates along rounds.
+    """
 
     def __init__(
         self,
@@ -193,6 +206,7 @@ class ParameterExplorer:
                 index_strategy=index_strategy, estimator=self.estimator
             )
         self.store = basis_store
+        self._fingerprint = getattr(basis_store, "fingerprint", Fingerprint)
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self._fingerprint_seeds = self.seed_bank.seed_array(
             self.fingerprint_size
@@ -217,7 +231,7 @@ class ParameterExplorer:
         reused.
         """
         values = self._batch_simulation(params, self._fingerprint_seeds)
-        fingerprint = Fingerprint(values)
+        fingerprint = self._fingerprint(values)
         return self._resolve(
             params, values, fingerprint, self.store.match(fingerprint)
         )
@@ -247,7 +261,7 @@ class ParameterExplorer:
                 self._batch_simulation(params, self._fingerprint_seeds)
                 for params in block
             ]
-            fingerprints = [Fingerprint(drawn) for drawn in values]
+            fingerprints = [self._fingerprint(drawn) for drawn in values]
             probe = self.store.block_probe(fingerprints)
             for i, params in enumerate(block):
                 yield self._resolve(
@@ -299,7 +313,7 @@ class ParameterExplorer:
             basis_id=basis.basis_id,
             mapping=None,
             fingerprint=fingerprint,
-            samples_drawn=int(samples.size),
+            samples_drawn=len(samples),
         )
 
     def run(self, space: Iterable[Params]) -> ExplorationResult:

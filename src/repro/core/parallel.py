@@ -12,9 +12,10 @@ The engine runs in two phases:
 1. **Speculate** (parallel): the parameter space is split into contiguous
    shards, one fork-pool worker per shard.  Each worker runs a plain
    :class:`~repro.core.explorer.ParameterExplorer` over its shard with its
-   own :class:`~repro.core.basis.BasisStore` and a fresh standard-draw
-   cache, and ships back, per point, the fingerprint values plus — for
-   points it fully simulated — the full sample vector.
+   own :class:`~repro.core.basis.BasisStore` (built like the canonical
+   one) and a fresh standard-draw cache, and ships back, per point, the
+   fingerprint values plus — for points it fully simulated — the full
+   sample vector.
 2. **Replay-merge** (serial, cheap): the master replays the points in
    canonical space order against one merged store, re-probing every
    incoming fingerprint so cross-shard duplicate bases collapse into
@@ -34,6 +35,13 @@ bit-identical to the serial explorer for every worker count.  (The engine
 therefore guarantees more than the documented invariant — estimates may
 never differ; decisions happen not to either.)  Only the *shard-side* work
 varies with the shard count; :class:`ParallelStats` accounts for it.
+
+This is the one sharded engine.  A multi-column scenario sweep
+(:class:`repro.scenario.runner.ScenarioRunner`) is this class over a
+simulation whose draws are rounds x columns blocks and a store that is one
+basis store per column answering jointly: the records, the replay, the
+adaptive cursor and the checkpoint codec below never ask which, because
+they only slice sample blocks by rounds (``len``, ``block[a:b]``).
 
 Both phases run on the columnar match engine: shard workers and the merged
 replay consume the serial explorer's one per-visited-point loop
@@ -362,8 +370,8 @@ class ParallelStats:
     #: Points the canonical replay had to resimulate because their shard
     #: reused them while the canonical order demanded a full simulation.
     points_resimulated: int = 0
-    #: Per-shard work counters (ExplorerStats or RunnerStats instances).
-    shard_stats: List[object] = field(default_factory=list)
+    #: Per-shard work counters, one ``ExplorerStats`` a shard.
+    shard_stats: List[ExplorerStats] = field(default_factory=list)
     #: Shards whose outcomes were consumed from a resumable checkpoint
     #: instead of being recomputed this run.
     shards_resumed: int = 0
@@ -574,7 +582,10 @@ class ParallelExplorer:
 
     ``store_factory`` builds each worker's shard-local store *and* the
     merged store; by default it mirrors the serial constructor
-    (``mapping_family`` + ``index_strategy`` + shared estimator).
+    (``mapping_family`` + ``index_strategy`` + shared estimator) — or,
+    given ``basis_store``, that store: same family, effective index
+    strategy, tolerances and estimator, so the shards decide what the
+    canonical replay will.
 
     ``basis_store`` warm-starts the sweep: a caller-provided (typically
     snapshot-loaded, see :mod:`repro.core.persist`) store becomes the
@@ -623,24 +634,36 @@ class ParallelExplorer:
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self.estimator = estimator or Estimator()
         self.adaptive = adaptive
-        if store_factory is None:
-
-            def store_factory() -> BasisStore:
-                return BasisStore(
-                    mapping_family=mapping_family,
-                    index_strategy=index_strategy,
-                    estimator=self.estimator,
-                )
-
-        self._store_factory = store_factory
         # A repro.api.Session stands in for its store wherever a
         # basis_store is accepted (duck-typed: no core -> api import).
         if basis_store is not None and hasattr(
             basis_store, "resolve_basis_store"
         ):
             basis_store = basis_store.resolve_basis_store()
-        # `is None`, not `or`: an empty warm store is falsy (len() == 0)
-        # and must still win over the factory default.
+        if store_factory is None:
+            # `is None`, not `or`: an empty warm store is falsy (len() == 0)
+            # and is still the canonical store the shards are built like.
+            if basis_store is None:
+                basis_store = BasisStore(
+                    mapping_family=mapping_family,
+                    index_strategy=index_strategy,
+                    estimator=self.estimator,
+                )
+            like = basis_store
+
+            def store_factory() -> BasisStore:
+                # Everything persist.store_config calls a store's identity:
+                # a shard matching under another family or tolerance reuses
+                # points the canonical replay must then resimulate serially.
+                return BasisStore(
+                    mapping_family=like.mapping_family,
+                    index_strategy=type(like.index).strategy,
+                    estimator=like.estimator,
+                    rel_tol=like.rel_tol,
+                    abs_tol=like.abs_tol,
+                )
+
+        self._store_factory = store_factory
         self.store = (
             basis_store if basis_store is not None else store_factory()
         )
@@ -649,7 +672,7 @@ class ParallelExplorer:
         self.checkpoint = checkpoint
 
     def _checkpoint_config(self, points, shards) -> dict:
-        return {
+        config = {
             "engine": "explorer",
             "space": space_digest(points),
             "shard_sizes": [len(shard) for shard in shards],
@@ -658,6 +681,13 @@ class ParallelExplorer:
             "seed_master": int(self.seed_bank.master_seed),
             "adaptive": adaptive_config(self.adaptive),
         }
+        # A store that shapes the shard records says so (a scenario's
+        # per-column stores: which columns, reused or not); a plain
+        # BasisStore adds nothing, so its checkpoints read as ever.
+        identity = getattr(self.store, "checkpoint_identity", None)
+        if identity is not None:
+            config["store"] = identity
+        return config
 
     def run(self, space: Iterable[Params]) -> ExplorationResult:
         """Explore every point of ``space``: speculate in shards, then merge.

@@ -1,39 +1,40 @@
 """Batch scenario execution: naive and fingerprint-reusing modes.
 
-The runner generalizes :class:`repro.core.explorer.ParameterExplorer` to
-multi-column scenarios.  One Monte Carlo round computes *all* output columns
-(one set of black-box invocations), so the fingerprint decision is joint: a
-point skips its remaining rounds only when **every** column's fingerprint
-maps onto a stored basis.  This is precisely why the paper's boolean
-Overload column halves the achievable speedup of its query (section 6.2) —
-one unmappable column forces the full simulation for the whole row.
+A scenario sweep is the sweep of :mod:`repro.core.explorer` (serial) or
+:mod:`repro.core.parallel` (sharded, supervised, checkpointed) — paper
+Algorithm 3, the shard protocol, the canonical replay, the adaptive loop
+and the checkpoint codec all live there, once.  What is particular to a
+multi-column query (paper Figure 1) is here: one possible world computes
+*all* output columns (one set of black-box invocations), so the engine's
+simulation returns a rounds x columns block, and the engine's store is one
+basis store per column whose reuse decision is joint — a point skips its
+remaining rounds only when **every** column's fingerprint maps onto a
+stored basis, and the probe stops at the first column that does not.
+This is precisely why the paper's boolean Overload column halves the
+achievable speedup of its query (section 6.2) — one unmappable column
+forces the full simulation for the whole row.  The adaptive stopping rule
+is joint the same way: :meth:`AdaptiveBudget.satisfied_by` on a block is
+"every column satisfied".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blackbox.base import ParamKey, param_key
-from repro.core.adaptive import AdaptiveBudget, next_target
-from repro.core.basis import BasisStore
+from repro.core.adaptive import AdaptiveBudget
+from repro.core.basis import BasisDistribution, BasisStore, MatchResult
 from repro.core.estimator import Estimator, MetricSet
+from repro.core.explorer import ParameterExplorer
 from repro.core.fingerprint import Fingerprint
-from repro.core.parallel import (
-    ParallelStats,
-    adaptive_config,
-    run_shards,
-    shard_slices,
-    space_digest,
-)
+from repro.core.parallel import ParallelExplorer, ParallelStats
 from repro.core.supervise import SupervisionPolicy
 from repro.core.mapping import (
     IdentityMappingFamily,
     LinearMappingFamily,
-    Mapping,
     MappingFamily,
 )
 from repro.core.optimizer import ResultRow, Selector
@@ -92,90 +93,154 @@ class ScenarioResult:
         return len(self.metrics)
 
 
-@dataclass
-class _ScenarioPointRecord:
-    """One point's shipped outcome: per-column fingerprints, and — when the
-    shard fully simulated the point — per-column full sample vectors."""
+class _Rounds:
+    """A scenario's Monte Carlo rounds as the engines' batch simulation."""
 
-    fingerprints: Dict[str, np.ndarray]
-    samples: Optional[Dict[str, np.ndarray]]
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
 
-
-@dataclass
-class _ScenarioShardContext:
-    """Inherited-by-fork description of a sharded scenario sweep."""
-
-    runner_factory: "object"
-    shards: List[List[Dict[str, float]]]
-
-
-def _run_scenario_shard(
-    context: _ScenarioShardContext, index: int
-) -> Tuple[List[_ScenarioPointRecord], RunnerStats]:
-    runner = context.runner_factory()
-    stats = RunnerStats()
-    records: List[_ScenarioPointRecord] = []
-    for point in context.shards[index]:
-        _, record = runner._run_point(point, stats)
-        records.append(record)
-        stats.points_total += 1
-    return records, stats
+    def sample_batch(
+        self, params: Mapping[str, float], seeds: np.ndarray
+    ) -> np.ndarray:
+        """One row per seed, one column per output column; batched when
+        the scenario plan supports it (bit-identical to the per-seed
+        loop)."""
+        columns = self.scenario.output_columns
+        try:
+            drawn = self.scenario.simulate_batch(params, seeds)
+            return np.column_stack([drawn[column] for column in columns])
+        except BatchUnsupported:
+            rows = [
+                self.scenario.simulate(params, int(seed)) for seed in seeds
+            ]
+            return np.array(
+                [[row[column] for column in columns] for row in rows],
+                dtype=float,
+            ).reshape(len(rows), len(columns))
 
 
-def _encode_scenario_outcome(
-    columns: Tuple[str, ...],
-    outcome: Tuple[List[_ScenarioPointRecord], RunnerStats],
-) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Checkpoint encoding of one scenario shard outcome.
+class _JointFingerprint(tuple):
+    """One fingerprint per column, all over the same fingerprint rounds."""
 
-    Column arrays are keyed positionally (``fp{point}c{column}``) — the
-    checkpoint config pins the column list, so positions are stable."""
-    records, stats = outcome
-    arrays: Dict[str, np.ndarray] = {}
-    meta_records = []
-    for position, record in enumerate(records):
-        for col, column in enumerate(columns):
-            arrays[f"fp{position}c{col}"] = np.asarray(
-                record.fingerprints[column], dtype=np.float64
-            )
-        meta_records.append({"samples": record.samples is not None})
-        if record.samples is not None:
-            for col, column in enumerate(columns):
-                arrays[f"s{position}c{col}"] = np.asarray(
-                    record.samples[column], dtype=np.float64
-                )
-    meta = {
-        "records": meta_records,
-        "stats": {
-            "points_total": int(stats.points_total),
-            "points_reused": int(stats.points_reused),
-            "rounds_executed": int(stats.rounds_executed),
-            "bases_created": int(stats.bases_created),
-        },
-    }
-    return meta, arrays
+    def __new__(cls, values: np.ndarray):
+        self = super().__new__(cls, map(Fingerprint, values.T))
+        #: The rounds x columns block as drawn (what a shard ships).
+        self.array = values
+        self.size = len(values)
+        return self
 
 
-def _decode_scenario_outcome(
-    columns: Tuple[str, ...], meta: dict, arrays: Dict[str, np.ndarray]
-) -> Tuple[List[_ScenarioPointRecord], RunnerStats]:
-    records = []
-    for position, entry in enumerate(meta["records"]):
-        fingerprints = {
-            column: np.asarray(arrays[f"fp{position}c{col}"])
-            for col, column in enumerate(columns)
+class _JointBasis(tuple):
+    """The bases one fully simulated point left, one per column."""
+
+    @property
+    def basis_id(self) -> Tuple[int, ...]:
+        return tuple(basis.basis_id for basis in self)
+
+    @property
+    def metrics(self) -> Tuple[MetricSet, ...]:
+        return tuple(basis.metrics for basis in self)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return np.column_stack([basis.samples for basis in self])
+
+
+class _JointProbe:
+    """A block of joint probes: one :class:`BlockProbe` per column."""
+
+    def __init__(
+        self,
+        stores: Sequence[BasisStore],
+        fingerprints: Sequence[_JointFingerprint],
+    ):
+        self._handles = [
+            store.block_probe([joint[column] for joint in fingerprints])
+            for column, store in enumerate(stores)
+        ]
+
+    def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
+        """Ask the columns in order and stop at the first miss: a handle
+        accounts a lookup only when asked, so the stores past an
+        unmappable column see none."""
+        if not self._handles:  # a naive sweep reuses nothing
+            return None, 0
+        bases, mappings, tested = [], [], 0
+        for handle in self._handles:
+            matched, count = handle.match(i)
+            tested += count
+            if matched is None:
+                return None, tested
+            bases.append(matched.basis)
+            mappings.append(matched.mapping)
+        return MatchResult(_JointBasis(bases), tuple(mappings)), tested
+
+
+class _ColumnStores:
+    """A scenario's per-column basis stores, standing in for one store
+    under :class:`ParameterExplorer` / :class:`ParallelExplorer`.
+
+    ``stores`` is ``None`` for a naive sweep, which never probes and never
+    stores (each point's bases then live only until the next ``add``).
+    Column order is ``columns``' — never a dict's, which for stores loaded
+    from a snapshot is sorted by name.
+    """
+
+    fingerprint = _JointFingerprint
+
+    def __init__(
+        self,
+        columns: Sequence[str],
+        stores: Optional[Mapping[str, BasisStore]],
+        estimator: Estimator,
+    ):
+        self.stores = (
+            () if stores is None else tuple(stores[c] for c in columns)
+        )
+        self.estimator = estimator
+        self.checkpoint_identity = {
+            "columns": list(columns),
+            "use_fingerprints": stores is not None,
         }
-        samples = None
-        if entry["samples"]:
-            samples = {
-                column: np.asarray(arrays[f"s{position}c{col}"])
-                for col, column in enumerate(columns)
-            }
-        records.append(_ScenarioPointRecord(fingerprints, samples))
-    stats = RunnerStats(
-        **{key: int(value) for key, value in meta["stats"].items()}
-    )
-    return records, stats
+
+    def block_probe(
+        self, fingerprints: Iterable[_JointFingerprint]
+    ) -> _JointProbe:
+        return _JointProbe(self.stores, list(fingerprints))
+
+    def metrics_for(
+        self, bases: _JointBasis, mappings: Sequence
+    ) -> Tuple[MetricSet, ...]:
+        return tuple(
+            store.metrics_for(basis, mapping)
+            for store, basis, mapping in zip(self.stores, bases, mappings)
+        )
+
+    def add(
+        self, fingerprint: _JointFingerprint, samples: np.ndarray
+    ) -> _JointBasis:
+        columns = [np.ascontiguousarray(column) for column in samples.T]
+        if self.stores:
+            return _JointBasis(
+                store.add(part, column)
+                for store, part, column in zip(
+                    self.stores, fingerprint, columns
+                )
+            )
+        self._unstored = _JointBasis(
+            BasisDistribution(
+                -1, part, column, self.estimator.estimate(column)
+            )
+            for part, column in zip(fingerprint, columns)
+        )
+        return self._unstored
+
+    def get(self, basis_id: Tuple[int, ...]) -> _JointBasis:
+        """What ``add`` returned for ``basis_id`` (a shard ships its
+        samples, stored or not)."""
+        if not self.stores:
+            return self._unstored
+        return _JointBasis(map(BasisStore.get, self.stores, basis_id))
 
 
 class ScenarioRunner:
@@ -226,16 +291,7 @@ class ScenarioRunner:
         self.checkpoint = checkpoint
         self._index_strategy = index_strategy
         self._family_overrides = dict(column_families or {})
-        self._stores: Dict[str, BasisStore] = {}
-        for column in scenario.output_columns:
-            family = self._family_overrides.get(
-                column, LinearMappingFamily()
-            )
-            self._stores[column] = BasisStore(
-                mapping_family=family,
-                index_strategy=index_strategy,
-                estimator=self.estimator,
-            )
+        self._stores = self._column_stores()
 
     def store_for(self, column: str) -> BasisStore:
         return self._stores[column]
@@ -286,255 +342,74 @@ class ScenarioRunner:
             mmap=mmap,
         ).stores
 
-    def _clone_serial(self) -> "ScenarioRunner":
-        """A fresh single-worker runner with this runner's configuration
-        (shard workers build their local per-column stores through this)."""
-        return ScenarioRunner(
-            self.scenario,
+    def _column_stores(self) -> Dict[str, BasisStore]:
+        """Fresh per-column stores as configured: the canonical ones and
+        every shard's."""
+        return {
+            column: BasisStore(
+                mapping_family=self._family_overrides.get(
+                    column, LinearMappingFamily()
+                ),
+                index_strategy=self._index_strategy,
+                estimator=self.estimator,
+            )
+            for column in self.scenario.output_columns
+        }
+
+    def _joint(self, stores: Mapping[str, BasisStore]) -> _ColumnStores:
+        return _ColumnStores(
+            self.scenario.output_columns,
+            stores if self.use_fingerprints else None,
+            self.estimator,
+        )
+
+    def run(self) -> ScenarioResult:
+        columns = self.scenario.output_columns
+        store = self._joint(self._stores)
+        shared = dict(
+            simulation=_Rounds(self.scenario),
             samples_per_point=self.samples_per_point,
             fingerprint_size=self.fingerprint_size,
             seed_bank=self.seed_bank,
             estimator=self.estimator,
-            index_strategy=self._index_strategy,
-            column_families=self._family_overrides,
-            use_fingerprints=self.use_fingerprints,
-            workers=1,
             adaptive=self.adaptive,
+            basis_store=store,
         )
-
-    def _checkpoint_config(self, points, shards) -> dict:
-        return {
-            "engine": "scenario",
-            "space": space_digest(points),
-            "shard_sizes": [len(shard) for shard in shards],
-            "samples_per_point": int(self.samples_per_point),
-            "fingerprint_size": int(self.fingerprint_size),
-            "seed_master": int(self.seed_bank.master_seed),
-            "columns": list(self.scenario.output_columns),
-            "use_fingerprints": bool(self.use_fingerprints),
-            "adaptive": adaptive_config(self.adaptive),
-        }
-
-    def run(self) -> ScenarioResult:
         if (
             self.workers > 1
             or self.checkpoint is not None
             or self.supervision is not None
         ):
-            # Checkpointed or supervised runs route through the sharded
-            # engine even with one worker: shard records are the resumable
-            # unit, supervision watches shard attempts, and the canonical
-            # replay makes the result bit-identical to the plain serial
-            # loop regardless.
-            return self._run_parallel()
-        result = ScenarioResult()
-        for point in self.scenario.space.points():
-            key = param_key(point)
-            result.points[key] = dict(point)
-            metrics, _ = self._run_point(point, result.stats)
-            result.metrics[key] = metrics
-            result.stats.points_total += 1
-        return result
-
-    def _run_parallel(self) -> ScenarioResult:
-        """Shard, speculate, then replay the canonical order.
-
-        The replay runs the *actual* serial loop (``_run_point``) with a
-        playback rounds-provider serving the workers' recorded sample
-        vectors, so per-point metrics and counters are serial by
-        construction; only a point a shard speculatively reused but the
-        canonical order must simulate falls through to the real rounds.
-        """
-        points = list(self.scenario.space.points())
-        slices = shard_slices(len(points), self.workers)
-        shards = [points[s] for s in slices]
-        context = _ScenarioShardContext(self._clone_serial, shards)
-        columns = tuple(self.scenario.output_columns)
-        outcomes, resumed, report = run_shards(
-            _run_scenario_shard,
-            context,
-            len(shards),
-            self.workers,
-            policy=self.supervision,
-            checkpoint=self.checkpoint,
-            config=lambda: self._checkpoint_config(points, shards),
-            encode=partial(_encode_scenario_outcome, columns),
-            decode=partial(_decode_scenario_outcome, columns),
-        )
-        parallel = ParallelStats(
-            workers=self.workers,
-            shard_sizes=tuple(len(records) for records, _ in outcomes),
-            shard_samples_drawn=sum(
-                stats.rounds_executed for _, stats in outcomes
-            ),
-            shard_stats=[stats for _, stats in outcomes],
-            shards_resumed=resumed,
-            supervision=report,
-        )
-        shard_bases = sum(stats.bases_created for _, stats in outcomes)
-        records = [
-            record for shard_records, _ in outcomes
-            for record in shard_records
-        ]
-        cursor = {"index": -1, "resimulated": -1}
-
-        def playback_rounds(
-            point: Dict[str, float], count: int, start: int
-        ) -> Dict[str, np.ndarray]:
-            if start == 0:  # fingerprint rounds open each point's replay
-                cursor["index"] += 1
-                return records[cursor["index"]].fingerprints
-            record = records[cursor["index"]]
-            if record.samples is not None:
-                # Serve the requested round range; an adaptive budget asks
-                # for several blocks per point, each a slice of the
-                # shard's recorded draw (identical schedule by purity of
-                # the stopping rule in the sample values).
-                return {
-                    column: samples[start:start + count]
-                    for column, samples in record.samples.items()
-                }
-            if cursor["resimulated"] != cursor["index"]:
-                # Count resimulated points, not completion calls.
-                cursor["resimulated"] = cursor["index"]
-                parallel.points_resimulated += 1
-            return self._simulate_rounds(point, count, start)
-
-        result = ScenarioResult()
-        for point in points:
-            key = param_key(point)
-            result.points[key] = dict(point)
-            metrics, _ = self._run_point(
-                point, result.stats, simulate_rounds=playback_rounds
+            # Checkpointed or supervised runs shard even with one worker:
+            # shard records are the resumable unit, supervision watches
+            # shard attempts, and the canonical replay makes the result
+            # bit-identical to the serial loop regardless.
+            engine = ParallelExplorer(
+                workers=self.workers,
+                store_factory=lambda: self._joint(self._column_stores()),
+                supervision=self.supervision,
+                checkpoint=self.checkpoint,
+                **shared,
             )
-            result.metrics[key] = metrics
-            result.stats.points_total += 1
-        adopted = (
-            result.stats.bases_created
-            - parallel.points_resimulated
-            * len(self.scenario.output_columns)
-        )
-        parallel.bases_collapsed = shard_bases - adopted
-        result.parallel = parallel
-        return result
-
-    def _simulate_rounds(
-        self, point: Dict[str, float], count: int, start: int
-    ) -> Dict[str, np.ndarray]:
-        """``count`` Monte Carlo rounds for every column, batched when the
-        scenario plan supports it (bit-identical to the per-seed loop)."""
-        seeds = self.seed_bank.seed_array(count, start=start)
-        try:
-            columns = self.scenario.simulate_batch(point, seeds)
-            return {
-                name: np.asarray(values, dtype=float)
-                for name, values in columns.items()
-            }
-        except BatchUnsupported:
-            rows = [
-                self.scenario.simulate(point, int(seed)) for seed in seeds
-            ]
-            return {
-                column: np.array(
-                    [row[column] for row in rows], dtype=float
-                )
-                for column in self.scenario.output_columns
-            }
-
-    def _run_point(
-        self,
-        point: Dict[str, float],
-        stats: RunnerStats,
-        simulate_rounds=None,
-    ) -> Tuple[Dict[str, MetricSet], _ScenarioPointRecord]:
-        """One point of the sweep: probe, reuse or fully simulate.
-
-        ``simulate_rounds`` optionally overrides :meth:`_simulate_rounds`
-        — the parallel replay injects a playback provider here so this
-        exact code path (and its accounting) serves both modes.
-        """
-        if simulate_rounds is None:
-            simulate_rounds = self._simulate_rounds
-        columns = self.scenario.output_columns
-        m = self.fingerprint_size
-
-        # Fingerprint rounds (double as the first m simulation rounds).
-        column_values = simulate_rounds(point, m, 0)
-        stats.rounds_executed += m
-
-        if self.use_fingerprints:
-            # One columnar probe per column, short-circuiting on the first
-            # unmappable column (each column has its own store, and the
-            # scalar-identical counters require that stores past the first
-            # miss are *not* probed — so this cannot be one cross-store
-            # match_batch call).
-            matches: Dict[str, Tuple[object, Mapping]] = {}
-            for column in columns:
-                fingerprint = Fingerprint(column_values[column])
-                matched = self._stores[column].match(fingerprint)
-                if matched is None:
-                    break
-                matches[column] = matched
-            if len(matches) == len(columns):
-                stats.points_reused += 1
-                return (
-                    {
-                        column: self._stores[column].metrics_for(
-                            basis, mapping  # type: ignore[arg-type]
-                        )
-                        for column, (basis, mapping) in matches.items()
-                    },
-                    _ScenarioPointRecord(column_values, None),
-                )
-
-        # Full simulation: complete the remaining rounds and register bases.
-        # One Monte Carlo round costs every column jointly, so the adaptive
-        # stopping decision is joint too: rounds keep growing until EVERY
-        # column's confidence interval is inside tolerance (or the fixed
-        # budget is exhausted) — mirroring how one unmappable column forces
-        # the whole row's simulation in the reuse decision.
-        if self.adaptive is None:
-            remaining = simulate_rounds(point, self.samples_per_point - m, m)
-            stats.rounds_executed += self.samples_per_point - m
-            column_samples = {
-                column: np.concatenate(
-                    [column_values[column], remaining[column]]
-                )
-                for column in columns
-            }
         else:
-            cap = max(m, self.adaptive.cap(self.samples_per_point))
-            column_samples = {
-                column: np.asarray(column_values[column], dtype=float)
-                for column in columns
-            }
-            size = m
-            while size < cap and not all(
-                self.adaptive.satisfied_by(column_samples[column])
-                for column in columns
-            ):
-                target = next_target(size, cap, self.adaptive)
-                block = simulate_rounds(point, target - size, size)
-                column_samples = {
-                    column: np.concatenate(
-                        [column_samples[column], block[column]]
-                    )
-                    for column in columns
-                }
-                size = target
-            stats.rounds_executed += size - m
-
-        metrics: Dict[str, MetricSet] = {}
-        for column in columns:
-            samples = column_samples[column]
-            fingerprint = Fingerprint(samples[:m])
-            if self.use_fingerprints:
-                basis = self._stores[column].add(fingerprint, samples)
-                stats.bases_created += 1
-                metrics[column] = basis.metrics
-            else:
-                metrics[column] = self.estimator.estimate(samples)
-        return metrics, _ScenarioPointRecord(column_values, column_samples)
+            engine = ParameterExplorer(**shared)
+        swept = engine.run(self.scenario.space.points())
+        result = ScenarioResult(parallel=swept.parallel)
+        for key, point in swept.points.items():
+            result.points[key] = point.params
+            result.metrics[key] = dict(zip(columns, point.metrics))
+        # The engine counts a fully simulated point once; it left one
+        # basis per column (none in a naive sweep).
+        per_point = len(store.stores)
+        result.stats = RunnerStats(
+            points_total=swept.stats.points_total,
+            points_reused=swept.stats.points_reused,
+            rounds_executed=swept.stats.samples_drawn,
+            bases_created=swept.stats.bases_created * per_point,
+        )
+        if swept.parallel is not None:
+            swept.parallel.bases_collapsed *= per_point
+        return result
 
 
 def boolean_column_families(

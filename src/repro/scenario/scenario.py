@@ -102,8 +102,9 @@ class Scenario:
 
         Suitable for :class:`repro.core.explorer.ParameterExplorer` when only
         one column matters; multi-column scenarios should use the
-        :class:`repro.scenario.runner.ScenarioRunner`, which shares black-box
-        invocations across columns.  The returned callable also exposes
+        :class:`repro.scenario.runner.ScenarioRunner`, which runs that same
+        explorer over all columns at once (one set of black-box
+        invocations per world).  The returned callable also exposes
         ``sample_batch`` so the explorer's batched path can vectorize over
         the seed bank (falling back internally when the plan cannot batch).
         """

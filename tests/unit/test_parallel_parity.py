@@ -323,6 +323,71 @@ class TestParallelExplorerParity:
             )
 
 
+class TestShardStoresMirrorTheCanonicalStore:
+    """``basis_store=`` alone configures the sweep: the shard-local stores
+    are built like it (family, effective index strategy, tolerances,
+    estimator).  They used to come from ``mapping_family=`` /
+    ``index_strategy=`` instead, so a caller who gave the family once —
+    on the store — had shards matching under the *linear* default: on this
+    sweep they reused 69 of 84 points the identity-family replay then had
+    to resimulate serially (right answers, sharding thrown away)."""
+
+    POINTS = [{"point": float(i)} for i in range(84)]
+
+    @staticmethod
+    def _store(**overrides):
+        return BasisStore(mapping_family=IdentityMappingFamily(), **overrides)
+
+    def _sweeps(self, serial_store, sharded_store):
+        from repro.blackbox.synth_basis import SynthBasisModel
+
+        model = SynthBasisModel(basis_count=5)
+        serial = ParameterExplorer(
+            model, samples_per_point=60, basis_store=serial_store
+        ).run(self.POINTS)
+        sharded = ParallelExplorer(
+            model, workers=3, samples_per_point=60, basis_store=sharded_store
+        ).run(self.POINTS)
+        return serial, sharded
+
+    def test_shards_match_under_the_stores_family(self):
+        serial, sharded = self._sweeps(self._store(), self._store())
+        assert sharded.parallel.points_resimulated == 0
+        assert sharded.stats == serial.stats
+        assert [s.points_reused for s in sharded.parallel.shard_stats] == [
+            0,
+            0,
+            0,
+        ]
+        for key, point in serial.points.items():
+            assert sharded.points[key].metrics == point.metrics
+
+    def test_a_session_opened_from_a_snapshot_is_mirrored_too(self, tmp_path):
+        from repro.api import Session
+
+        path = str(tmp_path / "identity-store")
+        Session(self._store()).save(path)
+        serial, sharded = self._sweeps(Session.open(path), Session.open(path))
+        assert sharded.parallel.points_resimulated == 0
+        assert sharded.stats == serial.stats
+
+    def test_tolerances_and_effective_strategy_are_mirrored(self):
+        explorer = ParallelExplorer(
+            lambda p, s: 0.0,
+            workers=2,
+            basis_store=self._store(rel_tol=1e-3, abs_tol=1e-5),
+        )
+        shard_store = explorer._store_factory()
+        assert shard_store is not explorer.store
+        assert isinstance(shard_store.mapping_family, IdentityMappingFamily)
+        # The effective strategy: normalization is downgraded to the scan
+        # for a family without a normal form, on both sides.
+        assert type(explorer.store.index) is ArrayIndex
+        assert type(shard_store.index) is ArrayIndex
+        assert (shard_store.rel_tol, shard_store.abs_tol) == (1e-3, 1e-5)
+        assert shard_store.estimator is explorer.store.estimator
+
+
 class TestShardSlices:
     def test_contiguous_cover(self):
         slices = shard_slices(10, 3)
