@@ -28,6 +28,17 @@ def param_key(params: Params) -> ParamKey:
     return tuple(sorted((str(k), float(v)) for k, v in params.items()))
 
 
+def _seed_array(seeds: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+    """Seeds as a 1-D uint64 array (passed through when already one)."""
+    if (
+        isinstance(seeds, np.ndarray)
+        and seeds.dtype == np.uint64
+        and seeds.ndim == 1
+    ):
+        return seeds
+    return np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+
+
 class BlackBox(ABC):
     """A parameterized stochastic black-box function.
 
@@ -92,14 +103,7 @@ class BlackBox(ABC):
         are validated once for the entire batch.
         """
         self._require_params(params)
-        if (
-            isinstance(seeds, np.ndarray)
-            and seeds.dtype == np.uint64
-            and seeds.ndim == 1
-        ):
-            seed_array = seeds
-        else:
-            seed_array = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+        seed_array = _seed_array(seeds)
         values = self._sample_batch(params, seed_array)
         if values is None:
             values = np.array(
@@ -110,6 +114,29 @@ class BlackBox(ABC):
             values = np.asarray(values, dtype=np.float64)
         self._invocations += int(seed_array.shape[0])
         return values
+
+    def sample_points(
+        self,
+        block: Sequence[Params],
+        seeds: Union[Sequence[int], np.ndarray],
+    ) -> np.ndarray:
+        """Draw one sample per seed at every point of ``block``.
+
+        Returns a ``len(block) x len(seeds)`` matrix whose row ``i`` is
+        bit-identical to ``sample_batch(block[i], seeds)``, with
+        invocations counted as that loop counts them.  Boxes whose points
+        are cheap functions of the same standard draws override
+        :meth:`_sample_points` to draw the whole block at once.
+        """
+        seed_array = _seed_array(seeds)
+        values = self._sample_points(block, seed_array) if block else None
+        if values is None:
+            rows = [self.sample_batch(params, seed_array) for params in block]
+            return np.array(rows, dtype=np.float64).reshape(
+                len(block), seed_array.shape[0]
+            )
+        self._invocations += len(block) * int(seed_array.shape[0])
+        return np.asarray(values, dtype=np.float64)
 
     @abstractmethod
     def _sample(self, params: Params, seed: int) -> float:
@@ -123,6 +150,18 @@ class BlackBox(ABC):
         Overrides must be bit-identical to the scalar path: build each
         variate from the same standard draws with the same location-scale
         arithmetic, in the same order.
+        """
+        return None
+
+    def _sample_points(
+        self, block: Sequence[Params], seeds: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Block sampling hook over a non-empty ``block``; return None to
+        loop over :meth:`sample_batch`.
+
+        Overrides must give each row the bits of :meth:`_sample_batch`,
+        and return None for any block they cannot reproduce exactly —
+        including one the loop would refuse, which then raises there.
         """
         return None
 

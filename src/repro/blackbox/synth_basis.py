@@ -18,7 +18,7 @@ all fingerprint entries of different blends.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,41 @@ class SynthBasisModel(BlackBox):
         point = int(params["point"])
         if point < 0:
             raise ValueError("point must be non-negative")
-        residue = point % self.basis_count
+        return self._blend(
+            point % self.basis_count, point // self.basis_count, seeds
+        )
+
+    def _sample_points(
+        self, block: Sequence[Params], seeds: np.ndarray
+    ) -> Optional[np.ndarray]:
+        # Every point blends the same two draw columns: they are read once
+        # and each point's Python ints become one entry of an int64
+        # (points, 1) column.  That reproduces the per-point bits for int64
+        # points and the constructor's usual types; anything else (or a
+        # point the per-point path refuses) is left to the loop.
+        if not (
+            isinstance(self.basis_count, int)
+            and isinstance(self.scale_step, float)
+        ):
+            return None
+        try:
+            points = np.array(
+                [int(params["point"]) for params in block], dtype=np.int64
+            )
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return None
+        if points.min() < 0:
+            return None
+        return self._blend(
+            (points % self.basis_count)[:, None],
+            (points // self.basis_count)[:, None],
+            seeds,
+        )
+
+    def _blend(self, residue, class_index, seeds: np.ndarray) -> np.ndarray:
+        """``_sample``'s arithmetic over the cached draws, for one point's
+        ``residue`` and ``class_index`` (Python ints) or a block's
+        (int64 columns, broadcast: the same IEEE operations per lane)."""
         # The busy-work columns are drawn (and discarded) so the knob keeps
         # emulating a costlier model on the batch path too.
         kinds = (KIND_NORMAL,) * (self.work_per_sample + 1)
@@ -82,6 +116,5 @@ class SynthBasisModel(BlackBox):
         first = 0.0 + 1.0 * draws[:, 0]
         second = 0.0 + 1.0 * draws[:, 1]
         blend = first + (residue + 1) * first * second
-        class_index = point // self.basis_count
         scale = 1.0 + self.scale_step * class_index
         return scale * blend + 0.5 * class_index

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +35,37 @@ Simulation = Callable[[Params, int], float]
 #: A batch simulation evaluates one point under many seeds in one call.
 BatchSimulation = Callable[[Params, np.ndarray], np.ndarray]
 
-#: Points :meth:`ParameterExplorer.explore` draws, and probes it opens, per
-#: block probe.  Measured on a cold 8,000-point SynthBasis sweep (400
-#: bases), CPU us per point by block size 8 / 16 / 32 / 64 / 128 / 256:
-#: array 62.1 / 52.0 / 47.1 / 44.6 / 41.6 / 47.1, sorted_sid 83.6 / 66.5 /
-#: 61.5 / 55.3 / 58.5 / 60.3, normalization (keys batched, nothing
-#: speculated) 64.4 / 58.4 / 51.0 / 51.8 / 53.1 / 50.1.  The fixed cost of
-#: opening a block is spread thin by 64; past it only the pair arrays (and
-#: the share of a block answered after a miss changed the store) grow.
+#: A points simulation evaluates a block of points under the same seeds,
+#: one row per point.
+PointsSimulation = Callable[
+    [Sequence[Params], np.ndarray], Sequence[np.ndarray]
+]
+
+#: Points :meth:`ParameterExplorer.explore` draws (one points-axis draw),
+#: and probes it opens, per block probe.  Measured on a cold 8,000-point
+#: SynthBasis sweep (400 bases, 60 samples a point), CPU us per point by
+#: block size 8 / 16 / 32 / 64 / 128 / 256, median of three runs on a
+#: shared two-core x86-64 host: array 49.5 / 35.2 / 31.4 / 32.2 / 32.5 /
+#: 30.8, sorted_sid 56.9 / 43.2 / 43.3 / 40.6 / 35.3 / 33.9, normalization
+#: (keys batched, nothing speculated) 42.1 / 35.4 / 26.4 / 21.7 / 19.9 /
+#: 20.2.  The fixed cost of opening a block is spread thin by 64; past it
+#: array is flat and the other two fall by a few us, the shape the
+#: per-point draw had too, while the pair arrays (and the share of a block
+#: answered after a miss changed the store) grow.
 BLOCK_PROBES = 64
+
+
+def _black_box(simulation) -> Optional[BlackBox]:
+    """The box behind ``simulation``: itself, or a bound ``sample``'s box."""
+    if isinstance(simulation, BlackBox):
+        return simulation
+    bound_self = getattr(simulation, "__self__", None)
+    if (
+        isinstance(bound_self, BlackBox)
+        and getattr(simulation, "__name__", "") == "sample"
+    ):
+        return bound_self
+    return None
 
 
 def make_batch_simulation(simulation) -> BatchSimulation:
@@ -54,14 +76,9 @@ def make_batch_simulation(simulation) -> BatchSimulation:
     their box's batch path; everything else falls back to a scalar loop that
     is bit-identical to calling ``simulation(params, seed)`` per seed.
     """
-    if isinstance(simulation, BlackBox):
-        return simulation.sample_batch
-    bound_self = getattr(simulation, "__self__", None)
-    if (
-        isinstance(bound_self, BlackBox)
-        and getattr(simulation, "__name__", "") == "sample"
-    ):
-        return bound_self.sample_batch
+    box = _black_box(simulation)
+    if box is not None:
+        return box.sample_batch
     batch = getattr(simulation, "sample_batch", None)
     if batch is not None:
         return batch
@@ -73,6 +90,26 @@ def make_batch_simulation(simulation) -> BatchSimulation:
         )
 
     return fallback
+
+
+def make_points_simulation(simulation) -> PointsSimulation:
+    """Adapt any simulation to the block ``(points, seeds) -> rows`` form.
+
+    Black boxes and bound ``BlackBox.sample`` methods draw through
+    :meth:`BlackBox.sample_points` (one matrix per block); everything else
+    gets the list of its :func:`make_batch_simulation` rows, one call per
+    point with the very ``seeds`` passed in.  Row ``i`` is the batch
+    simulation's answer for ``points[i]`` either way, bit for bit.
+    """
+    box = _black_box(simulation)
+    if box is not None:
+        return box.sample_points
+    batch = make_batch_simulation(simulation)
+
+    def rows(points: Sequence[Params], seeds: np.ndarray) -> List[np.ndarray]:
+        return [batch(params, seeds) for params in points]
+
+    return rows
 
 
 @dataclass
@@ -164,7 +201,9 @@ class ParameterExplorer:
     Such a store names what it probes with (``fingerprint``; a plain
     store probes with a :class:`~repro.core.fingerprint.Fingerprint` of
     the drawn vector), and the loop itself only ever takes a block's
-    ``len`` and concatenates along rounds.
+    ``len`` and concatenates along rounds.  A block's fingerprint rounds
+    are one :func:`make_points_simulation` draw; completion rounds stay
+    one :func:`make_batch_simulation` call per missed point.
     """
 
     def __init__(
@@ -188,6 +227,7 @@ class ParameterExplorer:
         self.simulation = simulation
         self.adaptive = adaptive
         self._batch_simulation = make_batch_simulation(simulation)
+        self._points_simulation = make_points_simulation(simulation)
         self.samples_per_point = samples_per_point
         self.fingerprint_size = fingerprint_size
         self.estimator = estimator or Estimator()
@@ -241,7 +281,10 @@ class ParameterExplorer:
 
         The per-visited-point loop behind :meth:`run` and the sharded
         engine.  ``space`` is walked lazily, :data:`BLOCK_PROBES` points at
-        a time: a block's fingerprint rounds are drawn first, one
+        a time: a block's fingerprint rounds are drawn first, in one
+        :func:`make_points_simulation` call (a black box draws them as one
+        points x seeds matrix, :meth:`BlackBox.sample_points`, row ``i``
+        bitwise point ``i``'s own draw), one
         :meth:`BasisStore.block_probe` answers all its probes against the
         store as it stands, and the points are then resolved in order —
         reuse on a hit, simulate and ``add`` on a miss.  Algorithm 3 probes
@@ -257,10 +300,7 @@ class ParameterExplorer:
             block = list(islice(points, BLOCK_PROBES))
             if not block:
                 return
-            values = [
-                self._batch_simulation(params, self._fingerprint_seeds)
-                for params in block
-            ]
+            values = self._points_simulation(block, self._fingerprint_seeds)
             fingerprints = [self._fingerprint(drawn) for drawn in values]
             probe = self.store.block_probe(fingerprints)
             for i, params in enumerate(block):

@@ -30,6 +30,7 @@ import threading
 import pytest
 
 from repro.blackbox import default_registry
+from repro.blackbox.synth_basis import SynthBasisModel
 from repro.bench.workloads import capacity_workload
 from repro.cli import main as cli_main
 from repro.core import parallel
@@ -164,6 +165,33 @@ class TestExplorerChaosParity:
         else:
             assert report.degraded_shards == ()
             assert report.retries >= 1
+
+
+class TestPointsAxisChaosParity:
+    """A SynthBasis sweep draws each block's fingerprint rounds as one
+    points x seeds matrix inside real forked workers; with a shard crashed
+    and retried, the merged sweep is still bitwise the serial one."""
+
+    def test_crashed_shard_retried_matches_serial(self, workers):
+        make_plan, policy = SCENARIOS["crash_once"]
+        # Two blocks or more per shard at every worker count; half the
+        # points are fractional and truncate.
+        space = [{"point": value / 2} for value in range(7, 2800, 5)]
+        serial = ParameterExplorer(
+            SynthBasisModel(basis_count=9), samples_per_point=SAMPLES
+        ).run(space)
+        explorer = ParallelExplorer(
+            SynthBasisModel(basis_count=9),
+            workers=workers,
+            samples_per_point=SAMPLES,
+            supervision=policy,
+        )
+        with use_faults(make_plan()) as plan:
+            result = explorer.run(space)
+        _assert_exploration_parity(result, serial)
+        assert plan.triggered, "fault plan never fired"
+        assert result.parallel.supervision.retries >= 1
+        assert serial.stats.points_reused > len(space) // 2
 
 
 class TestScenarioChaosParity:

@@ -2,6 +2,7 @@
 
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from repro.core.estimator import (
     DEFAULT_QUANTILES,
     Estimator,
+    Histogram,
+    MetricSet,
     merge_metric_sets,
 )
 from repro.core.mapping import AffineMapping
@@ -137,7 +140,10 @@ def _reference(samples, probabilities, bins):
 
 
 def _observed(estimator, samples):
-    metrics = estimator.estimate(samples)
+    return _metric_bits(estimator.estimate(samples))
+
+
+def _metric_bits(metrics):
     histogram = metrics.histogram
     return (
         metrics.count,
@@ -271,3 +277,147 @@ class TestEstimateBitsMatchNumpy:
             np.asarray(samples).std()
         with pytest.warns(RuntimeWarning, match="overflow"):
             Estimator().estimate(samples)
+
+
+def _reference_remap(metrics, mapping):
+    """``MetricSet.remap`` as first written — ``replace``, one
+    ``mapping.apply`` per value, an unconditional ``sorted`` — frozen here
+    as the definition the inlined one must reproduce bit for bit."""
+    alpha = mapping.alpha
+    lo = mapping.apply(metrics.minimum)
+    hi = mapping.apply(metrics.maximum)
+    if alpha < 0:
+        lo, hi = hi, lo
+    mapped_quantiles = tuple(
+        sorted(
+            ((p if alpha >= 0 else 1.0 - p), mapping.apply(value))
+            for p, value in metrics.quantiles
+        )
+    )
+    histogram = metrics.histogram
+    if histogram is not None:
+        edges = [mapping.apply(e) for e in histogram.edges]
+        counts = list(histogram.counts)
+        if mapping.alpha < 0:
+            edges.reverse()
+            counts.reverse()
+        histogram = Histogram(tuple(counts), tuple(edges))
+    return replace(
+        metrics,
+        expectation=mapping.apply(metrics.expectation),
+        stddev=abs(alpha) * metrics.stddev,
+        minimum=lo,
+        maximum=hi,
+        quantiles=mapped_quantiles,
+        histogram=histogram,
+    )
+
+
+def _assert_remap_bits(metrics, mapping):
+    expected = _metric_bits(_reference_remap(metrics, mapping))
+    assert _metric_bits(metrics.remap(mapping)) == expected
+
+
+NAN = float("nan")
+INF = float("inf")
+
+REMAP_ALPHAS = (1.5, 0.25, -1.5, -0.25, 0.0, -0.0, INF, -INF, NAN)
+REMAP_BETAS = (0.0, -0.0, 2.75, -1e300, INF, -INF)
+
+#: Probabilities as a MetricSet may hold them: increasing, unsorted,
+#: duplicated, and two that tie once mapped to ``1 - p``.
+REMAP_PROBABILITIES = (
+    (),
+    DEFAULT_QUANTILES,
+    (0.95, 0.05),
+    (0.5, 0.5),
+    (0.0, 1e-17),
+    (0.25, 0.5, 0.5, 0.75),
+)
+
+#: Quantile values, cycled over the probabilities: ties, NaN, ±0.0, inf.
+REMAP_VALUES = (
+    (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+    (-0.0, 0.0, 0.0, -0.0, 0.0, -0.0),
+    (NAN, 1.0, NAN, -2.0, INF, -0.0),
+    (3.0, 3.0, -INF, 3.0, NAN, 0.0),
+)
+
+
+def _metric_set(probabilities, values, bins):
+    histogram = None
+    if bins:
+        edges = tuple(float(e) for e in np.linspace(-2.0, 3.0, bins + 1))
+        histogram = Histogram(tuple(range(1, bins + 1)), edges)
+    return MetricSet(
+        count=17,
+        expectation=values[0],
+        stddev=values[1] if values[1] == values[1] else 0.5,
+        minimum=min(values[2], -1.0),
+        maximum=values[3],
+        quantiles=tuple(zip(probabilities, values)),
+        histogram=histogram,
+    )
+
+
+class TestRemapBitsMatchReference:
+    """``MetricSet.remap`` computes ``Mest`` as plain float expressions
+    and builds the ``MetricSet`` directly; every field keeps the bits of
+    the ``replace`` / ``apply`` / ``sorted`` form, quantile order
+    included."""
+
+    @pytest.mark.parametrize("bins", [0, 3])
+    @pytest.mark.parametrize("probabilities", REMAP_PROBABILITIES)
+    def test_grid(self, probabilities, bins):
+        for values in REMAP_VALUES:
+            metrics = _metric_set(probabilities, values, bins)
+            for alpha in REMAP_ALPHAS:
+                for beta in REMAP_BETAS:
+                    _assert_remap_bits(metrics, AffineMapping(alpha, beta))
+
+    def test_unsorted_duplicated_and_tied_probabilities_come_out_sorted(self):
+        metrics = _metric_set((0.95, 0.05), (1.0, 2.0, 3.0, 4.0), 0)
+        remapped = metrics.remap(AffineMapping(2.0, 0.0))
+        assert remapped.quantiles == ((0.05, 4.0), (0.95, 2.0))
+        tied = _metric_set((0.0, 1e-17), (5.0, 2.0, 3.0, 4.0), 0)
+        flipped = tied.remap(AffineMapping(-1.0, 0.0)).quantiles
+        assert flipped == ((1.0, -5.0), (1.0, -2.0))
+
+    @given(
+        alpha=st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([0.0, -0.0]),
+        beta=st.floats(allow_nan=True, allow_infinity=True),
+        quantiles=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1e-17, 0.05, 0.5, 0.95, 1.0])
+                | st.floats(min_value=0.0, max_value=1.0),
+                st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([0.0, -0.0]),
+            ),
+            max_size=7,
+        ).map(tuple),
+        moments=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True),
+            min_size=4,
+            max_size=4,
+        ),
+        bins=st.sampled_from([0, 1, 4]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_mapping_any_metrics(
+        self, alpha, beta, quantiles, moments, bins
+    ):
+        histogram = None
+        if bins:
+            edges = tuple(moments[0] + k for k in range(bins + 1))
+            histogram = Histogram(tuple(range(bins)), edges)
+        metrics = MetricSet(
+            count=9,
+            expectation=moments[0],
+            stddev=moments[1],
+            minimum=moments[2],
+            maximum=moments[3],
+            quantiles=quantiles,
+            histogram=histogram,
+        )
+        _assert_remap_bits(metrics, AffineMapping(alpha, beta))

@@ -35,9 +35,13 @@ from repro.core.backend import (
     backend_names,
     use_backend,
 )
+from repro.core.adaptive import AdaptiveBudget
+from repro.core.basis import BasisStore
 from repro.core.estimator import MetricSet
-from repro.core.explorer import NaiveExplorer, ParameterExplorer
+from repro.core.explorer import BLOCK_PROBES, NaiveExplorer, ParameterExplorer
+from repro.core.mapping import LinearMappingFamily
 from repro.core.markov import MarkovJumpRunner, NaiveMarkovRunner
+from repro.core.parallel import ParallelExplorer
 from repro.core.seeds import SeedBank, derive_seed, derive_seed_array
 
 BANK = SeedBank()
@@ -167,6 +171,106 @@ class TestBlackBoxBatchParity:
 def _bits(values):
     """Sign of zero included; NaN compares equal to NaN."""
     return [float(value).hex() for value in values]
+
+
+#: Truncated like ``int(params["point"])`` truncates; 2**63 is one past
+#: int64, which only the per-point loop can take.
+POINT_VALUES = (0.0, 3.7, 5.0, 23.0, 399.0, 400.0, 1234567.0, 9.0)
+PAST_INT64 = float(2**63)
+
+
+def _loop_rows(box, block, seeds):
+    return [_bits(box.sample_batch(params, seeds)) for params in block]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    return caught.type, str(caught.value)
+
+
+class TestPointsAxisParity:
+    """``sample_points`` row ``i`` is ``sample_batch(block[i], seeds)``,
+    bit for bit, on the vectorised form and on the loop alike."""
+
+    @pytest.mark.parametrize("work", [1, 3])
+    @pytest.mark.parametrize("basis_count", [1, 7, 400])
+    def test_synth_basis_rows_bitwise_equal_sample_batch(
+        self, basis_count, work
+    ):
+        block = [{"point": value} for value in POINT_VALUES]
+        vectorised = SynthBasisModel(basis_count, work_per_sample=work)
+        looped = SynthBasisModel(basis_count, work_per_sample=work)
+        assert vectorised._sample_points(block, SEEDS) is not None
+        matrix = vectorised.sample_points(block, SEEDS)
+        assert matrix.shape == (len(block), len(SEEDS))
+        assert [_bits(row) for row in matrix] == _loop_rows(
+            looped, block, SEEDS
+        )
+        assert vectorised.invocations == looped.invocations
+
+    @pytest.mark.parametrize("basis_count", [1, 7, 400])
+    def test_a_point_past_int64_takes_the_loop(self, basis_count):
+        block = [{"point": 3.7}, {"point": PAST_INT64}, {"point": 0.0}]
+        box = SynthBasisModel(basis_count)
+        assert box._sample_points(block, SEEDS) is None
+        matrix = box.sample_points(block, SEEDS)
+        reference = SynthBasisModel(basis_count)
+        assert [_bits(row) for row in matrix] == _loop_rows(
+            reference, block, SEEDS
+        )
+        assert box.invocations == reference.invocations == 3 * len(SEEDS)
+
+    def test_empty_block(self):
+        box = SynthBasisModel(7)
+        empty = box.sample_points([], SEEDS)
+        assert empty.shape == (0, len(SEEDS)) and box.invocations == 0
+        assert DemandModel().sample_points([], SEEDS).shape == (0, len(SEEDS))
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [{"point": 2.0}, {"other": 1.0}],
+            [{"point": 2.0}, {"point": -1.0}, {"point": 4.0}],
+            [{"point": -3.0}, {}],
+            [{"point": float("nan")}],
+        ],
+        ids=["missing", "negative", "negative-then-missing", "nan"],
+    )
+    def test_a_refused_block_raises_what_the_loop_raises(self, block):
+        expected = _raised(
+            lambda: [
+                SynthBasisModel(7).sample_batch(params, SEEDS)
+                for params in block
+            ]
+        )
+        assert _raised(
+            lambda: SynthBasisModel(7).sample_points(block, SEEDS)
+        ) == expected
+
+    @pytest.mark.parametrize(
+        "box,params", BOX_CASES, ids=lambda case: getattr(case, "name", "")
+    )
+    def test_every_box_row_bitwise_equals_sample_batch(self, box, params):
+        block = [dict(params), dict(params), dict(params)]
+        for name in box.parameter_names:
+            block[1][name] = block[1][name] + 1.0
+        matrix = box.sample_points(block, SEEDS)
+        assert [_bits(row) for row in matrix] == _loop_rows(box, block, SEEDS)
+
+    def test_box_without_override_loops_over_sample_batch(self):
+        box = DemandModel()
+        block = [
+            {"current_week": float(week), "feature_release": 6.0}
+            for week in range(5)
+        ]
+        assert box._sample_points(block, SEEDS) is None
+        matrix = box.sample_points(block, SEEDS)
+        reference = DemandModel()
+        assert [_bits(row) for row in matrix] == _loop_rows(
+            reference, block, SEEDS
+        )
+        assert box.invocations == reference.invocations
 
 
 #: Every registered backend this host can run: a newly registered one
@@ -430,6 +534,108 @@ class TestExplorerBatchParity:
             _strip_batch(DemandModel()), samples_per_point=50
         )
         assert batch.explore_point(params) == scalar.explore_point(params)
+
+
+class _WithoutPointsAxis:
+    """A box seen only through ``sample_batch``: the explorer then draws a
+    block's fingerprint rounds one point at a time."""
+
+    def __init__(self, box):
+        self.sample_batch = box.sample_batch
+
+
+def _synth_space():
+    """Enough SynthBasis points that every shard of a four-worker sweep
+    crosses a block, a fractional point that truncates onto a neighbour's
+    class, and a revisited point."""
+    rng = np.random.default_rng(25)
+    values = rng.choice(900, size=4 * BLOCK_PROBES + 23, replace=False)
+    space = [{"point": float(value)} for value in values]
+    space[5] = {"point": float(values[5]) + 0.6}
+    space[70] = dict(space[3])
+    return space
+
+
+def _point_bits(point):
+    metrics = point.metrics
+    mapping = point.mapping
+    return (
+        point.params,
+        point.reused,
+        point.basis_id,
+        None if mapping is None else _bits((mapping.alpha, mapping.beta)),
+        metrics.count,
+        _bits(
+            (metrics.expectation, metrics.stddev)
+            + (metrics.minimum, metrics.maximum)
+            + tuple(value for pair in metrics.quantiles for value in pair)
+        ),
+        _bits(point.fingerprint.values),
+        point.samples_drawn,
+    )
+
+
+def _store_bits(store):
+    return store.stats, [(basis.basis_id, basis.hits) for basis in store.bases]
+
+
+class TestPointsAxisSweepParity:
+    """A sweep that draws each block through ``sample_points`` decides,
+    maps, estimates and counts exactly like one drawing point by point."""
+
+    SAMPLES = 40
+
+    @pytest.mark.parametrize("adaptive", [None, AdaptiveBudget(rtol=0.05)])
+    def test_serial_sweep(self, adaptive):
+        space = _synth_space()
+        runs = []
+        for simulation in (
+            SynthBasisModel(basis_count=7),
+            _WithoutPointsAxis(SynthBasisModel(basis_count=7)),
+        ):
+            explorer = ParameterExplorer(
+                simulation,
+                samples_per_point=self.SAMPLES,
+                basis_store=BasisStore(mapping_family=LinearMappingFamily()),
+                adaptive=adaptive,
+            )
+            points = list(explorer.explore(space))
+            runs.append(
+                ([_point_bits(p) for p in points], _store_bits(explorer.store))
+            )
+        assert runs[0] == runs[1]
+        assert sum(bits[1] for bits in runs[0][0]) > len(space) // 2
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_sharded_sweep(self, workers):
+        space = _synth_space()
+        serial = ParameterExplorer(
+            SynthBasisModel(basis_count=7),
+            samples_per_point=self.SAMPLES,
+            basis_store=BasisStore(mapping_family=LinearMappingFamily()),
+        ).run(space)
+        runs = []
+        for simulation in (
+            SynthBasisModel(basis_count=7),
+            _WithoutPointsAxis(SynthBasisModel(basis_count=7)),
+        ):
+            explorer = ParallelExplorer(
+                simulation,
+                workers=workers,
+                samples_per_point=self.SAMPLES,
+                mapping_family=LinearMappingFamily(),
+            )
+            result = explorer.run(space)
+            assert result.stats == serial.stats
+            runs.append(
+                (
+                    [_point_bits(p) for p in result.points.values()],
+                    _store_bits(explorer.store),
+                    result.parallel.shard_stats,
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [_point_bits(p) for p in serial.points.values()]
 
 
 class TestStandardDrawCache:
