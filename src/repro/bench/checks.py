@@ -27,7 +27,8 @@ lifecycle  a warmed store evicted to half its size answers every probe
            store built by adds with no read between them (its index
            keys them late, in bulk) snapshots to the same bytes and
            answers the same as one probed after every add; the
-           committed version-1 snapshot fixture still loads.
+           committed version-1 and version-2 snapshot fixtures still
+           load.
 golden     per-figure data points (estimates, reuse decisions, jump
            counts) equal ``benchmarks/golden/*.json`` float-for-float.
 serve      a real daemon under concurrent load at smoke scale: request
@@ -75,9 +76,10 @@ from repro.testing import FaultPlan, use_faults
 BASELINE_DIR = os.path.join(REPO_ROOT, "benchmarks")
 SMOKE_BASELINE = "BENCH_smoke_baseline.json"
 SERVE_BASELINE = "BENCH_serve_smoke_baseline.json"
-#: Committed version-1 snapshot (see ROADMAP subsystem notes): the
-#: lifecycle check proves the version-compat branch still reads it.
+#: Committed older-format snapshots (see ROADMAP subsystem notes): the
+#: lifecycle check proves the version-compat branches still read them.
 V1_FIXTURE = os.path.join(REPO_ROOT, "tests", "unit", "data", "snapshot_v1")
+V2_FIXTURE = os.path.join(REPO_ROOT, "tests", "unit", "data", "snapshot_v2")
 
 #: Every check measures at the one scale the baselines were committed at.
 SCALE = "smoke"
@@ -275,6 +277,7 @@ def _judge_faults(evidence: dict, baselines: dict) -> List[str]:
 
 _LIFECYCLE_BASES = 32
 _V1_EXPECTED = {"version": 1, "bases": 5, "hits": 0, "answers_probe": True}
+_V2_EXPECTED = {"version": 2, "bases": 6, "hits": 5, "answers_probe": True}
 
 
 def _answer(store: BasisStore, fingerprint, renumbered=None) -> dict:
@@ -295,11 +298,12 @@ def _answer(store: BasisStore, fingerprint, renumbered=None) -> dict:
     return answer
 
 
-def _load_v1_fixture() -> dict:
+def _load_fixture(path: str) -> dict:
+    """An older-format snapshot loaded by this tree (version-1 snapshots
+    predate reuse counters: they restore cold)."""
     try:
-        version = persist.snapshot_info(V1_FIXTURE)["version"]
-        loaded = persist.load_store(V1_FIXTURE, mmap=False)
-        # Version-1 snapshots predate reuse counters: they restore cold.
+        version = persist.snapshot_info(path)["version"]
+        loaded = persist.load_store(path, mmap=False)
         hits = sum(basis.hits for basis in loaded.bases)
         answers = loaded.match(loaded.bases[0].fingerprint) is not None
     except Exception as error:  # noqa: BLE001
@@ -382,7 +386,8 @@ def _measure_lifecycle() -> dict:
         "lived": [_answer(store, fp, renumbered) for fp in fingerprints],
         "rebuilt": [_answer(rebuild, fp) for fp in fingerprints],
         "burst": burst,
-        "v1_fixture": _load_v1_fixture(),
+        "v1_fixture": _load_fixture(V1_FIXTURE),
+        "v2_fixture": _load_fixture(V2_FIXTURE),
     }
 
 
@@ -401,6 +406,7 @@ def _judge_lifecycle(evidence: dict, baselines: dict) -> List[str]:
             "burst.keyed_late",
         )
         + exact_diff(_V1_EXPECTED, evidence["v1_fixture"], "v1_fixture")
+        + exact_diff(_V2_EXPECTED, evidence["v2_fixture"], "v2_fixture")
     )
 
 
@@ -477,8 +483,8 @@ CHECKS: Dict[str, Check] = {
     "lifecycle": Check(
         "an evicted store answers exactly like a survivors-only rebuild; "
         "a store whose index keyed a burst of adds late snapshots and "
-        "answers like one keyed on arrival; the version-1 snapshot fixture "
-        "still loads",
+        "answers like one keyed on arrival; the version-1 and version-2 "
+        "snapshot fixtures still load",
         _measure_lifecycle,
         _judge_lifecycle,
     ),

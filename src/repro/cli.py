@@ -38,7 +38,7 @@ listening; SIGTERM drains and exits 0, Ctrl-C drains and exits 130.
 ``store`` inspects (``info``) or load-checks (``verify``) a snapshot
 without serving it, and runs the lifecycle maintenance passes offline:
 ``compact`` rewrites a snapshot tombstone-free at the current format
-version (so it also migrates version-1 snapshots), ``evict`` applies a
+version (so it also migrates older snapshots), ``evict`` applies a
 reuse-value-aware :class:`~repro.core.basis.EvictionPolicy` bound and
 rewrites.
 

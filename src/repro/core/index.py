@@ -22,6 +22,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.fingerprint import (
     DEFAULT_REL_TOL,
     Fingerprint,
@@ -29,7 +31,104 @@ from repro.core.fingerprint import (
     batch_normal_forms,
     batch_sid_orders,
 )
-from repro.errors import IndexError_, PersistError
+from repro.errors import IndexError_, PersistError, SnapshotCorruptionError
+
+
+class IndexState(dict):
+    """What :meth:`FingerprintIndex.dump_state` returns: JSON values and
+    int64 / float64 arrays.  Two states are equal when they hold the same
+    keys and the same values, arrays compared bit for bit (dtype, shape,
+    bytes) — the equality of the snapshot files they become."""
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, dict) and _bits(self) == _bits(other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+
+def _bits(state: dict) -> dict:
+    return {
+        key: (
+            (np.ndarray, value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray)
+            else value
+        )
+        for key, value in state.items()
+    }
+
+
+def _bucket_arrays(buckets: Dict[tuple, List[int]], key_dtype) -> dict:
+    """A bucket dict as flat keys + key lengths + bucket lengths + flat
+    ids, in dict order (first-match-wins reads the bucket order)."""
+    return {
+        "keys": np.array(
+            [entry for key in buckets for entry in key], dtype=key_dtype
+        ),
+        "key_lengths": np.array([len(key) for key in buckets], dtype=np.int64),
+        "bucket_lengths": np.array(
+            [len(ids) for ids in buckets.values()], dtype=np.int64
+        ),
+        "ids": np.array(
+            [i for ids in buckets.values() for i in ids], dtype=np.int64
+        ),
+    }
+
+
+def _corrupt_unless(condition: bool, message: str) -> None:
+    if not condition:
+        raise SnapshotCorruptionError(f"index state: {message}")
+
+
+def _vector(state: dict, name: str, dtype) -> np.ndarray:
+    array = state[name]
+    _corrupt_unless(
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.ndim == 1,
+        f"{name!r} is not a 1-d {np.dtype(dtype).name} array",
+    )
+    return array
+
+
+def _bucket_pairs(state: dict, key_dtype) -> List[Tuple[tuple, List[int]]]:
+    """``(key, ids)`` per bucket from :func:`_bucket_arrays`' layout,
+    refusing any layout whose lengths disagree with its vectors."""
+    keys, ids, key_lengths, bucket_lengths = (
+        _vector(state, name, dtype).tolist()
+        for name, dtype in (
+            ("keys", key_dtype),
+            ("ids", np.int64),
+            ("key_lengths", np.int64),
+            ("bucket_lengths", np.int64),
+        )
+    )
+    _corrupt_unless(
+        len(key_lengths) == len(bucket_lengths)
+        and min(key_lengths + bucket_lengths, default=1) >= 1
+        and sum(key_lengths) == len(keys)
+        and sum(bucket_lengths) == len(ids),
+        "key and bucket lengths disagree with the keys and ids",
+    )
+    key_at = id_at = 0
+    pairs = []
+    for key_length, bucket_length in zip(key_lengths, bucket_lengths):
+        pairs.append(
+            (
+                tuple(keys[key_at : key_at + key_length]),
+                ids[id_at : id_at + bucket_length],
+            )
+        )
+        key_at += key_length
+        id_at += bucket_length
+    return pairs
+
+
+def _restore_buckets(index, pairs: List[Tuple[tuple, List[int]]]) -> None:
+    for key, ids in pairs:
+        index._buckets[key] = ids
+        index._size += len(ids)
+    _corrupt_unless(len(index._buckets) == len(pairs), "a bucket key repeats")
 
 
 def _remove_from_bucket(buckets: Dict, key, basis_id: int) -> None:
@@ -61,15 +160,15 @@ class FingerprintIndex(ABC):
     def __init__(self) -> None:
         self._size = 0
 
-    def dump_state(self) -> dict:
-        """JSON-able snapshot of the index's buckets (see ``repro.core.
-        persist``).
+    def dump_state(self) -> IndexState:
+        """Snapshot of the index's buckets (see ``repro.core.persist``):
+        JSON values, plus int64 / float64 arrays that ``persist`` writes
+        as array files without knowing what they hold.
 
         Candidate *order* is part of the FindMatch contract
         (first-match-wins), so implementations serialize their id lists
         verbatim — a restored index answers ``candidates`` with byte-equal
-        lists, never a re-derived ordering.  Floats are hex-encoded so the
-        round trip is bitwise.
+        lists, never a re-derived ordering.  Arrays carry every float bit.
         """
         raise PersistError(
             f"{type(self).__name__} does not support snapshots; implement "
@@ -78,10 +177,21 @@ class FingerprintIndex(ABC):
 
     @classmethod
     def restore_state(cls, state: dict) -> "FingerprintIndex":
-        """Rebuild an index from :meth:`dump_state` output."""
+        """Rebuild an index from :meth:`dump_state` output, or from the
+        JSON list form snapshot versions 1 and 2 wrote; a layout that
+        does not add up raises
+        :class:`~repro.errors.SnapshotCorruptionError`."""
         raise PersistError(
             f"{cls.__name__} does not support snapshots; implement "
             f"dump_state/restore_state to persist stores using it"
+        )
+
+    def ids(self) -> List[int]:
+        """Every basis id the index holds, once per entry (a load checks
+        them against the stored bases)."""
+        raise PersistError(
+            f"{type(self).__name__} does not list its ids; implement ids "
+            f"to load snapshots into it"
         )
 
     @abstractmethod
@@ -167,15 +277,22 @@ class ArrayIndex(FingerprintIndex):
         super().__init__()
         self._ids: List[int] = []
 
-    def dump_state(self) -> dict:
-        return {"ids": [int(i) for i in self._ids]}
+    def dump_state(self) -> IndexState:
+        return IndexState(ids=np.array(self._ids, dtype=np.int64))
 
     @classmethod
     def restore_state(cls, state: dict) -> "ArrayIndex":
         index = cls()
-        index._ids = [int(i) for i in state["ids"]]
+        ids = state["ids"]
+        if isinstance(ids, list):  # versions 1 and 2
+            index._ids = [int(i) for i in ids]
+        else:
+            index._ids = _vector(state, "ids", np.int64).tolist()
         index._size = len(index._ids)
         return index
+
+    def ids(self) -> List[int]:
+        return list(self._ids)
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
         self._ids.append(basis_id)
@@ -260,30 +377,36 @@ class NormalizationIndex(FingerprintIndex):
         for key, (_, basis_id) in zip(keys, pending):
             self._buckets.setdefault(key, []).append(basis_id)
 
-    def dump_state(self) -> dict:
+    def dump_state(self) -> IndexState:
         if self._pending:
             self._settle()
-        # Bucket keys are rounded floats; hex encoding keeps the round
-        # trip bitwise, and the bucket list order (dict insertion order)
-        # is preserved verbatim.
-        return {
-            "rel_tol": float(self._rel_tol).hex(),
-            "buckets": [
-                [[value.hex() for value in key], [int(i) for i in ids]]
-                for key, ids in self._buckets.items()
-            ],
-        }
+        # Bucket keys are rounded floats: a float64 array keeps them
+        # bitwise, and the bucket order (dict insertion order) verbatim.
+        return IndexState(
+            rel_tol=float(self._rel_tol).hex(),
+            **_bucket_arrays(self._buckets, np.float64),
+        )
 
     @classmethod
     def restore_state(cls, state: dict) -> "NormalizationIndex":
         index = cls(rel_tol=float.fromhex(state["rel_tol"]))
-        for key, ids in state["buckets"]:
-            bucket = [int(i) for i in ids]
-            index._buckets[
-                tuple(float.fromhex(value) for value in key)
-            ] = bucket
-            index._size += len(bucket)
+        if "buckets" in state:  # versions 1 and 2: hex keys in JSON
+            pairs = [
+                (
+                    tuple(float.fromhex(value) for value in key),
+                    [int(i) for i in ids],
+                )
+                for key, ids in state["buckets"]
+            ]
+        else:
+            pairs = _bucket_pairs(state, np.float64)
+        _restore_buckets(index, pairs)
         return index
+
+    def ids(self) -> List[int]:
+        return [i for ids in self._buckets.values() for i in ids] + [
+            basis_id for _, basis_id in self._pending
+        ]
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
         self._pending.append((fingerprint, basis_id))
@@ -360,22 +483,24 @@ class SortedSIDIndex(FingerprintIndex):
         super().__init__()
         self._buckets: Dict[Tuple[int, ...], List[int]] = {}
 
-    def dump_state(self) -> dict:
-        return {
-            "buckets": [
-                [[int(entry) for entry in key], [int(i) for i in ids]]
-                for key, ids in self._buckets.items()
-            ],
-        }
+    def dump_state(self) -> IndexState:
+        return IndexState(**_bucket_arrays(self._buckets, np.int64))
 
     @classmethod
     def restore_state(cls, state: dict) -> "SortedSIDIndex":
         index = cls()
-        for key, ids in state["buckets"]:
-            bucket = [int(i) for i in ids]
-            index._buckets[tuple(int(entry) for entry in key)] = bucket
-            index._size += len(bucket)
+        if "buckets" in state:  # versions 1 and 2
+            pairs = [
+                (tuple(int(entry) for entry in key), [int(i) for i in ids])
+                for key, ids in state["buckets"]
+            ]
+        else:
+            pairs = _bucket_pairs(state, np.int64)
+        _restore_buckets(index, pairs)
         return index
+
+    def ids(self) -> List[int]:
+        return [i for ids in self._buckets.values() for i in ids]
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
         self._buckets.setdefault(fingerprint.sid_order(), []).append(basis_id)

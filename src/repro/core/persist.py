@@ -13,14 +13,31 @@ Format
 A snapshot is a directory::
 
     <path>/
-      manifest.json        structured state; CRC-guarded, floats hex-encoded
-      <name>.npy           fingerprint/key matrices and sample vectors
+      manifest.json        identity, configuration, stats, CRC table
+      <name>.npy           everything per basis, per block or per bucket
 
-* **Bitwise fidelity.**  Every float that crosses the JSON boundary is
-  encoded with ``float.hex()``; arrays are raw ``.npy`` files.  A loaded
-  store answers probes with the same basis ids, bitwise-identical mapping
-  parameters, and the same ``candidates_tested`` counters as the live
-  store it was saved from (``tests/unit/test_persist_parity.py``).
+Per store ``storeN``, the arrays are (int64 unless marked float64):
+
+* ``storeN.block<size>.matrix`` (float64, rows × size) and ``.ids``, plus
+  ``.sid`` where the SID-order key matrix was materialized;
+* the basis table, one row per basis in id order: ``basis_ids``,
+  ``hits``, ``sample_counts`` (slices of ``samples`` are their running
+  sum), ``count`` and ``moments`` (float64, n × 4: expectation, stddev,
+  minimum, maximum) of each ``MetricSet``, ``quantile_counts`` with the
+  flat ``quantiles`` (float64, k × 2 ``(p, value)`` pairs), and
+  ``bin_counts`` (−1: no histogram) with the flat ``histogram_counts``
+  and ``histogram_edges`` (float64, bins + 1 per histogram);
+* ``samples`` (float64), every basis's samples end to end;
+* ``index.<name>`` for each array of the index's
+  :meth:`~repro.core.index.FingerprintIndex.dump_state`, whose layout
+  only the index reads.
+
+* **Bitwise fidelity.**  A float64 array carries every bit of every
+  float; the few floats left in the manifest (tolerances, estimator
+  probabilities) are ``float.hex()`` strings.  A loaded store answers
+  probes with the same basis ids, bitwise-identical mapping parameters,
+  and the same ``candidates_tested`` counters as the live store it was
+  saved from (``tests/unit/test_persist_parity.py``).
 * **Zero-copy matrices.**  Array files are opened with
   ``np.load(mmap_mode="r")``: the columnar fingerprint matrices and basis
   sample vectors are read-only views of the page cache, so forked shard
@@ -35,10 +52,13 @@ A snapshot is a directory::
   instant between the two renames can leave the target absent, and even
   then the previous snapshot survives intact under the ``.old-`` twin.
 * **Corruption detection.**  The manifest body carries a CRC32 over its
-  canonical serialization, and every array file records its byte length
-  and CRC32.  Truncation or bit damage anywhere raises
-  :class:`~repro.errors.SnapshotCorruptionError` before any state reaches
-  a store — a load returns a complete store or nothing.
+  canonical serialization (the very bytes written), and every array file
+  records its byte length and CRC32.  Truncation or bit damage anywhere
+  raises :class:`~repro.errors.SnapshotCorruptionError` before any state
+  reaches a store — a load returns a complete store or nothing.  So does
+  a checksum-consistent table that does not add up: a column of the
+  wrong length, a negative count, slices past their vectors, or an index
+  that does not hold each stored basis exactly once.
 * **Compatibility validation.**  The manifest records the mapping family,
   index strategy, match tolerances, estimator configuration, and
   seed-bank identity each store was built under.  A load checked against
@@ -63,12 +83,13 @@ pair-pass answers against the scalar loop, exactly like a fresh one.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
 import tempfile
 import zlib
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -109,7 +130,11 @@ SNAPSHOT_MAGIC = "jigsaw-store-snapshot"
 #:    entry; block matrices are written tombstone-free (the columnar
 #:    mirror is compacted at save time).  Version-1 snapshots still load
 #:    — their bases restore with ``hits = 0``.
-SNAPSHOT_VERSION = 2
+#: 3. arrays: the basis table, the block ids and the index
+#:    buckets move out of the manifest into int64 / float64 arrays (see
+#:    the module docstring), and the manifest is written compact.
+#:    Versions 1 and 2 still load (fixtures under ``tests/unit/data/``).
+SNAPSHOT_VERSION = 3
 
 CHECKPOINT_MAGIC = "jigsaw-sweep-checkpoint"
 
@@ -139,9 +164,11 @@ FAMILY_CLASSES = {
 # ---------------------------------------------------------------------------
 # Value codecs: floats, fingerprints, mappings, metric sets
 #
-# Everything structured goes through JSON with floats as hex strings, so a
-# serialize -> deserialize round trip is bitwise (including nan/inf) —
-# pinned by tests/property/test_prop_persist_roundtrip.py.
+# JSON with floats as hex strings, so a serialize -> deserialize round
+# trip is bitwise (including nan/inf) — pinned by
+# tests/property/test_prop_persist_roundtrip.py.  The wire protocol
+# (``repro.api.messages``) speaks them; snapshots use them for the
+# manifest's few floats and to read versions 1 and 2.
 
 
 def encode_float(value: float) -> str:
@@ -273,10 +300,59 @@ def store_config(store: BasisStore) -> dict:
     }
 
 
+def _file_arrays(prefix: str, values: Mapping, arrays: dict) -> dict:
+    """File every ndarray among ``values`` as ``<prefix>.<key>`` in
+    ``arrays``; returns ``{key: array name}`` for the manifest."""
+    names = {}
+    for key, value in values.items():
+        if isinstance(value, np.ndarray):
+            names[key] = f"{prefix}.{key}"
+            arrays[names[key]] = value
+    return names
+
+
+def _basis_table(bases: Sequence[BasisDistribution]) -> Dict[str, np.ndarray]:
+    """The basis table's columns, one row per basis in the order given
+    (the module docstring names them)."""
+    metrics = [basis.metrics for basis in bases]
+    histograms = [m.histogram for m in metrics if m.histogram is not None]
+    return {
+        "basis_ids": np.array([b.basis_id for b in bases], dtype=np.int64),
+        "hits": np.array([b.hits for b in bases], dtype=np.int64),
+        "sample_counts": np.array(
+            [b.samples.size for b in bases], dtype=np.int64
+        ),
+        "count": np.array([m.count for m in metrics], dtype=np.int64),
+        "moments": np.array(
+            [(m.expectation, m.stddev, m.minimum, m.maximum) for m in metrics],
+            dtype=np.float64,
+        ).reshape(-1, 4),
+        "quantile_counts": np.array(
+            [len(m.quantiles) for m in metrics], dtype=np.int64
+        ),
+        "quantiles": np.array(
+            [pair for m in metrics for pair in m.quantiles], dtype=np.float64
+        ).reshape(-1, 2),
+        "bin_counts": np.array(
+            [
+                -1 if m.histogram is None else len(m.histogram.counts)
+                for m in metrics
+            ],
+            dtype=np.int64,
+        ),
+        "histogram_counts": np.array(
+            [c for h in histograms for c in h.counts], dtype=np.int64
+        ),
+        "histogram_edges": np.array(
+            [e for h in histograms for e in h.edges], dtype=np.float64
+        ),
+    }
+
+
 def _dump_store(name: str, store: BasisStore, arrays: dict) -> dict:
     """One store's manifest entry; arrays land in ``arrays`` for writing.
 
-    Snapshots are compacted by construction (format version 2): any
+    Snapshots are compacted by construction (since format version 2): any
     tombstoned columnar rows are dropped before the matrices are
     serialized.  Compaction preserves every observable answer, so saving
     remains semantically read-only even though it may renumber rows.
@@ -288,9 +364,10 @@ def _dump_store(name: str, store: BasisStore, arrays: dict) -> dict:
             continue
         prefix = f"{name}.block{size}"
         arrays[f"{prefix}.matrix"] = block.matrix[: block.count]
+        arrays[f"{prefix}.ids"] = np.array(block.ids, dtype=np.int64)
         entry = {
             "count": int(block.count),
-            "ids": [int(i) for i in block.ids],
+            "ids": f"{prefix}.ids",
             "matrix": f"{prefix}.matrix",
         }
         if block._sid_matrix is not None and block._sid_filled == block.count:
@@ -298,33 +375,26 @@ def _dump_store(name: str, store: BasisStore, arrays: dict) -> dict:
             entry["sid"] = f"{prefix}.sid"
         blocks[str(size)] = entry
 
-    bases = []
-    chunks = []
-    offset = 0
-    for basis_id in sorted(store._bases):
-        basis = store._bases[basis_id]
-        samples = np.asarray(basis.samples, dtype=np.float64)
-        bases.append(
-            {
-                "id": int(basis_id),
-                "hits": int(basis.hits),
-                "metrics": encode_metrics(basis.metrics),
-                "samples": [int(offset), int(samples.size)],
-            }
-        )
-        chunks.append(samples)
-        offset += int(samples.size)
+    bases = [store._bases[basis_id] for basis_id in sorted(store._bases)]
     arrays[f"{name}.samples"] = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+        np.concatenate([np.asarray(b.samples, dtype=np.float64) for b in bases])
+        if bases
+        else np.empty(0, dtype=np.float64)
     )
-
+    state = store.index.dump_state()
     return {
         "config": store_config(store),
-        "index": store.index.dump_state(),
+        "index": {
+            key: value
+            for key, value in state.items()
+            if not isinstance(value, np.ndarray)
+        },
+        "index_arrays": _file_arrays(f"{name}.index", state, arrays),
         "next_id": int(store._next_id),
         "stats": store.stats.as_dict(),
         "blocks": blocks,
-        "bases": bases,
+        "bases": len(bases),
+        "table": _file_arrays(name, _basis_table(bases), arrays),
         "samples": f"{name}.samples",
     }
 
@@ -332,6 +402,104 @@ def _dump_store(name: str, store: BasisStore, arrays: dict) -> dict:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SnapshotCorruptionError(message)
+
+
+def _column(array: np.ndarray, dtype, shape: tuple, what: str) -> list:
+    """``array`` as Python values, refused unless of ``dtype`` and
+    ``shape``."""
+    _require(
+        array.dtype == dtype and array.shape == shape,
+        f"{what} is {array.dtype}{list(array.shape)}, expected "
+        f"{np.dtype(dtype)}{list(shape)}",
+    )
+    return array.tolist()
+
+
+def _basis_rows(
+    entry: dict, load_array, version: int, sample_total: int
+) -> List[tuple]:
+    """``(basis_id, hits, start, stop, metrics)`` per stored basis, read
+    from the v3 table arrays or the v1/v2 JSON list."""
+    if version < 3:
+        rows = []
+        for basis_entry in entry["bases"]:
+            basis_id = int(basis_entry["id"])
+            start, count = (int(v) for v in basis_entry["samples"])
+            _require(
+                0 <= start and 0 <= count and start + count <= sample_total,
+                f"basis {basis_id} sample slice escapes the sample vector",
+            )
+            rows.append((
+                basis_id,
+                # Version-1 snapshots predate reuse counters: restore cold.
+                int(basis_entry["hits"]) if version >= 2 else 0,
+                start,
+                start + count,
+                decode_metrics(basis_entry["metrics"]),
+            ))
+        return rows
+
+    n = entry["bases"]
+    _require(isinstance(n, int) and n >= 0, f"basis count {n!r} is invalid")
+    names = entry["table"]
+
+    def column(name, dtype, shape):
+        return _column(
+            load_array(names[name]), dtype, shape, f"basis column {name!r}"
+        )
+
+    ids = column("basis_ids", np.int64, (n,))
+    hits = column("hits", np.int64, (n,))
+    sample_counts = column("sample_counts", np.int64, (n,))
+    counts = column("count", np.int64, (n,))
+    moments = column("moments", np.float64, (n, 4))
+    quantile_counts = column("quantile_counts", np.int64, (n,))
+    bin_counts = column("bin_counts", np.int64, (n,))
+    _require(
+        min(hits + sample_counts + counts + quantile_counts, default=0) >= 0
+        and min(bin_counts, default=0) >= -1,
+        "the basis table holds a negative count",
+    )
+    _require(
+        sum(sample_counts) == sample_total,
+        "sample counts disagree with the sample vector",
+    )
+    quantiles = column("quantiles", np.float64, (sum(quantile_counts), 2))
+    drawn = [bins for bins in bin_counts if bins >= 0]
+    histogram_counts = column("histogram_counts", np.int64, (sum(drawn),))
+    histogram_edges = column(
+        "histogram_edges", np.float64, (sum(drawn) + len(drawn),)
+    )
+
+    rows = []
+    start = quantile_at = count_at = edge_at = 0
+    for basis_id, basis_hits, size, count, moment, quantile_count, bins in zip(
+        ids, hits, sample_counts, counts, moments, quantile_counts, bin_counts
+    ):
+        histogram = None
+        if bins >= 0:
+            histogram = Histogram(
+                tuple(histogram_counts[count_at : count_at + bins]),
+                tuple(histogram_edges[edge_at : edge_at + bins + 1]),
+            )
+            count_at += bins
+            edge_at += bins + 1
+        expectation, stddev, minimum, maximum = moment
+        metrics = MetricSet(
+            count=count,
+            expectation=expectation,
+            stddev=stddev,
+            minimum=minimum,
+            maximum=maximum,
+            quantiles=tuple(
+                map(tuple, quantiles[quantile_at : quantile_at + quantile_count])
+            ),
+            histogram=histogram,
+        )
+        quantile_at += quantile_count
+        rows.append((basis_id, basis_hits, start, start + size, metrics))
+        start += size
+    return rows
 
 
 def _restore_store(
@@ -343,9 +511,10 @@ def _restore_store(
 ) -> BasisStore:
     """Rebuild one store from its manifest entry (arrays via ``load_array``).
 
-    ``version`` is the snapshot body's format version; the version-1
-    compatibility branch restores bases without reuse counters (the field
-    did not exist) as ``hits = 0``.
+    ``version`` is the snapshot body's format version.  Versions differ in
+    three places only: where the index state, the block ids and the basis
+    table live (JSON up to version 2, array files from version 3); the
+    version-1 table has no reuse counters and restores ``hits = 0``.
     """
     config = entry["config"]
     strategy = config["index_strategy"]
@@ -355,7 +524,13 @@ def _restore_store(
             f"snapshot uses unknown index strategy {strategy!r}; it cannot "
             f"be rebuilt by this version"
         )
-    index: FingerprintIndex = index_class.restore_state(entry["index"])
+    state = entry["index"]
+    if version >= 3:
+        state = dict(state, **{
+            key: load_array(name)
+            for key, name in entry["index_arrays"].items()
+        })
+    index: FingerprintIndex = index_class.restore_state(state)
     store = BasisStore(
         mapping_family=mapping_family,
         index=index,
@@ -363,29 +538,40 @@ def _restore_store(
         rel_tol=decode_float(config["rel_tol"]),
         abs_tol=decode_float(config["abs_tol"]),
     )
+    next_id = int(entry["next_id"])
 
     blocks: Dict[int, _SizeBlock] = {}
     fingerprint_of: Dict[int, Fingerprint] = {}
+    rows_total = 0
     for size_text, block_entry in entry["blocks"].items():
         size = int(size_text)
         matrix = load_array(block_entry["matrix"])
         count = int(block_entry["count"])
-        ids = [int(i) for i in block_entry["ids"]]
+        _require(size >= 1, f"block size {size} is invalid")
+        if version >= 3:
+            ids = _column(
+                load_array(block_entry["ids"]), np.int64, (count,),
+                f"block {size}'s ids",
+            )
+        else:
+            ids = [int(i) for i in block_entry["ids"]]
+            _require(len(ids) == count, "block id list disagrees with count")
         _require(
-            matrix.ndim == 2 and matrix.shape == (count, size),
-            f"block matrix for size {size} has shape {matrix.shape}, "
-            f"expected ({count}, {size})",
+            not ids or 0 <= min(ids) and max(ids) < next_id,
+            f"block {size} names an id outside [0, {next_id})",
         )
-        _require(len(ids) == count, "block id list disagrees with count")
+        # One conversion per block, and a plain view (not the memmap
+        # subclass) whose rows seed each fingerprint's array cache, so
+        # the scalar find path shares pages with the columnar kernels.
+        rows = np.asarray(matrix)
+        values = _column(rows, np.float64, (count, size), f"block {size}")
         fingerprints = []
-        for row, basis_id in enumerate(ids):
-            row_view = np.asarray(matrix[row])
-            fingerprint = Fingerprint(tuple(float(v) for v in row_view))
-            # Seed the array cache with the read-only mapped row so the
-            # scalar find path shares pages with the columnar kernels.
+        for row_view, row_values, basis_id in zip(rows, values, ids):
+            fingerprint = Fingerprint(tuple(row_values))
             fingerprint._cache["array"] = row_view
             fingerprints.append(fingerprint)
             fingerprint_of[basis_id] = fingerprint
+        rows_total += count
         sid_matrix = None
         if "sid" in block_entry:
             sid_matrix = load_array(block_entry["sid"])
@@ -397,36 +583,46 @@ def _restore_store(
         blocks[size] = _SizeBlock.restore(
             size, matrix, ids, fingerprints, sid_matrix
         )
+    _require(
+        len(fingerprint_of) == rows_total, "a basis id has two block rows"
+    )
     columnar = ColumnarStore()
     columnar.restore_blocks(blocks)
     store.columnar = columnar
 
-    samples_all = load_array(entry["samples"])
-    _require(samples_all.ndim == 1, "sample vector file is not 1-d")
-    for basis_entry in entry["bases"]:
-        basis_id = int(basis_entry["id"])
-        _require(
-            basis_id in fingerprint_of,
-            f"basis {basis_id} has no fingerprint row in any block",
-        )
-        start, count = (int(v) for v in basis_entry["samples"])
-        _require(
-            0 <= start and start + count <= samples_all.size,
-            f"basis {basis_id} sample slice escapes the sample vector",
-        )
+    samples_all = np.asarray(load_array(entry["samples"]))
+    _require(
+        samples_all.ndim == 1 and samples_all.dtype == np.float64,
+        "sample vector file is not a 1-d float64 vector",
+    )
+    basis_rows = _basis_rows(entry, load_array, version, samples_all.size)
+    for basis_id, hits, start, stop, metrics in basis_rows:
+        fingerprint = fingerprint_of.get(basis_id)
+        if fingerprint is None:
+            raise SnapshotCorruptionError(
+                f"basis {basis_id} has no fingerprint row in any block"
+            )
         store._bases[basis_id] = BasisDistribution(
             basis_id=basis_id,
-            fingerprint=fingerprint_of[basis_id],
-            samples=samples_all[start : start + count],
-            metrics=decode_metrics(basis_entry["metrics"]),
-            # Version-1 snapshots predate reuse counters: restore cold.
-            hits=int(basis_entry["hits"]) if version >= 2 else 0,
+            fingerprint=fingerprint,
+            samples=samples_all[start:stop],
+            metrics=metrics,
+            hits=hits,
         )
     _require(
-        len(store._bases) == len(fingerprint_of),
+        len(basis_rows) == len(store._bases) == len(fingerprint_of),
         "block rows and basis entries disagree",
     )
-    store._next_id = int(entry["next_id"])
+    # An index missing a live id answers that basis's exact images with
+    # a miss (paper section 3.2 rules that out); one naming no basis
+    # hands the matcher a dangling id.
+    indexed = index.ids()
+    _require(
+        len(indexed) == len(store._bases)
+        and set(indexed) == store._bases.keys(),
+        "the index does not hold each stored basis exactly once",
+    )
+    store._next_id = next_id
     store.stats = StoreStats(**{
         key: int(value) for key, value in entry["stats"].items()
     })
@@ -452,21 +648,24 @@ def _write_snapshot(path: str, body: dict, arrays: Mapping[str, np.ndarray]):
     try:
         table = {}
         for name, array in arrays.items():
+            buffer = io.BytesIO()
+            np.save(buffer, np.ascontiguousarray(array))
+            raw = buffer.getvalue()
             filename = name + ".npy"
-            target = os.path.join(scratch, filename)
-            np.save(target, np.ascontiguousarray(array))
-            with open(target, "rb") as handle:
-                raw = handle.read()
+            with open(os.path.join(scratch, filename), "wb") as handle:
+                handle.write(raw)
             table[name] = {
                 "file": filename,
                 "nbytes": len(raw),
                 "crc32": zlib.crc32(raw),
             }
-        body = dict(body, arrays=table)
-        manifest = {"crc32": zlib.crc32(_canonical(body)), "body": body}
-        with open(os.path.join(scratch, MANIFEST_NAME), "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        # Serialized once: the CRC covers the very bytes written, and the
+        # whole manifest is itself canonical JSON.
+        canonical = _canonical(dict(body, arrays=table))
+        with open(os.path.join(scratch, MANIFEST_NAME), "wb") as handle:
+            handle.write(
+                b'{"body":%s,"crc32":%d}\n' % (canonical, zlib.crc32(canonical))
+            )
         if os.path.lexists(path):
             # Swap: move the old snapshot aside, the new one in, then drop
             # the old.  A reader never observes a half-written directory,
@@ -724,7 +923,7 @@ def load_stores(
                 entry, load_array, family, store_estimator,
                 version=int(body["version"]),
             )
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError, IndexError) as error:
             raise SnapshotCorruptionError(
                 f"snapshot store {name!r} at {path!r} has a malformed "
                 f"manifest entry ({type(error).__name__}: {error})"
@@ -764,7 +963,12 @@ def snapshot_info(path: str) -> dict:
         "metadata": dict(body.get("metadata", {})),
         "stores": {
             name: {
-                "bases": len(entry.get("bases", ())),
+                # Version 3 records the count; versions 1-2 list entries.
+                "bases": (
+                    entry["bases"]
+                    if isinstance(entry.get("bases"), int)
+                    else len(entry.get("bases", ()))
+                ),
                 **{
                     key: entry["config"][key]
                     for key in ("mapping_family", "index_strategy")

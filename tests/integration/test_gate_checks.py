@@ -150,6 +150,13 @@ class TestEveryCheckCanFail:
         failures = _judge("lifecycle", evidence)
         assert any("v1_fixture.error" in failure for failure in failures)
 
+    def test_lifecycle_check_fails_when_the_v2_fixture_drifts(self):
+        evidence = _evidence("lifecycle")
+        assert evidence["v2_fixture"]["hits"] == 5
+        evidence["v2_fixture"]["hits"] = 0
+        (failure,) = _judge("lifecycle", evidence)
+        assert "v2_fixture.hits" in failure
+
     def test_smoke_check_refuses_a_baseline_from_other_conditions(self):
         baselines = checks.load_baselines(checks.CHECKS["smoke"])
         baselines[SMOKE_BASELINE]["workers"] = 4

@@ -4,21 +4,28 @@ Two families of properties:
 
 * **Bitwise round trips.**  Generated fingerprints, mappings, metric sets,
   and whole basis stores survive serialize∘deserialize *bit-identically* —
-  including nan/inf entries and subnormal magnitudes, because every float
-  crosses the JSON boundary as a ``float.hex()`` string.
+  including nan/inf entries and subnormal magnitudes, because a float
+  crosses JSON as a ``float.hex()`` string and a snapshot as a float64
+  array.
 * **Corruption is always typed, never partial.**  Truncating or
   bit-flipping any byte of any snapshot file either leaves the snapshot
   loadable with the *original* content (flip landed in dead zip/JSON
   whitespace — impossible here, so in practice it doesn't) or raises
   :class:`~repro.errors.SnapshotCorruptionError`; a load never returns a
-  store built from damaged bytes.
+  store built from damaged bytes.  So does a checksum-consistent snapshot
+  whose tables do not add up (an array rewritten and its CRC recomputed),
+  and one whose index does not hold each stored basis exactly once.
 """
 
+import io
 import json
 import math
 import os
+import shutil
+import zlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +33,7 @@ from repro.core import persist
 from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator, MetricSet
 from repro.core.fingerprint import Fingerprint
+from repro.core.index import INDEX_STRATEGIES
 from repro.core.mapping import (
     AffineMapping,
     PiecewiseLinearMapping,
@@ -293,3 +301,245 @@ class TestCorruptionDetection:
             raise AssertionError("missing snapshot loaded")
         except PersistError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Checksum-consistent damage: the CRCs agree, the contents do not
+
+
+V2_FIXTURE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "unit", "data", "snapshot_v2"
+)
+
+BASE = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0))
+OTHERS = (
+    Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8)),
+    Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
+    Fingerprint((-1.0, 0.5, 0.25, 3.0, 2.0)),
+)
+
+
+def _v3_snapshot(path):
+    """Every basis-table column in use: quantiles, histograms on some
+    bases and not others, two fingerprint sizes, nonzero hits."""
+    store = BasisStore(estimator=Estimator(histogram_bins=3))
+    plain = Estimator()
+    for position, fingerprint in enumerate((BASE,) + OTHERS):
+        samples = np.linspace(-1.0, 2.0, 12) * (position + 1)
+        metrics = plain.estimate(samples) if position % 2 else None
+        store.add(fingerprint, samples, metrics=metrics)
+    store.match(Fingerprint(tuple(3.0 * v - 1.0 for v in BASE.values)))
+    persist.save_store(store, path)
+    return path
+
+
+def _write_manifest(path, manifest):
+    """Recompute the body CRC, so only the content is wrong."""
+    manifest["crc32"] = zlib.crc32(persist._canonical(manifest["body"]))
+    with open(os.path.join(path, persist.MANIFEST_NAME), "w") as handle:
+        json.dump(manifest, handle)
+
+
+def _read_manifest(path):
+    with open(os.path.join(path, persist.MANIFEST_NAME)) as handle:
+        return json.load(handle)
+
+
+def _rewrite_array(path, name, edit):
+    """Replace array ``name`` by ``edit(array)`` with a matching CRC."""
+    manifest = _read_manifest(path)
+    entry = manifest["body"]["arrays"][name]
+    file_path = os.path.join(path, entry["file"])
+    buffer = io.BytesIO()
+    np.save(buffer, edit(np.load(file_path)))
+    raw = buffer.getvalue()
+    with open(file_path, "wb") as handle:
+        handle.write(raw)
+    entry.update(nbytes=len(raw), crc32=zlib.crc32(raw))
+    _write_manifest(path, manifest)
+
+
+def _moved(first, second, amount):
+    """``edit`` moving ``amount`` from entry ``second`` to ``first``
+    (the column's sum is unchanged)."""
+
+    def edit(array):
+        array = array.copy()
+        array[first] += amount
+        array[second] -= amount
+        return array
+
+    return edit
+
+
+def _set(position, value):
+    def edit(array):
+        array = array.copy()
+        array[position] = value
+        return array
+
+    return edit
+
+
+CRAFTED = {
+    "quantile counts summing past the vector": (
+        "store0.quantile_counts", _set(0, 6)
+    ),
+    "a negative quantile count": ("store0.quantile_counts", _moved(0, 1, -6)),
+    "histogram edges one short": (
+        "store0.histogram_edges", lambda edges: edges[:-1]
+    ),
+    "histogram counts one long": (
+        "store0.histogram_counts", lambda counts: np.append(counts, 1)
+    ),
+    "a bin count below -1": ("store0.bin_counts", _set(1, -2)),
+    "a negative sample count": ("store0.sample_counts", _moved(0, 1, -16)),
+    "sample counts summing past the vector": (
+        "store0.sample_counts", _set(0, 13)
+    ),
+    "a negative MetricSet count": ("store0.count", _set(0, -1)),
+    "a column one short": ("store0.hits", lambda hits: hits[:-1]),
+    "a column of the wrong dtype": (
+        "store0.hits", lambda hits: hits.astype(np.float64)
+    ),
+    "moments one column short": ("store0.moments", lambda m: m[:, :3]),
+    "a basis listed twice": ("store0.basis_ids", _set(1, 0)),
+    "a basis with no block row": ("store0.basis_ids", _set(1, 5)),
+    "block ids one short": ("store0.block5.ids", lambda ids: ids[:-1]),
+    "a block id out of range": ("store0.block5.ids", _set(0, 99)),
+    "bucket lengths summing past the ids": (
+        "store0.index.bucket_lengths", _set(0, 2)
+    ),
+    "an empty bucket": ("store0.index.bucket_lengths", _moved(0, 1, -1)),
+    "key lengths disagreeing with the keys": (
+        "store0.index.key_lengths", _set(0, 6)
+    ),
+    "float bucket ids": (
+        "store0.index.ids", lambda ids: ids.astype(np.float64)
+    ),
+    "an index id naming no basis": ("store0.index.ids", _set(0, 99)),
+}
+
+
+class TestCraftedTablesAreRefused:
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_v3_crafted_table(self, case, mmap, tmp_path):
+        path = _v3_snapshot(str(tmp_path / "snap"))
+        name, edit = CRAFTED[case]
+        _rewrite_array(path, name, edit)
+        with pytest.raises(SnapshotCorruptionError):
+            persist.load_store(path, mmap=mmap)
+
+    def test_v3_snapshot_without_damage_loads(self, tmp_path):
+        """The crafted cases start from a loadable snapshot."""
+        path = _v3_snapshot(str(tmp_path / "snap"))
+        _rewrite_array(path, "store0.hits", lambda hits: hits)
+        loaded = persist.load_store(path)
+        assert [b.hits for b in loaded.bases] == [1, 0, 0, 0]
+        assert [b.metrics.histogram is None for b in loaded.bases] == [
+            False, True, False, True,
+        ]
+
+    def test_v3_basis_on_two_block_rows(self, tmp_path):
+        path = _v3_snapshot(str(tmp_path / "snap"))
+        _rewrite_array(
+            path, "store0.block5.matrix", lambda m: np.vstack([m, m[:1]])
+        )
+        _rewrite_array(
+            path, "store0.block5.ids", lambda ids: np.append(ids, ids[0])
+        )
+        manifest = _read_manifest(path)
+        manifest["body"]["stores"]["default"]["blocks"]["5"]["count"] += 1
+        _write_manifest(path, manifest)
+        with pytest.raises(SnapshotCorruptionError, match="two block rows"):
+            persist.load_store(path)
+
+    def test_v2_negative_sample_count(self, tmp_path):
+        """``[start, -16]`` passed ``start + count <= size``: the basis
+        loaded with empty samples while its metrics counted 24."""
+        path = str(tmp_path / "v2")
+        shutil.copytree(V2_FIXTURE, path)
+        manifest = _read_manifest(path)
+        entry = manifest["body"]["stores"]["default"]["bases"][1]
+        entry["samples"] = [entry["samples"][0], -16]
+        _write_manifest(path, manifest)
+        with pytest.raises(SnapshotCorruptionError, match="sample slice"):
+            persist.load_store(path)
+
+    def test_v2_index_missing_a_live_id(self, tmp_path):
+        path = str(tmp_path / "v2")
+        shutil.copytree(V2_FIXTURE, path)
+        manifest = _read_manifest(path)
+        index = manifest["body"]["stores"]["default"]["index"]
+        index["buckets"] = [
+            bucket for bucket in index["buckets"] if bucket[1] != [4]
+        ]
+        assert len(index["buckets"]) == 5
+        _write_manifest(path, manifest)
+        with pytest.raises(SnapshotCorruptionError, match="index"):
+            persist.load_store(path)
+
+
+class TestIndexMustHoldEveryBasisOnce:
+    """A bucket list that drops a live id misses that basis's exact
+    affine image — a false negative paper section 3.2 rules out — and
+    one naming no basis hands the matcher a dangling id.  Both are
+    written through the public API, so every CRC is the writer's."""
+
+    def _store(self, strategy):
+        store = BasisStore(index_strategy=strategy)
+        for position, fingerprint in enumerate((BASE,) + OTHERS):
+            store.add(fingerprint, np.linspace(-1.0, 2.0, 12) + position)
+        return store
+
+    @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+    def test_index_missing_a_live_id(self, strategy, tmp_path):
+        store = self._store(strategy)
+        store.index.remove(BASE, 0)
+        assert store.match(Fingerprint(tuple(2.0 * v for v in BASE))) is None
+        persist.save_store(store, str(tmp_path / "snap"))
+        with pytest.raises(SnapshotCorruptionError, match="index"):
+            persist.load_store(str(tmp_path / "snap"))
+
+    @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+    def test_index_naming_no_basis(self, strategy, tmp_path):
+        store = self._store(strategy)
+        store.index.insert(Fingerprint((5.0, 1.0, 3.0, 2.0, 4.0)), 99)
+        persist.save_store(store, str(tmp_path / "snap"))
+        with pytest.raises(SnapshotCorruptionError, match="index"):
+            persist.load_store(str(tmp_path / "snap"))
+
+
+class TestEveryV3FileRefusesDamage:
+    """Truncation and bit flips of *each* file of a v3 snapshot (the
+    sampled-file properties above may skip some of its many arrays)."""
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_truncate_or_flip_each_file(self, data, tmp_path_factory):
+        path = _v3_snapshot(str(tmp_path_factory.mktemp("snap") / "store"))
+        names = sorted(os.listdir(path))
+        assert len(names) >= 15  # the manifest and every table column
+        for name in names:
+            target = os.path.join(path, name)
+            with open(target, "rb") as handle:
+                raw = handle.read()
+            keep = data.draw(
+                st.integers(0, len(raw.rstrip()) - 1), label=f"{name} keep"
+            )
+            flipped = bytearray(raw)
+            position = data.draw(
+                st.integers(0, len(raw) - 1), label=f"{name} byte"
+            )
+            flipped[position] ^= 1 << data.draw(
+                st.integers(0, 7), label=f"{name} bit"
+            )
+            for damaged in (raw[:keep], bytes(flipped)):
+                with open(target, "wb") as handle:
+                    handle.write(damaged)
+                with pytest.raises(SnapshotCorruptionError):
+                    persist.load_store(path)
+            with open(target, "wb") as handle:
+                handle.write(raw)
+        persist.load_store(path)  # undamaged again

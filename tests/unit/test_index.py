@@ -24,6 +24,31 @@ def affine(fp, alpha, beta):
 BASE = Fingerprint((0.0, 1.2, 2.3, 1.3, 1.5))
 
 
+class TestIndexState:
+    """``dump_state`` equality is the equality of the snapshot files."""
+
+    @pytest.mark.parametrize(
+        "strategy", ["array", "normalization", "sorted_sid"]
+    )
+    def test_equal_states_and_their_restores_compare_equal(self, strategy):
+        index = make_index(strategy)
+        for basis_id, fingerprint in enumerate((BASE, affine(BASE, 2, 1))):
+            index.insert(fingerprint, basis_id)
+        state = index.dump_state()
+        assert state == type(index).restore_state(state).dump_state()
+        assert not state != index.dump_state()
+
+    def test_one_bit_or_one_dtype_apart_is_unequal(self):
+        index = NormalizationIndex()
+        index.insert(Fingerprint((0.0, 1.0, 0.5)), 0)
+        state = index.dump_state()
+        signed = dict(state, keys=state["keys"].copy())
+        signed["keys"][0] = -0.0  # 0.0 == -0.0, but not bitwise
+        assert state != signed and not state == signed
+        assert state != dict(state, ids=state["ids"].astype(np.int32))
+        assert state != dict(state, rel_tol=(2e-9).hex())
+
+
 class TestArrayIndex:
     def test_returns_everything(self):
         index = ArrayIndex()

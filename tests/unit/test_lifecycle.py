@@ -11,12 +11,13 @@ match paths.  Evicted ids must be unreachable everywhere: index buckets,
 itself.
 
 Also pinned here: eviction-policy ranking semantics, the sustained-load
-bound (a policied store never exceeds ``max_bases``), snapshot version 2
-round-trips with the committed v1 fixture loading through the compat
-branch, the integer-tolerance codec fix, and the interactive engine's
-failed-validation invalidation.
+bound (a policied store never exceeds ``max_bases``), ``hits``
+round-trips with the committed v1 and v2 fixtures loading through the
+compat branches, the integer-tolerance codec fix, and the interactive
+engine's failed-validation invalidation.
 """
 
+import json
 import os
 
 import numpy as np
@@ -63,6 +64,15 @@ V1_FIXTURE = os.path.join(
     os.path.dirname(__file__), "data", "snapshot_v1"
 )
 
+#: Written by the version-2 writer: a ``normalization`` store (linear
+#: family, 3-bin histograms) of seven bases over fingerprint sizes 5 and
+#: 7, bases 1 and 5 holding metrics from a histogram-free estimator,
+#: basis 3 removed (one tombstone, compacted away by the save), and the
+#: first five probes of ``V2_PROBES`` answered before the save.
+V2_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "data", "snapshot_v2"
+)
+
 
 def _affine(fp, alpha, beta):
     return Fingerprint(tuple(alpha * v + beta for v in fp.values))
@@ -97,6 +107,28 @@ PROBES = [
     Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8)),  # unrelated: miss
     Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),  # other size, exact
     Fingerprint((2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)),  # other size, 2x
+]
+
+_ONE, _ZERO = "0x1.0000000000000p+0", "0x0.0p+0"
+
+#: Probes of the v2 fixture with the answers the writing tree gave:
+#: ``(basis id, alpha hex, beta hex)``, or ``None`` for a miss.
+V2_PROBES = [
+    (BASE, (0, _ONE, _ZERO)),
+    (_affine(BASE, 3.0, -2.0), (0, "0x1.8000000000000p+1", "-0x1.0p+1")),
+    (_affine(BASE, -2.0, 1.0), (0, "-0x1.0p+1", _ONE)),
+    (Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8)), (1, _ONE, _ZERO)),
+    (
+        _affine(Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)), 2.0, 0.5),
+        (2, "0x1.0p+1", "0x1.0p-1"),
+    ),
+    # Basis 3 (this constant) was removed: the zero basis answers.
+    (Fingerprint((4.0, 4.0, 4.0, 4.0, 4.0)), (6, _ONE, "0x1.0p+2")),
+    (
+        _affine(Fingerprint((-1.0, 0.5, 0.25, 3.0, 2.0)), 0.5, 0.0),
+        (4, "0x1.0p-1", _ZERO),
+    ),
+    (Fingerprint((9.0, 1.0, 5.0, 2.0, 8.0)), None),
 ]
 
 #: Both match paths: columnar kernels always on vs. never reached.
@@ -649,14 +681,78 @@ class TestSnapshotVersion2:
         result = loaded.match(BASE)
         assert result is not None and result.basis.basis_id == 0
 
-    def test_v1_resaves_as_v2_with_hits_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_v2_fixture_loads(self, mmap):
+        assert persist.snapshot_info(V2_FIXTURE)["version"] == 2
+        assert persist.snapshot_info(V2_FIXTURE)["stores"]["default"][
+            "bases"
+        ] == 6
+        loaded = persist.load_store(V2_FIXTURE, mmap=mmap)
+        assert [b.basis_id for b in loaded.bases] == [0, 1, 2, 4, 5, 6]
+        assert [b.hits for b in loaded.bases] == [3, 1, 1, 0, 0, 0]
+        assert loaded.stats.as_dict() == {
+            "lookups": 5,
+            "candidates_tested": 5,
+            "matches": 5,
+            "bases_created": 7,
+        }
+        assert loaded._next_id == 7
+        # Metrics bitwise: re-encoded, they are the manifest's hex text.
+        with open(os.path.join(V2_FIXTURE, "manifest.json")) as handle:
+            entries = json.load(handle)["body"]["stores"]["default"]["bases"]
+        assert [persist.encode_metrics(b.metrics) for b in loaded.bases] == [
+            entry["metrics"] for entry in entries
+        ]
+        assert [b.metrics.histogram is not None for b in loaded.bases] == [
+            True, False, True, True, False, True,
+        ]
+        for probe, expected in V2_PROBES:
+            result = loaded.match(probe)
+            if expected is None:
+                assert result is None
+                continue
+            basis_id, alpha, beta = expected
+            assert result.basis.basis_id == basis_id
+            assert result.mapping.alpha.hex() == float.fromhex(alpha).hex()
+            assert result.mapping.beta.hex() == float.fromhex(beta).hex()
+
+    def test_v2_fixture_resaves_at_the_current_version(self, tmp_path):
+        loaded = persist.load_store(V2_FIXTURE, mmap=True)
+        path = str(tmp_path / "snap")
+        persist.save_store(loaded, path)
+        assert persist.snapshot_info(path)["version"] == (
+            persist.SNAPSHOT_VERSION
+        )
+        again = persist.load_store(path, mmap=True)
+        assert [
+            (b.basis_id, b.hits, persist.encode_metrics(b.metrics))
+            for b in again.bases
+        ] == [
+            (b.basis_id, b.hits, persist.encode_metrics(b.metrics))
+            for b in loaded.bases
+        ]
+        for basis in loaded.bases:
+            np.testing.assert_array_equal(
+                again.get(basis.basis_id).samples, basis.samples
+            )
+        assert again.index.dump_state() == loaded.index.dump_state()
+        for probe, _ in V2_PROBES:
+            want, got = loaded.match(probe), again.match(probe)
+            assert (want is None) == (got is None)
+            if want is not None:
+                assert got.basis.basis_id == want.basis.basis_id
+                assert got.mapping == want.mapping
+        assert again.stats.as_dict() == loaded.stats.as_dict()
+
+    def test_v1_resaves_at_the_current_version_with_hits_roundtrip(
+        self, tmp_path
+    ):
         loaded = persist.load_store(V1_FIXTURE, mmap=False)
         loaded.match(BASE)  # bump one reuse counter
         persist.save_store(loaded, str(tmp_path / "snap"))
         assert (
             persist.snapshot_info(str(tmp_path / "snap"))["version"]
             == persist.SNAPSHOT_VERSION
-            == 2
         )
         reloaded = persist.load_store(str(tmp_path / "snap"), mmap=False)
         assert [b.hits for b in reloaded.bases] == [1, 0, 0, 0, 0]
