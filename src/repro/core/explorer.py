@@ -256,32 +256,13 @@ class ParameterExplorer:
             start=self.fingerprint_size,
         )
 
-    def explore_point(self, params: Params) -> PointResult:
-        """Evaluate one parameter point with reuse (paper Algorithm 3).
-
-        The fingerprint rounds and (on a miss) the completion rounds are
-        each one batched call: two array operations per fully simulated
-        point, one for a reused point.  The store probe is
-        :meth:`BasisStore.match`, the single-probe form of the block probe
-        :meth:`explore` uses — same decision, same counters.  With an
-        adaptive budget, the completion rounds instead grow in geometric
-        blocks until the confidence interval is inside tolerance (or the
-        fixed budget is exhausted); the reuse decision is fingerprint-only
-        either way, so enabling the policy never changes which points are
-        reused.
-        """
-        values = self._batch_simulation(params, self._fingerprint_seeds)
-        fingerprint = self._fingerprint(values)
-        return self._resolve(
-            params, values, fingerprint, self.store.match(fingerprint)
-        )
-
     def explore(self, space: Iterable[Params]) -> Iterator[PointResult]:
         """One :class:`PointResult` per *visited* point, in ``space`` order.
 
-        The per-visited-point loop behind :meth:`run` and the sharded
-        engine.  ``space`` is walked lazily, :data:`BLOCK_PROBES` points at
-        a time: a block's fingerprint rounds are drawn first, in one
+        The per-visited-point loop behind :meth:`run`, the searches of
+        :mod:`repro.core.search` and the sharded engine.  ``space`` is
+        walked lazily, :data:`BLOCK_PROBES` points at a time: a block's
+        fingerprint rounds are drawn first, in one
         :func:`make_points_simulation` call (a black box draws them as one
         points x seeds matrix, :meth:`BlackBox.sample_points`, row ``i``
         bitwise point ``i``'s own draw), one
@@ -293,7 +274,11 @@ class ParameterExplorer:
         rule (a speculative answer stands while the probe's candidate list
         still starts with the speculated one, a miss re-tests only what was
         appended, anything else is probed afresh), so every decision,
-        mapping bit and counter is the per-point sweep's.
+        mapping bit and counter is the per-point sweep's.  With an adaptive
+        budget a miss's completion rounds grow in geometric blocks until
+        the confidence interval is inside tolerance (or the fixed budget is
+        spent); the reuse decision is fingerprint-only either way, so the
+        policy never changes which points are reused.
         """
         points = iter(space)
         while True:

@@ -57,6 +57,7 @@ re-probes incoming bases through the same columnar engine otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -92,10 +93,12 @@ from repro.core.supervise import (
 # ---------------------------------------------------------------------------
 # Fork fan-out
 #
-# Workers are forked, not spawned: the shard context (simulation callable,
-# store factory, scenario object, ...) is handed over through inherited
-# memory instead of pickling, so closures and bound methods parallelize as
-# well as module-level functions.  Only the shard *results* cross the wire.
+# run_shards is the one fan-out: it resumes what a checkpoint holds and
+# runs the rest.  Workers are forked, not spawned: the shard context
+# (simulation callable, store factory, ...) is handed over through
+# inherited memory instead of pickling, so closures and bound methods
+# parallelize as well as module-level functions.  Only the shard *results*
+# cross the wire.
 #
 # Execution routes through repro.core.supervise: each shard attempt is an
 # individually submitted future the supervisor can deadline, retry on a
@@ -194,68 +197,6 @@ class _ForkShardPool:
         self._executor.shutdown(wait=True)
 
 
-def fork_map(
-    runner: Callable[[Any, int], Any],
-    context: Any,
-    shard_count: int,
-    workers: int,
-    *,
-    policy: Optional[SupervisionPolicy] = None,
-    indices: Optional[Iterable[int]] = None,
-    on_shard_complete: Optional[Callable[[int, Any], None]] = None,
-    report_sink: Optional[Callable[[SupervisionReport], None]] = None,
-) -> List[Any]:
-    """Run ``runner(context, i)`` for every shard, forking when it helps.
-
-    Falls back to in-process execution — same code path, same results —
-    when one worker suffices, fork is unavailable (gated, not emulated
-    with spawn: spawn would require pickling arbitrary simulations), or
-    we are already inside a worker (no nested pools).
-
-    Execution is supervised (see :mod:`repro.core.supervise`): ``policy``
-    sets retry/timeout/degrade behavior (default
-    :data:`~repro.core.supervise.DEFAULT_POLICY`), ``indices`` restricts
-    the run to a subset of ``range(shard_count)`` (checkpoint resumes
-    recompute only the remainder; results come back in ``indices`` order),
-    ``on_shard_complete(index, result)`` fires as each shard's result is
-    accepted (checkpoint writers hook in here), and ``report_sink``
-    receives the :class:`~repro.core.supervise.SupervisionReport` after
-    the run.
-    """
-    if indices is None:
-        indices = range(shard_count)
-    indices = [int(i) for i in indices]
-    workers = min(int(workers), len(indices)) if indices else 0
-    pooled = workers > 1 and not _IN_WORKER and fork_available()
-    token: Optional[int] = None
-    pool_factory = None
-    if pooled:
-        token = next(_SHARD_TOKENS)
-        with _SHARD_CONTEXT_LOCK:
-            _SHARD_CONTEXTS[token] = (context, runner)
-
-        def pool_factory(token=token, workers=workers):
-            return _ForkShardPool(token, workers)
-
-    supervisor = ShardSupervisor(
-        runner,
-        context,
-        indices,
-        policy,
-        pool_factory=pool_factory,
-        on_shard_complete=on_shard_complete,
-    )
-    try:
-        results = supervisor.run()
-    finally:
-        if token is not None:
-            with _SHARD_CONTEXT_LOCK:
-                _SHARD_CONTEXTS.pop(token, None)
-    if report_sink is not None:
-        report_sink(supervisor.report)
-    return [results[index] for index in indices]
-
-
 def shard_slices(total: int, shard_count: int) -> List[slice]:
     """Split ``range(total)`` into contiguous, balanced slices.
 
@@ -299,25 +240,31 @@ def run_shards(
     encode: Callable[[Any], Tuple[dict, Dict[str, np.ndarray]]],
     decode: Callable[[dict, Dict[str, np.ndarray]], Any],
 ) -> Tuple[List[Any], int, Optional[SupervisionReport]]:
-    """Every shard's outcome, resumed from ``checkpoint`` where possible.
+    """``runner(context, i)`` for every shard, resumed from ``checkpoint``.
 
-    The one sharded-run driver both sweep engines use: with a
-    ``checkpoint`` path, valid completed-shard records of the same
-    sweep (``config()`` is its identity; a different one refuses, see
+    The one fan-out, which both sweep engines use.  With a ``checkpoint``
+    path, valid completed-shard records of the same sweep (``config()`` is
+    its identity; a different one refuses, see
     :class:`~repro.core.persist.SweepCheckpoint`) are decoded instead of
-    recomputed and each newly accepted outcome is recorded as it
-    arrives; the remainder runs through :func:`fork_map` under
-    ``policy``.  Returns ``(outcomes in shard order, shards resumed, the
-    fan-out's supervision report — None when nothing had to run)``.
-    Shards are deterministic, so the outcomes are the same either way.
+    recomputed, and each newly accepted outcome is recorded as it arrives.
+    The remaining shards run under a
+    :class:`~repro.core.supervise.ShardSupervisor` with ``policy``
+    (default :data:`~repro.core.supervise.DEFAULT_POLICY`): on a fork pool
+    of at most ``workers`` processes, or in-process — same code path, same
+    results — when one worker suffices, fork is unavailable (gated, not
+    emulated with spawn: spawn would require pickling arbitrary
+    simulations), or this is already a worker (no nested pools).  Returns
+    ``(outcomes in shard order, shards resumed, the supervision report —
+    None when nothing had to run)``.  Shards are deterministic, so the
+    outcomes are the same either way.
     """
-    loaded: Dict[int, Any] = {}
+    outcomes: Dict[int, Any] = {}
     on_complete = None
     if checkpoint is not None:
         from repro.core.persist import SweepCheckpoint
 
         store = SweepCheckpoint(checkpoint, config())
-        loaded = {
+        outcomes = {
             index: decode(meta, arrays)
             for index, (meta, arrays) in store.load().items()
             if 0 <= index < shard_count
@@ -326,23 +273,34 @@ def run_shards(
         def on_complete(index: int, outcome: Any) -> None:
             store.record(index, *encode(outcome))
 
-    remaining = [i for i in range(shard_count) if i not in loaded]
-    reports: List[SupervisionReport] = []
-    by_index = dict(loaded)
+    resumed = len(outcomes)
+    remaining = [i for i in range(shard_count) if i not in outcomes]
+    report = None
     if remaining:
-        computed = fork_map(
+        workers = min(int(workers), len(remaining))
+        token: Optional[int] = None
+        pool_factory = None
+        if workers > 1 and not _IN_WORKER and fork_available():
+            token = next(_SHARD_TOKENS)
+            with _SHARD_CONTEXT_LOCK:
+                _SHARD_CONTEXTS[token] = (context, runner)
+            pool_factory = functools.partial(_ForkShardPool, token, workers)
+        supervisor = ShardSupervisor(
             runner,
             context,
-            shard_count,
-            workers,
-            policy=policy,
-            indices=remaining,
+            remaining,
+            policy,
+            pool_factory=pool_factory,
             on_shard_complete=on_complete,
-            report_sink=reports.append,
         )
-        by_index.update(zip(remaining, computed))
-    outcomes = [by_index[index] for index in range(shard_count)]
-    return outcomes, len(loaded), reports[0] if reports else None
+        try:
+            outcomes.update(supervisor.run())
+        finally:
+            if token is not None:
+                with _SHARD_CONTEXT_LOCK:
+                    _SHARD_CONTEXTS.pop(token, None)
+        report = supervisor.report
+    return [outcomes[index] for index in range(shard_count)], resumed, report
 
 
 # ---------------------------------------------------------------------------

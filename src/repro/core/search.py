@@ -6,12 +6,16 @@ more advanced techniques that use additional information about the
 black-box (e.g., gradient-descent, if the black-box is known to be
 continuous)."  This module provides that advanced path: a hill-climbing
 search over the discrete parameter space which evaluates candidate points
-through the same :class:`~repro.core.explorer.ParameterExplorer`, so every
-candidate still benefits from (and contributes to) the shared basis store.
+through the same :class:`~repro.core.explorer.ParameterExplorer` as every
+sweep: a step's uncached neighbours are one
+:meth:`~repro.core.explorer.ParameterExplorer.explore` call, so they are
+drawn and matched as one block, and every candidate still benefits from
+(and contributes to) the shared basis store.
 
-The searcher optimizes a scalar objective derived from a point's metrics
-subject to a feasibility predicate — the same contract as the OPTIMIZE
-Selector, restricted to one group per point.
+The searcher maximizes a scalar objective of a point's metrics subject to
+a feasibility predicate over them.  That is not the OPTIMIZE Selector's
+contract: the Selector ranks GROUP BY keys by *parameter* objectives, under
+constraints on metric aggregates, and cannot rank points by a metric.
 """
 
 from __future__ import annotations
@@ -57,7 +61,29 @@ class SearchResult:
     explorer_stats_reused: int
 
 
-class HillClimbSearch:
+class _Search:
+    """What both searches share: the explorer, the space and the score."""
+
+    def __init__(
+        self,
+        explorer: ParameterExplorer,
+        space: ParameterSpace,
+        objective: ObjectiveFn,
+        feasible: Optional[FeasibleFn] = None,
+    ):
+        self.explorer = explorer
+        self.space = space
+        self.objective = objective
+        self.feasible = feasible or (lambda metrics: True)
+
+    def _score(self, metrics: MetricSet) -> float:
+        """The objective of a feasible point; -inf for an infeasible one."""
+        if not self.feasible(metrics):
+            return float("-inf")
+        return self.objective(metrics)
+
+
+class HillClimbSearch(_Search):
     """Greedy neighborhood ascent with random restarts.
 
     From each start point, repeatedly moves to the best strictly improving
@@ -80,22 +106,27 @@ class HillClimbSearch:
             raise OptimizationError("restarts must be positive")
         if max_steps < 1:
             raise OptimizationError("max_steps must be positive")
-        self.explorer = explorer
-        self.space = space
-        self.objective = objective
-        self.feasible = feasible or (lambda metrics: True)
+        super().__init__(explorer, space, objective, feasible)
         self.restarts = restarts
         self.max_steps = max_steps
         self._cache: Dict[ParamKey, PointResult] = {}
 
     def _evaluate(
-        self, point: Dict[str, float], trace: SearchTrace
-    ) -> PointResult:
-        key = param_key(point)
-        if key not in self._cache:
-            self._cache[key] = self.explorer.explore_point(point)
-            trace.visited.append(dict(point))
-        return self._cache[key]
+        self, points: List[Dict[str, float]], trace: SearchTrace
+    ) -> List[MetricSet]:
+        """Every point's metrics; the uncached ones are explored first, in
+        order, once each, as one block."""
+        keys = [param_key(point) for point in points]
+        batch: Dict[ParamKey, Dict[str, float]] = {}
+        for key, point in zip(keys, points):
+            if key not in self._cache:
+                batch.setdefault(key, point)
+        if batch:
+            explored = list(self.explorer.explore(batch.values()))
+            for (key, point), outcome in zip(batch.items(), explored):
+                self._cache[key] = outcome
+                trace.visited.append(dict(point))
+        return [self._cache[key].metrics for key in keys]
 
     def _start_points(self) -> List[Dict[str, float]]:
         points = self.space.points_list()
@@ -112,39 +143,31 @@ class HillClimbSearch:
 
         for start in self._start_points():
             current = dict(start)
-            outcome = self._evaluate(current, trace)
-            current_score = (
-                self.objective(outcome.metrics)
-                if self.feasible(outcome.metrics)
-                else float("-inf")
-            )
+            (current_metrics,) = self._evaluate([current], trace)
+            current_score = self._score(current_metrics)
             for _ in range(self.max_steps):
+                neighbors = [
+                    neighbor
+                    for parameter in self.space.names
+                    for neighbor in self.space.neighbors(current, parameter)
+                ]
                 best_neighbor = None
-                best_neighbor_score = current_score
-                best_neighbor_metrics = None
-                for parameter in self.space.names:
-                    for neighbor in self.space.neighbors(current, parameter):
-                        neighbor_outcome = self._evaluate(neighbor, trace)
-                        if not self.feasible(neighbor_outcome.metrics):
-                            continue
-                        score = self.objective(neighbor_outcome.metrics)
-                        if score > best_neighbor_score:
-                            best_neighbor = neighbor
-                            best_neighbor_score = score
-                            best_neighbor_metrics = neighbor_outcome.metrics
+                for neighbor, metrics in zip(
+                    neighbors, self._evaluate(neighbors, trace)
+                ):
+                    score = self._score(metrics)
+                    if score > current_score:
+                        best_neighbor = neighbor
+                        current_score, current_metrics = score, metrics
                 if best_neighbor is None:
                     break
                 current = best_neighbor
-                current_score = best_neighbor_score
                 trace.improvements.append((dict(current), current_score))
-                if current_score > best_score:
-                    best_score = current_score
-                    best_point = dict(current)
-                    best_metrics = best_neighbor_metrics
+            # A climb only ever improves: where it stops is its best.
             if current_score > best_score:
                 best_score = current_score
                 best_point = dict(current)
-                best_metrics = self._cache[param_key(current)].metrics
+                best_metrics = current_metrics
 
         reused = sum(
             1 for outcome in self._cache.values() if outcome.reused
@@ -158,25 +181,17 @@ class HillClimbSearch:
         )
 
 
-class ExhaustiveSearch:
+class ExhaustiveSearch(_Search):
     """Reference brute-force search over the same objective contract.
 
-    Equivalent to the paper's Parameter Enumerator + Selector for a
-    single-point group; used to validate hill climbing and to quantify how
-    many evaluations adaptivity saves.
+    Every point of the space, one :meth:`ParameterExplorer.explore` sweep,
+    then the argmax.  Not a second OPTIMIZE Selector: the Selector ranks
+    GROUP BY keys by parameter objectives under metric-aggregate
+    constraints, and cannot maximize an arbitrary metric score, which is
+    what this class does.  It is the hill climb's brute-force reference:
+    it validates hill climbing and quantifies how many evaluations
+    adaptivity saves.
     """
-
-    def __init__(
-        self,
-        explorer: ParameterExplorer,
-        space: ParameterSpace,
-        objective: ObjectiveFn,
-        feasible: Optional[FeasibleFn] = None,
-    ):
-        self.explorer = explorer
-        self.space = space
-        self.objective = objective
-        self.feasible = feasible or (lambda metrics: True)
 
     def run(self) -> SearchResult:
         trace = SearchTrace()
@@ -184,17 +199,13 @@ class ExhaustiveSearch:
         best_metrics: Optional[MetricSet] = None
         best_score = float("-inf")
         reused = 0
-        for point in self.space.points():
-            outcome = self.explorer.explore_point(point)
-            trace.visited.append(dict(point))
-            if outcome.reused:
-                reused += 1
-            if not self.feasible(outcome.metrics):
-                continue
-            score = self.objective(outcome.metrics)
+        for outcome in self.explorer.explore(self.space.points()):
+            trace.visited.append(dict(outcome.params))
+            reused += outcome.reused
+            score = self._score(outcome.metrics)
             if score > best_score:
                 best_score = score
-                best_point = dict(point)
+                best_point = dict(outcome.params)
                 best_metrics = outcome.metrics
         return SearchResult(
             best_point=best_point,

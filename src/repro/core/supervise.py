@@ -115,11 +115,11 @@ class SupervisionPolicy:
         )
 
 
-#: The default applied by ``fork_map`` when callers pass no policy: retry
-#: infrastructure failures twice with short backoff, no deadline (a
-#: deadline only makes sense relative to a workload), degrade rather than
-#: fail.  On the happy path this is behaviorally identical to (and costs
-#: nothing over) the old bare fan-out.
+#: The policy a supervisor — so ``parallel.run_shards`` — applies when
+#: callers pass none: retry infrastructure failures twice with short
+#: backoff, no deadline (a deadline only makes sense relative to a
+#: workload), degrade rather than fail.  On the happy path this is
+#: behaviorally identical to (and costs nothing over) a bare fan-out.
 DEFAULT_POLICY = SupervisionPolicy()
 
 
@@ -193,8 +193,9 @@ class WorkerPool:
 class ShardSupervisor:
     """Runs shard attempts under a :class:`SupervisionPolicy`.
 
-    ``runner``/``context`` follow the ``fork_map`` contract: shard ``i``'s
-    result is ``runner(context, i)``, a pure function of its arguments.
+    ``runner``/``context`` follow the ``parallel.run_shards`` contract:
+    shard ``i``'s result is ``runner(context, i)``, a pure function of its
+    arguments.
     ``pool_factory`` builds a :class:`WorkerPool` for parallel execution
     (and rebuilds it after crashes/timeouts); ``None`` executes shards
     in-process, sequentially, in ``indices`` order — the same code path

@@ -35,7 +35,7 @@ from repro.bench.workloads import capacity_workload
 from repro.cli import main as cli_main
 from repro.core import parallel
 from repro.core.explorer import ParameterExplorer
-from repro.core.parallel import ParallelExplorer, fork_available, fork_map
+from repro.core.parallel import ParallelExplorer, fork_available, run_shards
 from repro.core.persist import snapshot_info
 from repro.core.supervise import SupervisionPolicy
 from repro.errors import JigsawError, SnapshotCompatibilityError
@@ -423,12 +423,29 @@ def _releasing_shard(event, index):
     return index
 
 
+def _fan_out(runner, context):
+    """Two shards on two workers through :func:`run_shards`, no
+    checkpoint: the outcomes in shard order."""
+    outcomes, _, _ = run_shards(
+        runner,
+        context,
+        2,
+        2,
+        policy=None,
+        checkpoint=None,
+        config=dict,
+        encode=None,
+        decode=None,
+    )
+    return outcomes
+
+
 class TestConcurrentSweeps:
     @pytest.mark.skipif(
         not fork_available(), reason="fork start method unavailable"
     )
-    def test_fork_maps_overlap_instead_of_serializing(self):
-        """Two sweeps fork-map concurrently (regression: the old single
+    def test_fan_outs_overlap_instead_of_serializing(self):
+        """Two sweeps fan out concurrently (regression: the old single
         context slot held its lock for the pool's lifetime, so sweep B
         could not start until sweep A finished — this exact shape then
         deadlocked, since A's shard waits on an event only B sets)."""
@@ -436,10 +453,10 @@ class TestConcurrentSweeps:
         outcome = {}
 
         def sweep_a():
-            outcome["a"] = fork_map(_blocked_shard, event, 2, 2)
+            outcome["a"] = _fan_out(_blocked_shard, event)
 
         def sweep_b():
-            outcome["b"] = fork_map(_releasing_shard, event, 2, 2)
+            outcome["b"] = _fan_out(_releasing_shard, event)
 
         thread_a = threading.Thread(target=sweep_a, daemon=True)
         thread_a.start()

@@ -35,7 +35,7 @@ from repro.core.mapping import IdentityMappingFamily
 from repro.core.parallel import (
     ParallelExplorer,
     fork_available,
-    fork_map,
+    run_shards,
     shard_slices,
 )
 from repro.core.seeds import SeedBank, SeedSlice
@@ -202,10 +202,13 @@ class TestParallelExplorerParity:
         )
 
     def _per_point_reference(self, points):
-        """``explore_point`` per visit — the single-probe form."""
+        """One-probe blocks per visit — the single-probe form: a block of
+        one reads nothing ahead, so each probe is ``store.match``."""
         explorer = self._explorer()
         stats = ExplorerStats()
-        visits = [explorer.explore_point(params) for params in points]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(explorer_module, "BLOCK_PROBES", 1)
+            visits = list(explorer.explore(points))
         for visit in visits:
             stats.record(visit)
         return explorer, visits, stats
@@ -402,7 +405,23 @@ class TestShardSlices:
         assert shard_slices(0, 4) == []
 
 
-class TestForkMap:
+def _fan_out(runner, context, shard_count, workers):
+    """The outcomes of :func:`run_shards` with no checkpoint to resume."""
+    outcomes, _, _ = run_shards(
+        runner,
+        context,
+        shard_count,
+        workers,
+        policy=None,
+        checkpoint=None,
+        config=dict,
+        encode=None,
+        decode=None,
+    )
+    return outcomes
+
+
+class TestRunShards:
     def test_inline_when_single_worker(self):
         calls = []
 
@@ -410,7 +429,7 @@ class TestForkMap:
             calls.append(index)
             return context + index
 
-        assert fork_map(runner, 10, 3, workers=1) == [10, 11, 12]
+        assert _fan_out(runner, 10, 3, workers=1) == [10, 11, 12]
         assert calls == [0, 1, 2]
 
     @pytest.mark.skipif(not fork_available(), reason="no fork on platform")
@@ -418,8 +437,8 @@ class TestForkMap:
         def runner(context, index):
             return context * index
 
-        forked = fork_map(runner, 3, 4, workers=4)
-        inline = fork_map(runner, 3, 4, workers=1)
+        forked = _fan_out(runner, 3, 4, workers=4)
+        inline = _fan_out(runner, 3, 4, workers=1)
         assert forked == inline == [0, 3, 6, 9]
 
     @pytest.mark.skipif(not fork_available(), reason="no fork on platform")
@@ -428,7 +447,7 @@ class TestForkMap:
             raise RuntimeError("shard failed")
 
         with pytest.raises(RuntimeError):
-            fork_map(runner, None, 2, workers=2)
+            _fan_out(runner, None, 2, workers=2)
 
 
 class TestBasisStoreMerge:
