@@ -6,7 +6,18 @@ the suite runs every fault plan at workers 1, 2, and 4 by default, and CI
 invokes it explicitly with ``--workers 4`` so the pooled (real fork)
 paths are always exercised there.  ``--workers 1`` keeps a quick local
 run in-process.
+
+``--hypothesis-profile=ci`` selects the ``ci`` profile registered here: a
+derandomized, deep run (5,000 examples a property) that CI gives the pair
+prefilter's soundness oracle (``tests/property/test_prop_pair_prefilter.py``).
+Without the option the default profile applies.
 """
+
+from hypothesis import settings
+
+settings.register_profile(
+    "ci", max_examples=5000, derandomize=True, deadline=None
+)
 
 
 def pytest_addoption(parser):

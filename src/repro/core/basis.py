@@ -223,12 +223,21 @@ BLOCK_MIN_PROBES = 4
 #: pay nothing.
 PAIR_PASS_MIN_PROBES = 24
 
-#: Most (probe x candidate) pairs validated in one launch; a block with
-#: more is speculated in several.  The pair pass holds about eight 8-byte
-#: temporaries per pair, so this bounds its transient memory near 2 MiB
-#: however large the store or the batch (cost per probe at 390 candidates
-#: is flat between 12k and 25k pairs a launch and doubles by 50k, where
-#: every temporary is a fresh page-faulting trip to the allocator).
+#: Most (probe x candidate) pairs put through one launch; a block with
+#: more is speculated in several.  A shared list's pairs meet the ratio
+#: prefilter first, whose grid peaks near 10 bytes a pair (one float64
+#: gap column and two boolean masks; a few float64 grids more when the
+#: candidates' anchor columns differ), and only its survivors, about one
+#: a probe, are fitted.  So this bounds a launch's transient memory near
+#: 320 KiB however large the store or the batch.  Cost per probe at 390
+#: candidates, in us, at 4k / 8k / 16k / 32k / 64k / 128k pairs a launch:
+#: 10.9 / 6.2 / 4.2 / 3.1 / 2.5 / 2.3 (the broadcast fit it replaced,
+#: about 52 bytes a pair: 13.0 / 7.3 / 4.9 / 7.7 / 9.0 / 8.8).  Past 32k
+#: only a launch's fixed cost is left to spread, and a 64-probe block
+#: reaches the bound only past 512 candidates.  The value stays because
+#: the worst case is unchanged: when every pair survives (a store of
+#: images of one another) the full-width validation peaks near 380 bytes
+#: a pair, as the broadcast fit's did (350).
 MAX_LAUNCH_PAIRS = 1 << 15
 
 
@@ -244,12 +253,16 @@ class BlockProbe:
     :data:`MAX_LAUNCH_PAIRS`), keeping the first valid candidate per
     probe.  The pair kernel has two fronts and one back half.  Lists on
     the kernel side of ``columnar_min_candidates`` are shared by many
-    probes: one :meth:`ColumnarStore.gather` per distinct list, pairs
-    formed by broadcasting (:meth:`LinearMappingFamily.find_block`).
-    Shorter lists — a selective index hands each probe about one
-    candidate of its own — are concatenated: one gather over all their
-    ids (wrong-size ids drop out there, and still count as tested), one
-    explicit pair list (:meth:`LinearMappingFamily.find_pairs`).
+    probes: one :meth:`ColumnarStore.gather` per distinct list, and the
+    pair grid broadcast through a conservative ratio prefilter
+    (:meth:`LinearMappingFamily.find_block`, reading the block's cached
+    :meth:`~repro.core.columnar._SizeBlock.pair_columns`) whose survivors
+    — about one a probe — form an explicit pair list.  Shorter lists — a
+    selective index hands each probe about one candidate of its own —
+    are concatenated: one gather over all their ids (wrong-size ids drop
+    out there, and still count as tested), one explicit pair list
+    (:meth:`LinearMappingFamily.find_pairs`).  Either list is fitted and
+    validated by the one back half.
     That answer is *speculative*: it is what ``store.match`` would have
     said when the block was opened.
 
@@ -399,7 +412,7 @@ class BlockProbe:
             [(len(group), rows) for group, _, rows in parts],
             rel_tol=store.rel_tol,
             abs_tol=store.abs_tol,
-            anchors=block.anchor_columns(store.rel_tol),
+            anchors=block.pair_columns(store.rel_tol),
             backend=store.backend,
         )
         probe = 0

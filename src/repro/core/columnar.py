@@ -21,8 +21,9 @@ Layout notes:
   store whose family never consults SID orders (or whose probes never reach
   the matrix kernels) never pays for it.  SID orders are read from each
   fingerprint's own cache, so the keys are bitwise the ones the hash
-  indexes inserted; anchor columns are a function of the matrix row and
-  the tolerance alone, so they are recomputed, never persisted.
+  indexes inserted; anchor columns (and the ratio prefilter's columns
+  beside them) are a function of the matrix row and the tolerance alone,
+  so they are recomputed, never persisted.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.core.fingerprint import (
     batch_sid_orders,
     rows_anchor_columns,
 )
+from repro.core.mapping import rows_ratio_columns
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 
@@ -45,6 +47,9 @@ COMPACT_TOMBSTONE_FRACTION = 0.5
 
 #: ``(has_pair, anchor, denominator)`` — see ``rows_anchor_columns``.
 AnchorColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: ``(ratio, slack)`` — see ``rows_ratio_columns``.
+RatioColumns = Tuple[np.ndarray, np.ndarray]
 
 
 def _grown(array: np.ndarray, capacity: int, filled: int) -> np.ndarray:
@@ -67,6 +72,7 @@ class _SizeBlock:
         self._sid_matrix: Optional[np.ndarray] = None
         self._sid_filled = 0
         self._anchors: Dict[float, Tuple[AnchorColumns, int]] = {}
+        self._ratios: Dict[float, Tuple[RatioColumns, int]] = {}
 
     def _reserve(self, extra: int) -> None:
         needed = self.count + extra
@@ -84,11 +90,12 @@ class _SizeBlock:
             self._sid_matrix = _grown(
                 self._sid_matrix, capacity, self._sid_filled
             )
-        for rel_tol, (columns, filled) in self._anchors.items():
-            self._anchors[rel_tol] = (
-                tuple(_grown(c, capacity, filled) for c in columns),
-                filled,
-            )
+        for cache in (self._anchors, self._ratios):
+            for rel_tol, (columns, filled) in cache.items():
+                cache[rel_tol] = (
+                    tuple(_grown(c, capacity, filled) for c in columns),
+                    filled,
+                )
 
     def append(self, basis_id: int, fingerprint: Fingerprint) -> int:
         """Add one fingerprint row; returns its row index."""
@@ -128,11 +135,14 @@ class _SizeBlock:
         else:
             self._sid_matrix = None
             self._sid_filled = 0
-        self._anchors = {
-            rel_tol: (tuple(c[keep] for c in columns), len(keep))
-            for rel_tol, (columns, filled) in self._anchors.items()
-            if filled == self.count
-        }
+        self._anchors, self._ratios = (
+            {
+                rel_tol: (tuple(c[keep] for c in columns), len(keep))
+                for rel_tol, (columns, filled) in cache.items()
+                if filled == self.count
+            }
+            for cache in (self._anchors, self._ratios)
+        )
         self.ids = [self.ids[row] for row in keep]
         self.fingerprints = [self.fingerprints[row] for row in keep]
         self.count = len(keep)
@@ -186,33 +196,58 @@ class _SizeBlock:
         block.dead = 0
         block._sid_matrix = sid_matrix
         block._sid_filled = block.count if sid_matrix is not None else 0
-        block._anchors = {}
+        block._anchors, block._ratios = {}, {}
         return block
+
+    def _filled(self, cache, rel_tol, dtypes, compute) -> tuple:
+        """``cache[rel_tol]``'s columns, one entry per stored row: rows
+        past its watermark (appended or adopted since the last call) are
+        computed by ``compute(start)``, the rows from ``start`` on."""
+        columns, filled = cache.get(rel_tol) or (
+            tuple(np.empty(len(self.matrix), dtype=d) for d in dtypes),
+            0,
+        )
+        if filled < self.count:
+            for column, values in zip(columns, compute(filled)):
+                column[filled : self.count] = values
+            cache[rel_tol] = (columns, self.count)
+        return tuple(c[: self.count] for c in columns)
 
     def anchor_columns(self, rel_tol: float) -> AnchorColumns:
         """Algorithm 2's anchor state, one entry per stored fingerprint.
 
         ``(has_pair, anchor, denominator)`` as
         :func:`~repro.core.fingerprint.rows_anchor_columns` computes them,
-        cached per tolerance: only rows past the watermark (appended or
-        adopted since the last call) are computed, so a probe reads what
-        the scalar path re-derives for every candidate.
+        cached per tolerance: only rows past the watermark are computed,
+        so a probe reads what the scalar path re-derives for every
+        candidate.
         """
-        columns, filled = self._anchors.get(rel_tol) or (
-            tuple(
-                np.empty(len(self.matrix), dtype=dtype)
-                for dtype in (bool, np.int64, np.float64)
+        return self._filled(
+            self._anchors,
+            rel_tol,
+            (bool, np.int64, np.float64),
+            lambda start: rows_anchor_columns(
+                self.matrix[start : self.count], rel_tol
             ),
-            0,
         )
-        if filled < self.count:
-            fresh = rows_anchor_columns(
-                self.matrix[filled : self.count], rel_tol
-            )
-            for column, values in zip(columns, fresh):
-                column[filled : self.count] = values
-            self._anchors[rel_tol] = (columns, self.count)
-        return tuple(c[: self.count] for c in columns)
+
+    def pair_columns(self, rel_tol: float) -> tuple:
+        """The anchor columns, then the ratio prefilter's ``(ratio,
+        slack)`` as :func:`~repro.core.mapping.rows_ratio_columns` computes
+        them — what the block probe's broadcast front reads.  The ratio
+        columns are cached beside the anchor columns under a watermark of
+        their own, so only block probes pay for them.
+        """
+        anchors = self.anchor_columns(rel_tol)
+        return anchors + self._filled(
+            self._ratios,
+            rel_tol,
+            (np.float64, np.float64),
+            lambda start: rows_ratio_columns(
+                self.matrix[start : self.count],
+                tuple(column[start:] for column in anchors),
+            ),
+        )
 
 
 class CandidateKeys:

@@ -194,7 +194,9 @@ class MappingFamily(ABC):
     #: ``find_pairs``, its two fronts (see :class:`LinearMappingFamily`):
     #: it can decide a whole block's ragged (probe x candidate) pair set
     #: in one pass, which is what lets
-    #: :meth:`repro.core.basis.BasisStore.block_probe` speculate.
+    #: :meth:`repro.core.basis.BasisStore.block_probe` speculate.  The
+    #: broadcast front screens a shared list's pair grid before fitting
+    #: it; both fronts fit and validate an explicit pair list.
     #: Families without one answer block probes one probe at a time.
     supports_find_block: bool = False
 
@@ -433,74 +435,46 @@ class LinearMappingFamily(MappingFamily):
         ``count`` rows of ``targets``) with every candidate
         ``sources[rows]``, in that order.  ``anchors`` is the matrix's
         :func:`~repro.core.fingerprint.rows_anchor_columns` when the
-        caller keeps them.  Returns ``(first, build)``: ``first[p]`` is the
-        index into probe ``p``'s ``rows`` of its first candidate with a
-        valid mapping (−1: none — FindMatch keeps only the first), and
-        ``build(p)`` is that mapping.
+        caller keeps them, optionally followed by its
+        :func:`rows_ratio_columns` (the columnar store caches all five).
+        Returns ``(first, build)``: ``first[p]`` is the index into probe
+        ``p``'s ``rows`` of its first candidate with a valid mapping (−1:
+        none — FindMatch keeps only the first), and ``build(p)`` is that
+        mapping.
 
-        Each pair's verdict and mapping bits are :meth:`find`'s.  What
-        ``find`` derives from its target — constancy, the tolerance — is
-        derived row-wise by the same IEEE operations; alpha and beta are
-        :meth:`find_matrix`'s expressions broadcast over a group; and the
-        pairs of *all* groups are flattened (group by group, probe by
-        probe) into the pair columns :func:`_first_valid_pairs` decides.
+        Each pair's verdict and mapping bits are :meth:`find`'s.  Every
+        (probe x candidate) pair of a group is first put through the
+        :func:`_ratio_screen` — a conservative bound, four array passes
+        over the group's grid, that keeps every pair the exact screen
+        could accept — and only its survivors, about one per probe, are
+        fitted and validated: flattened group by group, probe by probe,
+        into the explicit pair list :func:`_first_valid_pairs` decides.
+        So ``array`` still examines every pair, and no verdict moves.
         """
-        has_pair, anchor, denominator = (
-            anchors
-            if anchors is not None
-            else rows_anchor_columns(sources, rel_tol)
-        )
-        varying, tol = _targets_state(targets, rel_tol, abs_tol)
-        last = sources.shape[1] - 1
-        columns = []
-        start = 0
+        if anchors is None:
+            anchors = rows_anchor_columns(sources, rel_tol)
+        ratio, slack = anchors[3:] or rows_ratio_columns(sources, anchors)
+        state = _targets_state(targets, rel_tol, abs_tol)
+        survivors, start = [], 0
         for count, rows in groups:
             probes = slice(start, start + count)
+            keep = _ratio_screen(
+                targets[probes],
+                anchors[1][rows],
+                ratio[rows],
+                slack[rows],
+                *(column[probes] for column in state),
+            )
+            probe, candidate = np.nonzero(keep)
+            survivors.append((probe + start, candidate, rows[candidate]))
             start += count
-            picked = targets[probes]
-            fitted = _fit_pairs(
-                np.take(picked, anchor[rows], axis=1),
-                picked[:, :1],
-                sources[rows, 0],
-                has_pair[rows],
-                denominator[rows],
-                varying[probes][:, None],
-            )
-            columns.append(
-                tuple(column.ravel() for column in fitted)
-                + (
-                    np.tile(sources[rows, last], count),
-                    np.repeat(picked[:, last], len(rows)),
-                    np.repeat(tol[probes], len(rows)),
-                )
-            )
-        columns = (
-            columns[0]
-            if len(columns) == 1
-            else [np.concatenate(column) for column in zip(*columns)]
-        )
-
-        # Flat pair number -> (probe, index into its rows, source row).
-        counts = np.array([count for count, _ in groups])
-        widths = np.array([len(rows) for _, rows in groups])
-        pair_starts = np.cumsum(counts * widths) - counts * widths
-        probe_starts = np.cumsum(counts) - counts
-        row_starts = np.cumsum(widths) - widths
-        every_row = np.concatenate([rows for _, rows in groups])
-
-        def locate(pairs: np.ndarray):
-            group = np.searchsorted(pair_starts, pairs, side="right") - 1
-            probe, candidate = np.divmod(
-                pairs - pair_starts[group], widths[group]
-            )
-            return (
-                probe + probe_starts[group],
-                candidate,
-                every_row[row_starts[group] + candidate],
-            )
-
         return _first_valid_pairs(
-            sources, targets, tol, columns, locate, backend
+            sources,
+            targets,
+            *map(np.concatenate, zip(*survivors)),
+            anchors,
+            state,
+            backend,
         )
 
     def find_pairs(
@@ -522,30 +496,20 @@ class LinearMappingFamily(MappingFamily):
         against ``targets[probes[k]]`` and is the probe's candidate number
         ``candidates[k]``.  Pairs ascend probe by probe, candidate by
         candidate.  ``first[p]`` is the candidate number of probe ``p``'s
-        first valid pair (−1: none); everything behind the pair columns
-        is :meth:`find_block`'s.
+        first valid pair (−1: none); the pair list is decided by
+        :func:`_first_valid_pairs`, as :meth:`find_block`'s survivors are.
         """
-        has_pair, anchor, denominator = (
+        return _first_valid_pairs(
+            sources,
+            targets,
+            probes,
+            candidates,
+            rows,
             anchors
             if anchors is not None
-            else rows_anchor_columns(sources, rel_tol)
-        )
-        varying, tol = _targets_state(targets, rel_tol, abs_tol)
-        last = sources.shape[1] - 1
-        columns = _fit_pairs(
-            targets[probes, anchor[rows]],
-            targets[probes, 0],
-            sources[rows, 0],
-            has_pair[rows],
-            denominator[rows],
-            varying[probes],
-        ) + (sources[rows, last], targets[probes, last], tol[probes])
-
-        def locate(pairs: np.ndarray):
-            return probes[pairs], candidates[pairs], rows[pairs]
-
-        return _first_valid_pairs(
-            sources, targets, tol, columns, locate, backend
+            else rows_anchor_columns(sources, rel_tol),
+            _targets_state(targets, rel_tol, abs_tol),
+            backend,
         )
 
 
@@ -559,71 +523,153 @@ def _targets_state(
     return varying, tol
 
 
-def _fit_pairs(anchored, first, offset, fits, denominator, moves):
-    """Algorithm 2's candidate map for every pair, one array pass.
+#: The ratio prefilter's rounding constants (:func:`_ratio_screen` derives
+#: them): ``K`` bounds the relative rounding of the pair kernel's eight
+#: operations and the prefilter's own, ``c`` the rounding of the bound.
+#: Constants of that bound, not tunables.
+_RATIO_ULPS = 64 * float(np.finfo(np.float64).eps)
+_TOL_MARGIN = 1.001
 
-    Operands broadcast against each other — ``(probes, 1)`` against
-    ``(candidates,)`` for a shared list, one entry per pair for an
-    explicit one: ``anchored`` / ``first`` are the target's anchor and
-    first entries, ``offset`` / ``fits`` / ``denominator`` the source's
-    first entry and anchor state, ``moves`` whether the target varies.
-    Returns ``(alpha, beta, fit, shift)``: ``fit`` pairs still need
-    validating, ``shift`` pairs (constant onto constant: pure shift) are
-    accepted as they are, the rest cannot match.
+
+def rows_ratio_columns(
+    matrix: np.ndarray, anchors
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ratio prefilter's per-source state, one array pass.
+
+    ``anchors`` are the matrix's
+    :func:`~repro.core.fingerprint.rows_anchor_columns`.  Returns ``(ratio,
+    slack)``: ``ratio = (s_L - s_0) / d``, where the last entry ``s_L``
+    sits on the line through the source's anchors (``d`` is the anchor
+    denominator), and ``slack = K * ((|s_0| + |s_a| + |s_L|) / |d| +
+    |ratio|)``, its rounding allowance (:func:`_ratio_screen`).  Rows
+    without an anchor pair (constant sources) carry NaN, which the screen
+    always keeps.  Like the anchor columns, both depend on the row and the
+    tolerance alone.
     """
-    # In place (``anchored`` is the caller's fresh gather): a block's pair
-    # arrays are large enough that every temporary is a fresh trip to the
-    # allocator.  A constant source has no slope: it divides by one here
-    # and is kept out of `fit`.
-    alpha = anchored
-    alpha -= first
-    alpha /= np.where(fits, denominator, 1.0)
-    beta = alpha * offset
-    np.subtract(first, beta, out=beta)
-    shift = ~moves & ~fits
-    if bool(shift.any()):
-        alpha[shift] = 1.0
-        beta[shift] = (first - offset)[shift]
-    return alpha, beta, moves & fits, shift
+    has_pair, anchor, denominator = anchors[:3]
+    first, last = matrix[:, 0], matrix[:, -1]
+    spread = np.where(has_pair, denominator, np.nan)
+    with np.errstate(all="ignore"):
+        ratio = (last - first) / spread
+        bulk = np.abs(first) + np.abs(matrix[np.arange(len(matrix)), anchor])
+        bulk += np.abs(last)
+        slack = _RATIO_ULPS * (bulk / np.abs(spread) + np.abs(ratio))
+    return ratio, slack
 
 
-def _first_valid_pairs(sources, targets, tol, columns, locate, backend):
+def _ratio_screen(targets, anchor, ratio, slack, varying, tol):
+    """Which (probe x candidate) pairs the exact screen could accept.
+
+    ``targets`` are a group's probes and ``anchor`` / ``ratio`` / ``slack``
+    its candidates' columns (:func:`rows_ratio_columns`); returns the
+    ``(probes, candidates)`` keep mask.  A pair is dropped only when
+    ``|ratio_s - ratio_t| - W_s > W_t``, with ``ratio_t = (t_L - t_0) /
+    (t_a - t_0)`` on the *source's* anchor column ``a`` and ``W_t = (c *
+    tol_t + K * (|t_0| + |t_a| + |t_L|)) / |t_a - t_0| + K * |ratio_t|``.
+    Written as ``~(x > y)``, so a NaN or an infinity anywhere keeps the
+    pair; constant sources (NaN ``ratio_s``) and targets that do not vary
+    (NaN ``ratio_t``) are always kept, for the pure-shift and degenerate
+    rules to decide.
+
+    Why nothing the kernel accepts is dropped, to first order in the unit
+    roundoff ``e = eps / 2``.  With ``d = fl(s_a - s_0)`` and ``u = fl(t_a
+    - t_0)`` the kernel computes ``alpha = fl(u / d)``, ``beta = fl(t_0 -
+    fl(alpha s_0))`` and accepts the last column when ``|fl(fl(fl(alpha
+    s_L) + beta) - t_L)| <= tol_t``.  In exact arithmetic that deviation
+    is ``D = u (ratio_s - ratio_t)`` with ``ratio_s = (s_L - s_0) / d``
+    and ``ratio_t = (t_L - t_0) / u``; each of the kernel's eight
+    operations adds a relative ``e`` to one of its terms, so the computed
+    one is ``D + E`` with ``|E| <= e (|u| |ratio_s| + 3 |alpha| (|s_0| +
+    |s_L|) + 2 |t_0|)``, and ``|alpha| = |u| / |d| (1 + e)``.  Acceptance
+    thus gives ``|ratio_s - ratio_t| <= tol_t (1 + e) / |u| + e |ratio_s|
+    + 3 e (|s_0| + |s_L|) / |d| + 2 e |t_0| / |u|``.  Rounding the two
+    ratios (two operations each) and this screen's difference and
+    subtraction adds at most ``4 e (|ratio_s| + |ratio_t|)``.  ``K = 64
+    eps = 128 e`` covers every coefficient (the largest is 5) with the
+    rounding of ``W_s`` and ``W_t`` themselves to spare, and ``c = 1.001``
+    covers ``tol_t (1 + e)``.  The terms ``K (|s_0| + |s_a|) / |d|`` and
+    ``K (|t_0| + |t_a|) / |u|`` are at least about ``K``, an absolute
+    floor far above any subnormal rounding of the ratios; the kernel's
+    own subnormal rounding (absolute, ``2^-1074`` an operation) is
+    covered by ``(c - 1) tol_t`` for any tolerance above ``1e-300``.  An
+    overflow in the kernel makes its deviation infinite or NaN, which it
+    rejects.
+    """
+    origin, end = targets[:, :1], targets[:, -1:]
+    # Gathered candidates share one anchor column in the common case.
+    anchored = (
+        targets[:, anchor[:1]]
+        if bool((anchor == anchor[:1]).all())
+        else np.take(targets, anchor, axis=1)
+    )
+    with np.errstate(all="ignore"):
+        spread = anchored - origin
+        image = (end - origin) / spread
+        image[~varying] = np.nan
+        bulk = np.abs(origin) + np.abs(anchored)
+        bulk += np.abs(end)
+        bulk *= _RATIO_ULPS
+        bulk += _TOL_MARGIN * tol[:, None]
+        width = bulk / np.abs(spread) + _RATIO_ULPS * np.abs(image)
+        gap = ratio - image
+        np.abs(gap, out=gap)
+        gap -= slack
+        return ~(gap > width)
+
+
+def _first_valid_pairs(
+    sources, targets, probes, candidates, rows, anchors, state, backend
+):
     """The pair kernel's back half: first valid pair per probe.
 
-    ``columns`` holds one entry per pair — ``(alpha, beta, fit, valid,
-    source, target, bound)``, the last three being the pair's last-column
-    source and target entries and its bound — and ``locate(pairs)`` names
-    each pair's ``(probe, candidate, source row)``.  All ``fit`` pairs go
-    through one ``affine_validate`` launch on the last column — the
-    :func:`_rows_affine_valid` screen with a target entry and a bound per
-    pair — then one full-width launch on the survivors; ``valid`` arrives
-    holding the pairs accepted without validation.  Returns ``(first,
-    build)`` as :meth:`LinearMappingFamily.find_block` documents them.
+    Pair ``k`` tests ``sources[rows[k]]`` against ``targets[probes[k]]``
+    and is that probe's candidate number ``candidates[k]``; pairs ascend
+    probe by probe, candidate by candidate.  ``anchors`` are the sources'
+    anchor columns and ``state`` the targets' :func:`_targets_state`.
+    Algorithm 2's candidate map is fitted per pair by :meth:`find_matrix`'s
+    expressions: a constant source onto a constant target is accepted by
+    pure shift, a non-constant source onto a varying target is validated,
+    the rest cannot match.  Validation is one ``affine_validate`` launch on
+    the last column — the :func:`_rows_affine_valid` screen with a target
+    entry and a bound per pair — then one full-width launch on the
+    survivors.  Returns ``(first, build)`` as
+    :meth:`LinearMappingFamily.find_block` documents them.
     """
     from repro.core.backend import resolve_backend
 
     validate = resolve_backend(backend).affine_validate
-    alpha, beta, fit, valid, source, target, bound = columns
-    passed = np.nonzero(
-        fit & validate(source[:, None], alpha, beta, target[:, None], bound)
-    )[0]
+    has_pair, anchor, denominator = anchors[:3]
+    varying, tol = state
+    fits, moves = has_pair[rows], varying[probes]
+    origin, offset = targets[probes, 0], sources[rows, 0]
+    # A constant source has no slope: it divides by one here and is kept
+    # out of validation.
+    alpha = targets[probes, anchor[rows]] - origin
+    alpha /= np.where(fits, denominator[rows], 1.0)
+    beta = origin - alpha * offset
+    valid = ~moves & ~fits
+    alpha[valid] = 1.0
+    beta[valid] = (origin - offset)[valid]
+    bound = tol[probes]
+    screened = validate(
+        sources[rows, -1:], alpha, beta, targets[probes, -1:], bound
+    )
+    passed = np.nonzero(moves & fits & screened)[0]
     if len(passed):
-        probes, _, rows = locate(passed)
         valid[passed] = validate(
-            sources[rows],
+            sources[rows[passed]],
             alpha[passed],
             beta[passed],
-            targets[probes],
-            tol[probes],
+            targets[probes[passed]],
+            bound[passed],
         )
     # Valid pairs ascend probe by probe, candidate by candidate, so a
     # probe's first occurrence is the scalar loop's first match.
     hits = np.nonzero(valid)[0]
-    probes, candidates, _ = locate(hits)
-    winners, at = np.unique(probes, return_index=True)
-    first = np.full(len(targets), -1)
-    first[winners] = candidates[at]
+    winners, at = np.unique(probes[hits], return_index=True)
     won = hits[at]
+    first = np.full(len(targets), -1)
+    first[winners] = candidates[won]
     fitted = dict(
         zip(winners.tolist(), zip(alpha[won].tolist(), beta[won].tolist()))
     )

@@ -51,7 +51,11 @@ from repro.core import persist
 from repro.core.basis import BasisStore, EvictionPolicy
 from repro.core.fingerprint import Fingerprint, rows_anchor_columns
 from repro.core.index import INDEX_STRATEGIES
-from repro.core.mapping import LinearMappingFamily, MonotoneMappingFamily
+from repro.core.mapping import (
+    LinearMappingFamily,
+    MonotoneMappingFamily,
+    rows_ratio_columns,
+)
 
 # Small integer grids: collisions (duplicate bases, shared buckets, ties,
 # constants) are the interesting cases, and every affine image below is
@@ -61,13 +65,17 @@ fingerprints = st.sampled_from([5, 5, 5, 3]).flatmap(
     lambda size: st.lists(_values, min_size=size, max_size=size)
 ).map(lambda values: Fingerprint(tuple(values)))
 
-#: (kind, pick, alpha, beta, fresh): how to build one probe from the
-#: machine's current state — see ``StoreMachine._probe``.
+#: (kind, pick, alpha, beta, nudge, fresh): how to build one probe from
+#: the machine's current state — see ``StoreMachine._probe``.  An ``edge``
+#: probe is an exact image with its last entry moved ``nudge`` probe
+#: tolerances: both sides of the pair screen, and of the block probe's
+#: ratio prefilter in front of it.
 probe_specs = st.tuples(
-    st.sampled_from(["image", "image", "retired", "fresh"]),
+    st.sampled_from(["image", "image", "edge", "retired", "fresh"]),
     st.integers(min_value=0, max_value=10**6),
     st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]),
     st.sampled_from([-1.0, 0.0, 2.5]),
+    st.sampled_from([0.5, 0.999, 1.001, 2.0, -0.5, -0.999, -1.001, -2.0]),
     fingerprints,
 )
 
@@ -204,12 +212,17 @@ class StoreMachine(RuleBasedStateMachine):
     # -- helpers ------------------------------------------------------------
 
     def _probe(self, spec):
-        kind, pick, alpha, beta, fresh = spec
-        if kind == "image" and self.naive.entries:
+        kind, pick, alpha, beta, nudge, fresh = spec
+        if kind in ("image", "edge") and self.naive.entries:
             source = self.naive.entries[pick % len(self.naive.entries)]
-            return Fingerprint(
-                tuple(alpha * v + beta for v in source.fingerprint.values)
-            )
+            values = [alpha * v + beta for v in source.fingerprint.values]
+            if kind == "edge":
+                # The tolerance ``find`` validates this probe against.
+                scale = Fingerprint(tuple(values)).scale()
+                values[-1] += nudge * max(
+                    self.naive.rel_tol * max(scale, 1.0), self.naive.abs_tol
+                )
+            return Fingerprint(tuple(values))
         if kind == "retired" and self.retired:
             return _copy(self.retired[pick % len(self.retired)])
         return fresh
@@ -372,13 +385,22 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def anchor_columns_equal_from_scratch(self):
         """Checked as maintained — nothing is filled here, so partially
-        filled columns reach the growth, compaction and adoption steps."""
+        filled columns reach the growth, compaction and adoption steps.
+        The ratio prefilter's columns, under their own watermark, too."""
         if not hasattr(self, "store"):
             return
         for block in self.store.columnar._blocks.values():
             for rel_tol, (columns, filled) in block._anchors.items():
                 assert filled <= block.count
                 fresh = rows_anchor_columns(block.matrix[:filled], rel_tol)
+                for have, want in zip(columns, fresh):
+                    np.testing.assert_array_equal(have[:filled], want)
+            for rel_tol, (columns, filled) in block._ratios.items():
+                assert filled <= block.count
+                rows = block.matrix[:filled]
+                fresh = rows_ratio_columns(
+                    rows, rows_anchor_columns(rows, rel_tol)
+                )
                 for have, want in zip(columns, fresh):
                     np.testing.assert_array_equal(have[:filled], want)
 

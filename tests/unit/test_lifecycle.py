@@ -41,6 +41,7 @@ from repro.core.mapping import (
     MonotoneMappingFamily,
     ScaleMappingFamily,
     ShiftMappingFamily,
+    rows_ratio_columns,
 )
 from repro.core.seeds import SeedBank
 from repro.errors import ApiError, LifecycleError
@@ -418,12 +419,22 @@ def assert_anchor_columns_from_scratch(store):
                 np.testing.assert_array_equal(have[:filled], column[:filled])
         for have, column in zip(block.anchor_columns(store.rel_tol), want):
             np.testing.assert_array_equal(have, column)
+        # The ratio prefilter's columns, under a watermark of their own.
+        ratios = rows_ratio_columns(matrix, want)
+        for columns, filled in block._ratios.values():
+            assert filled <= block.count
+            for have, column in zip(columns, ratios):
+                np.testing.assert_array_equal(have[:filled], column[:filled])
+        for have, column in zip(block.pair_columns(store.rel_tol)[3:], ratios):
+            np.testing.assert_array_equal(have, column)
 
 
 class TestAnchorColumnsLifecycle:
     """The blocks' cached Algorithm 2 anchors (``has_pair``, ``anchor``,
     ``denominator``) fill lazily behind a watermark; every lifecycle step
-    must leave them equal to a from-scratch ``rows_first_distinct``."""
+    must leave them equal to a from-scratch ``rows_first_distinct`` (and
+    the ratio prefilter's columns beside them to a from-scratch
+    ``rows_ratio_columns``)."""
 
     @staticmethod
     def fingerprints(count, start=0):

@@ -21,6 +21,7 @@ from repro.core.backend import (
     create_backend,
 )
 import repro.core.basis as basis_module
+import repro.core.mapping as mapping_module
 from repro.core.basis import BasisStore, EvictionPolicy, MatchResult
 from repro.core.columnar import CandidateKeys
 from repro.core.fingerprint import (
@@ -718,6 +719,31 @@ class TestBlockProbeIndexCases:
         assert blocked.get(0).hits == 0
 
 
+class PrefilterSpy:
+    """Per ``find_block`` launch, ``(cells, kept)``: how many (probe x
+    candidate) pairs its ratio prefilter examined and how many it kept."""
+
+    def __init__(self, monkeypatch):
+        self.launches = []
+        screen = mapping_module._ratio_screen
+        find_block = LinearMappingFamily.find_block
+
+        def spied_screen(*args):
+            keep = screen(*args)
+            cells, kept = self.launches[-1]
+            self.launches[-1] = (cells + keep.size, kept + int(keep.sum()))
+            return keep
+
+        def spied_find_block(family, *args, **kwargs):
+            self.launches.append((0, 0))
+            return find_block(family, *args, **kwargs)
+
+        monkeypatch.setattr(mapping_module, "_ratio_screen", spied_screen)
+        monkeypatch.setattr(
+            LinearMappingFamily, "find_block", spied_find_block
+        )
+
+
 class TestBlockProbeRules:
     def block(self, count):
         store = build_store("linear", "array", "mixed", True)
@@ -733,8 +759,11 @@ class TestBlockProbeRules:
     def test_launches_split_past_the_pair_budget(self, monkeypatch, budget):
         """Six probes x the six same-size bases of the seven stored, plus
         a second candidate list: every probe is still speculated, in as
-        many launches as the budget makes necessary."""
+        many launches as the budget makes necessary — no launch's ratio
+        prefilter grid holds more than the budget (or one probe's row),
+        and the exact screen sees only the pairs the prefilter kept."""
         monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", budget)
+        grids = PrefilterSpy(monkeypatch)
         spy = TestValidationScreen.Spy()
         store, probes = self.block(6)
         store.backend = spy
@@ -743,7 +772,9 @@ class TestBlockProbeRules:
         handle = assert_block_parity(reference, store, probes)
         assert len(handle._found) == len(probes)
         screens = [rows for (rows, width), _ in spy.shapes if width == 1]
-        assert sum(screens) == 6 * 6 + 2 * 1
+        assert sum(cells for cells, _ in grids.launches) == 6 * 6 + 2 * 1
+        assert max(cells for cells, _ in grids.launches) <= max(budget, 6)
+        assert screens == [kept for _, kept in grids.launches]
         assert max(screens) <= max(budget, 6)
 
     def test_match_batch_is_one_block(self):
@@ -757,10 +788,12 @@ class TestBlockProbeRules:
         ]
         assert batched.stats.as_dict() == reference.stats.as_dict()
 
-    def test_one_ragged_launch_per_block(self):
+    def test_one_ragged_launch_per_block(self, monkeypatch):
         """All (probe x candidate) pairs of a block — two candidate lists
-        of different lengths here — are screened in one launch with a
+        of different lengths here — go through the ratio prefilter in one
+        launch; the pairs it keeps are screened in one launch with a
         target entry per pair, the survivors in one more."""
+        grids = PrefilterSpy(monkeypatch)
         spy = TestValidationScreen.Spy()
         fingerprints = [WIDE, _cubic(WIDE), _affine(WIDE, 2.0, 0.0)] + [
             _affine(WIDE, -1.0, float(shift)) for shift in range(1, 3)
@@ -770,8 +803,10 @@ class TestBlockProbeRules:
         probes = [_affine(WIDE, 3.0, 1.0)] * 3 + [_affine(WIDE, -3.0, 1.0)] * 2
         handle = store.block_probe(probes)
         # Ascending probes see [0, 1, 2] then the descending bucket
-        # [3, 4]; descending probes the reverse.
-        assert spy.shapes == [((25, 1), (25, 1)), ((20, 7), (20, 7))]
+        # [3, 4]; descending probes the reverse.  Every probe is an image
+        # of WIDE, so only the cubic's five pairs fall to the prefilter.
+        assert grids.launches == [(25, 20)]
+        assert spy.shapes == [((20, 1), (20, 1)), ((20, 7), (20, 7))]
         assert [handle._found[i][0] for i in range(5)] == [0, 0, 0, 0, 0]
 
 
