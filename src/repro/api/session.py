@@ -60,6 +60,7 @@ from repro.api.messages import (
     StatsRequest,
     StatsResponse,
 )
+from repro.core.backend import active_backend
 from repro.core.basis import BasisStore, EvictionPolicy
 from repro.core.estimator import Estimator
 from repro.core.fingerprint import Fingerprint
@@ -78,7 +79,6 @@ class Session:
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
         eviction: Optional[EvictionPolicy] = None,
-        backend=None,
     ):
         if stores is None:
             stores = BasisStore(estimator=estimator)
@@ -87,18 +87,6 @@ class Session:
         if not stores:
             raise ApiError("a session needs at least one store")
         self._stores: Dict[str, BasisStore] = dict(stores)
-        #: Compute backend shared by this session's stores.  ``None``
-        #: leaves each store's own (constructor-resolved) backend in
-        #: place; a name or instance is resolved once and installed on
-        #: every store, so the whole session shares one
-        #: verification/degrade scope and ``stats()`` reports it.
-        self.backend = None
-        if backend is not None:
-            from repro.core.backend import resolve_backend
-
-            self.backend = resolve_backend(backend)
-            for store in self._stores.values():
-                store.backend = self.backend
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self.estimator = estimator
         #: Standing eviction bound, re-applied to a store after every
@@ -117,7 +105,6 @@ class Session:
         index_strategy: str = "normalization",
         estimator: Optional[Estimator] = None,
         seed_bank: Optional[SeedBank] = None,
-        backend=None,
     ) -> "Session":
         """A fresh single-store session (cold start)."""
         store = BasisStore(
@@ -125,9 +112,7 @@ class Session:
             index_strategy=index_strategy,
             estimator=estimator,
         )
-        return cls(
-            store, seed_bank=seed_bank, estimator=estimator, backend=backend
-        )
+        return cls(store, seed_bank=seed_bank, estimator=estimator)
 
     @classmethod
     def open(
@@ -137,7 +122,6 @@ class Session:
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
         mmap: bool = True,
-        backend=None,
     ) -> "Session":
         """Open a snapshot as a warm session (zero-copy mmap by default).
 
@@ -161,9 +145,7 @@ class Session:
             estimator=estimator,
             mmap=mmap,
         )
-        return cls(
-            stores, seed_bank=bank, estimator=estimator, backend=backend
-        )
+        return cls(stores, seed_bank=bank, estimator=estimator)
 
     def save(self, path: str, metadata: Optional[dict] = None) -> None:
         """Atomically snapshot every store (see :mod:`repro.core.persist`)."""
@@ -309,7 +291,7 @@ class Session:
                     for name, store in sorted(self._stores.items())
                 },
                 backend={
-                    name: store.backend.describe(store.columnar_check)
+                    name: active_backend().describe(store.columnar_check)
                     for name, store in sorted(self._stores.items())
                 },
                 request_id=request.request_id,

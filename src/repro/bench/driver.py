@@ -4,7 +4,7 @@ Usage (``benchmarks/run_all.py`` is this module's ``main``)::
 
     python benchmarks/run_all.py [--scale smoke|quick|paper] [--workers N]
                                  [--only FIGURE] [--rtol R [--confidence C]]
-                                 [--warm-store DIR] [--backend NAME]
+                                 [--warm-store DIR]
                                  [--checkpoint DIR] [--out results.txt]
                                  [--bench-out BENCH_run_all.json]
                                  [--data-out figure_data.json]
@@ -40,8 +40,7 @@ from typing import Dict, Optional
 
 from repro.bench.figures import FIGURES
 from repro.core.adaptive import AdaptiveBudget
-from repro.core.backend import use_backend
-from repro.errors import BackendError, EstimatorError
+from repro.errors import EstimatorError
 from repro.util import timing
 
 REPO_ROOT = os.path.dirname(
@@ -66,17 +65,13 @@ def provenance(document: dict) -> Dict[str, object]:
     * ``adaptive`` — an adaptive stopping policy draws fewer samples by
       design;
     * ``warm_store`` — a warm start reuses prior-run bases, so its
-      counters reflect cross-run amortization;
-    * ``backend`` — likewise the numpy run is the reference: another
-      backend's counters equal it by contract, never the other way
-      round.
+      counters reflect cross-run amortization.
     """
     return {
         "scale": document.get("scale"),
         "workers": document.get("workers", 1),
         "adaptive": document.get("adaptive"),
         "warm_store": bool(document.get("warm_store", False)),
-        "backend": document.get("backend"),
     }
 
 
@@ -213,13 +208,6 @@ def _parser() -> argparse.ArgumentParser:
         "estimates exactly; figures then record warm_reuse_fraction",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend for the sampling/matching kernels (see "
-        "repro.core.backend; default: the always-on numpy reference); "
-        "unknown or unavailable names are refused",
-    )
-    parser.add_argument(
         "--checkpoint",
         default=None,
         help="persist the explorer sweeps' completed-shard outcomes under "
@@ -258,16 +246,6 @@ def main(argv=None) -> int:
                 f"unknown experiment {args.only!r}; choose from "
                 f"{sorted(figure.name for figure in FIGURES)}"
             )
-    if args.backend is not None:
-        # Installed process-wide before any figure builds a store, so
-        # every sweep (and every fork-pool shard worker, through the
-        # pool initializer) runs the selected kernels.  Refusal is loud:
-        # an unknown or unavailable name must never degrade silently.
-        try:
-            use_backend(args.backend)
-        except BackendError as error:
-            parser.error(str(error))
-
     adaptive = None
     if args.rtol is not None:
         try:
@@ -317,8 +295,6 @@ def main(argv=None) -> int:
         }
     if warm_store is not None:
         bench["warm_store"] = True
-    if args.backend is not None:
-        bench["backend"] = args.backend
 
     sections = []
     data_doc = {}

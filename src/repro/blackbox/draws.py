@@ -50,18 +50,12 @@ def _seed_array(rng_seeds) -> np.ndarray:
 class StandardDrawCache:
     """Memoized standard draws — and arrays derived from them — keyed by
     (seed bank slice, kinds[, tag]).
-
-    ``backend`` pins the compute backend used for cache fills (default:
-    the process-active one, resolved per fill).  The cache key is
-    backend-independent on purpose: every backend returns the same bits
-    or degrades trying, so entries are interchangeable across backends.
     """
 
-    def __init__(self, max_floats: int = 16_000_000, backend=None):
+    def __init__(self, max_floats: int = 16_000_000):
         if max_floats < 0:
             raise ValueError("max_floats must be non-negative")
         self.max_floats = max_floats
-        self.backend = backend
         self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._floats_cached = 0
         self._hits = 0
@@ -78,7 +72,7 @@ class StandardDrawCache:
         kinds = tuple(kinds)
         return self._entry(
             (seeds.tobytes(), kinds),
-            lambda: fastrng.draw_matrix(seeds, kinds, backend=self.backend),
+            lambda: fastrng.draw_matrix(seeds, kinds),
         )
 
     def derived(
@@ -111,7 +105,7 @@ class StandardDrawCache:
         # Drawn whole — the kernel loops over stream positions, so a row
         # chunk of it costs nearly what the whole slice does — and dropped
         # once built; only ``build``'s temporaries are chunk-sized.
-        draws = fastrng.draw_matrix(seeds, kinds, backend=self.backend)
+        draws = fastrng.draw_matrix(seeds, kinds)
         count = seeds.shape[0]
         entry = None
         # An empty slice still takes one (empty) block: it fixes the shape.
@@ -200,9 +194,7 @@ bank shareable across parameter points.
 """
 
 
-def initialize_worker(
-    max_floats: Optional[int] = None, backend=None
-) -> None:
+def initialize_worker(max_floats: Optional[int] = None) -> None:
     """Reset the process-wide draw caches inside a freshly forked worker.
 
     Fork-based sweep workers inherit the parent's populated caches as
@@ -211,19 +203,10 @@ def initialize_worker(
     ``workers x parent cache`` and (b) makes worker cache stats describe
     worker work.  Semantically a no-op: every entry is a pure function of
     its key and is recomputed bit-identically on demand.
-
-    ``backend`` (a registered name) re-selects the parent's compute
-    backend explicitly with fresh per-worker verification state — the
-    fork would inherit the parent's instance anyway, but a worker should
-    self-test on its own host image rather than trust inherited flags.
     """
     if max_floats is not None:
         if max_floats < 0:
             raise ValueError("max_floats must be non-negative")
         DEFAULT_DRAW_CACHE.max_floats = max_floats
-    if backend is not None:
-        from repro.core.backend import use_backend
-
-        use_backend(backend)
     DEFAULT_DRAW_CACHE.clear()
     _DERIVED_SEED_CACHE.clear()

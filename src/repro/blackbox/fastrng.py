@@ -18,14 +18,11 @@ is seeded and drawn in a handful of numpy operations:
 
 Bit-exactness contract: every value produced here is verified to equal the
 scalar :class:`repro.blackbox.rng.DeterministicRng` output.  A self-test
-(:func:`fast_path_available`) runs once per *backend instance* — the block
-fill itself routes through the pluggable compute seam, and the self-test
-is one :class:`repro.core.backend.VerifyThenDegrade` check held by the
-backend instance, so one surprising host (or one lying accelerated
-kernel) degrades that instance to the per-seed ``Generator`` path without
-leaking the degrade across unrelated stores, tests, or backends.
-:func:`fast_path_status` exposes the state; :func:`reset_fast_path`
-re-arms it (test-only).
+(:func:`fast_path_available`) runs once per process — one
+:class:`repro.core.backend.VerifyThenDegrade` check, so one surprising
+host degrades the process to the per-seed ``Generator`` path, with one
+warning.  :func:`fast_path_status` exposes the state;
+:func:`reset_fast_path` re-arms it (test-only).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.blackbox import ziggurat_tables as _zt
-from repro.core.backend import BackendArg, resolve_backend
+from repro.core.backend import active_backend
 from repro.core.seeds import derive_seed_array
 
 # Standard-draw kind names used throughout the batch sampling paths.
@@ -284,22 +281,19 @@ def _draw_matrix_scalar(seeds: np.ndarray, kinds: Tuple[str, ...]) -> np.ndarray
     ).reshape(len(seeds), len(kinds))
 
 
-def fast_path_available(backend: BackendArg = None) -> bool:
+def fast_path_available() -> bool:
     """Self-test the vectorized stream against the host numpy, once per
-    backend instance.
+    process.
 
-    Compares :func:`draw_matrix`'s vector path — routed through the given
-    (default: process-active) compute backend — to per-seed ``Generator``
+    Compares :func:`draw_matrix`'s vector path to per-seed ``Generator``
     output over a spread of seeds (including ziggurat-rejection lanes),
-    under the backend's ``stream_check``
+    under the process's ``stream_check``
     (:class:`~repro.core.backend.VerifyThenDegrade`).  On a mismatch, or
-    if the vector path raises (the warning then names the exception),
-    *that backend instance* permanently falls back to the scalar path, so
-    batch sampling can never silently diverge from the scalar contract;
-    other instances (other stores, other tests) are untouched.
+    if the vector path raises (the warning then names the exception), the
+    process permanently falls back to the scalar path, so batch sampling
+    can never silently diverge from the scalar contract.
     """
-    backend = resolve_backend(backend)
-    check = backend.stream_check
+    check = active_backend().stream_check
     if check.remaining and not check.degraded:
         probe = np.array(
             [0, 1, 7, 12345, 2**31, 2**52 + 3, 2**63 + 11, 2**64 - 1]
@@ -309,7 +303,7 @@ def fast_path_available(backend: BackendArg = None) -> bool:
         kinds = (KIND_NORMAL, KIND_EXPONENTIAL, KIND_UNIFORM, KIND_NORMAL)
         try:
             check.run(
-                lambda: _draw_matrix_vector(probe, kinds, backend),
+                lambda: _draw_matrix_vector(probe, kinds),
                 lambda: _draw_matrix_scalar(probe, kinds),
             )
         except Exception as exc:
@@ -319,36 +313,31 @@ def fast_path_available(backend: BackendArg = None) -> bool:
     return not check.degraded
 
 
-def fast_path_status(backend: BackendArg = None) -> Dict[str, object]:
-    """Introspect one backend instance's draw fast-path state.
+def fast_path_status() -> Dict[str, object]:
+    """Introspect the process's draw fast-path state.
 
     Returns ``{"backend": <describe()>, "fast_path": "ok" | "degraded" |
-    "untested", "degraded_kernels": (...)}`` so tests and ``repro store
-    info`` can tell a healthy accelerated run from a silently-degraded
-    one.
+    "untested"}`` so tests can tell a healthy run from a
+    silently-degraded one.
     """
-    backend = resolve_backend(backend)
-    check = backend.stream_check
+    record = active_backend()
+    check = record.stream_check
     if check.degraded:
         state = "degraded"
     else:
         state = "untested" if check.remaining else "ok"
-    return {
-        "backend": backend.describe(),
-        "fast_path": state,
-        "degraded_kernels": backend.degraded_kernels(),
-    }
+    return {"backend": record.describe(), "fast_path": state}
 
 
-def reset_fast_path(backend: BackendArg = None) -> None:
-    """Re-arm one backend instance's self-test and kernel verification.
+def reset_fast_path() -> None:
+    """Re-arm the process's stream self-test.
 
-    Test-only: production code never un-degrades an instance.  The next
-    :func:`draw_matrix` call re-runs the self-test (and the backend
-    layer's first-N kernel cross-checks) from scratch, and a repeated
-    failure warns again — the warn-once latch resets with the state.
+    Test-only: production code never un-degrades the check.  The next
+    :func:`draw_matrix` call re-runs the self-test from scratch, and a
+    repeated failure warns again — the warn-once latch resets with the
+    state.
     """
-    resolve_backend(backend).reset_verification()
+    active_backend().reset()
 
 
 def _vector_draw_block(
@@ -359,8 +348,7 @@ def _vector_draw_block(
 
     Returns ``(out, ok)`` — ``ok[i]`` is False where some draw consumed
     more than one raw output (a ziggurat rejection), meaning row ``i``
-    must be replayed through a real per-seed ``Generator``.  This is the
-    ``draw_block`` kernel every compute backend must reproduce bitwise.
+    must be replayed through a real per-seed ``Generator``.
     """
     raw = raw_block(seeds, len(kinds))
     n = seeds.shape[0]
@@ -375,17 +363,15 @@ def _vector_draw_block(
 
 
 def _draw_matrix_vector(
-    seeds: np.ndarray,
-    kinds: Tuple[str, ...],
-    backend: BackendArg = None,
+    seeds: np.ndarray, kinds: Tuple[str, ...]
 ) -> np.ndarray:
-    """Vector path: backend block fill plus scalar rejection patch-up.
+    """Vector path: block fill plus scalar rejection patch-up.
 
     A lane stays on the vector path while every draw so far consumed exactly
     one raw output (always true for uniforms, ~98.5% per normal/exponential
     draw); the rest replay through a real per-seed ``Generator``.
     """
-    out, ok = resolve_backend(backend).draw_block(seeds, kinds)
+    out, ok = _vector_draw_block(seeds, kinds)
     for i in np.nonzero(~ok)[0]:
         out[i] = scalar_draw_row(int(seeds[i]), kinds)
     return out
@@ -394,16 +380,13 @@ def _draw_matrix_vector(
 def draw_matrix(
     rng_seeds: np.ndarray,
     kinds: Sequence[str],
-    backend: BackendArg = None,
 ) -> np.ndarray:
     """Standard draws ``(len(rng_seeds), len(kinds))`` of every seed's stream.
 
     Entry ``[i, j]`` equals the j-th standard draw a fresh
     ``DeterministicRng(rng_seeds[i])`` would produce when asked for the kind
     sequence ``kinds`` — the shared standard draws every location-scale
-    variate in the system is an affine function of.  ``backend`` selects
-    the compute backend for the block fill (default: the process-active
-    one); every backend returns the same bits or degrades trying.
+    variate in the system is an affine function of.
     """
     seeds = np.atleast_1d(np.asarray(rng_seeds, dtype=np.uint64))
     kinds = tuple(kinds)
@@ -412,9 +395,8 @@ def draw_matrix(
             raise ValueError(f"unknown standard draw kind {kind!r}")
     if not kinds:
         return np.empty((seeds.shape[0], 0), dtype=np.float64)
-    backend = resolve_backend(backend)
-    if fast_path_available(backend):
-        return _draw_matrix_vector(seeds, kinds, backend)
+    if fast_path_available():
+        return _draw_matrix_vector(seeds, kinds)
     return _draw_matrix_scalar(seeds, kinds)
 
 

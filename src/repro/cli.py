@@ -23,14 +23,6 @@ for covered points.  Models are resolved against
 :func:`repro.blackbox.default_registry`; applications embedding the library
 register their own boxes and call the same functions programmatically.
 
-Every simulating command accepts ``--backend NAME`` (see
-:mod:`repro.core.backend`): it selects the process-active compute
-backend before any store is built, so sampling and matching kernels —
-including the ones fork-pool shard workers run — go through that
-backend.  Unknown or unavailable names are refused up front with exit
-code 2; they never fall back silently.  ``store info`` reports which
-backend would serve the snapshot alongside the manifest summary.
-
 ``serve`` opens a snapshot as a warm :class:`~repro.api.Session` and
 serves estimate/match/refine over the socket protocol
 (:mod:`repro.serve`), printing one parseable ``SERVE_READY`` line when
@@ -68,23 +60,6 @@ from repro.interactive.plotting import render_graph
 from repro.lang.binder import BoundQuery, compile_query
 from repro.scenario import ScenarioRunner
 from repro.util.tables import format_table
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Install ``--backend`` as the process-active compute backend.
-
-    Runs before the command handler touches any store, so every
-    subsequently built :class:`~repro.core.basis.BasisStore` (and every
-    fork-pool worker, via the pool initializer) resolves to it.  Unknown
-    or unavailable names raise :class:`~repro.errors.BackendError`,
-    which ``main`` maps to exit code 2 — selection never degrades to a
-    different backend silently.
-    """
-    name = getattr(args, "backend", None)
-    if name is not None:
-        from repro.core.backend import use_backend
-
-        use_backend(name)
 
 
 def _load(path: str, registry: Optional[BlackBoxRegistry]) -> BoundQuery:
@@ -332,13 +307,7 @@ def _command_store(args: argparse.Namespace) -> int:
 
     info = snapshot_info(args.path)
     if args.action == "info":
-        from repro.core.backend import active_backend
-
-        # The manifest records what is on disk; the backend descriptor
-        # says which compute backend a load of this snapshot would use
-        # (the process-active one — snapshots never pin a backend).
-        document = dict(info, backend=active_backend().describe())
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(info, indent=2, sort_keys=True))
         return 0
     from repro.api import CompactRequest, EvictRequest, Session
 
@@ -420,20 +389,6 @@ def _open_unit_float(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError("must be strictly between 0 and 1")
     return value
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "compute backend for the sampling/matching kernels (default: "
-            "the always-on 'numpy' reference; accelerated backends "
-            "self-verify against it and refuse with exit 2 when their "
-            "optional dependency is missing)"
-        ),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "retried, application errors are not)"
             ),
         )
-        _add_backend_argument(sub)
         sub.set_defaults(handler=handler)
 
     serve = subparsers.add_parser(
@@ -554,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="materialize arrays instead of memory-mapping the snapshot",
     )
-    _add_backend_argument(serve)
     serve.set_defaults(handler=_command_serve)
 
     store = subparsers.add_parser(
@@ -601,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the snapshot in place"
         ),
     )
-    _add_backend_argument(store)
     store.set_defaults(handler=_command_store)
     return parser
 
@@ -610,7 +562,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_backend(args)
         return args.handler(args)
     except KeyboardInterrupt:
         # Interrupts inside a sweep are flushed by the command handlers;

@@ -25,12 +25,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.backend import (
-    VERIFY_CALLS,
-    BackendArg,
-    VerifyThenDegrade,
-    resolve_backend,
-)
+from repro.core.backend import VERIFY_CALLS, VerifyThenDegrade, active_backend
 from repro.core.columnar import CandidateKeys, ColumnarStore
 from repro.errors import LifecycleError
 from repro.core.estimator import Estimator, MetricSet
@@ -319,7 +314,7 @@ class BlockProbe:
             #: pass hashes is what the pair kernel validates.
             self._stacks = stack_by_size(self._probes)
             self._candidates = store.index.candidates_batch(
-                self._probes, backend=store.backend, stacks=self._stacks
+                self._probes, stacks=self._stacks
             )
             self._speculate()
 
@@ -413,7 +408,6 @@ class BlockProbe:
             rel_tol=store.rel_tol,
             abs_tol=store.abs_tol,
             anchors=block.pair_columns(store.rel_tol),
-            backend=store.backend,
         )
         probe = 0
         for group, positions, _ in parts:
@@ -453,7 +447,6 @@ class BlockProbe:
                     rel_tol=store.rel_tol,
                     abs_tol=store.abs_tol,
                     anchors=block.anchor_columns(store.rel_tol),
-                    backend=store.backend,
                 )
                 for probe in np.nonzero(first >= 0)[0].tolist():
                     self._found[indices[chunk[probe]]] = (
@@ -534,14 +527,8 @@ class BasisStore:
         estimator: Optional[Estimator] = None,
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
-        backend: BackendArg = None,
     ):
         self.mapping_family = mapping_family or LinearMappingFamily()
-        #: The store's compute backend.  ``None`` resolves to the
-        #: process-active instance (shared: its one self-test serves every
-        #: default store); a *name* builds a fresh instance, giving this
-        #: store its own kernel verification/degrade state.
-        self.backend = resolve_backend(backend)
         if index is None:
             if (
                 index_strategy == "normalization"
@@ -564,7 +551,7 @@ class BasisStore:
         self.columnar = ColumnarStore()
         self.columnar_min_candidates = COLUMNAR_MIN_CANDIDATES
         #: Store-scoped columnar-vs-scalar cross-check; a degrade shows as
-        #: ``scalar-match`` in ``backend.describe(store.columnar_check)``.
+        #: ``scalar-match`` in ``active_backend().describe(columnar_check)``.
         self.columnar_check = VerifyThenDegrade(
             "columnar FindMapping",
             "the scalar find loop",
@@ -582,6 +569,13 @@ class BasisStore:
 
     def __len__(self) -> int:
         return len(self._bases)
+
+    @property
+    def backend(self):
+        """The process-wide check record
+        (:func:`~repro.core.backend.active_backend`); ``perfbench``'s
+        churn workload still reads it."""
+        return active_backend()
 
     @property
     def bases(self) -> Tuple[BasisDistribution, ...]:
@@ -713,8 +707,7 @@ class BasisStore:
             fingerprint,
             rel_tol=self.rel_tol,
             abs_tol=self.abs_tol,
-            keys=CandidateKeys(block, rows, backend=self.backend),
-            backend=self.backend,
+            keys=CandidateKeys(block, rows),
         )
         for index in np.nonzero(plausible)[0]:
             mapping = build(int(index))

@@ -149,13 +149,12 @@ class _SizeBlock:
         self.dead = 0
         return dropped
 
-    def sid_matrix(self, backend=None) -> np.ndarray:
+    def sid_matrix(self) -> np.ndarray:
         """Ascending SID-order keys, one row per stored fingerprint.
 
         Filled from each fingerprint's cached ``sid_order`` (computing the
-        missing ones in one vectorized pass through ``backend``), so
-        entries are bitwise the keys a :class:`SortedSIDIndex` hashed on
-        insert.
+        missing ones in one vectorized pass), so entries are bitwise the
+        keys a :class:`SortedSIDIndex` hashed on insert.
         """
         if self._sid_matrix is None:
             self._sid_matrix = np.empty(
@@ -163,7 +162,7 @@ class _SizeBlock:
             )
         if self._sid_filled < self.count:
             fresh = self.fingerprints[self._sid_filled : self.count]
-            orders = batch_sid_orders(fresh, backend=backend)
+            orders = batch_sid_orders(fresh)
             self._sid_matrix[self._sid_filled : self.count] = orders
             self._sid_filled = self.count
         return self._sid_matrix[: self.count]
@@ -256,20 +255,15 @@ class CandidateKeys:
     Families that prune on order statistics (monotone) read ``sid_asc()``,
     the linear family reads ``anchors()``; families that never ask keep
     the store from materializing anything.
-    ``backend`` (carried from the owning store) routes lazy key fills
-    through the store's compute backend.
     """
 
-    def __init__(
-        self, block: _SizeBlock, row_indices: np.ndarray, backend=None
-    ):
+    def __init__(self, block: _SizeBlock, row_indices: np.ndarray):
         self._block = block
         self._rows = row_indices
-        self._backend = backend
 
     def sid_asc(self) -> np.ndarray:
         """Ascending SID-order rows for the gathered candidates."""
-        return self._block.sid_matrix(backend=self._backend)[self._rows]
+        return self._block.sid_matrix()[self._rows]
 
     def anchors(self, rel_tol: float) -> AnchorColumns:
         """``(has_pair, anchor, denominator)`` for the gathered candidates."""

@@ -294,8 +294,7 @@ def _normal_forms_matrix(
     """Normal-form components for a stack of same-size fingerprints.
 
     Returns ``(has_pair, position, forward, reflected)`` with matrix
-    arithmetic elementwise identical to the scalar computation.  This is
-    the ``normal_forms`` compute-backend kernel's numpy reference.
+    arithmetic elementwise identical to the scalar computation.
     """
     has_pair, position = rows_first_distinct(matrix, rel_tol)
     lows = matrix.min(axis=1)
@@ -329,7 +328,6 @@ def _rows_lexicographic_min(
 def batch_normal_forms(
     fingerprints: Sequence[Fingerprint],
     rel_tol: float = DEFAULT_REL_TOL,
-    backend=None,
     stacks: Optional[SizeStacks] = None,
 ) -> list:
     """:meth:`Fingerprint.normal_form` for many probes in vectorized passes.
@@ -338,18 +336,13 @@ def batch_normal_forms(
     arithmetic that is elementwise identical to the scalar computation, so
     the resulting hash keys are bitwise the same; each key is written back
     into its fingerprint's cache (later scalar probes reuse it for free).
-    ``backend`` routes the matrix kernel through a compute backend
-    (default: the process-active one) — every backend returns the same
-    bits or degrades trying.  ``stacks`` is the caller's
-    :func:`stack_by_size` of these very fingerprints, when it keeps one.
+    ``stacks`` is the caller's :func:`stack_by_size` of these very
+    fingerprints, when it keeps one.
     """
-    from repro.core.backend import resolve_backend
-
     cache_key = ("normal_form", rel_tol)
     distinct_key = ("distinct", rel_tol)
-    backend = resolve_backend(backend)
     for indices, matrix in _pending_stacks(fingerprints, cache_key, stacks):
-        has_pair, position, forward, reflected = backend.normal_forms(
+        has_pair, position, forward, reflected = _normal_forms_matrix(
             matrix, rel_tol
         )
         keys = _rows_lexicographic_min(forward, reflected)
@@ -366,7 +359,6 @@ def batch_normal_forms(
 def batch_sid_orders(
     fingerprints: Sequence[Fingerprint],
     descending: bool = False,
-    backend=None,
     stacks: Optional[SizeStacks] = None,
 ) -> list:
     """:meth:`Fingerprint.sid_order` for many probes in vectorized passes.
@@ -374,16 +366,13 @@ def batch_sid_orders(
     Stable row-wise argsort over a size-grouped matrix equals the scalar
     per-fingerprint argsort entry for entry; results land in each
     fingerprint's cache, exactly as a scalar probe would have left them.
-    ``backend`` routes the argsort kernel through a compute backend
-    (default: the process-active one); ``stacks`` as in
-    :func:`batch_normal_forms`.
+    ``stacks`` as in :func:`batch_normal_forms`.
     """
-    from repro.core.backend import resolve_backend
-
     cache_key = "sid_desc" if descending else "sid_asc"
-    backend = resolve_backend(backend)
     for indices, matrix in _pending_stacks(fingerprints, cache_key, stacks):
-        orders = backend.sid_orders(-matrix if descending else matrix)
+        orders = np.argsort(
+            -matrix if descending else matrix, axis=1, kind="stable"
+        )
         for i, order in zip(indices, orders.tolist()):
             fingerprints[i]._cache[cache_key] = tuple(order)
     return [fp.sid_order(descending=descending) for fp in fingerprints]

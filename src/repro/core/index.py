@@ -221,8 +221,8 @@ class FingerprintIndex(ABC):
     def candidates_batch(
         self,
         fingerprints: Sequence[Fingerprint],
-        backend=None,
         stacks: Optional[SizeStacks] = None,
+        backend=None,
     ) -> List[List[int]]:
         """Per-probe candidate lists for a whole batch of probes.
 
@@ -230,10 +230,10 @@ class FingerprintIndex(ABC):
         same ids, same order — so batched matching inherits the scalar
         path's first-match-wins tie-breaking.  Hash-keyed strategies
         override this to compute every probe's key in one vectorized
-        pass (routed through ``backend``, default the process-active
-        compute backend) before the bucket lookups, over the caller's
-        :func:`~repro.core.fingerprint.stack_by_size` matrices
-        (``stacks``) when it has stacked the probes already.
+        pass before the bucket lookups, over the caller's
+        :func:`~repro.core.fingerprint.stack_by_size` matrices (``stacks``)
+        when it has stacked the probes already.  ``backend`` is unused:
+        ``perfbench/pb_churn.py``, its only caller, still passes it.
 
         Probes with equal keys are handed the *same* list object — one
         read-only snapshot per distinct key, never a live bucket — which
@@ -304,8 +304,8 @@ class ArrayIndex(FingerprintIndex):
     def candidates_batch(
         self,
         fingerprints: Sequence[Fingerprint],
-        backend=None,
         stacks: Optional[SizeStacks] = None,
+        backend=None,
     ) -> List[List[int]]:
         # No keys to vectorize: every probe scans every stored basis.
         return [list(self._ids)] * len(fingerprints)
@@ -421,13 +421,13 @@ class NormalizationIndex(FingerprintIndex):
     def candidates_batch(
         self,
         fingerprints: Sequence[Fingerprint],
-        backend=None,
         stacks: Optional[SizeStacks] = None,
+        backend=None,
     ) -> List[List[int]]:
         if self._pending:
             self._settle()
         keys = batch_normal_forms(
-            list(fingerprints), self._rel_tol, backend=backend, stacks=stacks
+            list(fingerprints), self._rel_tol, stacks=stacks
         )
         # Probes that read the same bucket object share one copy of it
         # (told apart by identity: no second hash of a float-tuple key).
@@ -522,14 +522,12 @@ class SortedSIDIndex(FingerprintIndex):
     def candidates_batch(
         self,
         fingerprints: Sequence[Fingerprint],
-        backend=None,
         stacks: Optional[SizeStacks] = None,
+        backend=None,
     ) -> List[List[int]]:
         probes = list(fingerprints)
-        ascending = batch_sid_orders(probes, backend=backend, stacks=stacks)
-        descending = batch_sid_orders(
-            probes, descending=True, backend=backend, stacks=stacks
-        )
+        ascending = batch_sid_orders(probes, stacks=stacks)
+        descending = batch_sid_orders(probes, descending=True, stacks=stacks)
         # Probes that read the same *pair* of bucket objects share one
         # merged list.  Both buckets count: probes with tied entries can
         # agree on one order and differ in the other.

@@ -217,7 +217,6 @@ class MappingFamily(ABC):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         """:meth:`find` against a ``(rows, m)`` stack of source fingerprints.
 
@@ -230,9 +229,6 @@ class MappingFamily(ABC):
         ``anchors()`` — see :class:`repro.core.columnar.CandidateKeys`) so
         monotone order checks read order statistics instead of re-sorting
         and the linear fit reads its anchors instead of re-deriving them.
-        ``backend`` selects the compute backend for the dense validation
-        kernels (default: the process-active one); the generic
-        per-row fallback here never launches one.
         """
         sources = np.asarray(sources, dtype=float)
         plausible = np.ones(len(sources), dtype=bool)
@@ -265,6 +261,28 @@ class MappingFamily(ABC):
         return type(self).__name__
 
 
+def affine_validate(
+    sources: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    target: np.ndarray,
+    tol,
+) -> np.ndarray:
+    """Row-wise ``|alpha * source + beta - target| <= tol`` accept mask.
+
+    ``target`` is one vector shared by every row or one row per source
+    row, ``tol`` one bound or one per row (the block probe's ragged pair
+    set); the single-probe call is the one-target case.
+    """
+    deviation = alpha[:, None] * sources
+    deviation += beta[:, None]
+    deviation -= target
+    np.abs(deviation, out=deviation)
+    if getattr(tol, "ndim", 0):
+        tol = tol[:, None]
+    return (deviation <= tol).all(axis=1)
+
+
 def _rows_affine_valid(
     sources: np.ndarray,
     alpha: np.ndarray,
@@ -272,16 +290,12 @@ def _rows_affine_valid(
     target: Fingerprint,
     rel_tol: float,
     abs_tol: float,
-    backend=None,
 ) -> np.ndarray:
     """Row-wise :func:`_validates` for affine candidates.
 
     Literally ``alpha * source + beta`` per row — the same IEEE multiply
     and add :meth:`AffineMapping.apply_array` performs — against the same
     per-probe tolerance, so the accept set matches the scalar loop bitwise.
-    ``backend`` routes the dense kernel through a compute backend
-    (default: the process-active one); accelerated implementations are
-    self-verified against the numpy expression.
 
     FindMatch keeps only the first survivor and most candidates of a probe
     fail, so from three entries up the kernel first *screens* on the last
@@ -290,9 +304,6 @@ def _rows_affine_valid(
     screen is one conjunct of the full check computed by the same IEEE
     operations, so the accept set is bitwise the unscreened one.
     """
-    from repro.core.backend import resolve_backend
-
-    validate = resolve_backend(backend).affine_validate
     sources = np.asarray(sources, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -300,11 +311,13 @@ def _rows_affine_valid(
     tol = max(rel_tol * max(target.scale(), 1.0), abs_tol)
     last = sources.shape[1] - 1
     if last < 2:
-        return validate(sources, alpha, beta, target_array, tol)
-    valid = validate(sources[:, last:], alpha, beta, target_array[last:], tol)
+        return affine_validate(sources, alpha, beta, target_array, tol)
+    valid = affine_validate(
+        sources[:, last:], alpha, beta, target_array[last:], tol
+    )
     passed = np.nonzero(valid)[0]
     if len(passed):
-        valid[passed] = validate(
+        valid[passed] = affine_validate(
             sources[passed], alpha[passed], beta[passed], target_array, tol
         )
     return valid
@@ -363,7 +376,6 @@ class LinearMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         """Algorithm 2 across all candidate rows in one array pass."""
         sources = np.asarray(sources, dtype=float)
@@ -407,7 +419,6 @@ class LinearMappingFamily(MappingFamily):
                     target,
                     rel_tol,
                     abs_tol,
-                    backend=backend,
                 )
 
         def build(row: int) -> AffineMapping:
@@ -423,7 +434,6 @@ class LinearMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         anchors=None,
-        backend=None,
     ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
         """Algorithm 2 over a block's ragged (probe x candidate) pair set.
 
@@ -474,7 +484,6 @@ class LinearMappingFamily(MappingFamily):
             *map(np.concatenate, zip(*survivors)),
             anchors,
             state,
-            backend,
         )
 
     def find_pairs(
@@ -487,7 +496,6 @@ class LinearMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         anchors=None,
-        backend=None,
     ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
         """:meth:`find_block` over an explicit pair list.
 
@@ -509,7 +517,6 @@ class LinearMappingFamily(MappingFamily):
             if anchors is not None
             else rows_anchor_columns(sources, rel_tol),
             _targets_state(targets, rel_tol, abs_tol),
-            backend,
         )
 
 
@@ -618,7 +625,7 @@ def _ratio_screen(targets, anchor, ratio, slack, varying, tol):
 
 
 def _first_valid_pairs(
-    sources, targets, probes, candidates, rows, anchors, state, backend
+    sources, targets, probes, candidates, rows, anchors, state
 ):
     """The pair kernel's back half: first valid pair per probe.
 
@@ -629,15 +636,12 @@ def _first_valid_pairs(
     Algorithm 2's candidate map is fitted per pair by :meth:`find_matrix`'s
     expressions: a constant source onto a constant target is accepted by
     pure shift, a non-constant source onto a varying target is validated,
-    the rest cannot match.  Validation is one ``affine_validate`` launch on
+    the rest cannot match.  Validation is one :func:`affine_validate` call on
     the last column — the :func:`_rows_affine_valid` screen with a target
-    entry and a bound per pair — then one full-width launch on the
+    entry and a bound per pair — then one full-width call on the
     survivors.  Returns ``(first, build)`` as
     :meth:`LinearMappingFamily.find_block` documents them.
     """
-    from repro.core.backend import resolve_backend
-
-    validate = resolve_backend(backend).affine_validate
     has_pair, anchor, denominator = anchors[:3]
     varying, tol = state
     fits, moves = has_pair[rows], varying[probes]
@@ -651,12 +655,12 @@ def _first_valid_pairs(
     alpha[valid] = 1.0
     beta[valid] = (origin - offset)[valid]
     bound = tol[probes]
-    screened = validate(
+    screened = affine_validate(
         sources[rows, -1:], alpha, beta, targets[probes, -1:], bound
     )
     passed = np.nonzero(moves & fits & screened)[0]
     if len(passed):
-        valid[passed] = validate(
+        valid[passed] = affine_validate(
             sources[rows[passed]],
             alpha[passed],
             beta[passed],
@@ -713,7 +717,6 @@ class IdentityMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         sources = np.asarray(sources, dtype=float)
         rows = len(sources)
@@ -725,7 +728,6 @@ class IdentityMappingFamily(MappingFamily):
                 target,
                 rel_tol,
                 abs_tol,
-                backend=backend,
             )
             if rows
             else np.zeros(0, dtype=bool)
@@ -778,7 +780,6 @@ class ShiftMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         sources = np.asarray(sources, dtype=float)
         rows = len(sources)
@@ -793,7 +794,6 @@ class ShiftMappingFamily(MappingFamily):
                 target,
                 rel_tol,
                 abs_tol,
-                backend=backend,
             )
         return valid, lambda row: AffineMapping(1.0, float(beta[row]))
 
@@ -836,7 +836,6 @@ class ScaleMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         sources = np.asarray(sources, dtype=float)
         rows = len(sources)
@@ -866,7 +865,6 @@ class ScaleMappingFamily(MappingFamily):
                     target,
                     rel_tol,
                     abs_tol,
-                    backend=backend,
                 )
 
         def build(row: int) -> AffineMapping:
@@ -915,7 +913,6 @@ class MonotoneMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         """Order-statistics screen over all rows, exact build per survivor.
 
@@ -931,12 +928,11 @@ class MonotoneMappingFamily(MappingFamily):
         if rows == 0:
             plausible = np.zeros(0, dtype=bool)
         else:
-            if keys is not None:
-                source_orders = keys.sid_asc()
-            else:
-                from repro.core.backend import resolve_backend
-
-                source_orders = resolve_backend(backend).sid_orders(sources)
+            source_orders = (
+                keys.sid_asc()
+                if keys is not None
+                else np.argsort(sources, axis=1, kind="stable")
+            )
             target_asc = np.asarray(target.sid_order(), dtype=np.int64)
             target_desc = np.asarray(
                 target.sid_order(descending=True), dtype=np.int64

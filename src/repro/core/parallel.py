@@ -134,27 +134,10 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _worker_initializer(backend_name: Optional[str] = None) -> None:
+def _worker_initializer() -> None:
     global _IN_WORKER
     _IN_WORKER = True
-    draws.initialize_worker(backend=backend_name)
-
-
-def _inheritable_backend_name() -> Optional[str]:
-    """The parent's active backend name, if a forked worker can rebuild it.
-
-    Workers re-select the backend by registry name so each shard carries
-    fresh per-instance verification state.  An unregistered instance
-    (e.g. an injected test double) has no name to rebuild from — return
-    ``None`` and let fork inheritance of the module-level active backend
-    carry it instead.
-    """
-    from repro.core import backend as backend_mod
-
-    name = backend_mod.active_backend().name
-    if backend_mod.backend_available(name):
-        return name
-    return None
+    draws.initialize_worker()
 
 
 def _invoke_shard(token: int, index: int) -> Any:
@@ -179,7 +162,6 @@ class _ForkShardPool:
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_initializer,
-            initargs=(_inheritable_backend_name(),),
         )
 
     def submit(self, index: int):

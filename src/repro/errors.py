@@ -140,18 +140,6 @@ class ShardRetryExhaustedError(ShardError):
         super().__init__(message, shard_index=shard_index, attempt=attempts)
 
 
-class BackendError(JigsawError):
-    """A compute backend was selected or driven inconsistently.
-
-    Raised for unknown backend names and for backends whose optional
-    dependency is not importable on this host.  Selection never falls
-    back silently: a caller who asked for a backend by name either gets
-    that backend or gets this error — the only *automatic* fallback is the
-    self-verification degrade, which is per-instance, warned about, and
-    visible in ``fast_path_status()`` / ``repro store info``.
-    """
-
-
 class LifecycleError(JigsawError):
     """A store lifecycle operation (eviction, invalidation, compaction)
     was configured inconsistently — e.g. an :class:`~repro.core.basis.

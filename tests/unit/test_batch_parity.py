@@ -29,12 +29,6 @@ from repro.blackbox.overload import OverloadModel
 from repro.blackbox.rng import DeterministicRng
 from repro.blackbox.synth_basis import SynthBasisModel
 from repro.blackbox.user_selection import UserSelectionModel
-from repro.core.backend import (
-    active_backend,
-    backend_available,
-    backend_names,
-    use_backend,
-)
 from repro.core.adaptive import AdaptiveBudget
 from repro.core.basis import BasisStore
 from repro.core.estimator import MetricSet
@@ -273,22 +267,12 @@ class TestPointsAxisParity:
         assert box.invocations == reference.invocations
 
 
-#: Every registered backend this host can run: a newly registered one
-#: has its ``draw_block`` fill the derived entries below and is
-#: cross-checked on their shapes.
-BACKENDS = tuple(
-    name for name in backend_names() if backend_available(name)
-)
-
-
-@pytest.fixture(params=BACKENDS)
-def cold_cache_backend(request):
-    """The named backend process-active over an empty draw cache."""
-    previous = active_backend()
-    use_backend(request.param)
+@pytest.fixture
+def cold_cache():
+    """An empty draw cache, so the derived entries below are filled by
+    the shapes under test."""
     DEFAULT_DRAW_CACHE.clear()
-    yield request.param
-    use_backend(previous)
+    yield
     DEFAULT_DRAW_CACHE.clear()
 
 
@@ -313,7 +297,7 @@ class TestUserSelectionBatchParity:
     )
     @pytest.mark.parametrize("user_count", [1, 8, 129, 500])
     def test_every_shape_bitwise_equals_scalar_loop(
-        self, user_count, seed_count, cold_cache_backend
+        self, user_count, seed_count, cold_cache
     ):
         box = UserSelectionModel(user_count=user_count)
         params = {"current_week": 6.0}

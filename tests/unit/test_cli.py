@@ -98,6 +98,8 @@ class TestStoreCommand:
         info = json.loads(capsys.readouterr().out)
         assert info["stores"]["default"]["bases"] == 5
         assert info["version"] >= 1
+        # What is on disk only: a fresh process has no degrade to report.
+        assert "backend" not in info
 
     def test_verify_load_checks(self, snapshot, capsys):
         assert main(["store", "verify", snapshot]) == 0
@@ -136,3 +138,24 @@ class TestStoreCommand:
             handle.write(text[: len(text) // 2])
         assert main(["store", "verify", snapshot]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestNoBackendOption:
+    """Every subcommand runs the numpy kernels; none takes a selector."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "scenario.sql"],
+            ["graph", "scenario.sql"],
+            ["explain", "scenario.sql"],
+            ["serve", "--store", "snap"],
+            ["store", "info", "snap"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_backend_is_an_unrecognized_argument(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import persist
-from repro.core.backend import (
-    VERIFY_CALLS,
-    NumpyBackend,
-    backend_available,
-    backend_names,
-    create_backend,
-)
+from repro.core.backend import VERIFY_CALLS, active_backend
 import repro.core.basis as basis_module
 import repro.core.mapping as mapping_module
 from repro.core.basis import BasisStore, EvictionPolicy, MatchResult
@@ -231,7 +225,7 @@ class TestMergeParity:
 
 class TestSelfVerification:
     """The degrade halves live with the other sites of the one harness:
-    ``test_backend_parity.py::TestDegradeSemantics``."""
+    ``test_degrade.py::TestDegradeSemantics``."""
 
     def test_agreement_spends_the_budget_and_stays_columnar(self):
         store = BasisStore(index_strategy="array")
@@ -241,7 +235,7 @@ class TestSelfVerification:
             assert store.match(_affine(BASE, 2.0, 1.0)) is not None
         assert store.columnar_check.remaining == 0
         assert not store.columnar_check.degraded
-        assert store.backend.describe(store.columnar_check) == "numpy"
+        assert active_backend().describe(store.columnar_check) == "numpy"
 
     def test_the_pair_pass_has_its_own_verification_budget(self):
         """Its first ``VERIFY_CALLS`` answers on a store are held against
@@ -263,7 +257,7 @@ class TestSelfVerification:
         store.match_batch(selective_probes(count))
         assert len(checked) == VERIFY_CALLS
         assert store.columnar_check.remaining == VERIFY_CALLS
-        assert store.backend.describe(store.columnar_check) == "numpy"
+        assert active_backend().describe(store.columnar_check) == "numpy"
 
 
 class TestBatchedKeys:
@@ -339,13 +333,6 @@ class TestBatchedKeys:
             np.testing.assert_array_equal(gathered, column[rows])
 
 
-#: Every registered backend this host can run: a newly registered one is
-#: handed the screen's one-column matrices through ``affine_validate``.
-BACKENDS = tuple(
-    name for name in backend_names() if backend_available(name)
-)
-
-
 #: Seven entries: wide enough that anchors, screen column and the entries
 #: only the full-width pass sees are all different columns.
 WIDE = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0, 3.0, 0.25))
@@ -355,13 +342,12 @@ def _bits(mapping):
     return mapping.alpha.hex(), mapping.beta.hex()
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestLinearFindMatrixAnchors:
     """``find_matrix`` reading the store's cached anchor columns, deriving
     them itself (``keys=None``) and the row-wise scalar ``find`` must agree
     on the mask and on every bit of alpha and beta."""
 
-    def check(self, sources, target, backend_name):
+    def check(self, sources, target):
         """Returns the scalar answers, last source first."""
         family = LinearMappingFamily()
         store = filled_store(sources, "linear", "array", True)
@@ -375,7 +361,6 @@ class TestLinearFindMatrixAnchors:
                 gathered,
                 target,
                 keys=keys,
-                backend=create_backend(backend_name),
             )
             assert valid.tolist() == [want is not None for want in expected]
             for row, want in enumerate(expected):
@@ -383,7 +368,7 @@ class TestLinearFindMatrixAnchors:
                     assert _bits(build(row)) == _bits(want)
         return expected
 
-    def test_mixed_constant_and_fitted_sources(self, backend_name):
+    def test_mixed_constant_and_fitted_sources(self):
         sources = [
             WIDE,
             Fingerprint((4.0,) * 7),  # constant: excluded from the fit
@@ -392,58 +377,55 @@ class TestLinearFindMatrixAnchors:
             _cubic(WIDE),  # fitted, rejected
         ]
         target = _affine(WIDE, 3.0, -2.0)
-        found = self.check(sources, target, backend_name)
+        found = self.check(sources, target)
         assert [want is not None for want in found] == [
             False, False, True, False, True,
         ]
 
-    def test_constant_target(self, backend_name):
+    def test_constant_target(self):
         sources = [WIDE, Fingerprint((4.0,) * 7), Fingerprint((0.0,) * 7)]
-        found = self.check(sources, Fingerprint((7.5,) * 7), backend_name)
+        found = self.check(sources, Fingerprint((7.5,) * 7))
         assert [want is not None for want in found] == [True, True, False]
 
     @pytest.mark.parametrize("size", (1, 2))
-    def test_too_narrow_to_screen(self, size, backend_name):
+    def test_too_narrow_to_screen(self, size):
         sources = [
             Fingerprint(WIDE.values[:size]),
             Fingerprint((2.0,) * size),
             Fingerprint((5.0, 3.0)[:size]),
         ]
         target = Fingerprint((1.0, 4.0)[:size])
-        assert any(self.check(sources, target, backend_name))
+        assert any(self.check(sources, target))
 
-    def test_anchor_is_the_screen_column(self, backend_name):
+    def test_anchor_is_the_screen_column(self):
         """First distinct entry == last entry: the screen column passes
         by construction and only the full-width pass can reject."""
         late = Fingerprint((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0))
         sources = [late, _affine(late, 2.0, 1.0)]
         image = _affine(late, -3.0, 0.5)
-        assert all(self.check(sources, image, backend_name))
+        assert all(self.check(sources, image))
         bumped = Fingerprint((1.0, 1.0, 1.0, 9.0, 1.0, 1.0, 2.0))
-        assert not any(self.check(sources, bumped, backend_name))
+        assert not any(self.check(sources, bumped))
 
-    def test_rows_passing_the_screen_but_not_the_full_check(
-        self, backend_name
-    ):
+    def test_rows_passing_the_screen_but_not_the_full_check(self):
         """Agreeing with the target on both anchors and on the screen
         column is not enough."""
         nudged = list(WIDE.values)
         nudged[3] += 0.5
         sources = [Fingerprint(tuple(nudged)), WIDE]
         target = _affine(WIDE, 2.0, 1.0)
-        found = self.check(sources, target, backend_name)
+        found = self.check(sources, target)
         assert [want is not None for want in found] == [True, False]
 
-    def test_duplicates_all_pass_and_the_first_wins(self, backend_name):
+    def test_duplicates_all_pass_and_the_first_wins(self):
         sources = [_cubic(WIDE)] + [
             Fingerprint(WIDE.values) for _ in range(12)
         ]
         probe = _affine(WIDE, 0.5, 4.0)
-        found = self.check(sources, probe, backend_name)
+        found = self.check(sources, probe)
         assert [want is not None for want in found] == [True] * 12 + [False]
         reference = filled_store(sources, "linear", "array", False)
         columnar = filled_store(sources, "linear", "array", True)
-        columnar.backend = create_backend(backend_name)
         want, got = reference.match(probe), columnar.match(probe)
         assert_same_match(want, got)
         assert got.basis.basis_id == 1
@@ -451,44 +433,47 @@ class TestLinearFindMatrixAnchors:
         assert columnar.stats.candidates_tested == 2
 
 
+def spy_affine_validate(monkeypatch):
+    """Record ``(sources.shape, target.shape)`` of every
+    ``mapping.affine_validate`` call from here on; returns the record."""
+    shapes = []
+    validate = mapping_module.affine_validate
+
+    def spy(sources, alpha, beta, target, tol):
+        shapes.append((sources.shape, target.shape))
+        return validate(sources, alpha, beta, target, tol)
+
+    monkeypatch.setattr(mapping_module, "affine_validate", spy)
+    return shapes
+
+
 class TestValidationScreen:
-    class Spy(NumpyBackend):
-        def __init__(self):
-            super().__init__()
-            self.shapes = []
-
-        def _affine_validate(self, sources, alpha, beta, target, tol):
-            self.shapes.append((sources.shape, target.shape))
-            return super()._affine_validate(sources, alpha, beta, target, tol)
-
-    def test_one_column_first_then_full_width_on_survivors(self):
+    def test_one_column_first_then_full_width_on_survivors(self, monkeypatch):
         sources = np.stack(
             [WIDE.array, _cubic(WIDE).array, WIDE.array, -WIDE.array]
         )
         sources[2, 3] += 0.5  # passes the screen, fails full-width
-        spy = self.Spy()
+        shapes = spy_affine_validate(monkeypatch)
         valid, _ = LinearMappingFamily().find_matrix(
-            sources, _affine(WIDE, 2.0, 1.0), backend=spy
+            sources, _affine(WIDE, 2.0, 1.0)
         )
         assert valid.tolist() == [True, False, False, True]
-        assert spy.shapes == [((4, 1), (1,)), ((3, 7), (7,))]
+        assert shapes == [((4, 1), (1,)), ((3, 7), (7,))]
 
-    def test_no_survivor_no_second_launch(self):
-        spy = self.Spy()
+    def test_no_survivor_no_second_launch(self, monkeypatch):
+        shapes = spy_affine_validate(monkeypatch)
         valid, _ = LinearMappingFamily().find_matrix(
-            np.stack([_cubic(WIDE).array] * 3), WIDE, backend=spy
+            np.stack([_cubic(WIDE).array] * 3), WIDE
         )
         assert not valid.any()
-        assert spy.shapes == [((3, 1), (1,))]
+        assert shapes == [((3, 1), (1,))]
 
-    def test_two_entries_are_validated_in_one_launch(self):
-        spy = self.Spy()
+    def test_two_entries_are_validated_in_one_launch(self, monkeypatch):
+        shapes = spy_affine_validate(monkeypatch)
         LinearMappingFamily().find_matrix(
-            np.array([[0.0, 1.0], [2.0, 5.0]]),
-            Fingerprint((1.0, 3.0)),
-            backend=spy,
+            np.array([[0.0, 1.0], [2.0, 5.0]]), Fingerprint((1.0, 3.0))
         )
-        assert spy.shapes == [((2, 2), (2,))]
+        assert shapes == [((2, 2), (2,))]
 
 
 def _answer_bits(answer):
@@ -544,25 +529,23 @@ def assert_block_parity(reference, blocked, probes, **script):
     return handle
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
 @pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
 class TestBlockProbeParity:
     """``block_probe(...).match(i)`` is ``match`` at that moment, whatever
     happened to the store since the block was opened.  The scalar loop is
-    the reference in every comparison; every registered backend's
-    ``affine_validate`` gets per-row targets and tolerances here."""
+    the reference in every comparison; ``affine_validate`` gets per-row
+    targets and tolerances here."""
 
-    def stores(self, family_name, strategy, backend_name, content="mixed"):
+    def stores(self, family_name, strategy, content="mixed"):
         reference = build_store(family_name, strategy, content, False)
         blocked = build_store(family_name, strategy, content, True)
-        blocked.backend = create_backend(backend_name)
         return reference, blocked
 
-    def test_read_only_block(self, family_name, strategy, backend_name):
+    def test_read_only_block(self, family_name, strategy):
         for content in sorted(CONTENTS):
             handle = assert_block_parity(
-                *self.stores(family_name, strategy, backend_name, content),
+                *self.stores(family_name, strategy, content),
                 PROBES,
             )
             # The linear family has the pair kernel: every probe of the
@@ -570,7 +553,7 @@ class TestBlockProbeParity:
             speculated = family_name == "linear"
             assert len(handle._found) == (len(PROBES) if speculated else 0)
 
-    def test_adds_between_answers(self, family_name, strategy, backend_name):
+    def test_adds_between_answers(self, family_name, strategy):
         """(a) Hits survive an ``add``; misses re-test only the tail."""
         late = Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8))
         before = {
@@ -579,26 +562,22 @@ class TestBlockProbeParity:
             9: lambda store: store.add(Fingerprint((9.0,) * 7), SAMPLES),
         }
         assert_block_parity(
-            *self.stores(family_name, strategy, backend_name),
+            *self.stores(family_name, strategy),
             PROBES,
             before=before,
         )
 
-    def test_sweep_shape_adds_every_miss(
-        self, family_name, strategy, backend_name
-    ):
+    def test_sweep_shape_adds_every_miss(self, family_name, strategy):
         """Algorithm 3 itself: a miss inserts, later probes may hit it."""
         probes = PROBES + [_affine(p, -0.5, 2.0) for p in PROBES]
         for content in ("empty", "mixed"):
             assert_block_parity(
-                *self.stores(family_name, strategy, backend_name, content),
+                *self.stores(family_name, strategy, content),
                 probes,
                 add_misses=True,
             )
 
-    def test_removals_force_the_fallback(
-        self, family_name, strategy, backend_name
-    ):
+    def test_removals_force_the_fallback(self, family_name, strategy):
         """(b) ``remove`` / ``evict`` / ``compact`` mid-block."""
         before = {
             1: lambda store: store.remove(0),
@@ -608,12 +587,12 @@ class TestBlockProbeParity:
             11: lambda store: store.remove(store.bases[-1].basis_id),
         }
         assert_block_parity(
-            *self.stores(family_name, strategy, backend_name),
+            *self.stores(family_name, strategy),
             PROBES,
             before=before,
         )
 
-    def test_mixed_sizes(self, family_name, strategy, backend_name):
+    def test_mixed_sizes(self, family_name, strategy):
         """(c) Sizes mixed in one block and in one store, including a
         size the store has never held."""
         seven = Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
@@ -626,14 +605,12 @@ class TestBlockProbeParity:
             Fingerprint((1.0, 2.0, 4.0)),
         ]
         assert_block_parity(
-            *self.stores(family_name, strategy, backend_name),
+            *self.stores(family_name, strategy),
             probes,
             add_misses=True,
         )
 
-    def test_constant_probes_and_bases(
-        self, family_name, strategy, backend_name
-    ):
+    def test_constant_probes_and_bases(self, family_name, strategy):
         """(d) Constant and zero fingerprints on both sides of a pair."""
         probes = [
             Fingerprint((7.5,) * 5),
@@ -645,19 +622,19 @@ class TestBlockProbeParity:
         ]
         before = {3: lambda store: store.add(Fingerprint((2.0,) * 5), SAMPLES)}
         assert_block_parity(
-            *self.stores(family_name, strategy, backend_name),
+            *self.stores(family_name, strategy),
             probes,
             before=before,
         )
 
     def test_budget_left_and_degraded_stores_answer_per_probe(
-        self, family_name, strategy, backend_name
+        self, family_name, strategy
     ):
         """(g) No speculation before ``columnar_check`` has spent its
         budget, none after it degraded — parity either way."""
         for degraded in (False, True):
             reference, blocked = self.stores(
-                family_name, strategy, backend_name
+                family_name, strategy
             )
             blocked.columnar_check = type(blocked.columnar_check)(
                 "columnar FindMapping",
@@ -764,14 +741,13 @@ class TestBlockProbeRules:
         and the exact screen sees only the pairs the prefilter kept."""
         monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", budget)
         grids = PrefilterSpy(monkeypatch)
-        spy = TestValidationScreen.Spy()
         store, probes = self.block(6)
-        store.backend = spy
+        shapes = spy_affine_validate(monkeypatch)
         probes += [Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))] * 2
         reference = build_store("linear", "array", "mixed", False)
         handle = assert_block_parity(reference, store, probes)
         assert len(handle._found) == len(probes)
-        screens = [rows for (rows, width), _ in spy.shapes if width == 1]
+        screens = [rows for (rows, width), _ in shapes if width == 1]
         assert sum(cells for cells, _ in grids.launches) == 6 * 6 + 2 * 1
         assert max(cells for cells, _ in grids.launches) <= max(budget, 6)
         assert screens == [kept for _, kept in grids.launches]
@@ -794,19 +770,18 @@ class TestBlockProbeRules:
         launch; the pairs it keeps are screened in one launch with a
         target entry per pair, the survivors in one more."""
         grids = PrefilterSpy(monkeypatch)
-        spy = TestValidationScreen.Spy()
         fingerprints = [WIDE, _cubic(WIDE), _affine(WIDE, 2.0, 0.0)] + [
             _affine(WIDE, -1.0, float(shift)) for shift in range(1, 3)
         ]
         store = filled_store(fingerprints, "linear", "sorted_sid", True)
-        store.backend = spy
+        shapes = spy_affine_validate(monkeypatch)
         probes = [_affine(WIDE, 3.0, 1.0)] * 3 + [_affine(WIDE, -3.0, 1.0)] * 2
         handle = store.block_probe(probes)
         # Ascending probes see [0, 1, 2] then the descending bucket
         # [3, 4]; descending probes the reverse.  Every probe is an image
         # of WIDE, so only the cubic's five pairs fall to the prefilter.
         assert grids.launches == [(25, 20)]
-        assert spy.shapes == [((20, 1), (20, 1)), ((20, 7), (20, 7))]
+        assert shapes == [((20, 1), (20, 1)), ((20, 7), (20, 7))]
         assert [handle._found[i][0] for i in range(5)] == [0, 0, 0, 0, 0]
 
 
@@ -877,7 +852,6 @@ class _FindLog:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
 @pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
 class TestBlockProbeSelective:
@@ -887,25 +861,24 @@ class TestBlockProbeSelective:
     explicit pair pass.  Stores sit at the *default*
     ``columnar_min_candidates`` with ``columnar_check``'s budget unspent
     — the lists never get long enough to spend it.  A degrade (a masked
-    wrong answer) is an error here; every registered backend's
-    ``affine_validate`` gets the pair pass's shapes: one-column sources
-    with a target entry and a bound per pair, pair counts from 1 up."""
+    wrong answer) is an error here; ``affine_validate`` gets the pair
+    pass's shapes: one-column sources with a target entry and a bound per
+    pair, pair counts from 1 up."""
 
-    def stores(self, family_name, strategy, backend_name, fingerprints=None):
+    def stores(self, family_name, strategy, fingerprints=None):
         fingerprints = SELECTIVE if fingerprints is None else fingerprints
         reference = filled_store(fingerprints, family_name, strategy, False)
         blocked = BasisStore(
             mapping_family=FAMILY_FACTORIES[family_name](),
             index_strategy=strategy,
-            backend=create_backend(backend_name),
         )
         for fingerprint in fingerprints:
             blocked.add(fingerprint, SAMPLES)
         return reference, blocked
 
     @pytest.mark.parametrize("count", SELECTIVE_BLOCKS)
-    def test_read_only_block(self, family_name, strategy, backend_name, count):
-        reference, blocked = self.stores(family_name, strategy, backend_name)
+    def test_read_only_block(self, family_name, strategy, count):
+        reference, blocked = self.stores(family_name, strategy)
         log = _FindLog(blocked)
         handle = assert_block_parity(
             reference, blocked, selective_probes(count)
@@ -921,14 +894,14 @@ class TestBlockProbeSelective:
         assert blocked.columnar_check.remaining == VERIFY_CALLS
         assert blocked.pair_checks_left == (0 if fired else VERIFY_CALLS)
 
-    def test_pair_counts_from_one_up(self, family_name, strategy, backend_name):
+    def test_pair_counts_from_one_up(self, family_name, strategy):
         """One to seven candidates a probe: a store that grows under a
         block of images of everything it holds."""
         count = basis_module.PAIR_PASS_MIN_PROBES
         for held in range(1, 8):
             fingerprints = [_nudged(WIDE, 3, 1e-7 * k) for k in range(held)]
             reference, blocked = self.stores(
-                family_name, strategy, backend_name, fingerprints
+                family_name, strategy, fingerprints
             )
             probes = [
                 _affine(fingerprints[i % held], 2.0, float(i))
@@ -937,30 +910,24 @@ class TestBlockProbeSelective:
             assert_block_parity(reference, blocked, probes)
             assert blocked.stats.candidates_tested >= count
 
-    def test_single_pair_launches(
-        self, family_name, strategy, backend_name, monkeypatch
-    ):
+    def test_single_pair_launches(self, family_name, strategy, monkeypatch):
         """The smallest launch there is: one probe, one candidate."""
         monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", 1)
         count = basis_module.PAIR_PASS_MIN_PROBES
         reference, blocked = self.stores(
-            family_name, strategy, backend_name, [WIDE]
+            family_name, strategy, [WIDE]
         )
-        spy = TestValidationScreen.Spy()
-        if backend_name == "numpy":
-            blocked.backend = spy
+        shapes = spy_affine_validate(monkeypatch)
         probes = [
             _affine(WIDE, 2.0, float(i)) if i % 3 else _nudged(WIDE, 3)
             for i in range(count)
         ]
         assert_block_parity(reference, blocked, probes)
-        if family_name == "linear" and backend_name == "numpy":
-            screens = [rows for (rows, width), _ in spy.shapes if width == 1]
+        if family_name == "linear":
+            screens = [rows for (rows, width), _ in shapes if width == 1]
             assert screens == [1] * count
 
-    def test_add_appends_to_a_speculated_bucket(
-        self, family_name, strategy, backend_name
-    ):
+    def test_add_appends_to_a_speculated_bucket(self, family_name, strategy):
         """Only the appended tail is re-tested — for the probe that missed
         its bucket and for the one that had no bucket at all; a probe
         that hit is not touched by an append."""
@@ -970,7 +937,7 @@ class TestBlockProbeSelective:
             2: lambda store: store.add(_affine(probes[2], 0.5, 0.5), SAMPLES),
             8: lambda store: store.add(_affine(probes[8], -1.0, 0.0), SAMPLES),
         }
-        reference, blocked = self.stores(family_name, strategy, backend_name)
+        reference, blocked = self.stores(family_name, strategy)
         log = _FindLog(blocked)
         assert_block_parity(reference, blocked, probes, before=before)
         if family_name == "linear" and strategy == "normalization":
@@ -981,9 +948,7 @@ class TestBlockProbeSelective:
             assert all(set(ids) <= {7, 8} for ids in tails)
             assert [7] in tails and [8] in tails
 
-    def test_remove_breaks_the_prefix(
-        self, family_name, strategy, backend_name
-    ):
+    def test_remove_breaks_the_prefix(self, family_name, strategy):
         """A basis retired after the block was opened: probes that had it
         on their list start over, and its stale id — zeroed in the
         columnar layout, still on the speculated lists — wins nothing."""
@@ -994,32 +959,28 @@ class TestBlockProbeSelective:
             20: lambda store: store.add(_affine(WIDE, 5.0, 5.0), SAMPLES),
         }
         assert_block_parity(
-            *self.stores(family_name, strategy, backend_name),
+            *self.stores(family_name, strategy),
             selective_probes(count),
             before=before,
         )
 
-    def test_sweep_shape_adds_every_miss(
-        self, family_name, strategy, backend_name
-    ):
+    def test_sweep_shape_adds_every_miss(self, family_name, strategy):
         count = 2 * basis_module.PAIR_PASS_MIN_PROBES
         for fingerprints in ([], SELECTIVE):
             assert_block_parity(
-                *self.stores(
-                    family_name, strategy, backend_name, fingerprints
-                ),
+                *self.stores(family_name, strategy, fingerprints),
                 selective_probes(count),
                 add_misses=True,
             )
 
     def test_tombstoned_and_restored_stores(
-        self, family_name, strategy, backend_name, tmp_path
+        self, family_name, strategy, tmp_path
     ):
         """Rows tombstoned in place, then the same store back from a
         memory-mapped snapshot (compacted on save): same answers as the
         scalar loop over a store that lived the same life."""
         count = basis_module.PAIR_PASS_MIN_PROBES
-        reference, blocked = self.stores(family_name, strategy, backend_name)
+        reference, blocked = self.stores(family_name, strategy)
         for store in (reference, blocked):
             store.remove(1)
             store.remove(5)
@@ -1032,7 +993,6 @@ class TestBlockProbeSelective:
             restored.append(persist.load_store(path, mmap=True))
         reference, blocked = restored
         reference.columnar_min_candidates = ALWAYS_SCALAR
-        blocked.backend = create_backend(backend_name)
         assert not blocked.columnar._blocks[7].matrix.flags.writeable
         assert_block_parity(
             reference, blocked, selective_probes(count), add_misses=True
@@ -1040,20 +1000,18 @@ class TestBlockProbeSelective:
 
     @pytest.mark.parametrize("budget", (1, 5, 40))
     def test_launches_split_past_the_pair_budget(
-        self, family_name, strategy, backend_name, monkeypatch, budget
+        self, family_name, strategy, monkeypatch, budget
     ):
         monkeypatch.setattr(basis_module, "MAX_LAUNCH_PAIRS", budget)
         count = basis_module.PAIR_PASS_MIN_PROBES + 3
-        reference, blocked = self.stores(family_name, strategy, backend_name)
-        spy = TestValidationScreen.Spy()
-        if backend_name == "numpy":
-            blocked.backend = spy
+        reference, blocked = self.stores(family_name, strategy)
+        shapes = spy_affine_validate(monkeypatch)
         handle = assert_block_parity(
             reference, blocked, selective_probes(count)
         )
         if family_name == "linear":
             assert len(handle._found) == count
-        screens = [rows for (rows, width), _ in spy.shapes if width == 1]
+        screens = [rows for (rows, width), _ in shapes if width == 1]
         # A launch holds whole probes: at most the budget, or one list.
         assert all(rows <= max(budget, 7) for rows in screens)
 
@@ -1081,9 +1039,8 @@ class TestBlockProbeSelectiveIndexCases:
         assert blocked.get(0).hits == 0
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestPerRowAffineValidate:
-    def test_per_row_targets_equal_one_call_per_row(self, backend_name):
+    def test_per_row_targets_equal_one_call_per_row(self):
         rng = np.random.default_rng(7)
         sources = rng.uniform(-2.0, 2.0, size=(40, 6))
         alpha = rng.uniform(0.5, 2.0, size=40)
@@ -1091,12 +1048,12 @@ class TestPerRowAffineValidate:
         targets = alpha[:, None] * sources + beta[:, None]
         targets[::3, 4] += 1e-6  # every third row misses one entry
         tol = np.where(np.arange(40) % 6 == 0, 1e-3, 1e-9)
-        backend = create_backend(backend_name)
-        together = backend.affine_validate(sources, alpha, beta, targets, tol)
+        validate = mapping_module.affine_validate
+        together = validate(sources, alpha, beta, targets, tol)
         for width in (slice(None), slice(5, None)):
             one_by_one = [
                 bool(
-                    backend.affine_validate(
+                    validate(
                         sources[row : row + 1, width],
                         alpha[row : row + 1],
                         beta[row : row + 1],
@@ -1106,7 +1063,7 @@ class TestPerRowAffineValidate:
                 )
                 for row in range(40)
             ]
-            wide = backend.affine_validate(
+            wide = validate(
                 sources[:, width], alpha, beta, targets[:, width], tol
             )
             assert wide.tolist() == one_by_one
@@ -1114,7 +1071,7 @@ class TestPerRowAffineValidate:
             row % 3 != 0 or row % 6 == 0 for row in range(40)
         ]
 
-    def test_find_block_agrees_with_find_pair_by_pair(self, backend_name):
+    def test_find_block_agrees_with_find_pair_by_pair(self):
         family = LinearMappingFamily()
         sources = [
             WIDE,
@@ -1140,7 +1097,6 @@ class TestPerRowAffineValidate:
                 np.stack([target.array for target in targets]),
                 groups,
                 anchors=anchors,
-                backend=create_backend(backend_name),
             )
             probe = 0
             for count, rows in groups:

@@ -2,7 +2,7 @@
 
 ``BENCH_run_all.json`` is the committed counter baseline, so the
 driver must never let a run produced under other conditions — another
-scale, worker count, stopping policy, warm store or backend — replace it
+scale, worker count, stopping policy or warm store — replace it
 or be merged into it, nor clobber a file it cannot read.  One predicate,
 ``incompatibility()``, decides that; it is pinned here as a table, then
 exercised end to end through ``main`` with stubbed figure runners
@@ -98,8 +98,6 @@ class TestIncompatibility:
             (_document(), _document(warm_store=True), "warm_store"),
             (_document(warm_store=True), _document(), "warm_store"),
             (_document(warm_store=False), _document(), None),
-            (_document(), _document(backend="other"), "backend"),
-            (_document(backend="other"), _document(), "backend"),
             # The first differing field is the one named.
             (_document(), _document(scale="smoke", workers=4), "scale"),
             # Keys that are not provenance never matter.
@@ -221,7 +219,7 @@ class TestFullRuns:
     def test_default_documents_carry_no_optional_tags(
         self, tmp_path, monkeypatch
     ):
-        """Cold, fixed-budget, default-backend documents stay untagged,
+        """Cold, fixed-budget documents stay untagged,
         byte-compatible with the baselines that predate the tags."""
         _install_stubs(monkeypatch)
         out = tmp_path / "bench.json"
@@ -264,10 +262,12 @@ class TestFullRuns:
         with pytest.raises(SystemExit):
             driver.main(["--bench-out", "", "--rtol", "-1"])
 
-    def test_unavailable_backend_is_a_usage_error(self, monkeypatch):
+    def test_backend_option_is_a_usage_error(self, monkeypatch, capsys):
         _install_stubs(monkeypatch)
-        with pytest.raises(SystemExit):
-            driver.main(["--bench-out", "", "--backend", "cupy"])
+        with pytest.raises(SystemExit) as exit_info:
+            driver.main(["--bench-out", "", "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestOnlyMerge:
