@@ -27,7 +27,7 @@ lifecycle  a warmed store evicted to half its size answers every probe
            store built by adds with no read between them (its index
            keys them late, in bulk) snapshots to the same bytes and
            answers the same as one probed after every add; the
-           committed version-1 and version-2 snapshot fixtures still
+           committed version-1, -2 and -3 snapshot fixtures still
            load.
 golden     per-figure data points (estimates, reuse decisions, jump
            counts) equal ``benchmarks/golden/*.json`` float-for-float.
@@ -80,6 +80,7 @@ SERVE_BASELINE = "BENCH_serve_smoke_baseline.json"
 #: lifecycle check proves the version-compat branches still read them.
 V1_FIXTURE = os.path.join(REPO_ROOT, "tests", "unit", "data", "snapshot_v1")
 V2_FIXTURE = os.path.join(REPO_ROOT, "tests", "unit", "data", "snapshot_v2")
+V3_FIXTURE = os.path.join(REPO_ROOT, "tests", "unit", "data", "snapshot_v3")
 
 #: Every check measures at the one scale the baselines were committed at.
 SCALE = "smoke"
@@ -278,6 +279,7 @@ def _judge_faults(evidence: dict, baselines: dict) -> List[str]:
 _LIFECYCLE_BASES = 32
 _V1_EXPECTED = {"version": 1, "bases": 5, "hits": 0, "answers_probe": True}
 _V2_EXPECTED = {"version": 2, "bases": 6, "hits": 5, "answers_probe": True}
+_V3_EXPECTED = {"version": 3, "bases": 6, "hits": 6, "answers_probe": True}
 
 
 def _answer(store: BasisStore, fingerprint, renumbered=None) -> dict:
@@ -388,6 +390,7 @@ def _measure_lifecycle() -> dict:
         "burst": burst,
         "v1_fixture": _load_fixture(V1_FIXTURE),
         "v2_fixture": _load_fixture(V2_FIXTURE),
+        "v3_fixture": _load_fixture(V3_FIXTURE),
     }
 
 
@@ -407,6 +410,7 @@ def _judge_lifecycle(evidence: dict, baselines: dict) -> List[str]:
         )
         + exact_diff(_V1_EXPECTED, evidence["v1_fixture"], "v1_fixture")
         + exact_diff(_V2_EXPECTED, evidence["v2_fixture"], "v2_fixture")
+        + exact_diff(_V3_EXPECTED, evidence["v3_fixture"], "v3_fixture")
     )
 
 
@@ -483,7 +487,7 @@ CHECKS: Dict[str, Check] = {
     "lifecycle": Check(
         "an evicted store answers exactly like a survivors-only rebuild; "
         "a store whose index keyed a burst of adds late snapshots and "
-        "answers like one keyed on arrival; the version-1 and version-2 "
+        "answers like one keyed on arrival; the version-1, -2 and -3 "
         "snapshot fixtures still load",
         _measure_lifecycle,
         _judge_lifecycle,

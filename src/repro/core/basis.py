@@ -35,7 +35,7 @@ from repro.core.fingerprint import (
     Fingerprint,
     stack_by_size,
 )
-from repro.core.index import FingerprintIndex, make_index
+from repro.core.index import make_index
 from repro.core.mapping import (
     AffineMapping,
     LinearMappingFamily,
@@ -522,23 +522,20 @@ class BasisStore:
     def __init__(
         self,
         mapping_family: Optional[MappingFamily] = None,
-        index: Optional[FingerprintIndex] = None,
         index_strategy: str = "normalization",
         estimator: Optional[Estimator] = None,
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
     ):
         self.mapping_family = mapping_family or LinearMappingFamily()
-        if index is None:
-            if (
-                index_strategy == "normalization"
-                and not self.mapping_family.supports_normal_form
-            ):
-                # Normalization is meaningless for families without a normal
-                # form; fall back to the always-correct scan.
-                index_strategy = "array"
-            index = make_index(index_strategy)
-        self.index = index
+        if (
+            index_strategy == "normalization"
+            and not self.mapping_family.supports_normal_form
+        ):
+            # Normalization is meaningless for families without a normal
+            # form; fall back to the always-correct scan.
+            index_strategy = "array"
+        self.index = make_index(index_strategy)
         self.estimator = estimator or Estimator()
         # Coerce so integer tolerances survive the snapshot hex codec
         # (``float.hex`` exists, ``int.hex`` does not) and compare

@@ -22,113 +22,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.fingerprint import (
-    DEFAULT_REL_TOL,
     Fingerprint,
     SizeStacks,
     batch_normal_forms,
     batch_sid_orders,
 )
-from repro.errors import IndexError_, PersistError, SnapshotCorruptionError
-
-
-class IndexState(dict):
-    """What :meth:`FingerprintIndex.dump_state` returns: JSON values and
-    int64 / float64 arrays.  Two states are equal when they hold the same
-    keys and the same values, arrays compared bit for bit (dtype, shape,
-    bytes) — the equality of the snapshot files they become."""
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, dict) and _bits(self) == _bits(other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-
-def _bits(state: dict) -> dict:
-    return {
-        key: (
-            (np.ndarray, value.dtype.str, value.shape, value.tobytes())
-            if isinstance(value, np.ndarray)
-            else value
-        )
-        for key, value in state.items()
-    }
-
-
-def _bucket_arrays(buckets: Dict[tuple, List[int]], key_dtype) -> dict:
-    """A bucket dict as flat keys + key lengths + bucket lengths + flat
-    ids, in dict order (first-match-wins reads the bucket order)."""
-    return {
-        "keys": np.array(
-            [entry for key in buckets for entry in key], dtype=key_dtype
-        ),
-        "key_lengths": np.array([len(key) for key in buckets], dtype=np.int64),
-        "bucket_lengths": np.array(
-            [len(ids) for ids in buckets.values()], dtype=np.int64
-        ),
-        "ids": np.array(
-            [i for ids in buckets.values() for i in ids], dtype=np.int64
-        ),
-    }
-
-
-def _corrupt_unless(condition: bool, message: str) -> None:
-    if not condition:
-        raise SnapshotCorruptionError(f"index state: {message}")
-
-
-def _vector(state: dict, name: str, dtype) -> np.ndarray:
-    array = state[name]
-    _corrupt_unless(
-        isinstance(array, np.ndarray)
-        and array.dtype == dtype
-        and array.ndim == 1,
-        f"{name!r} is not a 1-d {np.dtype(dtype).name} array",
-    )
-    return array
-
-
-def _bucket_pairs(state: dict, key_dtype) -> List[Tuple[tuple, List[int]]]:
-    """``(key, ids)`` per bucket from :func:`_bucket_arrays`' layout,
-    refusing any layout whose lengths disagree with its vectors."""
-    keys, ids, key_lengths, bucket_lengths = (
-        _vector(state, name, dtype).tolist()
-        for name, dtype in (
-            ("keys", key_dtype),
-            ("ids", np.int64),
-            ("key_lengths", np.int64),
-            ("bucket_lengths", np.int64),
-        )
-    )
-    _corrupt_unless(
-        len(key_lengths) == len(bucket_lengths)
-        and min(key_lengths + bucket_lengths, default=1) >= 1
-        and sum(key_lengths) == len(keys)
-        and sum(bucket_lengths) == len(ids),
-        "key and bucket lengths disagree with the keys and ids",
-    )
-    key_at = id_at = 0
-    pairs = []
-    for key_length, bucket_length in zip(key_lengths, bucket_lengths):
-        pairs.append(
-            (
-                tuple(keys[key_at : key_at + key_length]),
-                ids[id_at : id_at + bucket_length],
-            )
-        )
-        key_at += key_length
-        id_at += bucket_length
-    return pairs
-
-
-def _restore_buckets(index, pairs: List[Tuple[tuple, List[int]]]) -> None:
-    for key, ids in pairs:
-        index._buckets[key] = ids
-        index._size += len(ids)
-    _corrupt_unless(len(index._buckets) == len(pairs), "a bucket key repeats")
+from repro.errors import IndexError_
 
 
 def _remove_from_bucket(buckets: Dict, key, basis_id: int) -> None:
@@ -151,48 +51,14 @@ def _remove_from_bucket(buckets: Dict, key, basis_id: int) -> None:
 class FingerprintIndex(ABC):
     """Maps a probe fingerprint to candidate basis ids."""
 
-    #: Snapshot identity (the ``make_index`` strategy name).  Snapshots
-    #: record it so a load can rebuild the exact index variant — and refuse
-    #: to hand a store built under one strategy to a caller expecting
-    #: another.
+    #: The ``make_index`` strategy name.  Snapshots record it, and a load
+    #: rebuilds the index by re-inserting the stored fingerprints under it
+    #: — refusing to hand a store built under one strategy to a caller
+    #: expecting another.
     strategy: str = ""
 
     def __init__(self) -> None:
         self._size = 0
-
-    def dump_state(self) -> IndexState:
-        """Snapshot of the index's buckets (see ``repro.core.persist``):
-        JSON values, plus int64 / float64 arrays that ``persist`` writes
-        as array files without knowing what they hold.
-
-        Candidate *order* is part of the FindMatch contract
-        (first-match-wins), so implementations serialize their id lists
-        verbatim — a restored index answers ``candidates`` with byte-equal
-        lists, never a re-derived ordering.  Arrays carry every float bit.
-        """
-        raise PersistError(
-            f"{type(self).__name__} does not support snapshots; implement "
-            f"dump_state/restore_state to persist stores using it"
-        )
-
-    @classmethod
-    def restore_state(cls, state: dict) -> "FingerprintIndex":
-        """Rebuild an index from :meth:`dump_state` output, or from the
-        JSON list form snapshot versions 1 and 2 wrote; a layout that
-        does not add up raises
-        :class:`~repro.errors.SnapshotCorruptionError`."""
-        raise PersistError(
-            f"{cls.__name__} does not support snapshots; implement "
-            f"dump_state/restore_state to persist stores using it"
-        )
-
-    def ids(self) -> List[int]:
-        """Every basis id the index holds, once per entry (a load checks
-        them against the stored bases)."""
-        raise PersistError(
-            f"{type(self).__name__} does not list its ids; implement ids "
-            f"to load snapshots into it"
-        )
 
     @abstractmethod
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
@@ -253,7 +119,7 @@ class FingerprintIndex(ABC):
         into mappings during the store merge and need no index entry).
         Structural: hash keys computed by the other index are adopted as-is
         — nothing is re-derived from fingerprints — so both indexes must
-        use the same strategy (and key parameters).
+        use the same strategy.
         """
 
     def _check_mergeable(self, other: "FingerprintIndex") -> None:
@@ -276,23 +142,6 @@ class ArrayIndex(FingerprintIndex):
     def __init__(self) -> None:
         super().__init__()
         self._ids: List[int] = []
-
-    def dump_state(self) -> IndexState:
-        return IndexState(ids=np.array(self._ids, dtype=np.int64))
-
-    @classmethod
-    def restore_state(cls, state: dict) -> "ArrayIndex":
-        index = cls()
-        ids = state["ids"]
-        if isinstance(ids, list):  # versions 1 and 2
-            index._ids = [int(i) for i in ids]
-        else:
-            index._ids = _vector(state, "ids", np.int64).tolist()
-        index._size = len(index._ids)
-        return index
-
-    def ids(self) -> List[int]:
-        return list(self._ids)
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
         self._ids.append(basis_id)
@@ -341,19 +190,17 @@ class NormalizationIndex(FingerprintIndex):
 
     Arrivals are keyed in bulk: :meth:`insert` only queues its pair, and
     whoever next reads the buckets (``candidates``, ``candidates_batch``,
-    ``remove``, ``dump_state``, either side of ``merge``) first settles
-    the queue — one vectorized key pass, then appends in arrival order.
-    Keys are a pure function of the fingerprint, so the buckets, their
-    order and every snapshot byte are those of an index keyed on arrival.
+    ``remove``, either side of ``merge``) first settles the queue — one
+    vectorized key pass, then appends in arrival order.  Keys are a pure
+    function of the fingerprint, so the buckets and their order are those
+    of an index keyed on arrival.  A snapshot load re-inserts every stored
+    basis, so it pays one such pass, at the loaded store's first read.
     """
 
     strategy = "normalization"
 
-    def __init__(self, rel_tol: float = DEFAULT_REL_TOL):
+    def __init__(self) -> None:
         super().__init__()
-        # Coerce so integer tolerances survive the hex snapshot codec
-        # (``int.hex`` does not exist; ``float.hex`` does).
-        self._rel_tol = float(rel_tol)
         self._buckets: Dict[Tuple[float, ...], List[int]] = {}
         #: Inserted, not yet keyed: ``(fingerprint, basis_id)`` as arrived.
         self._pending: List[Tuple[Fingerprint, int]] = []
@@ -368,45 +215,14 @@ class NormalizationIndex(FingerprintIndex):
             # The crossover of a block's key pass: below it the scalar key
             # is the cheaper one.  Either way the keys land in the
             # fingerprints' caches.
-            keys = batch_normal_forms(fingerprints, self._rel_tol)
+            keys = batch_normal_forms(fingerprints)
         else:
-            keys = [fp.normal_form(self._rel_tol) for fp in fingerprints]
+            keys = [fp.normal_form() for fp in fingerprints]
         # Every key exists before any bucket changes: a failed key pass
         # leaves the queue as it was.
         self._pending = []
         for key, (_, basis_id) in zip(keys, pending):
             self._buckets.setdefault(key, []).append(basis_id)
-
-    def dump_state(self) -> IndexState:
-        if self._pending:
-            self._settle()
-        # Bucket keys are rounded floats: a float64 array keeps them
-        # bitwise, and the bucket order (dict insertion order) verbatim.
-        return IndexState(
-            rel_tol=float(self._rel_tol).hex(),
-            **_bucket_arrays(self._buckets, np.float64),
-        )
-
-    @classmethod
-    def restore_state(cls, state: dict) -> "NormalizationIndex":
-        index = cls(rel_tol=float.fromhex(state["rel_tol"]))
-        if "buckets" in state:  # versions 1 and 2: hex keys in JSON
-            pairs = [
-                (
-                    tuple(float.fromhex(value) for value in key),
-                    [int(i) for i in ids],
-                )
-                for key, ids in state["buckets"]
-            ]
-        else:
-            pairs = _bucket_pairs(state, np.float64)
-        _restore_buckets(index, pairs)
-        return index
-
-    def ids(self) -> List[int]:
-        return [i for ids in self._buckets.values() for i in ids] + [
-            basis_id for _, basis_id in self._pending
-        ]
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
         self._pending.append((fingerprint, basis_id))
@@ -415,7 +231,7 @@ class NormalizationIndex(FingerprintIndex):
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
         if self._pending:
             self._settle()
-        key = fingerprint.normal_form(self._rel_tol)
+        key = fingerprint.normal_form()
         return list(self._buckets.get(key, ()))
 
     def candidates_batch(
@@ -426,9 +242,7 @@ class NormalizationIndex(FingerprintIndex):
     ) -> List[List[int]]:
         if self._pending:
             self._settle()
-        keys = batch_normal_forms(
-            list(fingerprints), self._rel_tol, stacks=stacks
-        )
+        keys = batch_normal_forms(list(fingerprints), stacks=stacks)
         # Probes that read the same bucket object share one copy of it
         # (told apart by identity: no second hash of a float-tuple key).
         copies: Dict[int, List[int]] = {}
@@ -444,7 +258,7 @@ class NormalizationIndex(FingerprintIndex):
     def remove(self, fingerprint: Fingerprint, basis_id: int) -> None:
         if self._pending:
             self._settle()
-        key = fingerprint.normal_form(self._rel_tol)
+        key = fingerprint.normal_form()
         _remove_from_bucket(self._buckets, key, basis_id)
         self._size -= 1
 
@@ -453,11 +267,6 @@ class NormalizationIndex(FingerprintIndex):
     ) -> None:
         self._check_mergeable(other)
         assert isinstance(other, NormalizationIndex)
-        if other._rel_tol != self._rel_tol:
-            raise IndexError_(
-                "cannot merge normalization indexes with different "
-                "rel_tol values: their bucket keys are incompatible"
-            )
         for index in (self, other):
             if index._pending:
                 index._settle()
@@ -482,25 +291,6 @@ class SortedSIDIndex(FingerprintIndex):
     def __init__(self) -> None:
         super().__init__()
         self._buckets: Dict[Tuple[int, ...], List[int]] = {}
-
-    def dump_state(self) -> IndexState:
-        return IndexState(**_bucket_arrays(self._buckets, np.int64))
-
-    @classmethod
-    def restore_state(cls, state: dict) -> "SortedSIDIndex":
-        index = cls()
-        if "buckets" in state:  # versions 1 and 2
-            pairs = [
-                (tuple(int(entry) for entry in key), [int(i) for i in ids])
-                for key, ids in state["buckets"]
-            ]
-        else:
-            pairs = _bucket_pairs(state, np.int64)
-        _restore_buckets(index, pairs)
-        return index
-
-    def ids(self) -> List[int]:
-        return [i for ids in self._buckets.values() for i in ids]
 
     def insert(self, fingerprint: Fingerprint, basis_id: int) -> None:
         self._buckets.setdefault(fingerprint.sid_order(), []).append(basis_id)
@@ -585,15 +375,6 @@ class SortedSIDIndex(FingerprintIndex):
 
 
 INDEX_STRATEGIES = ("array", "normalization", "sorted_sid")
-
-#: Strategy name -> index class, for snapshot restore (``repro.core.
-#: persist``) and anything else that needs to rebuild an index variant
-#: from its recorded identity.
-STRATEGY_CLASSES: Dict[str, type] = {
-    ArrayIndex.strategy: ArrayIndex,
-    NormalizationIndex.strategy: NormalizationIndex,
-    SortedSIDIndex.strategy: SortedSIDIndex,
-}
 
 
 def make_index(strategy: str) -> FingerprintIndex:

@@ -14,7 +14,7 @@ A snapshot is a directory::
 
     <path>/
       manifest.json        identity, configuration, stats, CRC table
-      <name>.npy           everything per basis, per block or per bucket
+      <name>.npy           everything per basis or per block
 
 Per store ``storeN``, the arrays are (int64 unless marked float64):
 
@@ -27,10 +27,7 @@ Per store ``storeN``, the arrays are (int64 unless marked float64):
   flat ``quantiles`` (float64, k × 2 ``(p, value)`` pairs), and
   ``bin_counts`` (−1: no histogram) with the flat ``histogram_counts``
   and ``histogram_edges`` (float64, bins + 1 per histogram);
-* ``samples`` (float64), every basis's samples end to end;
-* ``index.<name>`` for each array of the index's
-  :meth:`~repro.core.index.FingerprintIndex.dump_state`, whose layout
-  only the index reads.
+* ``samples`` (float64), every basis's samples end to end.
 
 * **Bitwise fidelity.**  A float64 array carries every bit of every
   float; the few floats left in the manifest (tolerances, estimator
@@ -57,8 +54,7 @@ Per store ``storeN``, the arrays are (int64 unless marked float64):
   raises :class:`~repro.errors.SnapshotCorruptionError` before any state
   reaches a store — a load returns a complete store or nothing.  So does
   a checksum-consistent table that does not add up: a column of the
-  wrong length, a negative count, slices past their vectors, or an index
-  that does not hold each stored basis exactly once.
+  wrong length, a negative count, or slices past their vectors.
 * **Compatibility validation.**  The manifest records the mapping family,
   index strategy, match tolerances, estimator configuration, and
   seed-bank identity each store was built under.  A load checked against
@@ -71,11 +67,16 @@ What is (not) persisted
 -----------------------
 
 Persisted: bases (fingerprints, raw sample vectors, metrics), the
-fingerprint index with verbatim bucket order (first-match-wins depends on
-it), the columnar matrices including a materialized SID-order key
-matrix, and the ``StoreStats`` counters.
-Not persisted: the columnar blocks' anchor columns (a function of the
-matrix rows, refilled on first use), and the match path's runtime state
+columnar matrices including a materialized SID-order key matrix, and the
+``StoreStats`` counters.
+Not persisted: the fingerprint index.  It is a function of the stored
+fingerprints (paper section 3.2), so a load re-inserts the live bases in
+id order, which rebuilds the saved store's buckets with their order
+(first-match-wins reads it): ids only grow, ``merge`` adopts in creation
+order, and removal keeps the survivors' order.  Snapshots up to version
+3 carry bucket state; a load never reads it.  Nor are the columnar
+blocks' anchor columns (a function of the matrix rows, refilled on first
+use), nor the match path's runtime state
 (``columnar_min_candidates``, ``columnar_check``, ``pair_checks_left``)
 — a loaded store re-verifies its first columnar lookups and its first
 pair-pass answers against the scalar loop, exactly like a fresh one.
@@ -96,8 +97,8 @@ import numpy as np
 from repro.core.basis import BasisDistribution, BasisStore, StoreStats
 from repro.core.columnar import ColumnarStore, _SizeBlock
 from repro.core.estimator import Estimator, Histogram, MetricSet
-from repro.core.fingerprint import Fingerprint
-from repro.core.index import STRATEGY_CLASSES, FingerprintIndex
+from repro.core.fingerprint import Fingerprint, batch_sid_orders
+from repro.core.index import INDEX_STRATEGIES
 from repro.core.mapping import (
     AffineMapping,
     IdentityMappingFamily,
@@ -133,8 +134,11 @@ SNAPSHOT_MAGIC = "jigsaw-store-snapshot"
 #: 3. arrays: the basis table, the block ids and the index
 #:    buckets move out of the manifest into int64 / float64 arrays (see
 #:    the module docstring), and the manifest is written compact.
-#:    Versions 1 and 2 still load (fixtures under ``tests/unit/data/``).
-SNAPSHOT_VERSION = 3
+#: 4. derived index: no index state is written; a load rebuilds the
+#:    index from the stored fingerprints.  Versions 1-3 still load, their
+#:    index entries and ``index.*`` files unread (fixtures under
+#:    ``tests/unit/data/``).
+SNAPSHOT_VERSION = 4
 
 CHECKPOINT_MAGIC = "jigsaw-sweep-checkpoint"
 
@@ -300,17 +304,6 @@ def store_config(store: BasisStore) -> dict:
     }
 
 
-def _file_arrays(prefix: str, values: Mapping, arrays: dict) -> dict:
-    """File every ndarray among ``values`` as ``<prefix>.<key>`` in
-    ``arrays``; returns ``{key: array name}`` for the manifest."""
-    names = {}
-    for key, value in values.items():
-        if isinstance(value, np.ndarray):
-            names[key] = f"{prefix}.{key}"
-            arrays[names[key]] = value
-    return names
-
-
 def _basis_table(bases: Sequence[BasisDistribution]) -> Dict[str, np.ndarray]:
     """The basis table's columns, one row per basis in the order given
     (the module docstring names them)."""
@@ -381,20 +374,17 @@ def _dump_store(name: str, store: BasisStore, arrays: dict) -> dict:
         if bases
         else np.empty(0, dtype=np.float64)
     )
-    state = store.index.dump_state()
+    table = {}
+    for key, column in _basis_table(bases).items():
+        table[key] = f"{name}.{key}"
+        arrays[table[key]] = column
     return {
         "config": store_config(store),
-        "index": {
-            key: value
-            for key, value in state.items()
-            if not isinstance(value, np.ndarray)
-        },
-        "index_arrays": _file_arrays(f"{name}.index", state, arrays),
         "next_id": int(store._next_id),
         "stats": store.stats.as_dict(),
         "blocks": blocks,
         "bases": len(bases),
-        "table": _file_arrays(name, _basis_table(bases), arrays),
+        "table": table,
         "samples": f"{name}.samples",
     }
 
@@ -512,32 +502,30 @@ def _restore_store(
     """Rebuild one store from its manifest entry (arrays via ``load_array``).
 
     ``version`` is the snapshot body's format version.  Versions differ in
-    three places only: where the index state, the block ids and the basis
-    table live (JSON up to version 2, array files from version 3); the
-    version-1 table has no reuse counters and restores ``hits = 0``.
+    two places only: where the block ids and the basis table live (JSON
+    up to version 2, array files from version 3); the version-1 table has
+    no reuse counters and restores ``hits = 0``.  The index is rebuilt
+    from the stored fingerprints under every version.
     """
     config = entry["config"]
     strategy = config["index_strategy"]
-    index_class = STRATEGY_CLASSES.get(strategy)
-    if index_class is None:
+    if strategy not in INDEX_STRATEGIES:
         raise SnapshotCompatibilityError(
             f"snapshot uses unknown index strategy {strategy!r}; it cannot "
             f"be rebuilt by this version"
         )
-    state = entry["index"]
-    if version >= 3:
-        state = dict(state, **{
-            key: load_array(name)
-            for key, name in entry["index_arrays"].items()
-        })
-    index: FingerprintIndex = index_class.restore_state(state)
     store = BasisStore(
         mapping_family=mapping_family,
-        index=index,
+        index_strategy=strategy,
         estimator=estimator,
         rel_tol=decode_float(config["rel_tol"]),
         abs_tol=decode_float(config["abs_tol"]),
     )
+    if type(store.index).strategy != strategy:
+        raise SnapshotCompatibilityError(
+            f"snapshot indexes {mapping_family.name()} by {strategy!r}, "
+            f"which this version does not build for that family"
+        )
     next_id = int(entry["next_id"])
 
     blocks: Dict[int, _SizeBlock] = {}
@@ -571,6 +559,11 @@ def _restore_store(
             fingerprint._cache["array"] = row_view
             fingerprints.append(fingerprint)
             fingerprint_of[basis_id] = fingerprint
+        if strategy == "sorted_sid":
+            # Keys for the index rebuilt below, off the block's own rows.
+            batch_sid_orders(
+                fingerprints, stacks={size: (list(range(count)), rows)}
+            )
         rows_total += count
         sid_matrix = None
         if "sid" in block_entry:
@@ -613,15 +606,10 @@ def _restore_store(
         len(basis_rows) == len(store._bases) == len(fingerprint_of),
         "block rows and basis entries disagree",
     )
-    # An index missing a live id answers that basis's exact images with
-    # a miss (paper section 3.2 rules that out); one naming no basis
-    # hands the matcher a dangling id.
-    indexed = index.ids()
-    _require(
-        len(indexed) == len(store._bases)
-        and set(indexed) == store._bases.keys(),
-        "the index does not hold each stored basis exactly once",
-    )
+    # The index the saved store held, re-derived: its live bases in id
+    # order (a normalization index keys them in bulk at its first read).
+    for basis_id in sorted(store._bases):
+        store.index.insert(store._bases[basis_id].fingerprint, basis_id)
     store._next_id = next_id
     store.stats = StoreStats(**{
         key: int(value) for key, value in entry["stats"].items()
@@ -963,7 +951,7 @@ def snapshot_info(path: str) -> dict:
         "metadata": dict(body.get("metadata", {})),
         "stores": {
             name: {
-                # Version 3 records the count; versions 1-2 list entries.
+                # Versions 3-4 record the count; versions 1-2 list entries.
                 "bases": (
                     entry["bases"]
                     if isinstance(entry.get("bases"), int)

@@ -157,6 +157,13 @@ class TestEveryCheckCanFail:
         (failure,) = _judge("lifecycle", evidence)
         assert "v2_fixture.hits" in failure
 
+    def test_lifecycle_check_fails_when_the_v3_fixture_drifts(self):
+        evidence = _evidence("lifecycle")
+        assert evidence["v3_fixture"]["bases"] == 6
+        evidence["v3_fixture"]["bases"] = 7
+        (failure,) = _judge("lifecycle", evidence)
+        assert "v3_fixture.bases" in failure
+
     def test_smoke_check_refuses_a_baseline_from_other_conditions(self):
         baselines = checks.load_baselines(checks.CHECKS["smoke"])
         baselines[SMOKE_BASELINE]["workers"] = 4

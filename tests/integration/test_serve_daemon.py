@@ -223,8 +223,11 @@ class TestDrain:
 
 
 def _books(server):
-    """What one client may cost the daemon only while it lasts."""
-    return len(server._connections), len(os.listdir("/proc/self/fd"))
+    """What one client may cost the daemon only while it lasts: its
+    connection and its selector registration.  Counted on the server,
+    not over the process's fds, which the rest of the test run opens and
+    closes too; the daemon unregisters a socket before closing it."""
+    return len(server._connections), len(server._selector.get_map())
 
 
 def _idle_books(server, timeout=10.0):
@@ -374,8 +377,13 @@ class TestSlowPeers:
         )
         with raw, ServeClient(*server.address, timeout=10.0) as bystander:
             sender.start()
-            late = time.monotonic() + 1.0
-            while time.monotonic() < late:
+            # Read no earlier than a second in, and no earlier than the
+            # daemon stops reading this peer (which a busy host can delay
+            # past the second), up to a deadline.
+            late, deadline = time.monotonic() + 1.0, time.monotonic() + 10.0
+            while time.monotonic() < late or (
+                not paused and time.monotonic() < deadline
+            ):
                 assert bystander.stats().bases == {"default": 10}
                 peak = max(peak, _most_owed(server))
                 paused |= any(

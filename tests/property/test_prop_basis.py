@@ -42,8 +42,7 @@ class TestNoFalseNegatives:
     @settings(max_examples=200)
     def test_affine_probe_always_matches(self, fp, alpha, beta, strategy):
         store = BasisStore(
-            mapping_family=LinearMappingFamily(),
-            index=make_index(strategy),
+            mapping_family=LinearMappingFamily(), index_strategy=strategy
         )
         samples = np.asarray(fp.values, dtype=float)
         store.add(fp, samples)
@@ -53,7 +52,7 @@ class TestNoFalseNegatives:
     @given(fp=fingerprints, strategy=strategies)
     @settings(max_examples=100)
     def test_self_probe_always_matches(self, fp, strategy):
-        store = BasisStore(index=make_index(strategy))
+        store = BasisStore(index_strategy=strategy)
         store.add(fp, np.asarray(fp.values))
         assert store.match(fp) is not None
 
@@ -79,7 +78,7 @@ class TestReuseCorrectness:
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "Known quantization-boundary false negative (ROADMAP item 4(a)): "
+        "Known quantization-boundary false negative (ROADMAP item 1(b)): "
         "normal-form bucket keys round to 6 decimals, and this fingerprint's "
         "normalized coordinate 4.75/800 sits exactly on the 0.0059375 "
         "rounding boundary — float noise puts the stored basis and its "
@@ -94,6 +93,28 @@ def test_normal_form_rounding_boundary_false_negative():
     store = BasisStore()
     store.add(fp, np.asarray(fp.values, dtype=float))
     probe = Fingerprint(tuple(0.102 * v for v in fp.values))
+    assert store.match(probe) is not None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "Known near-tie false negative of the sorted_sid index (ROADMAP "
+        "item 1(b)): the stored entries 0.5 + 1e-12 and 0.5 round to one "
+        "float in the image 1e-3*v + 1000, so the index's tie-break flips "
+        "their SID order and the probe reads no bucket holding the basis, "
+        "although the linear family accepts the pair (array and "
+        "normalization match it).  Fixing it means probing both orders of "
+        "near-tied entries, which changes the candidates_tested counter "
+        "contract; remove this marker when that lands."
+    ),
+)
+def test_sorted_sid_near_tie_false_negative():
+    fp = Fingerprint((0.0, 1.0, 0.5 + 1e-12, 0.5))
+    store = BasisStore(index_strategy="sorted_sid")
+    store.add(fp, np.asarray(fp.values, dtype=float))
+    probe = Fingerprint(tuple(1e-3 * v + 1000 for v in fp.values))
+    assert LinearMappingFamily().find(fp, probe) is not None
     assert store.match(probe) is not None
 
 

@@ -33,13 +33,19 @@ from repro.core import persist
 from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator, MetricSet
 from repro.core.fingerprint import Fingerprint
-from repro.core.index import INDEX_STRATEGIES
+from repro.core.index import INDEX_STRATEGIES, NormalizationIndex
 from repro.core.mapping import (
     AffineMapping,
+    IdentityMappingFamily,
+    LinearMappingFamily,
     PiecewiseLinearMapping,
     _NegatedPiecewise,
 )
-from repro.errors import PersistError, SnapshotCorruptionError
+from repro.errors import (
+    PersistError,
+    SnapshotCompatibilityError,
+    SnapshotCorruptionError,
+)
 
 # Full-range doubles, including nan, inf, subnormals, and signed zeros:
 # hex encoding must round-trip every bit pattern a store can hold.
@@ -307,6 +313,9 @@ class TestCorruptionDetection:
 # Checksum-consistent damage: the CRCs agree, the contents do not
 
 
+V1_FIXTURE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "unit", "data", "snapshot_v1"
+)
 V2_FIXTURE = os.path.join(
     os.path.dirname(__file__), os.pardir, "unit", "data", "snapshot_v2"
 )
@@ -407,17 +416,6 @@ CRAFTED = {
     "a basis with no block row": ("store0.basis_ids", _set(1, 5)),
     "block ids one short": ("store0.block5.ids", lambda ids: ids[:-1]),
     "a block id out of range": ("store0.block5.ids", _set(0, 99)),
-    "bucket lengths summing past the ids": (
-        "store0.index.bucket_lengths", _set(0, 2)
-    ),
-    "an empty bucket": ("store0.index.bucket_lengths", _moved(0, 1, -1)),
-    "key lengths disagreeing with the keys": (
-        "store0.index.key_lengths", _set(0, 6)
-    ),
-    "float bucket ids": (
-        "store0.index.ids", lambda ids: ids.astype(np.float64)
-    ),
-    "an index id naming no basis": ("store0.index.ids", _set(0, 99)),
 }
 
 
@@ -467,7 +465,42 @@ class TestCraftedTablesAreRefused:
         with pytest.raises(SnapshotCorruptionError, match="sample slice"):
             persist.load_store(path)
 
+    def test_v1_index_state_is_never_read(self, tmp_path):
+        """Version-1 buckets that drop live ids, name no basis and were
+        keyed under another tolerance load as the index the stored
+        fingerprints derive."""
+        path = str(tmp_path / "v1")
+        shutil.copytree(V1_FIXTURE, path)
+        manifest = _read_manifest(path)
+        index = manifest["body"]["stores"]["default"]["index"]
+        assert [ids for _, ids in index["buckets"]] == [[0, 1, 4], [2], [3]]
+        index["buckets"][0][1] = [0, 99]
+        index["buckets"] = index["buckets"][:2]
+        index["rel_tol"] = (1e-6).hex()
+        _write_manifest(path, manifest)
+        loaded = persist.load_store(path)
+        derived = NormalizationIndex()
+        for basis in loaded.bases:
+            derived.insert(
+                Fingerprint(basis.fingerprint.values), basis.basis_id
+            )
+        for built in (loaded.index, derived):
+            built._settle()
+        assert loaded.index._buckets == derived._buckets
+        assert sorted(
+            basis_id
+            for ids in loaded.index._buckets.values()
+            for basis_id in ids
+        ) == [0, 1, 2, 3, 4]
+        for basis in loaded.bases:
+            image = Fingerprint(
+                tuple(3.0 * v - 1.0 for v in basis.fingerprint.values)
+            )
+            assert basis.basis_id in loaded.index.candidates(image)
+
     def test_v2_index_missing_a_live_id(self, tmp_path):
+        """The index is derived on load, so buckets that drop a live id
+        are never read: the basis still answers its exact image."""
         path = str(tmp_path / "v2")
         shutil.copytree(V2_FIXTURE, path)
         manifest = _read_manifest(path)
@@ -477,15 +510,19 @@ class TestCraftedTablesAreRefused:
         ]
         assert len(index["buckets"]) == 5
         _write_manifest(path, manifest)
-        with pytest.raises(SnapshotCorruptionError, match="index"):
-            persist.load_store(path)
+        loaded = persist.load_store(path)
+        image = Fingerprint(tuple(0.5 * v for v in OTHERS[2].values))
+        result = loaded.match(image)
+        assert result.basis.basis_id == 4
+        assert result.mapping.alpha == 0.5 and result.mapping.beta == 0.0
 
 
-class TestIndexMustHoldEveryBasisOnce:
-    """A bucket list that drops a live id misses that basis's exact
+class TestLoadRebuildsADamagedIndex:
+    """A live index that lost a basis's id misses that basis's exact
     affine image — a false negative paper section 3.2 rules out — and
-    one naming no basis hands the matcher a dangling id.  Both are
-    written through the public API, so every CRC is the writer's."""
+    one naming no basis hands the matcher a dangling id.  Neither damage
+    outlives a save and load: the loaded index is derived from the
+    stored bases."""
 
     def _store(self, strategy):
         store = BasisStore(index_strategy=strategy)
@@ -497,18 +534,51 @@ class TestIndexMustHoldEveryBasisOnce:
     def test_index_missing_a_live_id(self, strategy, tmp_path):
         store = self._store(strategy)
         store.index.remove(BASE, 0)
-        assert store.match(Fingerprint(tuple(2.0 * v for v in BASE))) is None
+        image = Fingerprint(tuple(2.0 * v for v in BASE))
+        assert store.match(image) is None
         persist.save_store(store, str(tmp_path / "snap"))
-        with pytest.raises(SnapshotCorruptionError, match="index"):
-            persist.load_store(str(tmp_path / "snap"))
+        loaded = persist.load_store(str(tmp_path / "snap"))
+        assert len(loaded.index) == len(loaded) == 4
+        assert loaded.match(image).basis.basis_id == 0
 
     @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
     def test_index_naming_no_basis(self, strategy, tmp_path):
         store = self._store(strategy)
-        store.index.insert(Fingerprint((5.0, 1.0, 3.0, 2.0, 4.0)), 99)
+        stray = Fingerprint((5.0, 1.0, 3.0, 2.0, 4.0))
+        store.index.insert(stray, 99)
         persist.save_store(store, str(tmp_path / "snap"))
-        with pytest.raises(SnapshotCorruptionError, match="index"):
-            persist.load_store(str(tmp_path / "snap"))
+        loaded = persist.load_store(str(tmp_path / "snap"))
+        assert len(loaded.index) == len(loaded) == 4
+        assert 99 not in loaded.index.candidates(stray)
+        assert loaded.match(stray) is None
+
+
+class TestIndexStrategyRefusal:
+    """The loaded index is built under the recorded strategy, or the load
+    refuses: never one the saved store did not hold."""
+
+    @pytest.mark.parametrize(
+        "family, strategy",
+        [("linear", "btree"), ("identity", "normalization")],
+    )
+    def test_a_strategy_this_version_cannot_build(
+        self, family, strategy, tmp_path
+    ):
+        family_class = {
+            "linear": LinearMappingFamily,
+            "identity": IdentityMappingFamily,
+        }[family]
+        store = BasisStore(mapping_family=family_class())
+        store.add(BASE, np.linspace(-1.0, 2.0, 12))
+        path = str(tmp_path / "snap")
+        persist.save_store(store, path)
+        manifest = _read_manifest(path)
+        manifest["body"]["stores"]["default"]["config"][
+            "index_strategy"
+        ] = strategy
+        _write_manifest(path, manifest)
+        with pytest.raises(SnapshotCompatibilityError, match=strategy):
+            persist.load_store(path)
 
 
 class TestEveryV3FileRefusesDamage:

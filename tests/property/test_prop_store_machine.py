@@ -14,7 +14,10 @@ the per-probe ``candidates_tested`` work.  The store's index is held, after
 every step and without being read, to an index of its own class that was
 handed the same inserts and removals and probed after each one: an index
 that keys its arrivals late (``add_burst``: 2–70 adds with nothing read
-between) must be the index that keyed them on arrival.
+between) must be the index that keyed them on arrival.  It must also be
+the index a snapshot load derives — a fresh one handed the live bases in
+id order — bucket for bucket, and probe for probe on every live basis
+and an affine image of it.
 
 The machine runs on both sides of the ``columnar_min_candidates`` cutover:
 at 0 (every probe through the columnar gather and kernels, cross-check
@@ -50,7 +53,7 @@ import repro.core.basis as basis_module
 from repro.core import persist
 from repro.core.basis import BasisStore, EvictionPolicy
 from repro.core.fingerprint import Fingerprint, rows_anchor_columns
-from repro.core.index import INDEX_STRATEGIES
+from repro.core.index import INDEX_STRATEGIES, ArrayIndex, NormalizationIndex
 from repro.core.mapping import (
     LinearMappingFamily,
     MonotoneMappingFamily,
@@ -83,6 +86,16 @@ probe_specs = st.tuples(
 def _copy(fingerprint):
     """A cache-free twin, so oracle keys are never the store's cached ones."""
     return Fingerprint(fingerprint.values)
+
+
+def _contents(index):
+    """All a probe can read of an index: its ids, or its buckets once its
+    queued arrivals are keyed (the dict's key order is not read)."""
+    if isinstance(index, ArrayIndex):
+        return index._ids
+    if isinstance(index, NormalizationIndex):
+        index._settle()
+    return index._buckets
 
 
 #: What may happen to the store between two answers of one block probe:
@@ -377,9 +390,29 @@ class StoreMachine(RuleBasedStateMachine):
         unkeyed (the copy also goes the way a worker's pickle does)."""
         if not hasattr(self, "store"):
             return
-        assert (
-            copy.deepcopy(self.store.index).dump_state()
-            == self.eager_index.dump_state()
+        assert _contents(copy.deepcopy(self.store.index)) == _contents(
+            self.eager_index
+        )
+
+    @invariant()
+    def index_is_the_one_rebuilt_from_the_live_bases(self):
+        """What ``persist`` derives on load, so a snapshot need not carry
+        the index: ids only grow, ``merge`` adopts in creation order and
+        removal keeps the survivors' order.  Probed on a copy, as above."""
+        if not hasattr(self, "store"):
+            return
+        rebuilt = type(self.store.index)()
+        for basis in self.store.bases:  # in id order
+            rebuilt.insert(_copy(basis.fingerprint), basis.basis_id)
+        live = copy.deepcopy(self.store.index)
+        assert _contents(live) == _contents(rebuilt)
+        probes = []
+        for basis in self.store.bases:  # each basis and an affine image
+            values = basis.fingerprint.values
+            probes.append(Fingerprint(values))
+            probes.append(Fingerprint(tuple(-2.0 * v + 2.5 for v in values)))
+        assert live.candidates_batch(probes) == rebuilt.candidates_batch(
+            [_copy(probe) for probe in probes]
         )
 
     @invariant()

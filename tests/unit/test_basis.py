@@ -6,7 +6,7 @@ import pytest
 from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator
 from repro.core.fingerprint import Fingerprint
-from repro.core.index import ArrayIndex
+from repro.core.index import ArrayIndex, NormalizationIndex, SortedSIDIndex
 from repro.core.mapping import (
     AffineMapping,
     IdentityMappingFamily,
@@ -123,12 +123,20 @@ class TestFamilyIndexInteraction:
         store = BasisStore(mapping_family=IdentityMappingFamily())
         assert isinstance(store.index, ArrayIndex)
 
-    def test_explicit_index_respected(self):
-        index = ArrayIndex()
+    @pytest.mark.parametrize(
+        "strategy, index_class",
+        [
+            ("array", ArrayIndex),
+            ("normalization", NormalizationIndex),
+            ("sorted_sid", SortedSIDIndex),
+        ],
+    )
+    def test_explicit_index_strategy_respected(self, strategy, index_class):
         store = BasisStore(
-            mapping_family=LinearMappingFamily(), index=index
+            mapping_family=LinearMappingFamily(), index_strategy=strategy
         )
-        assert store.index is index
+        assert type(store.index) is index_class
+        assert store.index.strategy == strategy
 
     def test_identity_family_still_matches_equal(self):
         store = BasisStore(mapping_family=IdentityMappingFamily())

@@ -7,8 +7,13 @@ import pytest
 
 from repro.core import persist
 from repro.core.basis import BLOCK_MIN_PROBES, BasisStore
-from repro.core.fingerprint import Fingerprint
+from repro.core.fingerprint import (
+    DEFAULT_REL_TOL,
+    Fingerprint,
+    batch_sid_orders,
+)
 from repro.core.index import (
+    INDEX_STRATEGIES,
     ArrayIndex,
     NormalizationIndex,
     SortedSIDIndex,
@@ -22,31 +27,6 @@ def affine(fp, alpha, beta):
 
 
 BASE = Fingerprint((0.0, 1.2, 2.3, 1.3, 1.5))
-
-
-class TestIndexState:
-    """``dump_state`` equality is the equality of the snapshot files."""
-
-    @pytest.mark.parametrize(
-        "strategy", ["array", "normalization", "sorted_sid"]
-    )
-    def test_equal_states_and_their_restores_compare_equal(self, strategy):
-        index = make_index(strategy)
-        for basis_id, fingerprint in enumerate((BASE, affine(BASE, 2, 1))):
-            index.insert(fingerprint, basis_id)
-        state = index.dump_state()
-        assert state == type(index).restore_state(state).dump_state()
-        assert not state != index.dump_state()
-
-    def test_one_bit_or_one_dtype_apart_is_unequal(self):
-        index = NormalizationIndex()
-        index.insert(Fingerprint((0.0, 1.0, 0.5)), 0)
-        state = index.dump_state()
-        signed = dict(state, keys=state["keys"].copy())
-        signed["keys"][0] = -0.0  # 0.0 == -0.0, but not bitwise
-        assert state != signed and not state == signed
-        assert state != dict(state, ids=state["ids"].astype(np.int32))
-        assert state != dict(state, rel_tol=(2e-9).hex())
 
 
 class TestArrayIndex:
@@ -120,6 +100,13 @@ def _keyed_on_arrival(pairs):
     return index
 
 
+def _buckets(index):
+    """A normalization index's buckets once its queue is keyed: all that
+    any probe reads (the dict's key order is not read)."""
+    index._settle()
+    return dict(index._buckets)
+
+
 def _unread(pairs):
     index = NormalizationIndex()
     for fingerprint, basis_id in _twins(pairs):
@@ -144,14 +131,14 @@ class TestNormalizationIndexSettles:
             assert lazy.candidates(image) == eager.candidates(image)
 
     @pytest.mark.parametrize("burst", BURSTS)
-    def test_candidates_batch_and_dump_state_after_a_burst(self, burst):
+    def test_candidates_batch_and_buckets_after_a_burst(self, burst):
         pairs = _arrivals(burst)
         eager = _keyed_on_arrival(pairs)
         probes = [fingerprint for fingerprint, _ in _twins(pairs)]
         assert _unread(pairs).candidates_batch(
             probes
         ) == eager.candidates_batch(probes)
-        assert _unread(pairs).dump_state() == eager.dump_state()
+        assert _buckets(_unread(pairs)) == _buckets(eager)
 
     def test_len_counts_unread_inserts(self):
         index = _unread(_arrivals(9))
@@ -167,7 +154,7 @@ class TestNormalizationIndexSettles:
             assert not fingerprint._cache  # nothing keyed on arrival
         index.candidates(BASE)
         for fingerprint, _ in pairs:
-            key = fingerprint._cache[("normal_form", index._rel_tol)]
+            key = fingerprint._cache[("normal_form", DEFAULT_REL_TOL)]
             assert key == Fingerprint(fingerprint.values).normal_form()
 
     def test_remove_of_a_still_queued_id(self):
@@ -177,7 +164,7 @@ class TestNormalizationIndexSettles:
             eager.remove(fingerprint, basis_id)
             lazy.remove(fingerprint, basis_id)
         assert len(lazy) == len(eager) == 9
-        assert lazy.dump_state() == eager.dump_state()
+        assert _buckets(lazy) == _buckets(eager)
         with pytest.raises(IndexError_):
             lazy.remove(*pairs[3])
 
@@ -189,21 +176,14 @@ class TestNormalizationIndexSettles:
         lazy = _unread(ours)
         lazy.merge(_unread(theirs), id_map)
         assert len(lazy) == len(eager) == 15
-        assert lazy.dump_state() == eager.dump_state()
+        assert _buckets(lazy) == _buckets(eager)
 
     def test_pickle_carries_the_queue(self):
         # Fork/spawn workers receive stores by pickle, read or not.
         pairs = _arrivals(9)
         clone = pickle.loads(pickle.dumps(_unread(pairs)))
         assert len(clone) == 9
-        assert clone.dump_state() == _keyed_on_arrival(pairs).dump_state()
-
-    def test_restored_index_has_nothing_queued(self):
-        state = _unread(_arrivals(9)).dump_state()
-        restored = NormalizationIndex.restore_state(state)
-        assert restored.dump_state() == state
-        restored.insert(BASE, 50)
-        assert restored.candidates(BASE)[-1] == 50
+        assert _buckets(clone) == _buckets(_keyed_on_arrival(pairs))
 
 
 class TestUnreadStore:
@@ -247,10 +227,107 @@ class TestUnreadStore:
             )
             merged[probe_between] = (
                 {k: v[0] for k, v in translation.items()},
-                store.index.dump_state(),
+                _buckets(store.index),
                 store.stats.as_dict(),
             )
         assert merged[False] == merged[True]
+
+
+def _contents(index):
+    """All a probe can read of an index: its ids, or its buckets once its
+    queued arrivals are keyed (the dict's key order is not read)."""
+    if isinstance(index, ArrayIndex):
+        return list(index._ids)
+    if isinstance(index, NormalizationIndex):
+        index._settle()
+    return dict(index._buckets)
+
+
+class TestLoadDerivesTheIndex:
+    """A snapshot carries no index: a load re-inserts the stored
+    fingerprints in id order under the recorded strategy.  That is the
+    index the saved store held — bucket for bucket, after removals and a
+    compaction too — and it answers every probe the same."""
+
+    @staticmethod
+    def _store(strategy):
+        store = BasisStore(index_strategy=strategy)
+        for fingerprint, _ in _twins(_arrivals(24)):
+            store.add(fingerprint, np.asarray(fingerprint.values))
+        for basis_id in (3, 10, 17):
+            store.remove(basis_id)
+        store.compact()
+        return store
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+    def test_loaded_index_is_the_saved_one(self, strategy, mmap, tmp_path):
+        live = self._store(strategy)
+        persist.save_store(live, str(tmp_path / "snap"))
+        loaded = persist.load_store(str(tmp_path / "snap"), mmap=mmap)
+        assert type(loaded.index) is type(live.index)
+        assert len(loaded.index) == len(live.index) == 21
+        assert _contents(loaded.index) == _contents(live.index)
+        probes = []
+        for basis in live.bases:  # each basis and an affine image
+            probes.append(Fingerprint(basis.fingerprint.values))
+            probes.append(affine(basis.fingerprint, -2.0, 2.5))
+        assert loaded.index.candidates_batch(probes) == (
+            live.index.candidates_batch(
+                [Fingerprint(probe.values) for probe in probes]
+            )
+        )
+
+    def test_loaded_normalization_index_keys_at_its_first_read(
+        self, tmp_path
+    ):
+        live = self._store("normalization")
+        persist.save_store(live, str(tmp_path / "snap"))
+        loaded = persist.load_store(str(tmp_path / "snap"))
+        index = loaded.index
+        # Queued in id order, nothing keyed until a probe reads.
+        assert [basis_id for _, basis_id in index._pending] == [
+            basis.basis_id for basis in live.bases
+        ]
+        assert not index._buckets
+        assert index.candidates(BASE) == live.index.candidates(BASE)
+        assert not index._pending
+        # An arrival after the load lands behind the loaded ids.
+        first = live.bases[0].fingerprint
+        index.insert(affine(first, 3.0, 1.0), 50)
+        assert index.candidates(first)[-1] == 50
+
+    def test_sorted_sid_load_keys_each_block_in_one_pass(
+        self, monkeypatch, tmp_path
+    ):
+        live = self._store("sorted_sid")
+        persist.save_store(live, str(tmp_path / "snap"))
+        passes = []
+
+        def counted(fingerprints, *args, **kwargs):
+            passes.append(len(fingerprints))
+            return batch_sid_orders(fingerprints, *args, **kwargs)
+
+        scalar = Fingerprint.sid_order
+
+        def cached_only(fingerprint, descending=False):
+            # The inserts find every key the block pass left in the cache.
+            key = "sid_desc" if descending else "sid_asc"
+            assert key in fingerprint._cache
+            return scalar(fingerprint, descending)
+
+        monkeypatch.setattr(persist, "batch_sid_orders", counted)
+        monkeypatch.setattr(Fingerprint, "sid_order", cached_only)
+        loaded = persist.load_store(str(tmp_path / "snap"))
+        monkeypatch.undo()
+        # One pass per fingerprint size (3 and 5), over all its rows.
+        assert sorted(passes) == sorted(
+            sum(len(b.fingerprint.values) == size for b in live.bases)
+            for size in (3, 5)
+        )
+        for basis in loaded.bases:
+            fresh = Fingerprint(basis.fingerprint.values)
+            assert basis.fingerprint._cache["sid_asc"] == fresh.sid_order()
 
 
 class TestSortedSIDIndex:

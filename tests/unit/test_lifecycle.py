@@ -12,13 +12,14 @@ itself.
 
 Also pinned here: eviction-policy ranking semantics, the sustained-load
 bound (a policied store never exceeds ``max_bases``), ``hits``
-round-trips with the committed v1 and v2 fixtures loading through the
-compat branches, the integer-tolerance codec fix, and the interactive
+round-trips with the committed v1, v2 and v3 fixtures loading through
+the compat branches, the integer-tolerance codec fix, and the interactive
 engine's failed-validation invalidation.
 """
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -33,8 +34,9 @@ from repro.api import (
 from repro.blackbox.rng import DeterministicRng
 from repro.core import persist
 from repro.core.basis import BasisStore, EvictionPolicy
+from repro.core.estimator import Estimator
 from repro.core.fingerprint import Fingerprint, rows_first_distinct
-from repro.core.index import INDEX_STRATEGIES, NormalizationIndex
+from repro.core.index import INDEX_STRATEGIES
 from repro.core.mapping import (
     IdentityMappingFamily,
     LinearMappingFamily,
@@ -72,6 +74,16 @@ V1_FIXTURE = os.path.join(
 #: first five probes of ``V2_PROBES`` answered before the save.
 V2_FIXTURE = os.path.join(
     os.path.dirname(__file__), "data", "snapshot_v2"
+)
+
+#: Written by the version-3 writer: a ``sorted_sid`` store (linear
+#: family, 3-bin histograms) of seven bases over fingerprint sizes 5 and
+#: 7, bases 1 and 5 holding metrics from a histogram-free estimator,
+#: basis 3 removed (one tombstone, compacted away by the save), block 5's
+#: SID-order key matrix materialized, and six probes answered before the
+#: save.  Its ``index.*`` files hold the buckets a version-3 load read.
+V3_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "data", "snapshot_v3"
 )
 
 
@@ -123,6 +135,32 @@ V2_PROBES = [
         _affine(Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)), 2.0, 0.5),
         (2, "0x1.0p+1", "0x1.0p-1"),
     ),
+    # Basis 3 (this constant) was removed: the zero basis answers.
+    (Fingerprint((4.0, 4.0, 4.0, 4.0, 4.0)), (6, _ONE, "0x1.0p+2")),
+    (
+        _affine(Fingerprint((-1.0, 0.5, 0.25, 3.0, 2.0)), 0.5, 0.0),
+        (4, "0x1.0p-1", _ZERO),
+    ),
+    (Fingerprint((9.0, 1.0, 5.0, 2.0, 8.0)), None),
+]
+
+_SEVEN = Fingerprint((2.0, -3.0, 7.0, 1.0, 0.5, 6.0, -2.0))
+
+#: Probes of the v3 fixture with the answers the writing tree gave, in
+#: ``V2_PROBES``' form.
+V3_PROBES = [
+    (BASE, (0, _ONE, _ZERO)),
+    (_affine(BASE, 2.0, 3.0), (0, "0x1.0p+1", "0x1.8p+1")),
+    (_affine(BASE, -2.0, 1.0), (0, "-0x1.0p+1", _ONE)),
+    (
+        _affine(Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8)), 0.25, -1.0),
+        (1, "0x1.ffffffffffff5p-3", "-0x1.0p+0"),
+    ),
+    (
+        _affine(Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)), 2.0, 0.5),
+        (2, "0x1.0p+1", "0x1.0p-1"),
+    ),
+    (_affine(_SEVEN, -1.5, 2.0), (5, "-0x1.8p+0", "0x1.0p+1")),
     # Basis 3 (this constant) was removed: the zero basis answers.
     (Fingerprint((4.0, 4.0, 4.0, 4.0, 4.0)), (6, _ONE, "0x1.0p+2")),
     (
@@ -727,6 +765,79 @@ class TestSnapshotVersion2:
             assert result.mapping.alpha.hex() == float.fromhex(alpha).hex()
             assert result.mapping.beta.hex() == float.fromhex(beta).hex()
 
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_v3_fixture_loads(self, mmap):
+        info = persist.snapshot_info(V3_FIXTURE)
+        assert info["version"] == 3
+        assert info["stores"]["default"]["bases"] == 6
+        assert info["stores"]["default"]["index_strategy"] == "sorted_sid"
+        loaded = persist.load_store(V3_FIXTURE, mmap=mmap)
+        assert [b.basis_id for b in loaded.bases] == [0, 1, 2, 4, 5, 6]
+        assert [b.hits for b in loaded.bases] == [3, 1, 0, 1, 1, 0]
+        assert loaded.stats.as_dict() == {
+            "lookups": 6,
+            "candidates_tested": 6,
+            "matches": 6,
+            "bases_created": 7,
+        }
+        assert loaded._next_id == 7
+        histograms = [True, False, True, True, False, True]
+        assert [
+            b.metrics.histogram is not None for b in loaded.bases
+        ] == histograms
+        # Metrics bitwise: each is what its estimator makes of the
+        # stored samples.
+        for basis, binned in zip(loaded.bases, histograms):
+            estimator = Estimator(histogram_bins=3 if binned else 0)
+            assert persist.encode_metrics(basis.metrics) == (
+                persist.encode_metrics(estimator.estimate(basis.samples))
+            )
+        for probe, expected in V3_PROBES:
+            result = loaded.match(probe)
+            if expected is None:
+                assert result is None
+                continue
+            basis_id, alpha, beta = expected
+            assert result.basis.basis_id == basis_id
+            assert result.mapping.alpha.hex() == float.fromhex(alpha).hex()
+            assert result.mapping.beta.hex() == float.fromhex(beta).hex()
+        # The probes tested what the writing tree's index handed them.
+        assert loaded.stats.candidates_tested == 6 + 8
+
+    def test_v3_fixture_index_files_are_never_opened(self, tmp_path):
+        path = tmp_path / "v3"
+        shutil.copytree(V3_FIXTURE, path)
+        index_files = sorted(path.glob("store0.index.*"))
+        assert len(index_files) == 4
+        for index_file in index_files:
+            index_file.unlink()
+        loaded = persist.load_store(str(path))
+        assert [b.basis_id for b in loaded.bases] == [0, 1, 2, 4, 5, 6]
+        for probe, expected in V3_PROBES:
+            result = loaded.match(probe)
+            assert (None if result is None else result.basis.basis_id) == (
+                None if expected is None else expected[0]
+            )
+
+    def test_v3_fixture_resaves_with_no_index_state(self, tmp_path):
+        loaded = persist.load_store(V3_FIXTURE, mmap=True)
+        path = tmp_path / "snap"
+        persist.save_store(loaded, str(path))
+        with open(path / "manifest.json") as handle:
+            body = json.load(handle)["body"]
+        assert body["version"] == persist.SNAPSHOT_VERSION == 4
+        assert not {"index", "index_arrays"} & set(body["stores"]["default"])
+        assert not [name for name in os.listdir(path) if ".index." in name]
+        again = persist.load_store(str(path), mmap=True)
+        assert again.index._buckets == loaded.index._buckets
+        for probe, _ in V3_PROBES:
+            want, got = loaded.match(probe), again.match(probe)
+            assert (want is None) == (got is None)
+            if want is not None:
+                assert got.basis.basis_id == want.basis.basis_id
+                assert got.mapping == want.mapping
+        assert again.stats.as_dict() == loaded.stats.as_dict()
+
     def test_v2_fixture_resaves_at_the_current_version(self, tmp_path):
         loaded = persist.load_store(V2_FIXTURE, mmap=True)
         path = str(tmp_path / "snap")
@@ -746,7 +857,9 @@ class TestSnapshotVersion2:
             np.testing.assert_array_equal(
                 again.get(basis.basis_id).samples, basis.samples
             )
-        assert again.index.dump_state() == loaded.index.dump_state()
+        for index in (again.index, loaded.index):
+            index._settle()
+        assert again.index._buckets == loaded.index._buckets
         for probe, _ in V2_PROBES:
             want, got = loaded.match(probe), again.match(probe)
             assert (want is None) == (got is None)
@@ -784,8 +897,8 @@ class TestSnapshotVersion2:
 
 
 class TestIntegerToleranceCodec:
-    """Integer tolerances used to crash ``dump_state`` (int has no
-    ``.hex()``); constructors now coerce to float at the boundary."""
+    """Integer tolerances used to crash the snapshot's hex codec (int has
+    no ``.hex()``); constructors now coerce to float at the boundary."""
 
     def test_integer_tolerances_snapshot_bitwise(self, tmp_path):
         store = BasisStore(index_strategy="normalization", rel_tol=1,
@@ -800,12 +913,6 @@ class TestIntegerToleranceCodec:
         )
         assert loaded.rel_tol.hex() == float(1).hex()
         assert loaded.abs_tol.hex() == float(0).hex()
-
-    def test_normalization_index_integer_rel_tol(self):
-        index = NormalizationIndex(rel_tol=1)
-        index.insert(BASE, 0)
-        state = index.dump_state()
-        assert state["rel_tol"] == float(1).hex()
 
 
 class TestInteractiveInvalidation:

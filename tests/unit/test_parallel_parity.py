@@ -548,12 +548,6 @@ class TestFingerprintIndexMerge:
         with pytest.raises(IndexError_):
             ArrayIndex().merge(NormalizationIndex(), {})
 
-    def test_normalization_tolerance_mismatch_rejected(self):
-        with pytest.raises(IndexError_):
-            NormalizationIndex(rel_tol=1e-9).merge(
-                NormalizationIndex(rel_tol=1e-6), {}
-            )
-
 
 class TestSeedSlices:
     def test_materialize_matches_seed_array(self):
