@@ -9,7 +9,9 @@ run in-process.
 
 ``--hypothesis-profile=ci`` selects the ``ci`` profile registered here: a
 derandomized, deep run (5,000 examples a property) that CI gives the pair
-prefilter's soundness oracle (``tests/property/test_prop_pair_prefilter.py``).
+prefilter's soundness oracle (``tests/property/test_prop_pair_prefilter.py``)
+and ``MetricSet``'s fast builder
+(``tests/property/test_prop_metric_set_builder.py``).
 Without the option the default profile applies.
 """
 

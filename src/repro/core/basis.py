@@ -292,7 +292,8 @@ class BlockProbe:
     the one degrade site — and drops what the block read ahead.
     Counters, per-basis ``hits`` and ``candidates_tested`` are accounted
     per :meth:`match` call, in call order, exactly as the scalar loop
-    would.
+    would — or, for a run of speculated hits, in one step by
+    :meth:`standing`.
     """
 
     def __init__(
@@ -471,6 +472,37 @@ class BlockProbe:
                 )
                 self._found.clear()
                 return
+
+    def standing(self, i: int) -> List[MatchResult]:
+        """``match(i)``, ``match(i + 1)``, ... for as long as each is a
+        speculated hit that stands — the store unchanged since the block
+        was opened, which is exactly when :meth:`match` answers from the
+        speculation as it is — stopping before the first probe that is
+        not one.  The run is accounted here, in one step, as those
+        :meth:`match` calls would have accounted it; the caller answers
+        probe ``i + len(run)`` on with :meth:`match`."""
+        store = self._store
+        if (
+            self._candidates is None
+            or (store._next_id, len(store._bases)) != self._stamp
+        ):
+            return []
+        bases, candidates = store._bases, self._candidates
+        run: List[MatchResult] = []
+        tested = 0
+        for j in range(i, len(self._probes)):
+            found = self._found.get(j)
+            if found is None:
+                break
+            position, mapping = found
+            basis = bases[candidates[j][position]]
+            basis.hits += 1
+            tested += position + 1
+            run.append(MatchResult(basis, mapping))
+        store.stats.lookups += len(run)
+        store.stats.matches += len(run)
+        store.stats.candidates_tested += tested
+        return run
 
     def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
         """``(store.match(probe_i), candidates tested)``, as of now."""

@@ -138,14 +138,14 @@ class MetricSet:
             for p, v in self.quantiles
         ]
         quantiles.sort()
-        return MetricSet(
-            count=self.count,
-            expectation=alpha * self.expectation + beta,
-            stddev=abs(alpha) * self.stddev,
-            minimum=lo,
-            maximum=hi,
-            quantiles=tuple(quantiles),
-            histogram=(
+        return _metric_set(
+            self.count,
+            alpha * self.expectation + beta,
+            abs(alpha) * self.stddev,
+            lo,
+            hi,
+            tuple(quantiles),
+            (
                 self.histogram.remap(mapping)
                 if self.histogram is not None
                 else None
@@ -170,6 +170,33 @@ class MetricSet:
             a[0] == b[0] and abs(a[1] - b[1]) <= tol
             for a, b in zip(self.quantiles, other.quantiles)
         )
+
+
+def _metric_set(
+    count: int,
+    expectation: float,
+    stddev: float,
+    minimum: float,
+    maximum: float,
+    quantiles: Tuple[Tuple[float, float], ...],
+    histogram: Optional[Histogram],
+) -> MetricSet:
+    """``MetricSet(...)`` for the two hot builders, ``remap`` and
+    ``estimate``: the frozen dataclass's generated ``__init__`` sets each
+    field through ``object.__setattr__``, which costs more than twice what
+    writing the instance dict does.  Fields go in in declaration order, as
+    ``__init__`` would put them (so pickles are byte-equal), and nothing
+    is skipped: ``MetricSet`` has no ``__post_init__``."""
+    metrics = object.__new__(MetricSet)
+    fields = metrics.__dict__
+    fields["count"] = count
+    fields["expectation"] = expectation
+    fields["stddev"] = stddev
+    fields["minimum"] = minimum
+    fields["maximum"] = maximum
+    fields["quantiles"] = quantiles
+    fields["histogram"] = histogram
+    return metrics
 
 
 class Estimator:
@@ -247,17 +274,17 @@ class Estimator:
         deviations = array - mean
         np.square(deviations, out=deviations)
         variance = np.add.reduce(deviations, axis=None) / count
-        return MetricSet(
-            count=count,
-            expectation=float(mean),
-            stddev=float(np.sqrt(variance)),
+        return _metric_set(
+            count,
+            float(mean),
+            float(np.sqrt(variance)),
             # Reductions over the samples as given, not reads off a
             # partitioned copy: with -0.0 / 0.0 ties and NaN the answer
             # depends on the order visited.
-            minimum=float(np.minimum.reduce(array, axis=None)),
-            maximum=float(np.maximum.reduce(array, axis=None)),
-            quantiles=quantiles,
-            histogram=histogram,
+            float(np.minimum.reduce(array, axis=None)),
+            float(np.maximum.reduce(array, axis=None)),
+            quantiles,
+            histogram,
         )
 
     def _quantile_values(self, array: np.ndarray) -> List[float]:

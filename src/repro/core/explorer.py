@@ -193,8 +193,9 @@ class ParameterExplorer:
 
     The one Algorithm 3 loop.  ``basis_store`` is a
     :class:`~repro.core.basis.BasisStore` or anything answering the
-    ``block_probe`` / ``metrics_for`` / ``add`` that :meth:`explore`
-    calls (and the ``get`` a shard reads its samples back with):
+    ``block_probe`` (a handle answering ``standing`` and ``match``) /
+    ``metrics_for`` / ``add`` that :meth:`explore` calls (and the ``get``
+    a shard reads its samples back with):
     :class:`repro.scenario.runner.ScenarioRunner` sweeps a multi-column
     query through this class with one store per column standing in for
     one store, over a simulation whose draws are rounds x columns blocks.
@@ -274,11 +275,19 @@ class ParameterExplorer:
         rule (a speculative answer stands while the probe's candidate list
         still starts with the speculated one, a miss re-tests only what was
         appended, anything else is probed afresh), so every decision,
-        mapping bit and counter is the per-point sweep's.  With an adaptive
-        budget a miss's completion rounds grow in geometric blocks until
-        the confidence interval is inside tolerance (or the fixed budget is
-        spent); the reuse decision is fingerprint-only either way, so the
-        policy never changes which points are reused.
+        mapping bit and counter is the per-point sweep's.  While the store
+        is unchanged since the block was opened, its run of speculated hits
+        is taken in one step (:meth:`BlockProbe.standing`) and accounted —
+        lookups, matches, ``candidates_tested``, per-basis ``hits`` —
+        before the run's first point is yielded, so a consumer that stops
+        part-way through a run sees its later points counted; every
+        in-tree consumer (:meth:`run`, both searches of
+        :mod:`repro.core.search`, the shard worker) drains the generator.
+        With an adaptive budget a miss's completion rounds grow in
+        geometric blocks until the confidence interval is inside tolerance
+        (or the fixed budget is spent); the reuse decision is
+        fingerprint-only either way, so the policy never changes which
+        points are reused.
         """
         points = iter(space)
         while True:
@@ -286,12 +295,42 @@ class ParameterExplorer:
             if not block:
                 return
             values = self._points_simulation(block, self._fingerprint_seeds)
-            fingerprints = [self._fingerprint(drawn) for drawn in values]
+            if self._fingerprint is Fingerprint and isinstance(
+                values, np.ndarray
+            ):
+                # One conversion for the block: a tuple skips Fingerprint's.
+                fingerprints = [
+                    Fingerprint(tuple(row))
+                    for row in values.astype(float, copy=False).tolist()
+                ]
+            else:
+                fingerprints = [self._fingerprint(drawn) for drawn in values]
             probe = self.store.block_probe(fingerprints)
-            for i, params in enumerate(block):
-                yield self._resolve(
-                    params, values[i], fingerprints[i], probe.match(i)[0]
-                )
+            i = 0
+            while i < len(block):
+                for matched in probe.standing(i):
+                    yield self._reuse(block[i], fingerprints[i], matched)
+                    i += 1
+                if i < len(block):
+                    yield self._resolve(
+                        block[i], values[i], fingerprints[i], probe.match(i)[0]
+                    )
+                    i += 1
+
+    def _reuse(
+        self, params: Params, fingerprint: Fingerprint, matched: MatchResult
+    ) -> PointResult:
+        """The point ``matched`` answers: its basis's metrics, mapped."""
+        basis, mapping = matched
+        return PointResult(
+            params=dict(params),
+            metrics=self.store.metrics_for(basis, mapping),
+            reused=True,
+            basis_id=basis.basis_id,
+            mapping=mapping,
+            fingerprint=fingerprint,
+            samples_drawn=self.fingerprint_size,
+        )
 
     def _resolve(
         self,
@@ -302,17 +341,7 @@ class ParameterExplorer:
     ) -> PointResult:
         """Reuse the matched basis, or complete the simulation and add one."""
         if matched is not None:
-            basis, mapping = matched
-            metrics = self.store.metrics_for(basis, mapping)
-            return PointResult(
-                params=dict(params),
-                metrics=metrics,
-                reused=True,
-                basis_id=basis.basis_id,
-                mapping=mapping,
-                fingerprint=fingerprint,
-                samples_drawn=self.fingerprint_size,
-            )
+            return self._reuse(params, fingerprint, matched)
         if self.adaptive is None:
             remaining = self._batch_simulation(params, self._completion_seeds)
             samples = np.concatenate(

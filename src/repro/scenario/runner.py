@@ -159,21 +159,29 @@ class _JointProbe:
             for column, store in enumerate(stores)
         ]
 
+    def standing(self, i: int) -> List[MatchResult]:
+        """Always the empty run, so every joint probe goes through
+        :meth:`match`: a column's handle accounts a lookup only when asked
+        and the columns stop at the first miss, so no column can account
+        a run of hits ahead of knowing the columns before it hit too."""
+        return []
+
     def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
         """Ask the columns in order and stop at the first miss: a handle
         accounts a lookup only when asked, so the stores past an
-        unmappable column see none."""
+        unmappable column see none.  The tested count is always 0: the
+        explorer reads only the result, and each column's store counts
+        its own."""
         if not self._handles:  # a naive sweep reuses nothing
             return None, 0
-        bases, mappings, tested = [], [], 0
+        bases, mappings = [], []
         for handle in self._handles:
-            matched, count = handle.match(i)
-            tested += count
+            matched = handle.match(i)[0]
             if matched is None:
-                return None, tested
+                return None, 0
             bases.append(matched.basis)
             mappings.append(matched.mapping)
-        return MatchResult(_JointBasis(bases), tuple(mappings)), tested
+        return MatchResult(_JointBasis(bases), tuple(mappings)), 0
 
 
 class _ColumnStores:

@@ -5,8 +5,8 @@ used as a test: *after any update sequence the maintained structure answers
 exactly as a from-scratch evaluation*.  A hypothesis state machine drives
 :class:`BasisStore` through interleaved add / match / match_batch /
 match_block (a block probe with the machine's own add / remove / merge run
-between its answers) / remove / evict / compact / merge / save→load, and
-after every step compares it with
+between its answers, some of them asked for as a standing run) / remove /
+evict / compact / merge / save→load, and after every step compares it with
 a deliberately naive oracle — a plain list of bases in insertion order, a
 linear scan over it, the scalar ``find`` — on the matched basis (through the
 store-id → oracle-entry renumbering), the mapping parameters (exact) and
@@ -240,14 +240,17 @@ class StoreMachine(RuleBasedStateMachine):
             return _copy(self.retired[pick % len(self.retired)])
         return fresh
 
-    def _check(self, probe, result, tested):
+    def _check(self, probe, result, tested=None):
+        """Hold one answer to the oracle's; returns the oracle's tested
+        count (``tested`` is ``None`` where only a sum is observable)."""
         entry, mapping, naive_tested = self.naive.match(probe)
-        assert tested == naive_tested
+        assert tested in (None, naive_tested)
         assert (result is None) == (entry is None)
         if result is not None:
             assert self.entry_of[result.basis.basis_id] is entry
             assert type(result.mapping) is type(mapping)
             assert result.mapping == mapping
+        return naive_tested
 
     def _adopt(self, basis_id, fingerprint):
         entry = self.entry_of[basis_id] = self.naive.add(fingerprint)
@@ -293,19 +296,42 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(
         script=st.lists(
-            st.tuples(probe_specs, block_steps), min_size=4, max_size=8
+            st.tuples(probe_specs, block_steps, st.booleans()),
+            min_size=4,
+            max_size=8,
         )
     )
     def match_block(self, script):
         """One block probe, the store mutated between its answers: each
-        ``match(i)`` must be what a fresh linear scan says *now*."""
-        probes = [self._probe(spec) for spec, _ in script]
+        answer — ``match(i)``, or one of a standing run asked for in its
+        place — must be what a fresh linear scan says *now*.  A position
+        asks for a run instead of taking its step; a run answers its
+        probes at once, so the steps scripted for its later probes do not
+        run either, and its ``candidates_tested`` is observable only as a
+        sum."""
+        probes = [self._probe(spec) for spec, _, _ in script]
         handle = self.store.block_probe(probes)
-        for i, (_, step) in enumerate(script):
-            if step is not None:
+        stats = self.store.stats
+        i = 0
+        while i < len(script):
+            _, step, ask_for_run = script[i]
+            if step is not None and not ask_for_run:
                 getattr(self, step[0])(*step[1:])
+            if ask_for_run:
+                before = (stats.lookups, stats.matches, stats.candidates_tested)
+                run = handle.standing(i)
+                assert stats.lookups - before[0] == len(run)
+                assert stats.matches - before[1] == len(run)
+                assert stats.candidates_tested - before[2] == sum(
+                    self._check(probes[i + k], result)
+                    for k, result in enumerate(run)
+                )
+                if run:
+                    i += len(run)
+                    continue
             result, tested = handle.match(i)
             self._check(probes[i], result, tested)
+            i += 1
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def remove(self, pick):

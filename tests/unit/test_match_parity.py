@@ -9,6 +9,8 @@ vectorized path (self-verification exhausted, so parity is asserted here
 rather than masked by the fallback), ``ALWAYS_SCALAR`` the reference loop.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -648,6 +650,145 @@ class TestBlockProbeParity:
                 reference, blocked, PROBES, add_misses=True
             )
             assert not handle._found
+
+
+def assert_run_parity(store, handle, i):
+    """``handle.standing(i)`` against a ``match(j)`` loop over the same
+    probes on a deep copy of the store and handle: the same hits, mapping
+    bits, ``StoreStats`` (so the same ``candidates_tested`` in sum) and
+    per-basis ``hits``.  Returns the run's length."""
+    twin, twin_handle = copy.deepcopy((store, handle))
+    run = handle.standing(i)
+    expected = [twin_handle.match(j) for j in range(i, i + len(run))]
+    assert all(result is not None for result, _ in expected)
+    assert [_answer_bits((result, 0)) for result in run] == [
+        _answer_bits((result, 0)) for result, _ in expected
+    ]
+    assert store.stats.as_dict() == twin.stats.as_dict()
+    assert [(b.basis_id, b.hits) for b in store.bases] == [
+        (b.basis_id, b.hits) for b in twin.bases
+    ]
+    return len(run)
+
+
+@pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+@pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
+class TestBlockProbeStandingRun:
+    """``standing(i)`` is the ``match(i)``, ``match(i + 1)``, ... that
+    the speculation answers as it stands: the longest run of speculated
+    hits from ``i``, empty once the store changed, accounted as those
+    calls would have been.  Only the linear family speculates; the
+    others' runs are empty and their parity trivial."""
+
+    def test_stops_at_the_first_speculative_miss(self, family_name, strategy):
+        for content in sorted(CONTENTS):
+            store = build_store(family_name, strategy, content, True)
+            reference = build_store(family_name, strategy, content, False)
+            hit = [reference.match(probe) is not None for probe in PROBES]
+            handle = store.block_probe(PROBES)
+            i = 0
+            while i < len(PROBES):
+                length = assert_run_parity(store, handle, i)
+                if family_name == "linear":
+                    assert hit[i : i + length] == [True] * length
+                    assert i + length == len(PROBES) or not hit[i + length]
+                else:
+                    assert length == 0
+                i += length
+                if i < len(PROBES):
+                    handle.match(i)  # read-only: the store is unchanged
+                    i += 1
+
+    def test_stops_when_the_stamp_changes(self, family_name, strategy):
+        """Past the first miss, added as Algorithm 3 adds it, the hits
+        speculated behind it are answered by ``match`` alone."""
+        reference = build_store(family_name, strategy, "mixed", False)
+        miss = [reference.match(p) is not None for p in PROBES].index(False)
+        store = build_store(family_name, strategy, "mixed", True)
+        handle = store.block_probe(PROBES)
+        speculated = family_name == "linear"
+        assert assert_run_parity(store, handle, 0) == (
+            miss if speculated else 0
+        )
+        for i in range(miss if speculated else 0, miss + 1):
+            handle.match(i)
+        _, untouched = copy.deepcopy((store, handle))
+        store.add(PROBES[miss], SAMPLES)
+        # Unchanged, the store would have let the two probes after the
+        # linear family's miss (both of the other size, both hits) run.
+        assert len(untouched.standing(miss + 1)) == (2 if speculated else 0)
+        for i in range(miss + 1, len(PROBES)):
+            assert assert_run_parity(store, handle, i) == 0
+
+    def test_stops_after_a_removal(self, family_name, strategy):
+        """A removal changes the stamp, and an add after it does not
+        change it back: ids are never reissued."""
+        for late_add in (False, True):
+            store = build_store(family_name, strategy, "mixed", True)
+            handle = store.block_probe(PROBES)
+            store.remove(store.bases[-1].basis_id)
+            if late_add:
+                store.add(_affine(BASE, -1.5, 0.25), SAMPLES)
+            assert len(store) == len(CONTENTS["mixed"]) - (not late_add)
+            for i in range(len(PROBES)):
+                assert assert_run_parity(store, handle, i) == 0
+
+    def test_sweep_loop_equals_sequential_matching(self, family_name, strategy):
+        """The explorer's loop — a run, then one ``match``, a miss added —
+        answers as Algorithm 3's one probe a point."""
+        probes = PROBES + [_affine(p, -0.5, 2.0) for p in PROBES]
+        for content in ("empty", "mixed"):
+            reference = build_store(family_name, strategy, content, False)
+            store = build_store(family_name, strategy, content, True)
+            expected = answer_sequentially(reference, probes, add_misses=True)
+            handle = store.block_probe(probes)
+            answers = []
+            while len(answers) < len(probes):
+                answers += handle.standing(len(answers))
+                if len(answers) < len(probes):
+                    result, _ = handle.match(len(answers))
+                    if result is None:
+                        store.add(probes[len(answers)], SAMPLES)
+                    answers.append(result)
+            assert [_answer_bits((result, 0)) for result in answers] == [
+                _answer_bits((result, 0)) for result, _ in expected
+            ]
+            assert store.stats.as_dict() == reference.stats.as_dict()
+            assert [(b.basis_id, b.hits) for b in store.bases] == [
+                (b.basis_id, b.hits) for b in reference.bases
+            ]
+
+    def test_small_blocks_have_no_run(self, family_name, strategy):
+        for count in (1, basis_module.BLOCK_MIN_PROBES - 1):
+            store = build_store(family_name, strategy, "mixed", True)
+            probes = [_affine(BASE, 1.0 + i, float(i)) for i in range(count)]
+            handle = store.block_probe(probes)
+            for i in range(count):
+                assert assert_run_parity(store, handle, i) == 0
+        store = build_store(family_name, strategy, "mixed", True)
+        probes = [
+            _affine(BASE, 1.0 + i, float(i))
+            for i in range(basis_module.BLOCK_MIN_PROBES)
+        ]
+        length = assert_run_parity(store, store.block_probe(probes), 0)
+        assert length == (len(probes) if family_name == "linear" else 0)
+
+    def test_budget_left_and_degraded_stores_have_no_run(
+        self, family_name, strategy
+    ):
+        for degraded in (False, True):
+            store = build_store(family_name, strategy, "mixed", True)
+            store.columnar_check = type(store.columnar_check)(
+                "columnar FindMapping",
+                "the scalar find loop",
+                tag="scalar-match",
+                budget=2,
+                equal=store._same_result,
+            )
+            store.columnar_check.degraded = degraded
+            handle = store.block_probe(PROBES)
+            for i in range(len(PROBES)):
+                assert assert_run_parity(store, handle, i) == 0
 
 
 class TestBlockProbeIndexCases:
