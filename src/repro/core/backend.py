@@ -9,8 +9,8 @@ under :class:`VerifyThenDegrade`; there are three such sites:
   :func:`active_backend`'s record;
 * per store, the columnar matcher in :mod:`repro.core.basis`
   (``columnar_check``), against the scalar ``find`` loop;
-* per store, the block probe's explicit pair pass
-  (``pair_checks_left``), against the same loop, degrading
+* per store, the block probe's explicit pair pass and its own-tail
+  table (``pair_checks_left``), against the same loop, degrading
   ``columnar_check`` on a disagreement.
 
 A check's state is instance-scoped: one lying path degrades itself (with

@@ -41,6 +41,7 @@ from repro.core.mapping import (
     LinearMappingFamily,
     Mapping,
     MappingFamily,
+    _targets_state,
 )
 
 
@@ -275,6 +276,27 @@ class BlockProbe:
     reads nothing but two candidate lists, so it holds for every index
     strategy without per-strategy reasoning.
 
+    In a sweep the appended tail is the block's own earlier misses: each
+    miss is simulated and added with its probe's fingerprint, which later
+    probes of the block may match.  Those tails are answered from the
+    **own-tail table**, built at the block's first tail test: every
+    (earlier, later) pair of the block's speculative misses of one size,
+    decided in one :meth:`LinearMappingFamily.find_pairs` launch a size
+    with each pair a probe of its own (64 probes make at most 2,016
+    pairs).  A tail basis maps back to its probe by the identity of its
+    fingerprint object; the tail is walked in order and its first valid
+    pair wins, a pair of two sizes or with a "no" verdict counting as
+    tested and unmatched.  A tail the table cannot answer — a basis that
+    is not one of the block's speculative misses (a foreign ``add`` or
+    ``merge``), or one added ahead of its probe's turn — goes to
+    ``store._find`` whole, as does every tail while ``columnar_check``
+    has budget and the tail is long enough for ``_find`` to spend it (so
+    a cold sweep still vouches for the columnar path in its first block
+    and speculates shared lists from its second).  The table is the
+    explicit pair pass, so its answers share ``pair_checks_left``: each
+    is held against the scalar loop while that lasts, and a disagreement
+    degrades ``columnar_check`` and drops all the block read ahead.
+
     Not speculated (answered through :meth:`BasisStore.match`'s own path
     switch at their turn, from the block's candidate list while the store
     is unchanged): everything, for families without a pair kernel and for
@@ -307,6 +329,11 @@ class BlockProbe:
         #: verbatim merge raises ``_next_id`` (ids are never reissued)
         #: and, that being equal, every ``remove`` lowers the live count.
         self._stamp = (store._next_id, len(store._bases))
+        #: The own-tail table, (source probe, target probe) -> mapping for
+        #: each valid pair, and the speculative misses by fingerprint id:
+        #: built at the block's first tail test (:meth:`_decide_tails`).
+        self._tails: Optional[Dict[Tuple[int, int], Mapping]] = None
+        self._owners: Dict[int, int] = {}
         #: Per probe, what ``index.candidates`` said on opening — or
         #: nothing at all for a block too small to repay reading ahead.
         self._candidates: Optional[List[List[int]]] = None
@@ -527,8 +554,90 @@ class BlockProbe:
             return store._account(result, position + 1)
         if len(current) == len(old):
             return store._account(None, len(old))
-        result, tested = store._find(probe, current[len(old) :])
+        tail = current[len(old) :]
+        result, tested = self._own_tail(i, tail) or store._find(probe, tail)
         return store._account(result, len(old) + tested)
+
+    def _own_tail(
+        self, i: int, tail: Sequence[int]
+    ) -> Optional[Tuple[Optional[MatchResult], int]]:
+        """``store._find(probe_i, tail)`` read from the own-tail table, or
+        ``None`` when the table cannot say: a tail basis that is not one
+        of the block's speculative misses, or one added ahead of its turn.
+        While ``columnar_check`` has budget, a tail long enough for the
+        columnar path is left to ``_find``, which spends it."""
+        store = self._store
+        if store.columnar_check.remaining and (
+            len(tail) >= store.columnar_min_candidates
+        ):
+            return None
+        if self._tails is None:
+            self._decide_tails()
+        probe = self._probes[i]
+        answer: Tuple[Optional[MatchResult], int] = (None, len(tail))
+        for k, basis_id in enumerate(tail):
+            basis = store._bases[basis_id]
+            # The block holds its probes and the store its bases, so an
+            # id shared by two live objects means one object: the basis
+            # was added from the probe itself.
+            owner = self._owners.get(id(basis.fingerprint))
+            if owner is None or owner >= i:
+                return None
+            mapping = self._tails.get((owner, i))
+            if mapping is not None:
+                answer = MatchResult(basis, mapping), k + 1
+                break
+        if store.pair_checks_left:
+            store.pair_checks_left -= 1
+            expected = store._match_scalar(probe, tail)
+            if not store._same_result(answer, expected):
+                store.columnar_check.degrade(
+                    "pair pass disagreed with the scalar find loop"
+                )
+                self._found.clear()
+                return expected
+        return answer
+
+    def _decide_tails(self) -> None:
+        """The own-tail table: every (earlier, later) pair of the block's
+        speculative misses of one fingerprint size, in one pair launch a
+        size, each pair a probe of its own.  Pairs of two sizes cannot
+        match and are not launched; only valid pairs are kept."""
+        store = self._store
+        misses = {i for i, found in self._found.items() if found is None}
+        # A fingerprint probed twice maps to its first probe.
+        self._owners = {
+            id(self._probes[i]): i for i in sorted(misses, reverse=True)
+        }
+        self._tails = {}
+        for indices, stack in self._stacks.values():
+            rows = np.array(
+                [row for row, i in enumerate(indices) if i in misses],
+                dtype=np.int64,
+            )
+            sources, targets = rows[np.array(np.triu_indices(len(rows), 1))]
+            if not len(targets):
+                continue
+            first, build = store.mapping_family.find_pairs(
+                stack,
+                stack[targets],
+                np.arange(len(targets)),
+                np.zeros(len(targets), np.int64),
+                sources,
+                rel_tol=store.rel_tol,
+                abs_tol=store.abs_tol,
+                # The targets' state, derived once a probe, not a pair.
+                state=[
+                    column[targets]
+                    for column in _targets_state(
+                        stack, store.rel_tol, store.abs_tol
+                    )
+                ],
+            )
+            for pair in np.nonzero(first >= 0)[0].tolist():
+                self._tails[
+                    (indices[sources[pair]], indices[targets[pair]])
+                ] = build(pair)
 
 
 class BasisStore:
@@ -589,7 +698,8 @@ class BasisStore:
             equal=self._same_result,
         )
         #: The block probe's explicit pair pass answers short candidate
-        #: lists, which never spend ``columnar_check``'s budget (that one
+        #: lists and its own-tail table a block's own misses, neither of
+        #: which spends ``columnar_check``'s budget (that one
         #: vouches for ``_match_columnar``, and a selective store may
         #: never get there): its first answers on this store are held
         #: against the scalar loop on a budget of their own, and a

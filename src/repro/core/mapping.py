@@ -496,6 +496,7 @@ class LinearMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         anchors=None,
+        state=None,
     ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
         """:meth:`find_block` over an explicit pair list.
 
@@ -506,6 +507,8 @@ class LinearMappingFamily(MappingFamily):
         candidate.  ``first[p]`` is the candidate number of probe ``p``'s
         first valid pair (−1: none); the pair list is decided by
         :func:`_first_valid_pairs`, as :meth:`find_block`'s survivors are.
+        ``anchors`` and ``state`` are the sources' anchor columns and the
+        targets' :func:`_targets_state`, when the caller keeps them.
         """
         return _first_valid_pairs(
             sources,
@@ -516,7 +519,9 @@ class LinearMappingFamily(MappingFamily):
             anchors
             if anchors is not None
             else rows_anchor_columns(sources, rel_tol),
-            _targets_state(targets, rel_tol, abs_tol),
+            state
+            if state is not None
+            else _targets_state(targets, rel_tol, abs_tol),
         )
 
 

@@ -4,10 +4,11 @@ The dynamic-evaluation contract (Berkholz–Keppeler–Schweikardt, PAPERS.md)
 used as a test: *after any update sequence the maintained structure answers
 exactly as a from-scratch evaluation*.  A hypothesis state machine drives
 :class:`BasisStore` through interleaved add / match / match_batch /
-match_block (a block probe with the machine's own add / remove / merge run
-between its answers, some of them asked for as a standing run) / remove /
-evict / compact / merge / save→load, and after every step compares it with
-a deliberately naive oracle — a plain list of bases in insertion order, a
+match_block (a block probe with the machine's own add / remove / merge, or
+the add of one of the block's own probes, run between its answers, some of
+them asked for as a standing run) / remove / evict / compact / merge /
+save→load, and after every step compares it with a deliberately naive
+oracle — a plain list of bases in insertion order, a
 linear scan over it, the scalar ``find`` — on the matched basis (through the
 store-id → oracle-entry renumbering), the mapping parameters (exact) and
 the per-probe ``candidates_tested`` work.  The store's index is held, after
@@ -99,10 +100,15 @@ def _contents(index):
 
 
 #: What may happen to the store between two answers of one block probe:
-#: nothing, or one of the machine's own mutating rules with its arguments.
+#: nothing, one of the machine's own mutating rules with its arguments, or
+#: ``add_own``: the add a sweep makes, of one of the block's own probes
+#: (the fingerprint object itself, picked by position), which the block
+#: answers later tails from its own-tail table — or, for a probe whose turn
+#: has not come, through ``_find``.
 block_steps = st.one_of(
     st.none(),
     st.tuples(st.just("add"), fingerprints),
+    st.tuples(st.just("add_own"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(st.just("remove"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(
         st.just("merge"),
@@ -316,7 +322,10 @@ class StoreMachine(RuleBasedStateMachine):
         while i < len(script):
             _, step, ask_for_run = script[i]
             if step is not None and not ask_for_run:
-                getattr(self, step[0])(*step[1:])
+                if step[0] == "add_own":
+                    self.add(probes[step[1] % len(probes)])
+                else:
+                    getattr(self, step[0])(*step[1:])
             if ask_for_run:
                 before = (stats.lookups, stats.matches, stats.candidates_tested)
                 run = handle.standing(i)

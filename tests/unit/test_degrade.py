@@ -10,7 +10,8 @@ three index strategies, decisions, parameters and work counters alike.
 Every fast path that has a slower path to be checked against runs under
 the one ``VerifyThenDegrade`` harness (:mod:`repro.core.backend`): the
 fastrng draw stream (one process-wide self-test), and per store the
-columnar matcher and the block probe's pair pass.  A lying path is
+columnar matcher and the block probe's pair pass (its own-tail table
+included).  A lying path is
 caught by the first-N cross-check, warns exactly once, and answers
 through the reference from then on; a store's degrade is scoped to that
 store, every degrade is visible in the ``describe()`` descriptor and
@@ -235,6 +236,56 @@ def _pair_pass_site(monkeypatch):
     )
 
 
+#: A cold block whose first probe misses and whose others are images of
+#: it: every tail after the first is the block's own, answered by the
+#: own-tail table (the only ``find_pairs`` launch on an empty store).
+OWN_TAIL_PROBES = [BASE] + [
+    Fingerprint(tuple(2.0 * v + shift for v in BASE.values))
+    for shift in range(1, PAIR_PASS_MIN_PROBES)
+]
+
+#: What the scalar loop answers for them: ``(root values, mapping,
+#: tested)``, ``None`` for the root's miss.
+OWN_TAIL_ANSWERS = [(None, None, 0)] + [
+    (BASE.values, AffineMapping(2.0, float(shift)), 1)
+    for shift in range(1, PAIR_PASS_MIN_PROBES)
+]
+
+
+def _own_tail_digest(store):
+    """Sweep the cold block in Algorithm 3's order, then retire what it
+    added, so every call starts from an empty store."""
+
+    def digest():
+        handle = store.block_probe(OWN_TAIL_PROBES)
+        answers, added = [], []
+        for i, probe in enumerate(OWN_TAIL_PROBES):
+            result, tested = handle.match(i)
+            if result is None:
+                added.append(store.add(probe, np.arange(4.0)).basis_id)
+                answers.append((None, None, tested))
+            else:
+                answers.append(
+                    (result.basis.fingerprint.values, result.mapping, tested)
+                )
+        for basis_id in added:
+            store.remove(basis_id)
+        return answers
+
+    return digest
+
+
+def _own_tail_site(monkeypatch):
+    """The own-tail table lies; ``pair_checks_left`` catches it."""
+    store = BasisStore(mapping_family=_LyingPairFamily())
+    return (
+        _own_tail_digest(store),
+        OWN_TAIL_ANSWERS,
+        lambda: active_backend().describe(store.columnar_check),
+        "numpy[scalar-match]",
+    )
+
+
 def test_draw_matrix_bitwise_matches_scalar():
     # Enough seeds for ziggurat-rejection lanes (~1.5% per draw).
     seeds = np.arange(3000, dtype=np.uint64)
@@ -354,7 +405,14 @@ def _worker_stream(seeds, index):
 
 class TestDegradeSemantics:
     @pytest.mark.parametrize(
-        "site", [_stream_site, _columnar_site, _affine_site, _pair_pass_site]
+        "site",
+        [
+            _stream_site,
+            _columnar_site,
+            _affine_site,
+            _pair_pass_site,
+            _own_tail_site,
+        ],
     )
     def test_each_site_warns_once_degrades_for_good_serves_reference(
         self, site, monkeypatch
@@ -371,6 +429,34 @@ class TestDegradeSemantics:
             for _ in range(VERIFY_CALLS + 2):
                 assert call() == reference_bits
         assert describe() == degraded_descriptor
+
+    def test_a_lying_own_tail_table_falls_back_to_find(self):
+        """Caught on the block's first own tail, spending one check; the
+        rest of the block is answered by ``_find`` from scratch."""
+        store = BasisStore(mapping_family=_LyingPairFamily())
+        lists = []
+        find = store._find
+
+        def logged(fingerprint, candidates):
+            lists.append(list(candidates))
+            return find(fingerprint, candidates)
+
+        store._find = logged
+        with pytest.warns(RuntimeWarning) as caught:
+            answers = _own_tail_digest(store)()
+        assert [str(w.message) for w in caught] == [
+            "columnar FindMapping pair pass disagreed with the scalar find "
+            "loop; this instance answers through the scalar find loop from "
+            "now on"
+        ]
+        assert answers == OWN_TAIL_ANSWERS
+        assert store.pair_checks_left == VERIFY_CALLS - 1
+        assert (
+            active_backend().describe(store.columnar_check)
+            == "numpy[scalar-match]"
+        )
+        # Probe 1 was answered by the check itself; probes 2.. by _find.
+        assert lists == [[0]] * (PAIR_PASS_MIN_PROBES - 2)
 
     def test_a_wrong_affine_kernel_is_caught_by_every_store(
         self, monkeypatch

@@ -14,12 +14,14 @@ import copy
 import numpy as np
 import pytest
 
+from repro.blackbox.synth_basis import SynthBasisModel
 from repro.core import persist
 from repro.core.backend import VERIFY_CALLS, active_backend
 import repro.core.basis as basis_module
 import repro.core.mapping as mapping_module
 from repro.core.basis import BasisStore, EvictionPolicy, MatchResult
 from repro.core.columnar import CandidateKeys
+from repro.core.explorer import BLOCK_PROBES, ParameterExplorer
 from repro.core.fingerprint import (
     Fingerprint,
     batch_normal_forms,
@@ -1178,6 +1180,189 @@ class TestBlockProbeSelectiveIndexCases:
         assert handle._found[1][0] == 0  # speculated: the descending hit
         assert blocked.get(2).hits == 2  # answered: the inserted basis
         assert blocked.get(0).hits == 0
+
+
+#: Roots of a cold block; each is followed later by its planted images.
+OWN_TAIL_ROOTS = [
+    BASE,
+    Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8)),
+    Fingerprint((4.0,) * 5),  # constant: its images are pure shifts
+    _cubic(BASE),  # a monotone image of the first root, not an affine one
+]
+
+#: ``(alpha, beta)`` of the planted images: decreasing, a pure shift, a
+#: pure scale, an exact copy, decreasing again, increasing.
+OWN_TAIL_MAPS = [
+    (-2.0, 1.0),
+    (1.0, 4.5),
+    (2.5, 0.0),
+    (1.0, 0.0),
+    (-0.5, -3.0),
+    (3.0, -2.0),
+]
+
+
+def planted_block(roots=OWN_TAIL_ROOTS):
+    """Fresh copies of the roots, then every image of every root: a block
+    of at least :data:`PAIR_PASS_MIN_PROBES` probes whose later probes
+    match what its earlier misses add.  The last probe is the fourth one
+    again, the same object."""
+    probes = [Fingerprint(root.values) for root in roots]
+    probes += [
+        _affine(root, alpha, beta)
+        for alpha, beta in OWN_TAIL_MAPS
+        for root in roots
+    ]
+    assert len(probes) >= basis_module.PAIR_PASS_MIN_PROBES
+    return probes + [probes[3]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+@pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
+class TestBlockProbeOwnTails:
+    """A speculative miss whose tail is the block's own earlier misses —
+    a sweep's adds, each from its probe's own fingerprint — is answered
+    from the own-tail table, not by ``_find``.  The reference is a
+    ``match`` loop over a deep copy of the store, on the scalar loop;
+    the block's store has both budgets spent, so every table answer is
+    the table's own."""
+
+    def stores(self, family_name, strategy, fingerprints=()):
+        blocked = BasisStore(
+            mapping_family=FAMILY_FACTORIES[family_name](),
+            index_strategy=strategy,
+        )
+        blocked.columnar_check.exhaust()
+        blocked.pair_checks_left = 0
+        for fingerprint in fingerprints:
+            blocked.add(fingerprint, SAMPLES)
+        reference = copy.deepcopy(blocked)
+        reference.columnar_min_candidates = ALWAYS_SCALAR
+        return reference, blocked
+
+    def test_cold_block_of_planted_images(self, family_name, strategy):
+        reference, blocked = self.stores(family_name, strategy)
+        log = _FindLog(blocked)
+        handle = assert_block_parity(
+            reference, blocked, planted_block(), add_misses=True
+        )
+        if family_name == "linear":
+            # Every tail was the block's own: none reached ``_find``.
+            assert log.lists == []
+            assert handle._tails
+            assert blocked.stats.matches > 0
+        else:
+            assert handle._tails is None
+
+    def test_foreign_add_between_calls(self, family_name, strategy):
+        """A basis the block did not add sends every tail holding it to
+        ``_find`` whole: here an image of the first root, added before
+        the root's turn, which the root and its images then match."""
+        probes = planted_block()
+        foreign = _affine(BASE, 7.0, 1.0)
+        before = {
+            0: lambda store: store.add(foreign, SAMPLES),
+            17: lambda store: store.add(Fingerprint((9.0,) * 7), SAMPLES),
+        }
+        reference, blocked = self.stores(family_name, strategy)
+        log = _FindLog(blocked)
+        assert_block_parity(
+            reference, blocked, probes, before=before, add_misses=True
+        )
+        if family_name == "linear":
+            assert blocked.get(0).fingerprint is foreign
+            assert blocked.get(0).hits == 1 + len(OWN_TAIL_MAPS)
+            assert log.lists and all(0 in ids for ids in log.lists)
+
+    def test_removal(self, family_name, strategy):
+        """An own miss retired mid-block (its id leaves every tail), and
+        a basis of a warm store retired (the prefix breaks)."""
+        before = {
+            9: lambda store: store.remove(store.bases[0].basis_id),
+            20: lambda store: store.remove(store.bases[-1].basis_id),
+        }
+        for content in ("empty", "mixed"):
+            assert_block_parity(
+                *self.stores(family_name, strategy, CONTENTS[content]),
+                planted_block(),
+                before=before,
+                add_misses=True,
+            )
+
+    def test_mixed_sizes(self, family_name, strategy):
+        """Pairs of two sizes are tested and unmatched, not launched."""
+        roots = [
+            BASE,
+            WIDE,
+            Fingerprint((1.0, 2.0, 4.0)),
+            Fingerprint((4.0,) * 7),
+        ]
+        reference, blocked = self.stores(family_name, strategy)
+        log = _FindLog(blocked)
+        handle = assert_block_parity(
+            reference, blocked, planted_block(roots), add_misses=True
+        )
+        if family_name == "linear":
+            assert log.lists == []
+            sizes = {
+                (handle._probes[source].size, handle._probes[target].size)
+                for source, target in handle._tails
+            }
+            assert sizes == {(5, 5), (7, 7), (3, 3)}
+
+    def test_later_probe_added_out_of_order(self, family_name, strategy):
+        """A later probe's own fingerprint added ahead of its turn (the
+        constant root's): the table has no pair with it as the source for
+        an earlier probe, or for itself, so those tails go to ``_find``;
+        after its turn, the table answers for it again."""
+        probes = planted_block()
+        before = {1: lambda store: store.add(probes[2], SAMPLES)}
+        reference, blocked = self.stores(family_name, strategy)
+        log = _FindLog(blocked)
+        assert_block_parity(
+            reference, blocked, probes, before=before, add_misses=True
+        )
+        if family_name == "linear":
+            early = blocked.get(1)
+            assert early.fingerprint is probes[2]
+            assert early.hits == 1 + len(OWN_TAIL_MAPS)  # itself, images
+            assert log.lists and all(1 in ids for ids in log.lists)
+            assert len(log.lists) <= 2  # probes 1 and 2 only
+
+
+class TestOwnTailBudgetGuard:
+    def test_a_cold_array_sweep_spends_the_columnar_budget(self):
+        """Own tails spend nothing, so while ``columnar_check`` has budget
+        a tail long enough for the columnar path goes to ``_find``: a
+        cold ``array`` sweep still vouches for that path in its first
+        block and speculates shared lists from its second on."""
+        store = BasisStore(index_strategy="array")
+        handles = []
+        open_block = store.block_probe
+
+        def spy(fingerprints):
+            handles.append(open_block(fingerprints))
+            return handles[-1]
+
+        store.block_probe = spy
+        explorer = ParameterExplorer(
+            SynthBasisModel(basis_count=40),
+            samples_per_point=20,
+            fingerprint_size=10,
+            basis_store=store,
+        )
+        explorer.run([{"point": float(p)} for p in range(2 * BLOCK_PROBES)])
+        first, second = handles
+        assert first._tails  # the first block's own tails: the table
+        assert store.columnar_check.remaining == 0
+        assert not store.columnar_check.degraded
+        # Every probe of the second block was read ahead on a shared list.
+        assert len(second._found) == BLOCK_PROBES
+        assert all(
+            len(ids) >= store.columnar_min_candidates
+            for ids in second._candidates
+        )
 
 
 class TestPerRowAffineValidate:
