@@ -11,8 +11,11 @@ run in-process.
 derandomized, deep run (5,000 examples a property) that CI gives the pair
 prefilter's soundness oracle (``tests/property/test_prop_pair_prefilter.py``),
 ``MetricSet``'s fast builder
-(``tests/property/test_prop_metric_set_builder.py``) and the block probe's
-own-tail table (``tests/property/test_prop_block_tails.py``).
+(``tests/property/test_prop_metric_set_builder.py``), the block plan's own
+tails (``tests/property/test_prop_block_tails.py``), the store machine's
+plan rule (``tests/property/test_prop_store_machine.py``) and the row-wise
+estimator's bits (``tests/property/test_prop_estimator.py``); a property
+that sets its own example count keeps it, derandomized.
 Without the option the default profile applies.
 """
 

@@ -13,7 +13,7 @@ implement :class:`MarkovModel`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,6 +119,7 @@ class BlackBox(ABC):
         self,
         block: Sequence[Params],
         seeds: Union[Sequence[int], np.ndarray],
+        rows: Optional[List[np.ndarray]] = None,
     ) -> np.ndarray:
         """Draw one sample per seed at every point of ``block``.
 
@@ -126,12 +127,16 @@ class BlackBox(ABC):
         bit-identical to ``sample_batch(block[i], seeds)``, with
         invocations counted as that loop counts them.  Boxes whose points
         are cheap functions of the same standard draws override
-        :meth:`_sample_points` to draw the whole block at once.
+        :meth:`_sample_points` to draw the whole block at once.  When the
+        loop runs, it appends each row to ``rows`` (when given) as it is
+        drawn, so a caller whose draw raised knows the rows before it.
         """
         seed_array = _seed_array(seeds)
         values = self._sample_points(block, seed_array) if block else None
         if values is None:
-            rows = [self.sample_batch(params, seed_array) for params in block]
+            rows = [] if rows is None else rows
+            for params in block:
+                rows.append(self.sample_batch(params, seed_array))
             return np.array(rows, dtype=np.float64).reshape(
                 len(block), seed_array.shape[0]
             )

@@ -138,10 +138,10 @@ class EvictionPolicy:
 
     def victims(self, store: "BasisStore") -> List[int]:
         """Basis ids to evict, in eviction order (store unchanged)."""
-        bases = store._bases.values()
+        bases = store._bases
         count = len(bases)
         total = (
-            sum(basis.nbytes() for basis in bases)
+            sum(basis.nbytes() for basis in bases.values())
             if self.max_bytes is not None
             else 0
         )
@@ -149,20 +149,24 @@ class EvictionPolicy:
             return []
         # One ranking over the live bases, whatever order the dict holds
         # them in (a restored store's need not be ascending id): least hit
-        # first with ties toward the older id, or oldest first.
-        ranked = sorted(
-            bases,
-            key=attrgetter("hits", "basis_id")
-            if self.keep == "value"
-            else attrgetter("basis_id"),
-        )
+        # first with ties toward the older id, or oldest first.  Ids are
+        # unique, so either order is total; the hit counts are one column
+        # and the ranking one sort in C.
+        if self.keep == "value":
+            ids = np.fromiter(bases, np.int64, count)
+            hits = np.fromiter(
+                map(attrgetter("hits"), bases.values()), np.int64, count
+            )
+            ranked = ids[np.lexsort((ids, hits))].tolist()
+        else:
+            ranked = sorted(bases)
         victims: List[int] = []
-        for basis in ranked:
+        for basis_id in ranked:
             if not self._exceeded(count, total):
                 break
-            victims.append(basis.basis_id)
+            victims.append(basis_id)
             count -= 1
-            total -= basis.nbytes()
+            total -= bases[basis_id].nbytes()
         return victims
 
 
@@ -278,24 +282,33 @@ class BlockProbe:
 
     In a sweep the appended tail is the block's own earlier misses: each
     miss is simulated and added with its probe's fingerprint, which later
-    probes of the block may match.  Those tails are answered from the
-    **own-tail table**, built at the block's first tail test: every
-    (earlier, later) pair of the block's speculative misses of one size,
-    decided in one :meth:`LinearMappingFamily.find_pairs` launch a size
-    with each pair a probe of its own (64 probes make at most 2,016
-    pairs).  A tail basis maps back to its probe by the identity of its
-    fingerprint object; the tail is walked in order and its first valid
-    pair wins, a pair of two sizes or with a "no" verdict counting as
-    tested and unmatched.  A tail the table cannot answer — a basis that
-    is not one of the block's speculative misses (a foreign ``add`` or
-    ``merge``), or one added ahead of its probe's turn — goes to
-    ``store._find`` whole, as does every tail while ``columnar_check``
-    has budget and the tail is long enough for ``_find`` to spend it (so
-    a cold sweep still vouches for the columnar path in its first block
-    and speculates shared lists from its second).  The table is the
-    explicit pair pass, so its answers share ``pair_checks_left``: each
-    is held against the scalar loop while that lasts, and a disagreement
-    degrades ``columnar_check`` and drops all the block read ahead.
+    probes of the block may match.  :meth:`plan` decides the whole block
+    that way at once: every probe answered as :meth:`match` would answer
+    it if only the block's own misses changed the store, each added in
+    order.  Speculated hits stand.  A speculative miss ``i`` is held
+    against the earlier planned misses that the index would list for it —
+    by the **membership rule**, :meth:`FingerprintIndex.keys`: an insert
+    joins a list when its key is one the probe reads (``array``: every
+    insert; ``normalization``: an equal key; ``sorted_sid``: an equal SID
+    order) — and the first valid one wins, a pair of two sizes or with a
+    "no" verdict counting as tested and unmatched.  The pairs are decided
+    in one :meth:`LinearMappingFamily.find_pairs` launch a size, each pair
+    a probe of its own, and only pairs the rule lists are launched.  The
+    plan shares ``pair_checks_left``: while that lasts each answer it
+    takes from a tail is held against the family's scalar ``find`` over
+    the planned tail, and a disagreement degrades ``columnar_check`` and
+    drops all the block read ahead.  :meth:`settle` then adds the planned
+    misses in plan order (:meth:`BasisStore.add_batch`) and accounts the
+    block: the plan holds while the store stamp is the opening one plus
+    the block's own adds, in plan order, so a foreign ``add``, ``remove``
+    or ``merge`` between the two makes it refuse, and :meth:`match`
+    answers the block.  A block the plan cannot decide is answered by
+    :meth:`match` too: one with a probe not speculated, one with an own
+    insert in front of the end of a probe's list (``sorted_sid``'s
+    ascending bucket ahead of a descending half: the prefix breaks), one
+    with a tail long enough for ``_find`` to spend ``columnar_check``'s
+    budget on (so a cold sweep still vouches for the columnar path in its
+    first block and speculates shared lists from its second).
 
     Not speculated (answered through :meth:`BasisStore.match`'s own path
     switch at their turn, from the block's candidate list while the store
@@ -314,8 +327,7 @@ class BlockProbe:
     the one degrade site — and drops what the block read ahead.
     Counters, per-basis ``hits`` and ``candidates_tested`` are accounted
     per :meth:`match` call, in call order, exactly as the scalar loop
-    would — or, for a run of speculated hits, in one step by
-    :meth:`standing`.
+    would — or, for a planned block, in one step by :meth:`settle`.
     """
 
     def __init__(
@@ -329,11 +341,10 @@ class BlockProbe:
         #: verbatim merge raises ``_next_id`` (ids are never reissued)
         #: and, that being equal, every ``remove`` lowers the live count.
         self._stamp = (store._next_id, len(store._bases))
-        #: The own-tail table, (source probe, target probe) -> mapping for
-        #: each valid pair, and the speculative misses by fingerprint id:
-        #: built at the block's first tail test (:meth:`_decide_tails`).
-        self._tails: Optional[Dict[Tuple[int, int], Mapping]] = None
-        self._owners: Dict[int, int] = {}
+        #: What :meth:`plan` decided, until :meth:`settle` takes it: the
+        #: planned misses, and per probe ``(basis id, mapping, tested)``
+        #: (the id a planned miss will be added as; a miss: no mapping).
+        self._plan: Optional[Tuple[List[int], list]] = None
         #: Per probe, what ``index.candidates`` said on opening — or
         #: nothing at all for a block too small to repay reading ahead.
         self._candidates: Optional[List[List[int]]] = None
@@ -500,37 +511,6 @@ class BlockProbe:
                 self._found.clear()
                 return
 
-    def standing(self, i: int) -> List[MatchResult]:
-        """``match(i)``, ``match(i + 1)``, ... for as long as each is a
-        speculated hit that stands — the store unchanged since the block
-        was opened, which is exactly when :meth:`match` answers from the
-        speculation as it is — stopping before the first probe that is
-        not one.  The run is accounted here, in one step, as those
-        :meth:`match` calls would have accounted it; the caller answers
-        probe ``i + len(run)`` on with :meth:`match`."""
-        store = self._store
-        if (
-            self._candidates is None
-            or (store._next_id, len(store._bases)) != self._stamp
-        ):
-            return []
-        bases, candidates = store._bases, self._candidates
-        run: List[MatchResult] = []
-        tested = 0
-        for j in range(i, len(self._probes)):
-            found = self._found.get(j)
-            if found is None:
-                break
-            position, mapping = found
-            basis = bases[candidates[j][position]]
-            basis.hits += 1
-            tested += position + 1
-            run.append(MatchResult(basis, mapping))
-        store.stats.lookups += len(run)
-        store.stats.matches += len(run)
-        store.stats.candidates_tested += tested
-        return run
-
     def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
         """``(store.match(probe_i), candidates tested)``, as of now."""
         store = self._store
@@ -554,90 +534,156 @@ class BlockProbe:
             return store._account(result, position + 1)
         if len(current) == len(old):
             return store._account(None, len(old))
-        tail = current[len(old) :]
-        result, tested = self._own_tail(i, tail) or store._find(probe, tail)
+        result, tested = store._find(probe, current[len(old) :])
         return store._account(result, len(old) + tested)
 
-    def _own_tail(
-        self, i: int, tail: Sequence[int]
-    ) -> Optional[Tuple[Optional[MatchResult], int]]:
-        """``store._find(probe_i, tail)`` read from the own-tail table, or
-        ``None`` when the table cannot say: a tail basis that is not one
-        of the block's speculative misses, or one added ahead of its turn.
-        While ``columnar_check`` has budget, a tail long enough for the
-        columnar path is left to ``_find``, which spends it."""
-        store = self._store
-        if store.columnar_check.remaining and (
-            len(tail) >= store.columnar_min_candidates
+    def plan(self) -> Optional[List[int]]:
+        """Decide the whole block as :meth:`match` would answer it, probe
+        by probe, if only the block's own misses changed the store — each
+        added, in order, with its probe's own fingerprint.  Returns those
+        misses, the probes to simulate, in order (:meth:`settle` takes
+        their samples); nothing is accounted yet.  ``None`` when the plan
+        cannot decide: the store changed since opening, a probe was not
+        speculated, an own insert lands in front of the end of a probe's
+        list (the prefix breaks), or a tail is one ``columnar_check`` would
+        spend its budget on."""
+        store, probes, found = self._store, self._probes, self._found
+        if (
+            self._candidates is None
+            or len(found) < len(probes)
+            or (store._next_id, len(store._bases)) != self._stamp
         ):
             return None
-        if self._tails is None:
-            self._decide_tails()
-        probe = self._probes[i]
-        answer: Tuple[Optional[MatchResult], int] = (None, len(tail))
-        for k, basis_id in enumerate(tail):
-            basis = store._bases[basis_id]
-            # The block holds its probes and the store its bases, so an
-            # id shared by two live objects means one object: the basis
-            # was added from the probe itself.
-            owner = self._owners.get(id(basis.fingerprint))
-            if owner is None or owner >= i:
-                return None
-            mapping = self._tails.get((owner, i))
-            if mapping is not None:
-                answer = MatchResult(basis, mapping), k + 1
-                break
-        if store.pair_checks_left:
-            store.pair_checks_left -= 1
-            expected = store._match_scalar(probe, tail)
-            if not store._same_result(answer, expected):
-                store.columnar_check.degrade(
-                    "pair pass disagreed with the scalar find loop"
-                )
-                self._found.clear()
-                return expected
-        return answer
+        index, pairs = store.index, self._own_pairs()
+        tolerances = store.rel_tol, store.abs_tol
 
-    def _decide_tails(self) -> None:
-        """The own-tail table: every (earlier, later) pair of the block's
-        speculative misses of one fingerprint size, in one pair launch a
-        size, each pair a probe of its own.  Pairs of two sizes cannot
-        match and are not launched; only valid pairs are kept."""
-        store = self._store
-        misses = {i for i, found in self._found.items() if found is None}
-        # A fingerprint probed twice maps to its first probe.
-        self._owners = {
-            id(self._probes[i]): i for i in sorted(misses, reverse=True)
-        }
-        self._tails = {}
+        def scalar(pair):  # the reference the pair pass is held against
+            source, target = probes[pair[0]], probes[pair[1]]
+            return store.mapping_family.find(source, target, *tolerances)
+
+        #: Planned misses by the key they are inserted under; the id each
+        #: will be added as; per probe, ``(basis id, mapping, tested)``.
+        listed: Dict[object, List[int]] = {}
+        own_ids: Dict[int, int] = {}
+        answers: List[tuple] = []
+        for i, (probe, old) in enumerate(zip(probes, self._candidates)):
+            hit, own = found[i], ()
+            # Before the block's first planned miss nothing of its own is
+            # listed: a hit stands, a tail is empty.
+            if listed or hit is None:
+                key, reads = index.keys(probe)
+                own = [listed.get(read, ()) for read in reads]
+                if old and any(own[:-1]):
+                    # An own insert in front of the list's last old entry.
+                    last = index.keys(store._bases[old[-1]].fingerprint)[0]
+                    if any(own[: reads.index(last)]):
+                        return None
+            if hit is not None:
+                answers.append((old[hit[0]], hit[1], hit[0] + 1))
+                continue
+            tail = [j for part in own for j in part]
+            if store.columnar_check.remaining and (
+                len(tail) >= store.columnar_min_candidates
+            ):
+                return None
+            answer = self._first(i, tail, own_ids, len(old), pairs.get)
+            if tail and store.pair_checks_left:
+                store.pair_checks_left -= 1
+                if answer != self._first(i, tail, own_ids, len(old), scalar):
+                    store.columnar_check.degrade(
+                        "pair pass disagreed with the scalar find loop"
+                    )
+                    found.clear()
+                    return None
+            answers.append(answer)
+            if answer[1] is None:
+                own_ids[i] = store._next_id + len(own_ids)
+                listed.setdefault(key, []).append(i)
+        self._plan = (list(own_ids), answers)
+        return list(own_ids)
+
+    def _first(self, i, tail, own_ids, tested, find) -> tuple:
+        """Probe ``i``'s answer from its planned ``tail``: the first own
+        miss ``j`` for which ``find((j, i))`` gives a mapping."""
+        for k, j in enumerate(tail):
+            mapping = find((j, i))
+            if mapping is not None:
+                return own_ids[j], mapping, tested + k + 1
+        return None, None, tested + len(tail)
+
+    def _own_pairs(self) -> Dict[Tuple[int, int], Mapping]:
+        """``(earlier, later) -> mapping`` for each valid pair of the
+        block's speculative misses that the index would list together —
+        the earlier one's insert key is one the later one reads (at most
+        two) — in one :meth:`LinearMappingFamily.find_pairs` launch a
+        fingerprint size, each pair a probe of its own.  Pairs of two
+        sizes are not launched, nor are pairs no list would hold."""
+        store, codes, valid = self._store, {}, {}
         for indices, stack in self._stacks.values():
-            rows = np.array(
-                [row for row, i in enumerate(indices) if i in misses],
-                dtype=np.int64,
-            )
-            sources, targets = rows[np.array(np.triu_indices(len(rows), 1))]
+            rows = [r for r, i in enumerate(indices) if self._found[i] is None]
+            if len(rows) < 2:
+                continue
+            misses = [indices[r] for r in rows]
+            # Per miss, its insert key and its first and last read key, coded.
+            keys = [store.index.keys(self._probes[i]) for i in misses]
+            coded = [
+                codes.setdefault(k, len(codes))
+                for key, reads in keys
+                for k in (key, reads[0], reads[-1])
+            ]
+            columns = np.array(coded, np.int64).reshape(-1, 3)
+            earlier, later = np.triu_indices(len(misses), 1)
+            together = (columns[earlier, :1] == columns[later, 1:]).any(axis=1)
+            sources, targets = earlier[together], later[together]
             if not len(targets):
                 continue
+            rows = stack[rows]
+            # The targets' state is derived once a probe, not once a pair.
+            state = _targets_state(rows, store.rel_tol, store.abs_tol)
             first, build = store.mapping_family.find_pairs(
-                stack,
-                stack[targets],
-                np.arange(len(targets)),
-                np.zeros(len(targets), np.int64),
-                sources,
-                rel_tol=store.rel_tol,
-                abs_tol=store.abs_tol,
-                # The targets' state, derived once a probe, not a pair.
-                state=[
-                    column[targets]
-                    for column in _targets_state(
-                        stack, store.rel_tol, store.abs_tol
-                    )
-                ],
+                rows, rows[targets], np.arange(len(targets)),
+                np.zeros(len(targets), np.int64), sources,
+                rel_tol=store.rel_tol, abs_tol=store.abs_tol,
+                state=[column[targets] for column in state],
             )
             for pair in np.nonzero(first >= 0)[0].tolist():
-                self._tails[
-                    (indices[sources[pair]], indices[targets[pair]])
-                ] = build(pair)
+                valid[misses[sources[pair]], misses[targets[pair]]] = build(pair)
+        return valid
+
+    def settle(self, samples: Sequence) -> Optional[List[object]]:
+        """Resolve the plan: add the first ``len(samples)`` planned misses
+        in plan order (:meth:`BasisStore.add_batch`), each with its row of
+        ``samples``, then account the probes up to and including the next
+        planned miss — every probe, once each miss has its samples — as
+        those :meth:`match` calls would have.  So a miss whose simulation
+        failed leaves the state the per-probe loop leaves.  Returns per
+        accounted probe its :class:`MatchResult`, the basis its miss
+        added, or ``None`` for a miss without samples; ``None`` and no
+        change at all when the store changed since the plan, which then
+        holds no more."""
+        store, plan, self._plan = self._store, self._plan, None
+        if plan is None or (store._next_id, len(store._bases)) != self._stamp:
+            return None
+        misses, answers = plan
+        done = len(samples)
+        stop = misses[done] + 1 if done < len(misses) else len(answers)
+        fingerprints = [self._probes[i] for i in misses]
+        added = iter(store.add_batch(fingerprints, samples))
+        outcomes: List[object] = []
+        bases, tested, matches = store._bases, 0, 0
+        for basis_id, mapping, count in answers[:stop]:
+            tested += count
+            if mapping is None:
+                outcomes.append(next(added, None))
+            else:
+                basis = bases[basis_id]
+                basis.hits += 1
+                matches += 1
+                outcomes.append(MatchResult(basis, mapping))
+        store.stats.lookups += stop
+        store.stats.matches += matches
+        store.stats.candidates_tested += tested
+        return outcomes
 
 
 class BasisStore:
@@ -698,7 +744,7 @@ class BasisStore:
             equal=self._same_result,
         )
         #: The block probe's explicit pair pass answers short candidate
-        #: lists and its own-tail table a block's own misses, neither of
+        #: lists and its plan a block's own misses, neither of
         #: which spends ``columnar_check``'s budget (that one
         #: vouches for ``_match_columnar``, and a selective store may
         #: never get there): its first answers on this store are held
@@ -896,6 +942,19 @@ class BasisStore:
         self._next_id += 1
         self.stats.bases_created += 1
         return basis
+
+    def add_batch(self, fingerprints, samples) -> List[BasisDistribution]:
+        """:meth:`add` for each fingerprint and its row of ``samples``, in
+        order, the rows estimated together
+        (:meth:`Estimator.estimate_rows`).  Each basis owns a copy of its
+        row, so no basis keeps the others' samples alive."""
+        metrics = self.estimator.estimate_rows(samples)
+        return [
+            self.add(fingerprint, np.array(row, dtype=float), estimate)
+            for fingerprint, row, estimate in zip(
+                fingerprints, samples, metrics
+            )
+        ]
 
     def remove(self, basis_id: int) -> BasisDistribution:
         """Excise one basis: targeted invalidation (lifecycle layer).

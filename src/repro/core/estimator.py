@@ -199,6 +199,21 @@ def _metric_set(
     return metrics
 
 
+def _moments(samples: np.ndarray, axis: Optional[int]) -> tuple:
+    """``ndarray.mean`` / ``std`` (population std: metrics describe the
+    sampled worlds directly) / ``min`` / ``max`` over ``axis`` (``None``:
+    every sample), as the reductions they are.  The extremes are taken
+    over the samples as given, not read off a partitioned copy: with -0.0
+    / 0.0 ties and NaN the answer depends on the order visited."""
+    count = samples.size if axis is None else samples.shape[axis]
+    mean = np.add.reduce(samples, axis=axis) / count
+    deviations = samples - (mean if axis is None else mean[:, None])
+    np.square(deviations, out=deviations)
+    variance = np.add.reduce(deviations, axis=axis) / count
+    lowest = np.minimum.reduce(samples, axis=axis)
+    return mean, np.sqrt(variance), lowest, np.maximum.reduce(samples, axis=axis)
+
+
 class Estimator:
     """Aggregates i.i.d. Monte Carlo samples into a :class:`MetricSet`.
 
@@ -241,7 +256,7 @@ class Estimator:
             quantiles = ()
         else:
             if self._probabilities.dtype == np.float64:
-                quantile_values = self._quantile_values(array)
+                quantile_values = self._quantile_values(array.flatten())
             else:
                 # Integer (or otherwise exotic) probabilities take numpy's
                 # no-interpolation branch, which is not mirrored here.
@@ -268,46 +283,64 @@ class Estimator:
                 tuple(int(c) for c in counts),
                 tuple(float(e) for e in edges),
             )
-        # ndarray.mean / ndarray.std (population std: metrics describe the
-        # sampled worlds directly), as the reductions they are.
-        mean = np.add.reduce(array, axis=None) / count
-        deviations = array - mean
-        np.square(deviations, out=deviations)
-        variance = np.add.reduce(deviations, axis=None) / count
-        return _metric_set(
-            count,
-            float(mean),
-            float(np.sqrt(variance)),
-            # Reductions over the samples as given, not reads off a
-            # partitioned copy: with -0.0 / 0.0 ties and NaN the answer
-            # depends on the order visited.
-            float(np.minimum.reduce(array, axis=None)),
-            float(np.maximum.reduce(array, axis=None)),
-            quantiles,
-            histogram,
-        )
+        moments = map(float, _moments(array, None))
+        return _metric_set(count, *moments, quantiles, histogram)
 
-    def _quantile_values(self, array: np.ndarray) -> List[float]:
-        """``np.quantile(array, probabilities)`` (method ``"linear"``): one
-        partition of a flat copy, then numpy's interpolation expression."""
+    def estimate_rows(self, rows: Sequence[Sequence[float]]) -> List[MetricSet]:
+        """``[estimate(row) for row in rows]``, bit for bit.
+
+        A C-contiguous float64 matrix is reduced row-wise: one partition
+        along the rows and one call per statistic for the whole matrix, each
+        the operation :meth:`estimate` performs on one row
+        (``TestEstimateBitsMatchNumpy`` holds the rows against it).  Rows
+        take :meth:`estimate` one at a time where the row-wise form is not
+        shown bitwise equal — a histogram, probabilities numpy does not
+        read as float64, anything but such a matrix — so a row it refuses
+        raises there as it would alone.
+        """
+        matrix = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size
+        if not (matrix and rows.flags.c_contiguous and rows.dtype == float) or (
+            self.histogram_bins or self._probabilities.dtype != np.float64
+        ):
+            return [self.estimate(row) for row in rows]
+        count = rows.shape[1]
+        probabilities = tuple(map(float, self.quantile_probabilities))
+        quantiles = [()] * len(rows)
+        if probabilities:
+            quantiles = self._quantile_values(rows.copy())
+        moments = np.stack(_moments(rows, 1), axis=1).tolist()
+        return [
+            _metric_set(count, *values, tuple(zip(probabilities, row)), None)
+            for values, row in zip(moments, quantiles)
+        ]
+
+    def _quantile_values(self, ordered: np.ndarray) -> list:
+        """``np.quantile(samples, probabilities)`` (method ``"linear"``)
+        along the last axis of ``ordered`` — a flat copy of the samples, or
+        a matrix of them, one sample vector a row — partitioned in place:
+        one partition, then numpy's interpolation expression."""
+        size = ordered.shape[-1]
         planned_for, plan = self._plan
-        if planned_for != array.size:
-            plan = self._quantile_plan(array.size)
-            self._plan = (array.size, plan)
+        if planned_for != size:
+            plan = self._quantile_plan(size)
+            self._plan = (size, plan)
         kth, lower, upper, gamma, one_minus_gamma, upper_half = plan
-        ordered = array.flatten()
-        ordered.partition(kth)
-        below = ordered[lower]
-        above = ordered[upper]
+        ordered.partition(kth, axis=-1)
+        # Through ``.T`` a vector and a matrix's rows index alike, and a
+        # vector at a vector's cost.
+        below = ordered.T[lower].T
+        above = ordered.T[upper].T
         spread = above - below
         values = below + spread * gamma
         np.subtract(
             above, spread * one_minus_gamma, out=values, where=upper_half
         )
-        last = ordered[-1]
-        if last != last:
-            # NaN sorts last, and one NaN makes every quantile that NaN.
-            return [float(last)] * len(values)
+        # NaN sorts last, and one NaN makes every quantile of its vector
+        # that NaN.
+        last = ordered.T[-1]
+        nan = last != last
+        if np.count_nonzero(nan):
+            np.copyto(values.T, last, where=nan)
         return values.tolist()
 
     def _quantile_plan(self, n: int) -> tuple:

@@ -36,10 +36,9 @@ Simulation = Callable[[Params, int], float]
 BatchSimulation = Callable[[Params, np.ndarray], np.ndarray]
 
 #: A points simulation evaluates a block of points under the same seeds,
-#: one row per point.
-PointsSimulation = Callable[
-    [Sequence[Params], np.ndarray], Sequence[np.ndarray]
-]
+#: one row per point; given a list too, it appends each row it draws one
+#: point at a time to it (a caller whose draw raised reads how far it got).
+PointsSimulation = Callable[..., Sequence[np.ndarray]]
 
 #: Points :meth:`ParameterExplorer.explore` draws (one points-axis draw),
 #: and probes it opens, per block probe.  Measured on a cold 8,000-point
@@ -106,10 +105,13 @@ def make_points_simulation(simulation) -> PointsSimulation:
         return box.sample_points
     batch = make_batch_simulation(simulation)
 
-    def rows(points: Sequence[Params], seeds: np.ndarray) -> List[np.ndarray]:
-        return [batch(params, seeds) for params in points]
+    def points_rows(points, seeds, rows=None) -> List[np.ndarray]:
+        rows = [] if rows is None else rows
+        for params in points:
+            rows.append(batch(params, seeds))
+        return rows
 
-    return rows
+    return points_rows
 
 
 @dataclass
@@ -193,18 +195,25 @@ class ParameterExplorer:
 
     The one Algorithm 3 loop.  ``basis_store`` is a
     :class:`~repro.core.basis.BasisStore` or anything answering the
-    ``block_probe`` (a handle answering ``standing`` and ``match``) /
-    ``metrics_for`` / ``add`` that :meth:`explore` calls (and the ``get``
-    a shard reads its samples back with):
-    :class:`repro.scenario.runner.ScenarioRunner` sweeps a multi-column
-    query through this class with one store per column standing in for
-    one store, over a simulation whose draws are rounds x columns blocks.
-    Such a store names what it probes with (``fingerprint``; a plain
-    store probes with a :class:`~repro.core.fingerprint.Fingerprint` of
-    the drawn vector), and the loop itself only ever takes a block's
-    ``len`` and concatenates along rounds.  A block's fingerprint rounds
-    are one :func:`make_points_simulation` draw; completion rounds stay
-    one :func:`make_batch_simulation` call per missed point.
+    ``block_probe`` (a handle answering ``plan`` and ``match``, and
+    ``settle`` where it plans) / ``metrics_for`` / ``add`` that
+    :meth:`explore` calls (and the ``get`` a shard reads its samples back
+    with, and the ``estimator`` a planned block's misses are estimated
+    with): :class:`repro.scenario.runner.ScenarioRunner` sweeps a
+    multi-column query through this class with one store per column
+    standing in for one store, over a simulation whose draws are rounds x
+    columns blocks; its handle has no plan.  Such a store names what it
+    probes with (``fingerprint``; a plain store probes with a
+    :class:`~repro.core.fingerprint.Fingerprint` of the drawn vector), and
+    the loop itself only ever takes a block's ``len`` and concatenates
+    along rounds.  A block's fingerprint rounds are one
+    :func:`make_points_simulation` draw.  So are a planned block's misses'
+    completion rounds, which are then estimated as one matrix
+    (:meth:`~repro.core.estimator.Estimator.estimate_rows`) and added in
+    plan order before the block is yielded.  A block without a plan —
+    and every block under an adaptive budget, or an estimator with a
+    histogram — draws one :func:`make_batch_simulation` call per missed
+    point.
     """
 
     def __init__(
@@ -266,28 +275,32 @@ class ParameterExplorer:
         fingerprint rounds are drawn first, in one
         :func:`make_points_simulation` call (a black box draws them as one
         points x seeds matrix, :meth:`BlackBox.sample_points`, row ``i``
-        bitwise point ``i``'s own draw), one
-        :meth:`BasisStore.block_probe` answers all its probes against the
-        store as it stands, and the points are then resolved in order —
-        reuse on a hit, simulate and ``add`` on a miss.  Algorithm 3 probes
-        once per point because a miss *inserts* a basis later points may
-        match; the block probe keeps exactly that semantics by its prefix
-        rule (a speculative answer stands while the probe's candidate list
-        still starts with the speculated one, a miss re-tests only what was
-        appended, anything else is probed afresh), so every decision,
-        mapping bit and counter is the per-point sweep's.  While the store
-        is unchanged since the block was opened, its run of speculated hits
-        is taken in one step (:meth:`BlockProbe.standing`) and accounted —
-        lookups, matches, ``candidates_tested``, per-basis ``hits`` —
-        before the run's first point is yielded, so a consumer that stops
-        part-way through a run sees its later points counted; every
-        in-tree consumer (:meth:`run`, both searches of
-        :mod:`repro.core.search`, the shard worker) drains the generator.
-        With an adaptive budget a miss's completion rounds grow in
-        geometric blocks until the confidence interval is inside tolerance
-        (or the fixed budget is spent); the reuse decision is
-        fingerprint-only either way, so the policy never changes which
-        points are reused.
+        bitwise point ``i``'s own draw), and one
+        :meth:`BasisStore.block_probe` reads the store for all its probes.
+        Algorithm 3 probes once per point because a miss *inserts* a basis
+        later points may match; the block's plan
+        (:meth:`BlockProbe.plan`) decides every probe as that loop would,
+        with each miss added in order.  The planned misses are then
+        resolved as a block: their completion rounds drawn in one
+        :func:`make_points_simulation` call, estimated as one matrix, added
+        in plan order, and the whole block accounted —
+        lookups, matches, ``candidates_tested``, per-basis ``hits`` — by
+        :meth:`BlockProbe.settle`, all before the block's first point is
+        yielded, so a consumer that stops part-way through a block sees
+        its later points counted; every in-tree consumer (:meth:`run`, both
+        searches of :mod:`repro.core.search`, the shard worker) drains the
+        generator.  A draw that raises leaves the store as the per-point
+        loop would have: the misses before it added, every probe up to it
+        accounted.  A block the plan cannot decide, and every block under
+        an adaptive budget or a histogram estimator, is resolved point by
+        point — ``match``, then simulate and ``add`` on a miss — and the
+        block probe's prefix rule keeps each answer the one Algorithm 3
+        gives, so every decision, mapping bit and counter is the
+        per-point sweep's either way.  With an adaptive budget a miss's
+        completion rounds grow in geometric blocks until the confidence
+        interval is inside tolerance (or the fixed budget is spent); the
+        reuse decision is fingerprint-only either way, so the policy never
+        changes which points are reused.
         """
         points = iter(space)
         while True:
@@ -306,68 +319,77 @@ class ParameterExplorer:
             else:
                 fingerprints = [self._fingerprint(drawn) for drawn in values]
             probe = self.store.block_probe(fingerprints)
-            i = 0
-            while i < len(block):
-                for matched in probe.standing(i):
-                    yield self._reuse(block[i], fingerprints[i], matched)
-                    i += 1
-                if i < len(block):
-                    yield self._resolve(
-                        block[i], values[i], fingerprints[i], probe.match(i)[0]
+            # An adaptive budget grows each miss alone, and a histogram may
+            # refuse a row: their misses are drawn point by point.
+            plain = self.adaptive is None and not (
+                self.store.estimator.histogram_bins
+            )
+            misses = probe.plan() if plain else None
+            if misses is None:
+                for i, params in enumerate(block):
+                    outcome, drawn = probe.match(i)[0], None
+                    if outcome is None:
+                        samples = self._samples(params, values[i])
+                        outcome = self.store.add(fingerprints[i], samples)
+                        drawn = len(samples)
+                    yield self._point(params, fingerprints[i], outcome, drawn)
+                continue
+            # The planned misses' completion rounds are one points call
+            # (row ``k`` bitwise miss ``k``'s own draw), estimated as one
+            # matrix and added in plan order before the block is yielded;
+            # a draw that raises leaves the state the per-point loop does.
+            drawn = []
+            try:
+                drawn = self._points_simulation(
+                    [block[i] for i in misses], self._completion_seeds, drawn
+                )
+            finally:
+                if len(drawn):
+                    heads = [values[i] for i in misses[: len(drawn)]]
+                    drawn = np.concatenate(
+                        (np.asarray(heads, float), np.asarray(drawn, float)), 1
                     )
-                    i += 1
+                outcomes = probe.settle(drawn)
+            width = np.shape(drawn)[-1]
+            for params, fingerprint, outcome in zip(
+                block, fingerprints, outcomes
+            ):
+                yield self._point(params, fingerprint, outcome, width)
 
-    def _reuse(
-        self, params: Params, fingerprint: Fingerprint, matched: MatchResult
+    def _point(
+        self, params: Params, fingerprint: Fingerprint, outcome, drawn=None
     ) -> PointResult:
-        """The point ``matched`` answers: its basis's metrics, mapped."""
-        basis, mapping = matched
+        """The point an outcome answers: a match's basis, mapped, or the
+        basis its full simulation of ``drawn`` rounds added."""
+        if isinstance(outcome, MatchResult):
+            basis, mapping = outcome
+            metrics = self.store.metrics_for(basis, mapping)
+            drawn = self.fingerprint_size
+        else:
+            basis, mapping, metrics = outcome, None, outcome.metrics
         return PointResult(
-            params=dict(params),
-            metrics=self.store.metrics_for(basis, mapping),
-            reused=True,
-            basis_id=basis.basis_id,
-            mapping=mapping,
-            fingerprint=fingerprint,
-            samples_drawn=self.fingerprint_size,
+            dict(params), metrics, mapping is not None, basis.basis_id,
+            mapping, fingerprint, drawn,
         )
 
-    def _resolve(
-        self,
-        params: Params,
-        fingerprint_values: np.ndarray,
-        fingerprint: Fingerprint,
-        matched: Optional[MatchResult],
-    ) -> PointResult:
-        """Reuse the matched basis, or complete the simulation and add one."""
-        if matched is not None:
-            return self._reuse(params, fingerprint, matched)
+    def _samples(self, params: Params, fingerprint_values) -> np.ndarray:
+        """A missed point's samples: its fingerprint rounds, then its
+        completion rounds (grown under an adaptive budget)."""
+        head = np.asarray(fingerprint_values, dtype=float)
         if self.adaptive is None:
-            remaining = self._batch_simulation(params, self._completion_seeds)
-            samples = np.concatenate(
-                [np.asarray(fingerprint_values, dtype=float), remaining]
+            return np.concatenate(
+                [head, self._batch_simulation(params, self._completion_seeds)]
             )
-        else:
-            samples = grow_samples(
-                np.asarray(fingerprint_values, dtype=float),
-                lambda start, count: self._batch_simulation(
-                    params, self.seed_bank.seed_array(count, start=start)
-                ),
-                cap=max(
-                    self.fingerprint_size,
-                    self.adaptive.cap(self.samples_per_point),
-                ),
-                policy=self.adaptive,
-            )
-        basis = self.store.add(fingerprint, samples)
-        return PointResult(
-            params=dict(params),
-            metrics=basis.metrics,
-            reused=False,
-            basis_id=basis.basis_id,
-            mapping=None,
-            fingerprint=fingerprint,
-            samples_drawn=len(samples),
+        return grow_samples(
+            head,
+            lambda start, count: self._batch_simulation(
+                params, self.seed_bank.seed_array(count, start=start)
+            ),
+            cap=max(
+                self.fingerprint_size,
+                self.adaptive.cap(self.samples_per_point),
+            ),
+            policy=self.adaptive,
         )
 
     def run(self, space: Iterable[Params]) -> ExplorationResult:

@@ -20,7 +20,7 @@ Three strategies, as evaluated in Figures 9-11:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import (
     Fingerprint,
@@ -67,6 +67,16 @@ class FingerprintIndex(ABC):
     @abstractmethod
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
         """Basis ids that may be similar to the probe (superset of truth)."""
+
+    @abstractmethod
+    def keys(self, fingerprint: Fingerprint) -> Tuple[Hashable, tuple]:
+        """``(key, reads)``: the bucket an insert of ``fingerprint`` joins,
+        and the buckets ``candidates(fingerprint)`` reads, in list order
+        (a strategy's ``candidates`` reads the buckets named here).  An
+        insert is listed for a probe when its key is one the probe
+        reads, behind what that bucket held — the membership rule a block
+        plan answers its own inserts by
+        (:meth:`repro.core.basis.BlockProbe.plan`)."""
 
     def remove(self, fingerprint: Fingerprint, basis_id: int) -> None:
         """Drop one stored basis from the index (lifecycle layer).
@@ -150,6 +160,9 @@ class ArrayIndex(FingerprintIndex):
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
         return list(self._ids)
 
+    def keys(self, fingerprint: Fingerprint) -> Tuple[None, tuple]:
+        return None, (None,)  # one bucket: every basis, of every size
+
     def candidates_batch(
         self,
         fingerprints: Sequence[Fingerprint],
@@ -231,8 +244,12 @@ class NormalizationIndex(FingerprintIndex):
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
         if self._pending:
             self._settle()
-        key = fingerprint.normal_form()
+        (key,) = self.keys(fingerprint)[1]
         return list(self._buckets.get(key, ()))
+
+    def keys(self, fingerprint: Fingerprint):
+        key = fingerprint.normal_form()  # an equal key
+        return key, (key,)
 
     def candidates_batch(
         self,
@@ -303,11 +320,15 @@ class SortedSIDIndex(FingerprintIndex):
         self._size -= 1
 
     def candidates(self, fingerprint: Fingerprint) -> List[int]:
-        return self._merged(
-            *self._bucket_pair(
-                fingerprint.sid_order(), fingerprint.sid_order(descending=True)
-            )
+        return self._merged(*self._bucket_pair(self.keys(fingerprint)[1]))
+
+    def keys(self, fingerprint: Fingerprint):
+        # An equal SID order, ascending bucket first: an insert there lands
+        # in front of a probe's descending half.
+        reads = self._reads(
+            fingerprint.sid_order(), fingerprint.sid_order(descending=True)
         )
+        return reads[0], reads
 
     def candidates_batch(
         self,
@@ -324,7 +345,7 @@ class SortedSIDIndex(FingerprintIndex):
         merged: Dict[Tuple[int, int], List[int]] = {}
         shared = []
         for keys in zip(ascending, descending):
-            pair = self._bucket_pair(*keys)
+            pair = self._bucket_pair(self._reads(*keys))
             token = (id(pair[0]), id(pair[1]))
             candidates = merged.get(token)
             if candidates is None:
@@ -332,18 +353,24 @@ class SortedSIDIndex(FingerprintIndex):
             shared.append(candidates)
         return shared
 
-    def _bucket_pair(
-        self,
-        ascending_key: Tuple[int, ...],
-        descending_key: Tuple[int, ...],
-    ) -> Tuple[Sequence[int], Sequence[int]]:
-        """The live (ascending, descending) buckets a probe reads."""
-        ascending = self._buckets.get(ascending_key, ())
-        if descending_key == ascending_key:
+    @staticmethod
+    def _reads(
+        ascending: Tuple[int, ...], descending: Tuple[int, ...]
+    ) -> tuple:
+        """The bucket keys a probe reads, in list order."""
+        if descending == ascending:
             # Fully tied fingerprints: both orders name the same bucket, so
             # the dedup pass would drop every descending entry anyway.
-            return ascending, ()
-        return ascending, self._buckets.get(descending_key, ())
+            return (ascending,)
+        return ascending, descending
+
+    def _bucket_pair(
+        self, reads: tuple
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """The live (ascending, descending) buckets of ``reads``
+        (:meth:`_reads`); a fully tied probe's descending half is empty."""
+        ascending, *descending = (self._buckets.get(key, ()) for key in reads)
+        return ascending, descending[0] if descending else ()
 
     @staticmethod
     def _merged(

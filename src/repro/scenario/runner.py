@@ -159,12 +159,12 @@ class _JointProbe:
             for column, store in enumerate(stores)
         ]
 
-    def standing(self, i: int) -> List[MatchResult]:
-        """Always the empty run, so every joint probe goes through
-        :meth:`match`: a column's handle accounts a lookup only when asked
-        and the columns stop at the first miss, so no column can account
-        a run of hits ahead of knowing the columns before it hit too."""
-        return []
+    def plan(self) -> None:
+        """No plan, so every joint probe goes through :meth:`match`: a
+        column's handle accounts a lookup only when asked and the columns
+        stop at the first miss, so no column can plan ahead of knowing
+        the columns before it hit too."""
+        return None
 
     def match(self, i: int) -> Tuple[Optional[MatchResult], int]:
         """Ask the columns in order and stop at the first miss: a handle

@@ -1,23 +1,24 @@
-"""The block probe's own-tail table against the scalar loop.
+"""The block plan's own tails against the scalar loop.
 
 In a sweep a block's speculative misses are simulated and added in
 order, each with its probe's own fingerprint, so a later probe's
 appended tail is the block's own earlier misses.
-``BlockProbe`` answers those tails from a table of every (earlier,
-later) pair of its speculative misses, decided in one pair launch a
-size.  Hypothesis draws blocks of roots, planted affine images of
+``BlockProbe.plan`` decides those tails from the (earlier, later) pairs
+of its speculative misses that the index would list together, in one
+pair launch a size, and ``settle`` adds the planned misses and accounts
+the block.  Hypothesis draws blocks of roots, planted affine images of
 earlier probes of the block (decreasing maps, pure shifts and scales,
 constant rows), the same fingerprint object probed twice, and
 near-miss edges: an image's last entry walked with ``nextafter`` to
 the last value ``LinearMappingFamily.find`` accepts or the first it
-rejects.  The block is swept in Algorithm 3's order, adding every
-miss, and each answer must be the one a ``match`` loop gives over a
-deep copy of the store on the scalar loop: basis id, mapping bits and
-candidates tested, then ``StoreStats`` and per-basis ``hits``.
+rejects.  Each answer the plan decides must be the one a ``match`` loop
+gives over a deep copy of the store on the scalar loop, adding every
+miss: basis id, mapping bits and candidates tested, then ``StoreStats``
+and per-basis ``hits`` and metrics.
 
 Both of the block's fronts are drawn: every list shared (cutover 0), or
 every list short with the explicit pair pass on for the smallest block
-there is.  Both check budgets are spent, so each answer is the table's
+there is.  Both check budgets are spent, so each answer is the plan's
 own, not a masked fallback.  The default profile keeps the tier-1 run
 short; CI runs this module with ``--hypothesis-profile=ci``.
 """
@@ -141,7 +142,7 @@ def _bits(answer):
     strategy=st.sampled_from(INDEX_STRATEGIES),
     front=st.sampled_from(["shared", "short"]),
 )
-def test_own_tails_match_the_scalar_loop(warm, specs, strategy, front):
+def test_planned_tails_match_the_scalar_loop(warm, specs, strategy, front):
     store = BasisStore(
         mapping_family=LinearMappingFamily(), index_strategy=strategy
     )
@@ -161,18 +162,35 @@ def test_own_tails_match_the_scalar_loop(warm, specs, strategy, front):
         short_pass = basis_module.BLOCK_MIN_PROBES
     with mock.patch.object(basis_module, "PAIR_PASS_MIN_PROBES", short_pass):
         handle = store.block_probe(probes)
-    # Every probe was read ahead, so each of its tails reaches the table.
+    # Every probe was read ahead, so the plan decides each of its tails.
     assert len(handle._found) == len(probes)
-    for i, probe in enumerate(probes):
+    expected = []
+    for probe in probes:
         tested = reference.stats.candidates_tested
         want = reference.match(probe)
-        want_tested = reference.stats.candidates_tested - tested
-        got = handle.match(i)
-        assert _bits(got) == _bits((want, want_tested))
+        expected.append(_bits((want, reference.stats.candidates_tested - tested)))
         if want is None:
-            for side in (store, reference):
-                side.add(probe, np.asarray(probe.values))
+            reference.add(probe, np.asarray(probe.values))
+    misses = handle.plan()
+    if misses is None:
+        # Only an own insert in front of a descending half has no plan.
+        assert strategy == "sorted_sid"
+        got = []
+        for i, probe in enumerate(probes):
+            got.append(handle.match(i))
+            if got[-1][0] is None:
+                store.add(probe, np.asarray(probe.values))
+    else:
+        decided = handle._plan[1]
+        outcomes = handle.settle(
+            [np.asarray(probes[i].values) for i in misses]
+        )
+        got = [
+            (outcome if mapping is not None else None, tested)
+            for outcome, (_, mapping, tested) in zip(outcomes, decided)
+        ]
+    assert [_bits(answer) for answer in got] == expected
     assert store.stats.as_dict() == reference.stats.as_dict()
-    assert [(b.basis_id, b.hits) for b in store.bases] == [
-        (b.basis_id, b.hits) for b in reference.bases
+    assert [(b.basis_id, b.hits, b.metrics) for b in store.bases] == [
+        (b.basis_id, b.hits, b.metrics) for b in reference.bases
     ]

@@ -180,6 +180,33 @@ def _assert_same_bits(samples, probabilities, bins, estimator=None):
     assert observed == expected
 
 
+def _assert_rows_same_bits(matrix, probabilities, bins, estimator=None):
+    """``estimate_rows(matrix)`` row by row against ``estimate`` of each
+    row and the five numpy calls: every value's bits, and the warnings.
+    A row either refuses (a histogram it cannot build) refuses the call."""
+    estimator = estimator or Estimator(probabilities, histogram_bins=bins)
+    rows = list(matrix)
+    refusals = (ValueError, IndexError)
+    expected = [
+        _recorded(lambda: _reference(row, probabilities, bins), refusals)
+        for row in rows
+    ]
+    one_by_one = [
+        _recorded(lambda: _observed(estimator, row), EstimatorError)
+        for row in rows
+    ]
+    assert one_by_one == expected
+    observed = _recorded(
+        lambda: [_metric_bits(m) for m in estimator.estimate_rows(matrix)],
+        EstimatorError,
+    )
+    if any(outcome == "refused" for outcome, _ in expected):
+        assert observed[0] == "refused"
+        return
+    assert observed[0] == [outcome for outcome, _ in expected]
+    assert observed[1] == set().union(*(kinds for _, kinds in expected))
+
+
 #: Every size to 130, then the edges of numpy's pairwise-summation blocks.
 GRID_SIZES = tuple(range(1, 131)) + (255, 256, 257, 1000, 2000)
 
@@ -277,6 +304,48 @@ class TestEstimateBitsMatchNumpy:
             np.asarray(samples).std()
         with pytest.warns(RuntimeWarning, match="overflow"):
             Estimator().estimate(samples)
+
+    @pytest.mark.parametrize("bins", [0, 4])
+    @pytest.mark.parametrize("probabilities", PROBABILITY_TUPLES)
+    def test_rows_grid(self, probabilities, bins):
+        """``estimate_rows`` over a matrix of the grid's vectors of one
+        size, row by row, against ``estimate`` and the five calls."""
+        rng = np.random.default_rng([20261019, len(probabilities), bins])
+        estimator = Estimator(probabilities, histogram_bins=bins)
+        for n in GRID_SIZES:
+            rows = [
+                flat
+                for flat in (
+                    np.asarray(case, dtype=float).ravel()[:n]
+                    for case in _grid_cases(rng, n)
+                )
+                if flat.size == n
+            ]
+            _assert_rows_same_bits(np.array(rows), probabilities, bins, estimator)
+
+    @given(
+        rows=st.integers(min_value=1, max_value=40).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.floats(allow_nan=True, allow_infinity=True, width=64)
+                    | st.sampled_from(
+                        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        probabilities=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), max_size=6
+        ).map(tuple),
+        bins=st.sampled_from([0, 1, 7]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_rows_any_probabilities(self, rows, probabilities, bins):
+        _assert_rows_same_bits(np.array(rows), probabilities, bins)
 
 
 def _reference_remap(metrics, mapping):

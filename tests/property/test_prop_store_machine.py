@@ -5,8 +5,9 @@ used as a test: *after any update sequence the maintained structure answers
 exactly as a from-scratch evaluation*.  A hypothesis state machine drives
 :class:`BasisStore` through interleaved add / match / match_batch /
 match_block (a block probe with the machine's own add / remove / merge, or
-the add of one of the block's own probes, run between its answers, some of
-them asked for as a standing run) / remove / evict / compact / merge /
+the add of one of the block's own probes, run between its answers) / plan
+(a block planned and settled as a sweep does, with a foreign add / remove
+/ merge between the two) / remove / evict / compact / merge /
 save→load, and after every step compares it with a deliberately naive
 oracle — a plain list of bases in insertion order, a
 linear scan over it, the scalar ``find`` — on the matched basis (through the
@@ -99,22 +100,27 @@ def _contents(index):
     return index._buckets
 
 
-#: What may happen to the store between two answers of one block probe:
-#: nothing, one of the machine's own mutating rules with its arguments, or
-#: ``add_own``: the add a sweep makes, of one of the block's own probes
-#: (the fingerprint object itself, picked by position), which the block
-#: answers later tails from its own-tail table — or, for a probe whose turn
-#: has not come, through ``_find``.
-block_steps = st.one_of(
+#: What may happen to the store between a block plan and its resolution:
+#: nothing, or one of the machine's own mutating rules with its arguments.
+foreign_steps = st.one_of(
     st.none(),
     st.tuples(st.just("add"), fingerprints),
-    st.tuples(st.just("add_own"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(st.just("remove"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(
         st.just("merge"),
         st.lists(fingerprints, min_size=1, max_size=3),
         st.booleans(),
     ),
+)
+
+#: What may happen between two answers of one block probe: a foreign step,
+#: or ``add_own``: the add a sweep makes, of one of the block's own probes
+#: (the fingerprint object itself, picked by position), whose later tails
+#: ``match`` re-tests through ``_find`` — as it does for a probe whose turn
+#: has not come.
+block_steps = st.one_of(
+    foreign_steps,
+    st.tuples(st.just("add_own"), st.integers(min_value=0, max_value=10**6)),
 )
 
 
@@ -302,45 +308,71 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(
         script=st.lists(
-            st.tuples(probe_specs, block_steps, st.booleans()),
+            st.tuples(probe_specs, block_steps),
             min_size=4,
             max_size=8,
         )
     )
     def match_block(self, script):
         """One block probe, the store mutated between its answers: each
-        answer — ``match(i)``, or one of a standing run asked for in its
-        place — must be what a fresh linear scan says *now*.  A position
-        asks for a run instead of taking its step; a run answers its
-        probes at once, so the steps scripted for its later probes do not
-        run either, and its ``candidates_tested`` is observable only as a
-        sum."""
-        probes = [self._probe(spec) for spec, _, _ in script]
+        ``match(i)`` must be what a fresh linear scan says *now*."""
+        probes = [self._probe(spec) for spec, _ in script]
         handle = self.store.block_probe(probes)
-        stats = self.store.stats
-        i = 0
-        while i < len(script):
-            _, step, ask_for_run = script[i]
-            if step is not None and not ask_for_run:
+        for i, (_, step) in enumerate(script):
+            if step is not None:
                 if step[0] == "add_own":
                     self.add(probes[step[1] % len(probes)])
                 else:
                     getattr(self, step[0])(*step[1:])
-            if ask_for_run:
-                before = (stats.lookups, stats.matches, stats.candidates_tested)
-                run = handle.standing(i)
-                assert stats.lookups - before[0] == len(run)
-                assert stats.matches - before[1] == len(run)
-                assert stats.candidates_tested - before[2] == sum(
-                    self._check(probes[i + k], result)
-                    for k, result in enumerate(run)
-                )
-                if run:
-                    i += len(run)
-                    continue
             result, tested = handle.match(i)
             self._check(probes[i], result, tested)
-            i += 1
+
+    @rule(
+        specs=st.lists(probe_specs, min_size=4, max_size=8),
+        foreign=foreign_steps,
+    )
+    def plan(self, specs, foreign):
+        """A sweep's block: planned, a foreign step (or none) run between
+        the plan and its resolution, settled with each planned miss's
+        samples — or, where there is no plan or the step undid it,
+        answered by ``match`` a probe at a time, each miss added.  Either
+        way every answer, in order, is what a fresh linear scan says once
+        the block's earlier misses are in, and the block's work is the
+        scan's: the ``candidates_tested`` of each answer the plan decided,
+        and of the whole block."""
+        probes = [self._probe(spec) for spec in specs]
+        handle = self.store.block_probe(probes)
+        misses = handle.plan()
+        decided = handle._plan
+        if foreign is not None:
+            getattr(self, foreign[0])(*foreign[1:])
+        stats = self.store.stats
+        before = (stats.lookups, stats.candidates_tested)
+        outcomes = None
+        if misses is not None:
+            outcomes = handle.settle(
+                [np.asarray(probes[i].values) for i in misses]
+            )
+        if outcomes is None:
+            assert (stats.lookups, stats.candidates_tested) == before
+            for i, probe in enumerate(probes):
+                result, tested = handle.match(i)
+                self._check(probe, result, tested)
+                if result is None:
+                    self.add(probe)
+            return
+        assert stats.lookups - before[0] == len(probes)
+        work = 0
+        for probe, outcome, (_, mapping, tested) in zip(
+            probes, outcomes, decided[1]
+        ):
+            if mapping is None:
+                self._check(probe, None, tested)
+                self._adopt(outcome.basis_id, probe)
+            else:
+                self._check(probe, outcome, tested)
+            work += tested
+        assert stats.candidates_tested - before[1] == work
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def remove(self, pick):

@@ -1,9 +1,12 @@
 """Unit tests for the basis-distribution store (paper Algorithm 3)."""
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
-from repro.core.basis import BasisStore
+from repro.core import persist
+from repro.core.basis import BasisStore, EvictionPolicy
 from repro.core.estimator import Estimator
 from repro.core.fingerprint import Fingerprint
 from repro.core.index import ArrayIndex, NormalizationIndex, SortedSIDIndex
@@ -150,3 +153,75 @@ class TestFamilyIndexInteraction:
         store = BasisStore(mapping_family=IdentityMappingFamily())
         store.add(BASE_FP, BASE_SAMPLES)
         assert store.match(affine_fp(BASE_FP, 2.0, 0.0)) is None
+
+
+def _full_sort_victims(policy, store):
+    """``EvictionPolicy.victims`` as first written: every live basis
+    sorted by the ranking key, then retired in order until the bounds
+    hold."""
+    bases = list(store._bases.values())
+    count = len(bases)
+    total = sum(b.nbytes() for b in bases) if policy.max_bytes is not None else 0
+    if not policy._exceeded(count, total):
+        return []
+    key = (
+        attrgetter("hits", "basis_id")
+        if policy.keep == "value"
+        else attrgetter("basis_id")
+    )
+    victims = []
+    for basis in sorted(bases, key=key):
+        if not policy._exceeded(count, total):
+            break
+        victims.append(basis.basis_id)
+        count -= 1
+        total -= basis.nbytes()
+    return victims
+
+
+class TestVictimsAgainstTheFullSort:
+    """The partial ranking retires exactly the bases, in exactly the
+    order, that sorting every live basis does."""
+
+    @staticmethod
+    def _store(tmp_path, restored):
+        rng = np.random.default_rng(11)
+        store = BasisStore(index_strategy="array")
+        for i in range(60):
+            # Samples of three lengths, so byte bounds retire unevenly.
+            store.add(
+                Fingerprint(tuple(rng.normal(size=5))),
+                rng.normal(size=10 * (1 + i % 3)),
+            )
+        for basis_id in range(0, 60, 7):
+            store.remove(basis_id)
+        for basis in store.bases:
+            basis.hits = int(rng.integers(0, 3))  # ties at every count
+        if restored:
+            persist.save_store(store, str(tmp_path / "snap"))
+            store = persist.load_store(str(tmp_path / "snap"))
+            # Listed out of id order, as a snapshot may list its bases.
+            order = rng.permutation(sorted(store._bases)).tolist()
+            store._bases = {i: store._bases[i] for i in order}
+            assert list(store._bases) != sorted(store._bases)
+        return store
+
+    @pytest.mark.parametrize("restored", [False, True])
+    @pytest.mark.parametrize("keep", ["value", "recent"])
+    def test_every_bound(self, tmp_path, keep, restored):
+        store = self._store(tmp_path, restored)
+        total = sum(b.nbytes() for b in store.bases)
+        policies = [
+            EvictionPolicy(max_bases=bound, keep=keep)
+            for bound in (0, 1, 10, len(store) - 1, len(store), 100)
+        ] + [
+            EvictionPolicy(max_bytes=bound, keep=keep)
+            for bound in (0, 200, total // 2, total - 1, total)
+        ] + [
+            EvictionPolicy(max_bases=30, max_bytes=total // 3, keep=keep),
+            EvictionPolicy(max_bases=10, max_bytes=total, keep=keep),
+        ]
+        for policy in policies:
+            victims = policy.victims(store)
+            assert victims == _full_sort_victims(policy, store), policy
+            assert all(type(basis_id) is int for basis_id in victims)

@@ -33,7 +33,7 @@ import pytest
 from repro.blackbox import fastrng
 from repro.core import mapping, parallel
 from repro.core.backend import VERIFY_CALLS, active_backend
-from repro.core.basis import PAIR_PASS_MIN_PROBES, BasisStore
+from repro.core.basis import PAIR_PASS_MIN_PROBES, BasisStore, MatchResult
 from repro.core.fingerprint import Fingerprint
 from repro.core.mapping import (
     AffineMapping,
@@ -237,8 +237,8 @@ def _pair_pass_site(monkeypatch):
 
 
 #: A cold block whose first probe misses and whose others are images of
-#: it: every tail after the first is the block's own, answered by the
-#: own-tail table (the only ``find_pairs`` launch on an empty store).
+#: it: every tail after the first is the block's own, decided by the plan
+#: (the only ``find_pairs`` launch on an empty store).
 OWN_TAIL_PROBES = [BASE] + [
     Fingerprint(tuple(2.0 * v + shift for v in BASE.values))
     for shift in range(1, PAIR_PASS_MIN_PROBES)
@@ -253,21 +253,41 @@ OWN_TAIL_ANSWERS = [(None, None, 0)] + [
 
 
 def _own_tail_digest(store):
-    """Sweep the cold block in Algorithm 3's order, then retire what it
-    added, so every call starts from an empty store."""
+    """Sweep the cold block as the explorer does — its plan settled, or,
+    when it has none, ``match`` a probe at a time with every miss added
+    — then retire what it added, so every call starts from an empty
+    store."""
 
     def digest():
         handle = store.block_probe(OWN_TAIL_PROBES)
-        answers, added = [], []
-        for i, probe in enumerate(OWN_TAIL_PROBES):
-            result, tested = handle.match(i)
-            if result is None:
-                added.append(store.add(probe, np.arange(4.0)).basis_id)
-                answers.append((None, None, tested))
-            else:
-                answers.append(
-                    (result.basis.fingerprint.values, result.mapping, tested)
-                )
+        misses = handle.plan()
+        if misses is not None:
+            decided = handle._plan[1]
+            outcomes = handle.settle(
+                [np.arange(4.0) for _ in misses]
+            )
+            added = [
+                outcome.basis_id
+                for outcome in outcomes
+                if not isinstance(outcome, MatchResult)
+            ]
+            answers = [
+                (None, None, tested)
+                if mapping is None
+                else (outcome.basis.fingerprint.values, mapping, tested)
+                for outcome, (_, mapping, tested) in zip(outcomes, decided)
+            ]
+        else:
+            answers, added = [], []
+            for i, probe in enumerate(OWN_TAIL_PROBES):
+                result, tested = handle.match(i)
+                if result is None:
+                    added.append(store.add(probe, np.arange(4.0)).basis_id)
+                    answers.append((None, None, tested))
+                else:
+                    answers.append(
+                        (result.basis.fingerprint.values, result.mapping, tested)
+                    )
         for basis_id in added:
             store.remove(basis_id)
         return answers
@@ -276,7 +296,7 @@ def _own_tail_digest(store):
 
 
 def _own_tail_site(monkeypatch):
-    """The own-tail table lies; ``pair_checks_left`` catches it."""
+    """The plan's own-tail pairs lie; ``pair_checks_left`` catches it."""
     store = BasisStore(mapping_family=_LyingPairFamily())
     return (
         _own_tail_digest(store),
@@ -430,9 +450,10 @@ class TestDegradeSemantics:
                 assert call() == reference_bits
         assert describe() == degraded_descriptor
 
-    def test_a_lying_own_tail_table_falls_back_to_find(self):
-        """Caught on the block's first own tail, spending one check; the
-        rest of the block is answered by ``_find`` from scratch."""
+    def test_a_lying_plan_falls_back_to_find(self):
+        """Caught on the block's first own tail, spending one check: the
+        block has no plan, and ``match`` answers every probe through
+        ``_find`` from scratch."""
         store = BasisStore(mapping_family=_LyingPairFamily())
         lists = []
         find = store._find
@@ -455,8 +476,7 @@ class TestDegradeSemantics:
             active_backend().describe(store.columnar_check)
             == "numpy[scalar-match]"
         )
-        # Probe 1 was answered by the check itself; probes 2.. by _find.
-        assert lists == [[0]] * (PAIR_PASS_MIN_PROBES - 2)
+        assert lists == [[]] + [[0]] * (PAIR_PASS_MIN_PROBES - 1)
 
     def test_a_wrong_affine_kernel_is_caught_by_every_store(
         self, monkeypatch

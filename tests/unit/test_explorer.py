@@ -1,12 +1,20 @@
 """Unit tests for batch parameter exploration with fingerprint reuse."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.blackbox.base import param_key
 from repro.blackbox.demand import DemandModel
 from repro.blackbox.rng import DeterministicRng
+from repro.blackbox.synth_basis import SynthBasisModel
+from repro.core.adaptive import AdaptiveBudget
+from repro.core.basis import BasisStore, BlockProbe
+from repro.core.estimator import Estimator
 from repro.core.explorer import NaiveExplorer, ParameterExplorer
 from repro.core.seeds import SeedBank
+from repro.errors import EstimatorError
 
 
 def linear_family_simulation(params, seed):
@@ -140,3 +148,155 @@ class TestValidation:
         point = SPACE_LINEAR[0]
         assert result.result(point).params == point
         assert result.metrics(point).count == 30
+
+
+class _FailingSynth(SynthBasisModel):
+    """SynthBasis whose completion rounds fail at one point (its
+    fingerprint rounds, ten seeds, still draw): they raise, or with
+    ``fill`` they are that value."""
+
+    def __init__(self, fail_point, fill=None):
+        super().__init__(basis_count=9)
+        self.fail_point = fail_point
+        self.fill = fill
+
+    def _sample_batch(self, params, seeds):
+        if params["point"] == self.fail_point and len(seeds) > 10:
+            if self.fill is not None:
+                return np.full(len(seeds), self.fill)
+            raise RuntimeError(f"no completion at {self.fail_point}")
+        return super()._sample_batch(params, seeds)
+
+    def _sample_points(self, block, seeds):
+        if len(seeds) > 10 and any(
+            params["point"] == self.fail_point for params in block
+        ):
+            return None  # the loop draws, and raises, point by point
+        return super()._sample_points(block, seeds)
+
+
+def _failed_sweep(simulation, calls, estimator, adaptive, planned):
+    """Sweep 40 SynthBasis points (nine classes, so the first nine miss)
+    into a fresh store, either as the explorer does or with every block
+    answered per point (no plan); returns what the failure left."""
+    store = BasisStore(estimator=estimator)
+    explorer = ParameterExplorer(
+        simulation,
+        samples_per_point=60,
+        fingerprint_size=10,
+        basis_store=store,
+        adaptive=adaptive,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if not planned:
+            patch.setattr(BlockProbe, "plan", lambda self: None)
+        with pytest.raises((RuntimeError, EstimatorError)) as caught:
+            explorer.run([{"point": float(p)} for p in range(40)])
+    return (
+        str(caught.value),
+        store.stats.as_dict(),
+        store._next_id,
+        [
+            (
+                b.basis_id,
+                b.fingerprint.values,
+                b.samples.tobytes(),
+                pickle.dumps(b.metrics),
+                b.hits,
+            )
+            for b in store.bases
+        ],
+        calls(),
+    )
+
+
+class TestFailedCompletionInAPlannedBlock:
+    """A miss whose completion draw raises, inside a planned block,
+    leaves the state the per-point loop leaves: the same exception, the
+    misses before it added, every probe up to it accounted, nothing
+    after it drawn."""
+
+    @pytest.mark.parametrize("kind", ["box", "function"])
+    def test_same_state_as_the_per_point_loop(self, kind):
+        outcomes = []
+        for planned in (True, False):
+            box = _FailingSynth(fail_point=5.0)
+            if kind == "box":
+                simulation, calls = box, lambda: box.invocations
+            else:
+                counted = []
+
+                def simulation(params, seed, counted=counted, box=box):
+                    # A point's first ten calls are its fingerprint rounds.
+                    counted.append(params["point"])
+                    if counted.count(5.0) > 10 and params["point"] == 5.0:
+                        raise RuntimeError("no completion at 5.0")
+                    return box.sample(params, seed)
+
+                calls = counted.__len__
+            outcomes.append(
+                _failed_sweep(simulation, calls, Estimator(), None, planned)
+            )
+        planned, per_point = outcomes
+        assert planned == per_point
+        assert "5.0" in planned[0]
+        assert planned[1]["bases_created"] == 5  # points 0 to 4
+
+    def test_the_block_was_planned(self):
+        """The sweep above does take the plan (and its one points call)."""
+        assert _plans(Estimator(), None) == [list(range(9))]
+
+    @pytest.mark.parametrize(
+        "estimator, adaptive",
+        [
+            (Estimator(histogram_bins=4), None),
+            (Estimator(), AdaptiveBudget(rtol=0.05, min_samples=20)),
+        ],
+    )
+    def test_adaptive_and_histogram_sweeps_take_no_plan(
+        self, estimator, adaptive
+    ):
+        """Their misses are drawn, estimated and added point by point."""
+        assert _plans(estimator, adaptive) == []
+
+
+def _plans(estimator, adaptive):
+    """The plans the failing sweep of :func:`_failed_sweep` makes."""
+    plans = []
+    plan = BlockProbe.plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            BlockProbe,
+            "plan",
+            lambda self: plans.append(plan(self)) or plans[-1],
+        )
+        _failed_sweep(
+            _FailingSynth(fail_point=5.0),
+            lambda: None,
+            estimator,
+            adaptive,
+            True,
+        )
+    return plans
+
+
+def test_planned_misses_own_their_samples():
+    """A planned block's misses are drawn as one matrix, but each basis
+    owns its samples: none keeps its siblings' rows alive, and its
+    ``nbytes`` is what freeing it returns."""
+    store = BasisStore()
+    explorer = ParameterExplorer(
+        SynthBasisModel(basis_count=9),
+        samples_per_point=60,
+        fingerprint_size=10,
+        basis_store=store,
+    )
+    result = explorer.run([{"point": float(p)} for p in range(40)])
+    assert store.stats.bases_created == 9
+    for basis in store.bases:
+        assert basis.samples.base is None and basis.samples.flags.owndata
+        assert basis.samples.shape == (60,)
+    assert all(
+        point.samples_drawn == (60 if not point.reused else 10)
+        for point in result.points.values()
+    )

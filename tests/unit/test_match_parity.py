@@ -654,143 +654,181 @@ class TestBlockProbeParity:
             assert not handle._found
 
 
-def assert_run_parity(store, handle, i):
-    """``handle.standing(i)`` against a ``match(j)`` loop over the same
-    probes on a deep copy of the store and handle: the same hits, mapping
-    bits, ``StoreStats`` (so the same ``candidates_tested`` in sum) and
-    per-basis ``hits``.  Returns the run's length."""
-    twin, twin_handle = copy.deepcopy((store, handle))
-    run = handle.standing(i)
-    expected = [twin_handle.match(j) for j in range(i, i + len(run))]
-    assert all(result is not None for result, _ in expected)
-    assert [_answer_bits((result, 0)) for result in run] == [
-        _answer_bits((result, 0)) for result, _ in expected
+def answer_through_plan(store, probes, between=None):
+    """The explorer's block: open it, plan it, run ``between(store)`` —
+    a foreign step — ahead of the plan's resolution, and settle it with
+    each planned miss's samples.  A plan that cannot decide, or that the
+    foreign step undid, is answered per probe by ``match``, each miss
+    added.  Returns ``(answers, handle, settled)``, ``answers`` per probe
+    ``(result, tested)`` as the plan decided them or ``match`` gave them."""
+    handle = store.block_probe(probes)
+    misses = handle.plan()
+    decided = handle._plan
+    if between is not None:
+        between(store)
+    outcomes = None
+    if misses is not None:
+        before = store.stats.as_dict()
+        outcomes = handle.settle(np.tile(SAMPLES, (len(misses), 1)))
+        if outcomes is None:  # refused: nothing was accounted or added
+            assert store.stats.as_dict() == before
+    if outcomes is None:
+        answers = []
+        for i, probe in enumerate(probes):
+            answers.append(handle.match(i))
+            if answers[-1][0] is None:
+                store.add(probe, SAMPLES)
+        return answers, handle, False
+    assert [i for i, o in enumerate(outcomes) if o is None] == []
+    answers = [
+        (outcome if isinstance(outcome, MatchResult) else None, tested)
+        for outcome, (_, _, tested) in zip(outcomes, decided[1])
     ]
-    assert store.stats.as_dict() == twin.stats.as_dict()
-    assert [(b.basis_id, b.hits) for b in store.bases] == [
-        (b.basis_id, b.hits) for b in twin.bases
+    return answers, handle, True
+
+
+def assert_plan_parity(reference, blocked, probes, between=None):
+    """A planned block == Algorithm 3's one ``match`` a point, each miss
+    added, over ``reference`` (the foreign step, if any, run ahead of the
+    first probe): basis ids, mapping bits, ``tested``, ``StoreStats``, and
+    per-basis ``hits`` and metrics.  Returns ``(handle, settled)``."""
+    expected = answer_sequentially(
+        reference,
+        probes,
+        before=None if between is None else {0: between},
+        add_misses=True,
+    )
+    actual, handle, settled = answer_through_plan(blocked, probes, between)
+    assert [_answer_bits(a) for a in actual] == [
+        _answer_bits(a) for a in expected
     ]
-    return len(run)
+    assert blocked.stats.as_dict() == reference.stats.as_dict()
+    assert [(b.basis_id, b.hits, b.metrics) for b in blocked.bases] == [
+        (b.basis_id, b.hits, b.metrics) for b in reference.bases
+    ]
+    assert blocked._next_id == reference._next_id
+    return handle, settled
 
 
 @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
 @pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
-class TestBlockProbeStandingRun:
-    """``standing(i)`` is the ``match(i)``, ``match(i + 1)``, ... that
-    the speculation answers as it stands: the longest run of speculated
-    hits from ``i``, empty once the store changed, accounted as those
-    calls would have been.  Only the linear family speculates; the
-    others' runs are empty and their parity trivial."""
+class TestBlockProbePlan:
+    """``plan()`` decides the whole block as a ``match`` loop would answer
+    it with every miss added in order, and ``settle`` adds the planned
+    misses and accounts every probe as those calls would have.  The
+    reference is that loop on a deep copy, on the scalar loop.  Only the
+    linear family has the pair kernel; the others have no plan and are
+    answered per probe."""
 
-    def test_stops_at_the_first_speculative_miss(self, family_name, strategy):
+    def stores(self, family_name, strategy, content="mixed"):
+        blocked = build_store(family_name, strategy, content, True)
+        reference = copy.deepcopy(blocked)
+        reference.columnar_min_candidates = ALWAYS_SCALAR
+        return reference, blocked
+
+    def test_a_warm_block(self, family_name, strategy):
         for content in sorted(CONTENTS):
-            store = build_store(family_name, strategy, content, True)
-            reference = build_store(family_name, strategy, content, False)
-            hit = [reference.match(probe) is not None for probe in PROBES]
-            handle = store.block_probe(PROBES)
-            i = 0
-            while i < len(PROBES):
-                length = assert_run_parity(store, handle, i)
-                if family_name == "linear":
-                    assert hit[i : i + length] == [True] * length
-                    assert i + length == len(PROBES) or not hit[i + length]
-                else:
-                    assert length == 0
-                i += length
-                if i < len(PROBES):
-                    handle.match(i)  # read-only: the store is unchanged
-                    i += 1
+            _, settled = assert_plan_parity(
+                *self.stores(family_name, strategy, content), PROBES
+            )
+            if strategy != "sorted_sid":  # no list has a front to insert in
+                assert settled == (family_name == "linear")
 
-    def test_stops_when_the_stamp_changes(self, family_name, strategy):
-        """Past the first miss, added as Algorithm 3 adds it, the hits
-        speculated behind it are answered by ``match`` alone."""
-        reference = build_store(family_name, strategy, "mixed", False)
-        miss = [reference.match(p) is not None for p in PROBES].index(False)
-        store = build_store(family_name, strategy, "mixed", True)
-        handle = store.block_probe(PROBES)
-        speculated = family_name == "linear"
-        assert assert_run_parity(store, handle, 0) == (
-            miss if speculated else 0
-        )
-        for i in range(miss if speculated else 0, miss + 1):
-            handle.match(i)
-        _, untouched = copy.deepcopy((store, handle))
-        store.add(PROBES[miss], SAMPLES)
-        # Unchanged, the store would have let the two probes after the
-        # linear family's miss (both of the other size, both hits) run.
-        assert len(untouched.standing(miss + 1)) == (2 if speculated else 0)
-        for i in range(miss + 1, len(PROBES)):
-            assert assert_run_parity(store, handle, i) == 0
-
-    def test_stops_after_a_removal(self, family_name, strategy):
-        """A removal changes the stamp, and an add after it does not
-        change it back: ids are never reissued."""
-        for late_add in (False, True):
-            store = build_store(family_name, strategy, "mixed", True)
-            handle = store.block_probe(PROBES)
-            store.remove(store.bases[-1].basis_id)
-            if late_add:
-                store.add(_affine(BASE, -1.5, 0.25), SAMPLES)
-            assert len(store) == len(CONTENTS["mixed"]) - (not late_add)
-            for i in range(len(PROBES)):
-                assert assert_run_parity(store, handle, i) == 0
-
-    def test_sweep_loop_equals_sequential_matching(self, family_name, strategy):
-        """The explorer's loop — a run, then one ``match``, a miss added —
-        answers as Algorithm 3's one probe a point."""
+    def test_a_sweep_block_adds_every_miss(self, family_name, strategy):
+        """Later probes match what the block's own misses add."""
         probes = PROBES + [_affine(p, -0.5, 2.0) for p in PROBES]
         for content in ("empty", "mixed"):
-            reference = build_store(family_name, strategy, content, False)
-            store = build_store(family_name, strategy, content, True)
-            expected = answer_sequentially(reference, probes, add_misses=True)
-            handle = store.block_probe(probes)
-            answers = []
-            while len(answers) < len(probes):
-                answers += handle.standing(len(answers))
-                if len(answers) < len(probes):
-                    result, _ = handle.match(len(answers))
-                    if result is None:
-                        store.add(probes[len(answers)], SAMPLES)
-                    answers.append(result)
-            assert [_answer_bits((result, 0)) for result in answers] == [
-                _answer_bits((result, 0)) for result, _ in expected
-            ]
-            assert store.stats.as_dict() == reference.stats.as_dict()
-            assert [(b.basis_id, b.hits) for b in store.bases] == [
-                (b.basis_id, b.hits) for b in reference.bases
-            ]
+            _, settled = assert_plan_parity(
+                *self.stores(family_name, strategy, content), probes
+            )
+            if strategy != "sorted_sid":
+                assert settled == (family_name == "linear")
 
-    def test_small_blocks_have_no_run(self, family_name, strategy):
+    def test_a_foreign_step_between_plan_and_settle(
+        self, family_name, strategy
+    ):
+        """An add, a removal or a merge that adds moves the stamp: the
+        plan is refused, nothing accounted, and ``match`` answers every
+        probe.  A merge that adds nothing leaves the plan standing."""
+        probes = PROBES + [_affine(p, -0.5, 2.0) for p in PROBES]
+        extra = [Fingerprint((9.0, 1.0, 2.0, 3.0, 4.0)), _cubic(WIDE)]
+        steps = {
+            "add": lambda store: store.add(_affine(BASE, 7.0, 1.0), SAMPLES),
+            "remove": lambda store: store.remove(store.bases[1].basis_id),
+            "merge": lambda store: store.merge(
+                filled_store(extra, family_name, strategy, False),
+            ),
+            "collapse": lambda store: store.merge(
+                filled_store([BASE], family_name, strategy, False)
+            ),
+        }
+        for name, step in steps.items():
+            _, settled = assert_plan_parity(
+                *self.stores(family_name, strategy), probes, between=step
+            )
+            if name != "collapse":
+                assert not settled
+
+    def test_small_blocks_have_no_plan(self, family_name, strategy):
         for count in (1, basis_module.BLOCK_MIN_PROBES - 1):
-            store = build_store(family_name, strategy, "mixed", True)
             probes = [_affine(BASE, 1.0 + i, float(i)) for i in range(count)]
-            handle = store.block_probe(probes)
-            for i in range(count):
-                assert assert_run_parity(store, handle, i) == 0
-        store = build_store(family_name, strategy, "mixed", True)
+            _, settled = assert_plan_parity(
+                *self.stores(family_name, strategy), probes
+            )
+            assert not settled
         probes = [
             _affine(BASE, 1.0 + i, float(i))
             for i in range(basis_module.BLOCK_MIN_PROBES)
         ]
-        length = assert_run_parity(store, store.block_probe(probes), 0)
-        assert length == (len(probes) if family_name == "linear" else 0)
+        _, settled = assert_plan_parity(
+            *self.stores(family_name, strategy), probes
+        )
+        assert settled == (family_name == "linear")
 
-    def test_budget_left_and_degraded_stores_have_no_run(
+    def test_budget_left_and_degraded_stores_have_no_plan(
         self, family_name, strategy
     ):
         for degraded in (False, True):
-            store = build_store(family_name, strategy, "mixed", True)
-            store.columnar_check = type(store.columnar_check)(
+            reference, blocked = self.stores(family_name, strategy)
+            blocked.columnar_check = type(blocked.columnar_check)(
                 "columnar FindMapping",
                 "the scalar find loop",
                 tag="scalar-match",
                 budget=2,
-                equal=store._same_result,
+                equal=blocked._same_result,
             )
-            store.columnar_check.degraded = degraded
-            handle = store.block_probe(PROBES)
-            for i in range(len(PROBES)):
-                assert assert_run_parity(store, handle, i) == 0
+            blocked.columnar_check.degraded = degraded
+            handle, settled = assert_plan_parity(reference, blocked, PROBES)
+            assert not settled and not handle._found
+
+    def test_a_miss_left_without_samples(self, family_name, strategy):
+        """``settle`` with the first ``k`` misses' samples only — the
+        ``k``-th miss's simulation failed — adds those ``k`` and accounts
+        every probe up to and including the failed one: the state the
+        ``match`` loop leaves when the same simulation fails."""
+        probes = PROBES + [_affine(p, -0.5, 2.0) for p in PROBES]
+        reference, blocked = self.stores(family_name, strategy, "empty")
+        misses = copy.deepcopy(blocked).block_probe(probes).plan()
+        for k in range(len(misses or ())):
+            twin, store = copy.deepcopy((reference, blocked))
+            missed = 0
+            for i, probe in enumerate(probes):
+                if twin.match(probe) is None:
+                    if missed == k:
+                        assert i == misses[k]
+                        break
+                    twin.add(probe, SAMPLES)
+                    missed += 1
+            handle = store.block_probe(probes)
+            assert handle.plan() == misses
+            outcomes = handle.settle(np.tile(SAMPLES, (k, 1)))
+            assert len(outcomes) == misses[k] + 1
+            assert outcomes[-1] is None
+            assert store.stats.as_dict() == twin.stats.as_dict()
+            assert store._next_id == twin._next_id
+            assert [(b.basis_id, b.hits) for b in store.bases] == [
+                (b.basis_id, b.hits) for b in twin.bases
+            ]
 
 
 class TestBlockProbeIndexCases:
@@ -837,6 +875,29 @@ class TestBlockProbeIndexCases:
         assert handle._found[1][0] == 0  # speculated: the descending hit
         assert blocked.get(2).hits == 2  # answered: the inserted basis
         assert blocked.get(0).hits == 0
+
+    def test_an_own_insert_in_front_of_a_descending_half_has_no_plan(self):
+        """(f) within a plan: the block's first probe, a monotone image of
+        the second that no stored basis maps onto, is a planned miss
+        whose insert lands in the second's ascending bucket — in front of
+        its speculated descending hit.  The plan cannot decide that
+        probe, so the block is answered by ``match``."""
+        probe = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0))
+        filler = Fingerprint((5.0, 4.0, 3.0, 2.0, 1.5))
+        blocked = filled_store(
+            [_affine(probe, -2.0, 1.0), filler], "linear", "sorted_sid", True
+        )
+        reference = copy.deepcopy(blocked)
+        reference.columnar_min_candidates = ALWAYS_SCALAR
+        probes = [_cubic(probe), probe, _affine(probe, 0.5, 0.0), filler]
+        assert probes[0].sid_order() == probe.sid_order()
+        # Without the monotone image in front, the same block is planned.
+        without = probes[1:] + [filler]
+        assert copy.deepcopy(blocked).block_probe(without).plan() == []
+        handle, settled = assert_plan_parity(reference, blocked, probes)
+        assert not settled
+        assert handle._found[0] is None and handle._found[1][0] == 0
+        assert blocked.get(0).hits == 2  # the descending hit stood
 
 
 class PrefilterSpy:
@@ -1217,16 +1278,30 @@ def planted_block(roots=OWN_TAIL_ROOTS):
     return probes + [probes[3]]
 
 
+class _PairLog:
+    """Wraps the family's ``find_pairs``, keeping per launch the
+    fingerprint size and how many pairs it held."""
+
+    def __init__(self, store):
+        self.launches = []
+        self._find_pairs = getattr(store.mapping_family, "find_pairs", None)
+        store.mapping_family.find_pairs = self
+
+    def __call__(self, sources, targets, probes, *args, **kwargs):
+        self.launches.append((sources.shape[1], len(probes)))
+        return self._find_pairs(sources, targets, probes, *args, **kwargs)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
 @pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
-class TestBlockProbeOwnTails:
+class TestBlockPlanOwnTails:
     """A speculative miss whose tail is the block's own earlier misses —
-    a sweep's adds, each from its probe's own fingerprint — is answered
-    from the own-tail table, not by ``_find``.  The reference is a
-    ``match`` loop over a deep copy of the store, on the scalar loop;
-    the block's store has both budgets spent, so every table answer is
-    the table's own."""
+    a sweep's adds, each from its probe's own fingerprint — is decided by
+    the plan from the pairs the index would list, not by ``_find``.  The
+    reference is a ``match`` loop over a deep copy of the store, on the
+    scalar loop; the block's store has both budgets spent, so every
+    answer is the plan's own."""
 
     def stores(self, family_name, strategy, fingerprints=()):
         blocked = BasisStore(
@@ -1242,53 +1317,54 @@ class TestBlockProbeOwnTails:
         return reference, blocked
 
     def test_cold_block_of_planted_images(self, family_name, strategy):
+        """Probes listed twice included: the last probe is the fourth one
+        again, and matches what the fourth one added."""
         reference, blocked = self.stores(family_name, strategy)
         log = _FindLog(blocked)
-        handle = assert_block_parity(
-            reference, blocked, planted_block(), add_misses=True
-        )
-        if family_name == "linear":
-            # Every tail was the block's own: none reached ``_find``.
-            assert log.lists == []
-            assert handle._tails
+        _, settled = assert_plan_parity(reference, blocked, planted_block())
+        assert settled == (family_name == "linear")
+        if settled:
+            assert log.lists == []  # every tail was the plan's
             assert blocked.stats.matches > 0
-        else:
-            assert handle._tails is None
+            assert blocked.get(3).hits == 1 + len(OWN_TAIL_MAPS)
 
-    def test_foreign_add_between_calls(self, family_name, strategy):
-        """A basis the block did not add sends every tail holding it to
-        ``_find`` whole: here an image of the first root, added before
-        the root's turn, which the root and its images then match."""
-        probes = planted_block()
+    def test_foreign_adds(self, family_name, strategy):
+        """A basis added before the block opened is on every list the
+        plan reads; one added between the plan and its resolution undoes
+        the plan, and ``match`` answers the block."""
         foreign = _affine(BASE, 7.0, 1.0)
-        before = {
-            0: lambda store: store.add(foreign, SAMPLES),
-            17: lambda store: store.add(Fingerprint((9.0,) * 7), SAMPLES),
-        }
-        reference, blocked = self.stores(family_name, strategy)
-        log = _FindLog(blocked)
-        assert_block_parity(
-            reference, blocked, probes, before=before, add_misses=True
-        )
-        if family_name == "linear":
-            assert blocked.get(0).fingerprint is foreign
-            assert blocked.get(0).hits == 1 + len(OWN_TAIL_MAPS)
-            assert log.lists and all(0 in ids for ids in log.lists)
+        for opened_after in (True, False):
+            reference, blocked = self.stores(family_name, strategy)
+            if opened_after:
+                for store in (reference, blocked):
+                    store.add(foreign, SAMPLES)
+            step = None if opened_after else (
+                lambda store: store.add(foreign, SAMPLES)
+            )
+            _, settled = assert_plan_parity(
+                reference, blocked, planted_block(), between=step
+            )
+            assert settled == (opened_after and family_name == "linear")
+            if family_name == "linear":
+                assert blocked.get(0).fingerprint is foreign
+                assert blocked.get(0).hits == 1 + len(OWN_TAIL_MAPS)
 
     def test_removal(self, family_name, strategy):
-        """An own miss retired mid-block (its id leaves every tail), and
-        a basis of a warm store retired (the prefix breaks)."""
-        before = {
-            9: lambda store: store.remove(store.bases[0].basis_id),
-            20: lambda store: store.remove(store.bases[-1].basis_id),
-        }
+        """A removal between the plan and its resolution, on a cold store
+        and a warm one."""
         for content in ("empty", "mixed"):
-            assert_block_parity(
-                *self.stores(family_name, strategy, CONTENTS[content]),
-                planted_block(),
-                before=before,
-                add_misses=True,
+            reference, blocked = self.stores(
+                family_name, strategy, CONTENTS[content]
             )
+            for store in (reference, blocked):
+                store.add(Fingerprint((9.0,) * 7), SAMPLES)
+            _, settled = assert_plan_parity(
+                reference,
+                blocked,
+                planted_block(),
+                between=lambda store: store.remove(store.bases[-1].basis_id),
+            )
+            assert not settled
 
     def test_mixed_sizes(self, family_name, strategy):
         """Pairs of two sizes are tested and unmatched, not launched."""
@@ -1300,49 +1376,45 @@ class TestBlockProbeOwnTails:
         ]
         reference, blocked = self.stores(family_name, strategy)
         log = _FindLog(blocked)
-        handle = assert_block_parity(
-            reference, blocked, planted_block(roots), add_misses=True
+        pairs = _PairLog(blocked)
+        _, settled = assert_plan_parity(
+            reference, blocked, planted_block(roots)
         )
-        if family_name == "linear":
+        if settled:
             assert log.lists == []
-            sizes = {
-                (handle._probes[source].size, handle._probes[target].size)
-                for source, target in handle._tails
-            }
-            assert sizes == {(5, 5), (7, 7), (3, 3)}
+            assert {size for size, _ in pairs.launches} == {5, 7, 3}
 
-    def test_later_probe_added_out_of_order(self, family_name, strategy):
-        """A later probe's own fingerprint added ahead of its turn (the
-        constant root's): the table has no pair with it as the source for
-        an earlier probe, or for itself, so those tails go to ``_find``;
-        after its turn, the table answers for it again."""
+    def test_later_probe_added_before_the_block(self, family_name, strategy):
+        """A later probe's own fingerprint object stored ahead of the
+        block (the constant root's): an old basis to the plan, which the
+        root, its images and the probe itself match."""
         probes = planted_block()
-        before = {1: lambda store: store.add(probes[2], SAMPLES)}
         reference, blocked = self.stores(family_name, strategy)
-        log = _FindLog(blocked)
-        assert_block_parity(
-            reference, blocked, probes, before=before, add_misses=True
-        )
+        for store in (reference, blocked):
+            store.add(probes[2], SAMPLES)
+        _, settled = assert_plan_parity(reference, blocked, probes)
+        assert settled == (family_name == "linear")
         if family_name == "linear":
-            early = blocked.get(1)
-            assert early.fingerprint is probes[2]
-            assert early.hits == 1 + len(OWN_TAIL_MAPS)  # itself, images
-            assert log.lists and all(1 in ids for ids in log.lists)
-            assert len(log.lists) <= 2  # probes 1 and 2 only
+            assert blocked.get(0).fingerprint is probes[2]
+            assert blocked.get(0).hits == 1 + len(OWN_TAIL_MAPS)
 
 
-class TestOwnTailBudgetGuard:
+class TestPlanBudgetGuard:
     def test_a_cold_array_sweep_spends_the_columnar_budget(self):
-        """Own tails spend nothing, so while ``columnar_check`` has budget
-        a tail long enough for the columnar path goes to ``_find``: a
-        cold ``array`` sweep still vouches for that path in its first
-        block and speculates shared lists from its second on."""
+        """A plan spends nothing of ``columnar_check``'s budget, so while
+        that has budget a block whose tail is long enough for the
+        columnar path has no plan, and ``match`` sends the tail to
+        ``_find``: a cold ``array`` sweep still vouches for that path in
+        its first block and plans its second, every probe read ahead on
+        a shared list."""
         store = BasisStore(index_strategy="array")
-        handles = []
+        handles, plans = [], []
         open_block = store.block_probe
 
         def spy(fingerprints):
             handles.append(open_block(fingerprints))
+            plan = handles[-1].plan
+            handles[-1].plan = lambda: plans.append(plan()) or plans[-1]
             return handles[-1]
 
         store.block_probe = spy
@@ -1354,10 +1426,9 @@ class TestOwnTailBudgetGuard:
         )
         explorer.run([{"point": float(p)} for p in range(2 * BLOCK_PROBES)])
         first, second = handles
-        assert first._tails  # the first block's own tails: the table
+        assert plans[0] is None and plans[1] is not None
         assert store.columnar_check.remaining == 0
         assert not store.columnar_check.degraded
-        # Every probe of the second block was read ahead on a shared list.
         assert len(second._found) == BLOCK_PROBES
         assert all(
             len(ids) >= store.columnar_min_candidates
