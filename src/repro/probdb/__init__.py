@@ -1,6 +1,10 @@
-"""A compact MCDB-style Monte Carlo probabilistic database substrate."""
+"""A compact MCDB-style probabilistic database substrate.
 
-from repro.probdb.executor import MonteCarloExecutor, QueryDistribution
+Expressions, the operators the binder builds and random tables.  Plans
+run one world at a time (or one batch of worlds); the scenario runner
+draws the worlds and estimates the answers.
+"""
+
 from repro.probdb.expressions import (
     BinaryOp,
     BlackBoxCall,
@@ -14,11 +18,7 @@ from repro.probdb.expressions import (
     UnaryOp,
 )
 from repro.probdb.query import (
-    Filter,
-    GeneratorScan,
     GroupAggregate,
-    Limit,
-    NestedLoopJoin,
     Operator,
     Project,
     SingletonScan,
@@ -28,11 +28,9 @@ from repro.probdb.query import (
 from repro.probdb.relation import Relation
 from repro.probdb.scan import RandomScan
 from repro.probdb.schema import Column, Schema
-from repro.probdb.worlds import RandomRelation, VGColumn, WorldSampler
+from repro.probdb.worlds import RandomRelation, VGColumn
 
 __all__ = [
-    "MonteCarloExecutor",
-    "QueryDistribution",
     "BinaryOp",
     "BlackBoxCall",
     "CaseWhen",
@@ -43,11 +41,7 @@ __all__ = [
     "FunctionCall",
     "ParameterRef",
     "UnaryOp",
-    "Filter",
-    "GeneratorScan",
     "GroupAggregate",
-    "Limit",
-    "NestedLoopJoin",
     "Operator",
     "Project",
     "SingletonScan",
@@ -59,5 +53,4 @@ __all__ = [
     "Schema",
     "RandomRelation",
     "VGColumn",
-    "WorldSampler",
 ]

@@ -1,16 +1,16 @@
 """Logical query operators executed within one possible world.
 
-A deliberately small relational algebra — scan, filter, map/project, group
-aggregate, nested-loop join, limit — sufficient for the paper's scenario
-queries.  Plans are trees of :class:`Operator`; ``execute`` materializes a
-:class:`Relation` for a given world context.
+A deliberately small relational algebra — table scan, singleton scan,
+map/project, global group aggregate — which is what the binder builds for
+the paper's scenario queries.  Plans are trees of :class:`Operator`;
+``execute`` materializes a :class:`Relation` for a given world context.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -79,24 +79,6 @@ class TableScan(Operator):
 
     def execute(self, world: WorldContext) -> Relation:
         return self.relation
-
-
-@dataclass
-class GeneratorScan(Operator):
-    """Produce rows from a callable — the hook VG-style tables plug into.
-
-    ``generator(world)`` must return an iterable of rows matching
-    ``output_schema``; it is invoked once per world.
-    """
-
-    output_schema: Schema
-    generator: Callable[[WorldContext], Sequence[Sequence[object]]]
-
-    def schema(self) -> Schema:
-        return self.output_schema
-
-    def execute(self, world: WorldContext) -> Relation:
-        return Relation(self.output_schema, self.generator(world))
 
 
 @dataclass
@@ -201,32 +183,6 @@ class Project(Operator):
 
 
 @dataclass
-class Filter(Operator):
-    """WHERE: keep rows whose predicate evaluates truthy."""
-
-    child: Operator
-    predicate: Expression
-
-    def schema(self) -> Schema:
-        return self.child.schema()
-
-    def execute(self, world: WorldContext) -> Relation:
-        names = self.child.schema().names
-        kept = [
-            row
-            for row in self.child.execute(world)
-            if bool(
-                self.predicate.evaluate(
-                    EvalContext(
-                        dict(zip(names, row)), world.params, world.world_seed
-                    )
-                )
-            )
-        ]
-        return Relation(self.schema(), kept)
-
-
-@dataclass
 class GroupAggregate(Operator):
     """GROUP BY with SUM/AVG/MIN/MAX/COUNT aggregates.
 
@@ -274,55 +230,3 @@ class GroupAggregate(Operator):
                 values.append(_AGGREGATES[kind.lower()](inputs))
             output_rows.append(tuple(values))
         return Relation(self.schema(), output_rows)
-
-
-@dataclass
-class NestedLoopJoin(Operator):
-    """Inner join with an arbitrary predicate over the concatenated row."""
-
-    left: Operator
-    right: Operator
-    predicate: Optional[Expression] = None
-
-    def schema(self) -> Schema:
-        return self.left.schema().concat(self.right.schema())
-
-    def execute(self, world: WorldContext) -> Relation:
-        names = self.schema().names
-        output_rows: List[Row] = []
-        right_rows = list(self.right.execute(world))
-        for left_row in self.left.execute(world):
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if self.predicate is not None:
-                    keep = bool(
-                        self.predicate.evaluate(
-                            EvalContext(
-                                dict(zip(names, combined)),
-                                world.params,
-                                world.world_seed,
-                            )
-                        )
-                    )
-                    if not keep:
-                        continue
-                output_rows.append(combined)
-        return Relation(self.schema(), output_rows)
-
-
-@dataclass
-class Limit(Operator):
-    """Keep at most ``count`` rows (deterministic prefix)."""
-
-    child: Operator
-    count: int
-
-    def schema(self) -> Schema:
-        return self.child.schema()
-
-    def execute(self, world: WorldContext) -> Relation:
-        if self.count < 0:
-            raise QueryError("LIMIT must be non-negative")
-        return Relation(
-            self.schema(), list(self.child.execute(world))[: self.count]
-        )

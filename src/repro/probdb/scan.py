@@ -1,7 +1,8 @@
 """Scan operators for named tables, deterministic or random.
 
 Separated from :mod:`repro.probdb.query` because the random variant depends
-on :mod:`repro.probdb.worlds` (which itself builds on the query layer).
+on :mod:`repro.probdb.worlds`, whose random tables realize themselves in a
+:class:`~repro.probdb.query.WorldContext`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
-"""Possible-worlds sampling: the Monte Carlo Generator of paper Figure 3.
+"""Random tables: the MCDB representation of an uncertain relation.
 
-An MCDB-style PDB approximates a distribution over database instances by
-instantiating a finite set of sampled worlds; each world is produced under
-one seed from the global seed bank, queries run in every world, and the
-per-world results form i.i.d. samples of the answer distribution.
+An MCDB-style PDB represents an uncertain table by its deterministic
+columns plus the black boxes that fill its uncertain (VG) columns.  One
+world seed realizes one possible instance of the table; the world seeds
+themselves come from the seed bank of whoever runs the query (the
+scenario runner, paper Figure 3's Monte Carlo Generator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.blackbox.base import BlackBox
-from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank, derive_seed
+from repro.core.seeds import derive_seed
 from repro.errors import SchemaError
 from repro.probdb.query import WorldContext
 from repro.probdb.relation import Relation
@@ -98,24 +99,3 @@ class RandomRelation:
                 realized.append(value)
             rows.append(tuple(realized))
         return Relation(self._schema, rows)
-
-
-class WorldSampler:
-    """Enumerates world contexts under the global seed bank."""
-
-    def __init__(
-        self,
-        params: Optional[Mapping[str, float]] = None,
-        seed_bank: Optional[SeedBank] = None,
-    ):
-        self.params = dict(params or {})
-        self.seed_bank = seed_bank or DEFAULT_SEED_BANK
-
-    def world(self, index: int) -> WorldContext:
-        return WorldContext(
-            params=self.params, world_seed=self.seed_bank.seed(index)
-        )
-
-    def worlds(self, count: int, start: int = 0) -> Iterator[WorldContext]:
-        for index in range(start, start + count):
-            yield self.world(index)

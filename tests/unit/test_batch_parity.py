@@ -9,6 +9,7 @@ lanes that fall back to per-seed generators.
 """
 
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from repro.blackbox.synth_basis import SynthBasisModel
 from repro.blackbox.user_selection import UserSelectionModel
 from repro.core.adaptive import AdaptiveBudget
 from repro.core.basis import BasisStore
-from repro.core.estimator import MetricSet
+from repro.core.estimator import Estimator, MetricSet
 from repro.core.explorer import BLOCK_PROBES, NaiveExplorer, ParameterExplorer
 from repro.core.mapping import LinearMappingFamily
 from repro.core.markov import MarkovJumpRunner, NaiveMarkovRunner
@@ -846,18 +847,26 @@ INTO results;
             for name, values in columns.items():
                 assert float(values[k]) == row[name], (name, k)
 
-    def test_executor_scalar_samples_batch_matches_loop(self):
-        from repro.probdb.executor import MonteCarloExecutor
+    def test_unreused_runner_matches_the_per_world_loop(self):
+        # Paper Fig. 3's dashed box: every point runs the query in each
+        # sampled world and the Estimator reduces the per-world answers.
+        from repro.scenario import ScenarioRunner
 
         scenario = self._scenario()
-        params = {"current_week": 8.0, "feature_release": 4.0}
-        executor = MonteCarloExecutor(world_count=40)
-        batched = executor.scalar_samples(scenario.plan, "scaled", params)
-        looped = [
-            scenario.simulate(params, BANK.seed(index))["scaled"]
-            for index in range(40)
-        ]
-        assert batched.tolist() == looped
+        runner = ScenarioRunner(
+            scenario, samples_per_point=40, use_fingerprints=False
+        )
+        result = runner.run()
+        seeds = runner.seed_bank.seeds(40)
+        assert len(result) == 3
+        for key, params in result.points.items():
+            for column in scenario.output_columns:
+                looped = Estimator().estimate(
+                    [scenario.simulate(params, seed)[column] for seed in seeds]
+                )
+                assert pickle.dumps(result.metrics[key][column]) == (
+                    pickle.dumps(looped)
+                ), (params, column)
 
     def test_column_simulation_exposes_matching_batch(self):
         scenario = self._scenario()

@@ -1,9 +1,11 @@
 """Unit tests for probdb logical query operators."""
 
+import numpy as np
 import pytest
 
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError
 from repro.probdb.expressions import (
+    BatchUnsupported,
     BinaryOp,
     CaseWhen,
     ColumnRef,
@@ -11,11 +13,7 @@ from repro.probdb.expressions import (
     ParameterRef,
 )
 from repro.probdb.query import (
-    Filter,
-    GeneratorScan,
     GroupAggregate,
-    Limit,
-    NestedLoopJoin,
     Project,
     SingletonScan,
     TableScan,
@@ -43,13 +41,6 @@ class TestScans:
         result = plan.execute(WORLD)
         assert len(result) == 1
         assert result.rows == ((),)
-
-    def test_generator_scan(self):
-        plan = GeneratorScan(
-            Schema.of("n"),
-            lambda world: [(world.world_seed,)],
-        )
-        assert plan.execute(WORLD).rows == ((17.0,),)
 
 
 class TestProject:
@@ -94,17 +85,34 @@ class TestProject:
         assert plan.schema().names == ("a",)
 
 
-class TestFilter:
-    def test_keeps_matching_rows(self):
-        plan = Filter(
-            TableScan(PEOPLE),
-            BinaryOp(">", ColumnRef("load"), Constant(25.0)),
-        )
-        assert len(plan.execute(WORLD)) == 2
+SEEDS = np.arange(3, dtype=np.uint64)
 
-    def test_schema_passthrough(self):
-        plan = Filter(TableScan(PEOPLE), Constant(True))
-        assert plan.schema().names == PEOPLE.schema.names
+
+class TestProjectBatch:
+    def test_singleton_batch_matches_execute(self):
+        plan = Project(
+            SingletonScan(),
+            (
+                ("w", ParameterRef("week")),
+                ("twice", BinaryOp("*", ColumnRef("w"), Constant(2.0))),
+            ),
+        )
+        columns = plan.execute_batch(WORLD.params, SEEDS)
+        row = plan.execute(WORLD).to_dicts()[0]
+        assert {name: float(value) for name, value in columns.items()} == row
+
+    def test_one_row_table_columns_are_visible(self):
+        table = Relation(Schema.of("load"), [(7.0,)])
+        plan = Project(
+            TableScan(table),
+            (("more", BinaryOp("+", ColumnRef("load"), Constant(1.0))),),
+        )
+        assert float(plan.execute_batch({}, SEEDS)["more"]) == 8.0
+
+    def test_multi_row_table_refused(self):
+        plan = Project(TableScan(PEOPLE), (("load", ColumnRef("load")),))
+        with pytest.raises(BatchUnsupported):
+            plan.execute_batch(WORLD.params, SEEDS)
 
 
 class TestGroupAggregate:
@@ -159,38 +167,19 @@ class TestGroupAggregate:
         )
         assert plan.schema().names == ("team", "total")
 
-
-class TestJoin:
-    def test_cross_join(self):
-        other = Relation(Schema.of("k"), [(1,), (2,)])
-        plan = NestedLoopJoin(TableScan(PEOPLE), TableScan(other))
-        assert len(plan.execute(WORLD)) == 8
-
-    def test_predicate_join(self):
-        other = Relation(Schema.of("wanted:int"), [(1,), (3,)])
-        plan = NestedLoopJoin(
+    def test_group_column_keeps_its_type(self):
+        plan = GroupAggregate(
             TableScan(PEOPLE),
-            TableScan(other),
-            predicate=BinaryOp(
-                "=", ColumnRef("person_id"), ColumnRef("wanted")
-            ),
+            group_by=("team",),
+            aggregates=(("total", "sum", ColumnRef("load")),),
         )
-        result = plan.execute(WORLD)
-        assert result.column_values("person_id") == [1, 3]
+        assert [c.type for c in plan.schema().columns] == ["str", "float"]
 
-    def test_duplicate_columns_rejected_by_schema(self):
-        with pytest.raises(SchemaError):
-            NestedLoopJoin(TableScan(PEOPLE), TableScan(PEOPLE)).schema()
-
-
-class TestLimit:
-    def test_prefix(self):
-        plan = Limit(TableScan(PEOPLE), 2)
-        assert len(plan.execute(WORLD)) == 2
-
-    def test_zero(self):
-        assert len(Limit(TableScan(PEOPLE), 0).execute(WORLD)) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(QueryError):
-            Limit(TableScan(PEOPLE), -1).execute(WORLD)
+    def test_batch_engine_refused(self):
+        plan = GroupAggregate(
+            TableScan(PEOPLE),
+            group_by=(),
+            aggregates=(("total", "sum", ColumnRef("load")),),
+        )
+        with pytest.raises(BatchUnsupported):
+            plan.execute_batch(WORLD.params, SEEDS)
