@@ -9,11 +9,12 @@ run in-process.
 
 ``--hypothesis-profile=ci`` selects the ``ci`` profile registered here: a
 derandomized, deep run (5,000 examples a property) that CI gives the pair
-prefilter's soundness oracle (``tests/property/test_prop_pair_prefilter.py``),
-``MetricSet``'s fast builder
-(``tests/property/test_prop_metric_set_builder.py``), the block plan's own
-tails (``tests/property/test_prop_block_tails.py``), the store machine's
-plan rule (``tests/property/test_prop_store_machine.py``) and the row-wise
+prefilter's soundness oracle and ``find_block(state=...)``'s bits
+(``tests/property/test_prop_pair_prefilter.py``), ``MetricSet``'s fast
+builder (``tests/property/test_prop_metric_set_builder.py``), the block
+plan's own tails (``tests/property/test_prop_block_tails.py``), the store
+machine's plan and bulk-append rules and its running byte total
+(``tests/property/test_prop_store_machine.py``) and the row-wise
 estimator's bits (``tests/property/test_prop_estimator.py``); a property
 that sets its own example count keeps it, derandomized.
 Without the option the default profile applies.

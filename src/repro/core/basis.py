@@ -33,6 +33,7 @@ from repro.core.fingerprint import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     Fingerprint,
+    rows_anchor_columns,
     stack_by_size,
 )
 from repro.core.index import make_index
@@ -140,11 +141,7 @@ class EvictionPolicy:
         """Basis ids to evict, in eviction order (store unchanged)."""
         bases = store._bases
         count = len(bases)
-        total = (
-            sum(basis.nbytes() for basis in bases.values())
-            if self.max_bytes is not None
-            else 0
-        )
+        total = store._nbytes if self.max_bytes is not None else 0
         if not self._exceeded(count, total):
             return []
         # One ranking over the live bases, whatever order the dict holds
@@ -348,6 +345,9 @@ class BlockProbe:
         #: Per probe, what ``index.candidates`` said on opening — or
         #: nothing at all for a block too small to repay reading ahead.
         self._candidates: Optional[List[List[int]]] = None
+        #: What the pair kernel derives from the stacked probes' rows, by
+        #: fingerprint size (:meth:`_state`).
+        self._derived: Dict[int, tuple] = {}
         if len(self._probes) >= BLOCK_MIN_PROBES:
             #: The probes as one matrix per fingerprint size: what the key
             #: pass hashes is what the pair kernel validates.
@@ -359,6 +359,21 @@ class BlockProbe:
 
     def __len__(self) -> int:
         return len(self._probes)
+
+    def _state(self, size: int) -> tuple:
+        """Size ``size``'s stacked probes as targets — their
+        :func:`~repro.core.mapping._targets_state` — and as sources: their
+        anchor columns (own pairs read those), from one first-distinct
+        pass.  Derived at first use, once a block, and sliced by every
+        launch: both are row-wise, so a slice has the bits a launch would
+        derive from its own rows."""
+        derived = self._derived.get(size)
+        if derived is None:
+            store, rows = self._store, self._stacks[size][1]
+            anchors = rows_anchor_columns(rows, store.rel_tol)
+            state = _targets_state(rows, store.rel_tol, store.abs_tol, anchors[0])
+            derived = self._derived[size] = state, anchors
+        return derived
 
     def _speculate(self) -> None:
         store = self._store
@@ -447,8 +462,9 @@ class BlockProbe:
             rel_tol=store.rel_tol,
             abs_tol=store.abs_tol,
             anchors=block.pair_columns(store.rel_tol),
+            state=[column[members] for column in self._state(size)[0]],
         )
-        probe = 0
+        probe, first = 0, first.tolist()
         for group, positions, _ in parts:
             for row in group:
                 if first[probe] >= 0:
@@ -464,6 +480,7 @@ class BlockProbe:
         one gather over the concatenated ids, one pair list a launch."""
         store = self._store
         indices, targets = self._stacks[size]
+        state = self._state(size)[0]
         every_list = [self._candidates[indices[row]] for row in members]
         step = max(1, MAX_LAUNCH_PAIRS // max(map(len, every_list)))
         for start in range(0, len(members), step):
@@ -486,10 +503,12 @@ class BlockProbe:
                     rel_tol=store.rel_tol,
                     abs_tol=store.abs_tol,
                     anchors=block.anchor_columns(store.rel_tol),
+                    state=[column[chunk] for column in state],
                 )
-                for probe in np.nonzero(first >= 0)[0].tolist():
+                hits = np.nonzero(first >= 0)[0]
+                for probe, position in zip(hits.tolist(), first[hits].tolist()):
                     self._found[indices[chunk[probe]]] = (
-                        int(first[probe]),
+                        position,
                         build(probe),
                     )
 
@@ -554,7 +573,14 @@ class BlockProbe:
             or (store._next_id, len(store._bases)) != self._stamp
         ):
             return None
-        index, pairs = store.index, self._own_pairs()
+        index = store.index
+        # Each speculative miss's keys, once: the own pairs and the tails
+        # below both read them.
+        keys = {
+            i: index.keys(probes[i]) for i, hit in found.items() if hit is None
+        }
+        pairs = self._own_pairs(keys)
+        partnered = {later for _, later in pairs}
         tolerances = store.rel_tol, store.abs_tol
 
         def scalar(pair):  # the reference the pair pass is held against
@@ -567,26 +593,29 @@ class BlockProbe:
         own_ids: Dict[int, int] = {}
         answers: List[tuple] = []
         for i, (probe, old) in enumerate(zip(probes, self._candidates)):
-            hit, own = found[i], ()
+            hit = found[i]
             # Before the block's first planned miss nothing of its own is
             # listed: a hit stands, a tail is empty.
             if listed or hit is None:
-                key, reads = index.keys(probe)
-                own = [listed.get(read, ()) for read in reads]
-                if old and any(own[:-1]):
+                key, reads = keys.get(i) or index.keys(probe)
+                if old and any(map(listed.get, reads[:-1])):
                     # An own insert in front of the list's last old entry.
                     last = index.keys(store._bases[old[-1]].fingerprint)[0]
-                    if any(own[: reads.index(last)]):
+                    if any(map(listed.get, reads[: reads.index(last)])):
                         return None
             if hit is not None:
                 answers.append((old[hit[0]], hit[1], hit[0] + 1))
                 continue
-            tail = [j for part in own for j in part]
+            tail = [j for read in reads for j in listed.get(read, ())]
             if store.columnar_check.remaining and (
                 len(tail) >= store.columnar_min_candidates
             ):
                 return None
-            answer = self._first(i, tail, own_ids, len(old), pairs.get)
+            answer = (
+                self._first(i, tail, own_ids, len(old), pairs.get)
+                if i in partnered  # else no pair of its tail is valid
+                else (None, None, len(old) + len(tail))
+            )
             if tail and store.pair_checks_left:
                 store.pair_checks_left -= 1
                 if answer != self._first(i, tail, own_ids, len(old), scalar):
@@ -611,56 +640,61 @@ class BlockProbe:
                 return own_ids[j], mapping, tested + k + 1
         return None, None, tested + len(tail)
 
-    def _own_pairs(self) -> Dict[Tuple[int, int], Mapping]:
+    def _own_pairs(self, keys) -> Dict[Tuple[int, int], Mapping]:
         """``(earlier, later) -> mapping`` for each valid pair of the
         block's speculative misses that the index would list together —
         the earlier one's insert key is one the later one reads (at most
         two) — in one :meth:`LinearMappingFamily.find_pairs` launch a
         fingerprint size, each pair a probe of its own.  Pairs of two
-        sizes are not launched, nor are pairs no list would hold."""
+        sizes are not launched, nor are pairs no list would hold.
+        ``keys`` holds each speculative miss's ``index.keys``."""
         store, codes, valid = self._store, {}, {}
-        for indices, stack in self._stacks.values():
+        for size, (indices, stack) in self._stacks.items():
             rows = [r for r, i in enumerate(indices) if self._found[i] is None]
             if len(rows) < 2:
                 continue
-            misses = [indices[r] for r in rows]
             # Per miss, its insert key and its first and last read key, coded.
-            keys = [store.index.keys(self._probes[i]) for i in misses]
             coded = [
                 codes.setdefault(k, len(codes))
-                for key, reads in keys
+                for key, reads in (keys[indices[r]] for r in rows)
                 for k in (key, reads[0], reads[-1])
             ]
             columns = np.array(coded, np.int64).reshape(-1, 3)
-            earlier, later = np.triu_indices(len(misses), 1)
-            together = (columns[earlier, :1] == columns[later, 1:]).any(axis=1)
-            sources, targets = earlier[together], later[together]
-            if not len(targets):
+            # Miss ``e``'s insert is on a list miss ``l`` reads; row by row,
+            # the (earlier, later) ones are the pairs.
+            inserts = columns[:, :1]
+            earlier, later = np.nonzero(
+                (inserts == columns[:, 1]) | (inserts == columns[:, 2])
+            )
+            forward = earlier < later
+            if not forward.any():
                 continue
-            rows = stack[rows]
-            # The targets' state is derived once a probe, not once a pair.
-            state = _targets_state(rows, store.rel_tol, store.abs_tol)
+            rows = np.array(rows)
+            sources, targets = rows[earlier[forward]], rows[later[forward]]
+            # Sources and targets are the block's stacked rows, whose
+            # anchor columns and target state are derived once a block.
             first, build = store.mapping_family.find_pairs(
-                rows, rows[targets], np.arange(len(targets)),
+                stack, stack[targets], np.arange(len(targets)),
                 np.zeros(len(targets), np.int64), sources,
                 rel_tol=store.rel_tol, abs_tol=store.abs_tol,
-                state=[column[targets] for column in state],
+                anchors=self._state(size)[1],
+                state=[column[targets] for column in self._state(size)[0]],
             )
             for pair in np.nonzero(first >= 0)[0].tolist():
-                valid[misses[sources[pair]], misses[targets[pair]]] = build(pair)
+                valid[indices[sources[pair]], indices[targets[pair]]] = build(pair)
         return valid
 
     def settle(self, samples: Sequence) -> Optional[List[object]]:
         """Resolve the plan: add the first ``len(samples)`` planned misses
-        in plan order (:meth:`BasisStore.add_batch`), each with its row of
-        ``samples``, then account the probes up to and including the next
-        planned miss — every probe, once each miss has its samples — as
-        those :meth:`match` calls would have.  So a miss whose simulation
-        failed leaves the state the per-probe loop leaves.  Returns per
-        accounted probe its :class:`MatchResult`, the basis its miss
-        added, or ``None`` for a miss without samples; ``None`` and no
-        change at all when the store changed since the plan, which then
-        holds no more."""
+        in plan order (:meth:`BasisStore.add_batch`, one columnar append a
+        fingerprint size), each with its row of ``samples``, then account
+        the probes up to and including the next planned miss — every
+        probe, once each miss has its samples — as those :meth:`match`
+        calls would have.  So a miss whose simulation failed leaves the
+        state the per-probe loop leaves.  Returns per accounted probe its
+        :class:`MatchResult`, the basis its miss added, or ``None`` for a
+        miss without samples; ``None`` and no change at all when the
+        store changed since the plan, which then holds no more."""
         store, plan, self._plan = self._store, self._plan, None
         if plan is None or (store._next_id, len(store._bases)) != self._stamp:
             return None
@@ -731,6 +765,10 @@ class BasisStore:
         self.abs_tol = float(abs_tol)
         self.stats = StoreStats()
         self._bases: Dict[int, BasisDistribution] = {}
+        #: The live bases' summed :meth:`BasisDistribution.nbytes`, which
+        #: an :class:`EvictionPolicy` byte bound reads: derived state, kept
+        #: by every change to ``_bases`` or a basis's samples.
+        self._nbytes = 0
         self._next_id = 0
         self.columnar = ColumnarStore()
         self.columnar_min_candidates = COLUMNAR_MIN_CANDIDATES
@@ -937,6 +975,7 @@ class BasisStore:
             metrics=metrics,
         )
         self._bases[basis.basis_id] = basis
+        self._nbytes += basis.nbytes()
         self.index.insert(fingerprint, basis.basis_id)
         self.columnar.add(basis.basis_id, fingerprint)
         self._next_id += 1
@@ -944,17 +983,36 @@ class BasisStore:
         return basis
 
     def add_batch(self, fingerprints, samples) -> List[BasisDistribution]:
-        """:meth:`add` for each fingerprint and its row of ``samples``, in
-        order, the rows estimated together
-        (:meth:`Estimator.estimate_rows`).  Each basis owns a copy of its
+        """:meth:`add` for the first ``len(samples)`` fingerprints, each
+        with its row of ``samples``, in order: the same ids, index
+        buckets, columnar rows and counters.  The rows are estimated
+        together (:meth:`Estimator.estimate_rows`), and the columnar
+        mirror takes one append a fingerprint size
+        (:meth:`ColumnarStore.extend`).  Each basis owns a copy of its
         row, so no basis keeps the others' samples alive."""
         metrics = self.estimator.estimate_rows(samples)
-        return [
-            self.add(fingerprint, np.array(row, dtype=float), estimate)
-            for fingerprint, row, estimate in zip(
-                fingerprints, samples, metrics
+        first = self._next_id
+        added = [
+            BasisDistribution(first + k, fp, np.array(row, float), estimate)
+            for k, (fp, row, estimate) in enumerate(
+                zip(fingerprints, samples, metrics)
             )
         ]
+        stacks = stack_by_size([basis.fingerprint for basis in added])
+        for size, (indices, rows) in stacks.items():
+            self.columnar.extend(
+                size,
+                [first + k for k in indices],
+                [added[k].fingerprint for k in indices],
+                rows,
+            )
+        for basis in added:
+            self._bases[basis.basis_id] = basis
+            self._nbytes += basis.nbytes()
+            self.index.insert(basis.fingerprint, basis.basis_id)
+        self._next_id += len(added)
+        self.stats.bases_created += len(added)
+        return added
 
     def remove(self, basis_id: int) -> BasisDistribution:
         """Excise one basis: targeted invalidation (lifecycle layer).
@@ -970,6 +1028,7 @@ class BasisStore:
         basis = self._bases.pop(basis_id, None)
         if basis is None:
             raise KeyError(basis_id)
+        self._nbytes -= basis.nbytes()
         self.index.remove(basis.fingerprint, basis_id)
         self.columnar.discard(basis_id)
         return basis
@@ -1038,13 +1097,14 @@ class BasisStore:
                     metrics=basis.metrics,
                 )
                 self._bases[adopted.basis_id] = adopted
+                self._nbytes += adopted.nbytes()
                 self._next_id += 1
                 self.stats.bases_created += 1
                 id_map[basis.basis_id] = adopted.basis_id
                 translation[basis.basis_id] = (adopted.basis_id, None)
             self.index.merge(other.index, id_map)
-            # Adopt the shard's columnar matrices wholesale: one
-            # concatenate per fingerprint size, no key recomputation.
+            # Adopt the shard's columnar matrices wholesale, no key
+            # recomputation.
             self.columnar.adopt(other.columnar, id_map)
             return translation
         # Re-probe pass, one match per incoming basis.  A block probe would
@@ -1079,6 +1139,7 @@ class BasisStore:
         )
         # Estimate first: a refused estimate leaves the basis as it was.
         basis.metrics = self.estimator.estimate(samples)
+        self._nbytes += samples.nbytes - basis.samples.nbytes
         basis.samples = samples
         return basis
 

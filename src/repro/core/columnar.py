@@ -15,8 +15,9 @@ Layout notes:
 * Stores may hold fingerprints of several sizes (a candidate of the wrong
   size is untestable but still *counted* by the scalar loop); rows are
   therefore grouped into per-size blocks and gathered per probe.
-* Matrices grow geometrically — appends are amortized O(row), and merges
-  adopt another store's blocks with one concatenate per size.
+* Matrices grow geometrically — appends are amortized O(row), and a batch
+  of bases (a sweep block's misses, a merge's adopted shard, a snapshot's
+  blocks) lands with one slice write per size.
 * Derived per-row state is materialized lazily behind a fill watermark: a
   store whose family never consults SID orders (or whose probes never reach
   the matrix kernels) never pays for it.  SID orders are read from each
@@ -97,15 +98,17 @@ class _SizeBlock:
                     filled,
                 )
 
-    def append(self, basis_id: int, fingerprint: Fingerprint) -> int:
-        """Add one fingerprint row; returns its row index."""
-        self._reserve(1)
-        row = self.count
-        self.matrix[row] = fingerprint.array
-        self.ids.append(basis_id)
-        self.fingerprints.append(fingerprint)
-        self.count += 1
-        return row
+    def extend(self, ids: Sequence[int], fingerprints, rows) -> int:
+        """Append fingerprint rows: ``rows[k]`` holds the entries of
+        ``fingerprints[k]`` (stored as ``ids[k]``), written with one slice
+        assignment.  Returns the first new row's index."""
+        self._reserve(len(ids))
+        start = self.count
+        self.matrix[start : start + len(ids)] = rows
+        self.ids.extend(ids)
+        self.fingerprints.extend(fingerprints)
+        self.count += len(ids)
+        return start
 
     def tombstone(self, row: int) -> None:
         """Mark one row dead.  The matrix row and the fingerprint object
@@ -297,36 +300,54 @@ class ColumnarStore:
             self._blocks[size] = block
         return block
 
-    def _register(self, basis_id: int, size: int, row: int) -> None:
-        if basis_id >= len(self._size_of):
+    def _register(self, ids, size: int, rows) -> None:
+        """Point basis ``ids`` at ``rows`` of size ``size``'s block: one id
+        and its row, or equal-length integer arrays of them (one array
+        write each, whatever their count)."""
+        top = (ids if isinstance(ids, int) else int(ids.max(initial=-1))) + 1
+        if top > len(self._size_of):
             capacity = len(self._size_of)
-            while capacity <= basis_id:
+            while capacity < top:
                 capacity *= 2
             for name in ("_size_of", "_row_of"):
                 grown = np.zeros(capacity, dtype=np.int64)
                 old = getattr(self, name)
                 grown[: len(old)] = old
                 setattr(self, name, grown)
-        self._size_of[basis_id] = size
-        self._row_of[basis_id] = row
-        self._known = max(self._known, basis_id + 1)
+        self._size_of[ids] = size
+        self._row_of[ids] = rows
+        self._known = max(self._known, top)
 
     def add(self, basis_id: int, fingerprint: Fingerprint) -> None:
-        """Mirror one stored basis into the columnar matrices."""
-        row = self._block(fingerprint.size).append(basis_id, fingerprint)
-        self._register(basis_id, fingerprint.size, row)
+        """Mirror one stored basis into the columnar matrices: a one-row
+        :meth:`_SizeBlock.extend` and the one-id :meth:`_register`."""
+        size = fingerprint.size
+        row = self._block(size).extend(
+            [basis_id], [fingerprint], fingerprint.array
+        )
+        self._register(basis_id, size, row)
+
+    def extend(
+        self, size: int, ids: Sequence[int], fingerprints, rows
+    ) -> None:
+        """Mirror many stored bases of one fingerprint size, in order:
+        one :meth:`_SizeBlock.extend` and one :meth:`_register`.
+        ``rows`` are the fingerprints' entries, stacked."""
+        start = self._block(size).extend(ids, fingerprints, rows)
+        placed = np.arange(start, start + len(ids))
+        self._register(np.asarray(ids, np.int64), size, placed)
 
     def restore_blocks(self, blocks: Dict[int, _SizeBlock]) -> None:
         """Adopt fully built size blocks (the snapshot load path).
 
         Replaces this (empty) store's contents; the id -> (size, row)
-        lookup arrays are rebuilt writable, so only the block matrices
-        themselves stay memory-mapped.
+        lookup arrays are rebuilt writable, one :meth:`_register` a block,
+        so only the block matrices themselves stay memory-mapped.
         """
         self._blocks = dict(blocks)
         for size, block in self._blocks.items():
-            for row, basis_id in enumerate(block.ids):
-                self._register(basis_id, size, row)
+            ids = np.asarray(block.ids, np.int64)
+            self._register(ids, size, np.arange(block.count))
 
     def discard(self, basis_id: int) -> None:
         """Retire one basis's row (tombstone now, compact past threshold).
@@ -365,8 +386,7 @@ class ColumnarStore:
             if block.count == 0:
                 del self._blocks[size]
             else:
-                for row, basis_id in enumerate(block.ids):
-                    self._row_of[basis_id] = row
+                self._row_of[block.ids] = np.arange(block.count)
         self._tombstones = 0
         return dropped
 
@@ -374,7 +394,7 @@ class ColumnarStore:
         """Bulk-append another store's rows under translated basis ids.
 
         The merge counterpart of :meth:`add`: each of ``other``'s size
-        blocks lands in this store with one matrix concatenate (ids absent
+        blocks lands in this store with one :meth:`extend` (ids absent
         from ``id_map`` were collapsed into mappings and carry no row).
         Materialized key matrices are *not* copied — the adopted
         fingerprints keep their cached keys, so a later watermark fill is
@@ -386,18 +406,13 @@ class ColumnarStore:
                 for row in range(incoming.count)
                 if incoming.ids[row] in id_map
             ]
-            if not kept:
-                continue
-            block = self._block(size)
-            block._reserve(len(kept))
-            start = block.count
-            block.matrix[start : start + len(kept)] = incoming.matrix[kept]
-            for offset, row in enumerate(kept):
-                basis_id = id_map[incoming.ids[row]]
-                block.ids.append(basis_id)
-                block.fingerprints.append(incoming.fingerprints[row])
-                self._register(basis_id, size, start + offset)
-            block.count += len(kept)
+            if kept:
+                self.extend(
+                    size,
+                    [id_map[incoming.ids[row]] for row in kept],
+                    [incoming.fingerprints[row] for row in kept],
+                    incoming.matrix[kept],
+                )
 
     def gather(
         self, candidates: Sequence[int], size: int

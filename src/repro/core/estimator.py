@@ -326,10 +326,9 @@ class Estimator:
             self._plan = (size, plan)
         kth, lower, upper, gamma, one_minus_gamma, upper_half = plan
         ordered.partition(kth, axis=-1)
-        # Through ``.T`` a vector and a matrix's rows index alike, and a
-        # vector at a vector's cost.
-        below = ordered.T[lower].T
-        above = ordered.T[upper].T
+        vector = ordered.ndim == 1
+        below = ordered[lower] if vector else ordered[:, lower]
+        above = ordered[upper] if vector else ordered[:, upper]
         spread = above - below
         values = below + spread * gamma
         np.subtract(
@@ -337,10 +336,15 @@ class Estimator:
         )
         # NaN sorts last, and one NaN makes every quantile of its vector
         # that NaN.
-        last = ordered.T[-1]
-        nan = last != last
-        if np.count_nonzero(nan):
-            np.copyto(values.T, last, where=nan)
+        if vector:
+            last = ordered[-1]
+            if last != last:
+                values[:] = last
+        else:
+            last = ordered[:, -1]
+            nan = last != last
+            if nan.any():
+                np.copyto(values, last[:, None], where=nan[:, None])
         return values.tolist()
 
     def _quantile_plan(self, n: int) -> tuple:

@@ -434,6 +434,7 @@ class LinearMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         anchors=None,
+        state=None,
     ) -> Tuple[np.ndarray, Callable[[int], AffineMapping]]:
         """Algorithm 2 over a block's ragged (probe x candidate) pair set.
 
@@ -446,7 +447,9 @@ class LinearMappingFamily(MappingFamily):
         ``sources[rows]``, in that order.  ``anchors`` is the matrix's
         :func:`~repro.core.fingerprint.rows_anchor_columns` when the
         caller keeps them, optionally followed by its
-        :func:`rows_ratio_columns` (the columnar store caches all five).
+        :func:`rows_ratio_columns` (the columnar store caches all five),
+        and ``state`` the targets' :func:`_targets_state` when the caller
+        keeps it (a block probe derives it once for all its launches).
         Returns ``(first, build)``: ``first[p]`` is the index into probe
         ``p``'s ``rows`` of its first candidate with a valid mapping (−1:
         none — FindMatch keeps only the first), and ``build(p)`` is that
@@ -464,7 +467,8 @@ class LinearMappingFamily(MappingFamily):
         if anchors is None:
             anchors = rows_anchor_columns(sources, rel_tol)
         ratio, slack = anchors[3:] or rows_ratio_columns(sources, anchors)
-        state = _targets_state(targets, rel_tol, abs_tol)
+        if state is None:
+            state = _targets_state(targets, rel_tol, abs_tol)
         survivors, start = [], 0
         for count, rows in groups:
             probes = slice(start, start + count)
@@ -526,11 +530,14 @@ class LinearMappingFamily(MappingFamily):
 
 
 def _targets_state(
-    targets: np.ndarray, rel_tol: float, abs_tol: float
+    targets: np.ndarray, rel_tol: float, abs_tol: float, varying=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """What :meth:`LinearMappingFamily.find` derives from its target, row
-    by row: ``(varying, tol)`` — not constant, and the validation bound."""
-    varying = rows_first_distinct(targets, rel_tol)[0]
+    by row: ``(varying, tol)`` — not constant, and the validation bound.
+    ``varying`` is the rows' first-distinct ``has_pair`` when the caller
+    has it (their anchor columns' first)."""
+    if varying is None:
+        varying = rows_first_distinct(targets, rel_tol)[0]
     tol = np.maximum(rel_tol * np.maximum(rows_scale(targets), 1.0), abs_tol)
     return varying, tol
 

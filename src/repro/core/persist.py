@@ -610,6 +610,7 @@ def _restore_store(
     # order (a normalization index keys them in bulk at its first read).
     for basis_id in sorted(store._bases):
         store.index.insert(store._bases[basis_id].fingerprint, basis_id)
+    store._nbytes = sum(basis.nbytes() for basis in store._bases.values())
     store._next_id = next_id
     store.stats = StoreStats(**{
         key: int(value) for key, value in entry["stats"].items()

@@ -16,7 +16,9 @@ so the prefilter must never drop a pair Algorithm 2 accepts:
     tolerances out is dropped;
 (c) block probes with the shared front forced agree with the scalar loop,
     probe by probe, on all three index strategies: basis id, mapping bits
-    and candidates tested.
+    and candidates tested;
+(d) ``find_block(state=...)``, the targets' state cut from a larger
+    stack's as a block probe keeps it, gives ``find_block()``'s bits.
 
 The default profile keeps the tier-1 run short; CI runs this module with
 ``--hypothesis-profile=ci`` (registered in the root ``conftest.py``).
@@ -279,3 +281,36 @@ def test_block_probe_matches_the_scalar_loop(bases, specs, strategy, cutover):
                 want.mapping.alpha.hex(),
                 want.mapping.beta.hex(),
             )
+
+
+@_SETTINGS
+@given(case=hostile_cases(), data=st.data())
+def test_find_block_with_the_callers_state(case, data):
+    """(d) The state a block probe derives once over its stacked probes,
+    sliced for a launch, decides every pair as the launch's own does."""
+    sources, stack = case
+    members = data.draw(
+        st.lists(st.integers(0, len(stack) - 1), min_size=1, max_size=8)
+    )
+    split = data.draw(st.integers(1, len(members)))
+    source_rows = st.lists(
+        st.integers(0, len(sources) - 1), min_size=1, max_size=6
+    ).map(np.array)
+    groups = [(split, data.draw(source_rows))]
+    if split < len(members):
+        groups.append((len(members) - split, data.draw(source_rows)))
+    targets = stack[members]
+    with np.errstate(all="ignore"):
+        state = _targets_state(stack, DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+        answers = [
+            FAMILY.find_block(sources, targets, groups, state=given)
+            for given in (None, [column[members] for column in state])
+        ]
+    (first, build), (got, got_build) = answers
+    np.testing.assert_array_equal(got, first)
+    for probe in np.nonzero(first >= 0)[0].tolist():
+        want, have = build(probe), got_build(probe)
+        assert (have.alpha.hex(), have.beta.hex()) == (
+            want.alpha.hex(),
+            want.beta.hex(),
+        )

@@ -3,15 +3,17 @@
 The dynamic-evaluation contract (Berkholz–Keppeler–Schweikardt, PAPERS.md)
 used as a test: *after any update sequence the maintained structure answers
 exactly as a from-scratch evaluation*.  A hypothesis state machine drives
-:class:`BasisStore` through interleaved add / match / match_batch /
-match_block (a block probe with the machine's own add / remove / merge, or
-the add of one of the block's own probes, run between its answers) / plan
-(a block planned and settled as a sweep does, with a foreign add / remove
-/ merge between the two) / remove / evict / compact / merge /
-save→load, and after every step compares it with a deliberately naive
-oracle — a plain list of bases in insertion order, a
-linear scan over it, the scalar ``find`` — on the matched basis (through the
-store-id → oracle-entry renumbering), the mapping parameters (exact) and
+:class:`BasisStore` through interleaved add / add_batch (a prefix of
+the fingerprints given samples, one columnar append a size) / match /
+match_batch / match_block (a block probe with the machine's own add /
+remove / merge, or the add of one of the block's own probes, run between
+its answers) / plan (a block planned and settled as a sweep does, with a
+foreign add / remove / merge between the two) / remove / evict / compact
+/ merge / extend_basis / save→load, and after every step compares it
+with a deliberately naive oracle — a plain list of bases in insertion
+order, a linear scan over it, the scalar ``find`` — on the matched basis
+(through the store-id → oracle-entry renumbering), the mapping parameters
+(exact) and
 the per-probe ``candidates_tested`` work.  The store's index is held, after
 every step and without being read, to an index of its own class that was
 handed the same inserts and removals and probed after each one: an index
@@ -28,7 +30,9 @@ the default.  This is the guard against retired-id aliasing in the columnar
 layout: retired fingerprints are re-probed, stale rows get compacted away
 and refilled, snapshots come back memory-mapped and are appended to.
 The blocks' lazily filled anchor columns are held to the same contract:
-below their watermark they equal a from-scratch pass over the rows.
+below their watermark they equal a from-scratch pass over the rows.  So
+is the running byte total an eviction byte bound reads: it equals the
+live bases' summed ``nbytes()``.
 A third run sits on both sides of the block probe's *pair-pass* cutover:
 ``match_block`` draws 4–8 probes, under any cutover worth having, so that
 run patches ``PAIR_PASS_MIN_PROBES`` down to the smallest block there is
@@ -289,6 +293,21 @@ class StoreMachine(RuleBasedStateMachine):
         for fingerprint in burst:
             self.add(fingerprint)
 
+    @rule(
+        batch=st.lists(fingerprints, min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def add_batch(self, batch, data):
+        """A sweep block's adds: the first ``done`` fingerprints (a draw
+        that raised leaves a prefix), each with its row of one matrix."""
+        done = data.draw(st.integers(min_value=0, max_value=len(batch)))
+        samples = np.array([fp.values[:3] * 2 for fp in batch[:done]])
+        added = self.store.add_batch(batch, samples)
+        assert len(added) == done
+        for basis, fingerprint in zip(added, batch):
+            assert basis.fingerprint is fingerprint
+            self._adopt(basis.basis_id, fingerprint)
+
     @rule(spec=probe_specs)
     def match(self, spec):
         probe = self._probe(spec)
@@ -422,6 +441,15 @@ class StoreMachine(RuleBasedStateMachine):
                 assert self.entry_of[here] is entry
                 assert mapping == expected
 
+    @rule(
+        pick=st.integers(min_value=0, max_value=10**6),
+        extra=st.integers(min_value=1, max_value=9),
+    )
+    def extend_basis(self, pick, extra):
+        if self.entry_of:
+            basis_id = sorted(self.entry_of)[pick % len(self.entry_of)]
+            self.store.extend_basis(basis_id, np.arange(float(extra)))
+
     @rule(mmap=st.booleans())
     def save_load(self, mmap):
         self.saves += 1
@@ -449,6 +477,13 @@ class StoreMachine(RuleBasedStateMachine):
             entry.hits for entry in self.naive.entries
         ]
         assert len(self.store.columnar) >= len(bases)
+
+    @invariant()
+    def running_byte_total_is_the_live_sum(self):
+        if hasattr(self, "store"):
+            assert self.store._nbytes == sum(
+                basis.nbytes() for basis in self.store.bases
+            )
 
     @invariant()
     def index_is_the_one_keyed_on_arrival(self):

@@ -1,5 +1,8 @@
 """Unit tests for the basis-distribution store (paper Algorithm 3)."""
 
+import copy
+import os
+import pickle
 from operator import attrgetter
 
 import numpy as np
@@ -225,3 +228,185 @@ class TestVictimsAgainstTheFullSort:
             victims = policy.victims(store)
             assert victims == _full_sort_victims(policy, store), policy
             assert all(type(basis_id) is int for basis_id in victims)
+
+
+def _batch_fixture(seed=5):
+    """Fingerprints of two sizes — fresh ones and affine images of
+    earlier ones, so buckets are shared — and a C-contiguous sample
+    matrix, one row a fingerprint."""
+    rng = np.random.default_rng(seed)
+    fingerprints = []
+    for k in range(11):
+        size = (5, 7)[k % 3 == 2]
+        same = [fp for fp in fingerprints if fp.size == size]
+        if same and k % 2:
+            fingerprints.append(affine_fp(same[0], -2.0, 0.5 * k))
+        else:
+            fingerprints.append(Fingerprint(tuple(rng.normal(size=size))))
+    return fingerprints, rng.normal(size=(len(fingerprints), 12))
+
+
+def _seeded_store(strategy, removed=()):
+    store = BasisStore(index_strategy=strategy)
+    for fingerprint in _batch_fixture(seed=9)[0][:6]:
+        store.add(fingerprint, BASE_SAMPLES)
+    for basis_id in removed:
+        store.remove(basis_id)
+    return store
+
+
+def _index_contents(index):
+    """Everything a probe can read of an index (queued arrivals keyed)."""
+    if isinstance(index, ArrayIndex):
+        return list(index._ids)
+    if isinstance(index, NormalizationIndex):
+        index._settle()
+    return {key: list(ids) for key, ids in index._buckets.items()}
+
+
+def _columnar_state(columnar):
+    """The columnar mirror, bit for bit: each size block's live matrix,
+    ids and fingerprints, and the id -> (size, row) arrays."""
+    known = columnar._known
+    return (
+        known,
+        columnar._size_of[:known].tolist(),
+        columnar._row_of[:known].tolist(),
+        {
+            size: (
+                block.count,
+                block.dead,
+                block.matrix[: block.count].tobytes(),
+                [int(i) for i in block.ids],
+                [fp.values for fp in block.fingerprints],
+            )
+            for size, block in sorted(columnar._blocks.items())
+        },
+    )
+
+
+def _store_state(store):
+    return (
+        _columnar_state(store.columnar),
+        _index_contents(copy.deepcopy(store.index)),
+        store._next_id,
+        store.stats.as_dict(),
+        store._nbytes,
+        [
+            (b.basis_id, b.hits, b.samples.tobytes(), pickle.dumps(b.metrics))
+            for b in store.bases
+        ],
+    )
+
+
+def _snapshot_bytes(store, path):
+    persist.save_store(copy.deepcopy(store), str(path))
+    return {
+        name: (path / name).read_bytes() for name in sorted(os.listdir(path))
+    }
+
+
+class TestAddBatchIsTheAddLoop:
+    """``add_batch`` — one columnar append a fingerprint size — leaves
+    the store a loop of ``add`` leaves: columnar bits, index buckets,
+    ids, counters, and the snapshot it saves."""
+
+    @staticmethod
+    def _loop(store, fingerprints, samples):
+        for fingerprint, row in zip(fingerprints, samples):
+            store.add(fingerprint, np.array(row, dtype=float))
+
+    def _assert_same(self, batched, looped, tmp_path):
+        assert _store_state(batched) == _store_state(looped)
+        assert _snapshot_bytes(batched, tmp_path / "batched") == (
+            _snapshot_bytes(looped, tmp_path / "looped")
+        )
+
+    @pytest.mark.parametrize("strategy", ["array", "normalization", "sorted_sid"])
+    def test_every_prefix_of_mixed_sizes(self, tmp_path, strategy):
+        fingerprints, samples = _batch_fixture()
+        for done in (0, 1, 4, len(samples)):
+            batched = _seeded_store(strategy, removed=(1, 4))
+            looped = copy.deepcopy(batched)
+            added = batched.add_batch(fingerprints, samples[:done])
+            self._loop(looped, fingerprints, samples[:done])
+            assert [b.basis_id for b in added] == list(range(6, 6 + done))
+            self._assert_same(batched, looped, tmp_path / str(done))
+            # Each basis owns its row.
+            assert all(b.samples.base is None for b in added)
+
+    @pytest.mark.parametrize("strategy", ["array", "normalization", "sorted_sid"])
+    def test_onto_a_memory_mapped_snapshot(self, tmp_path, strategy):
+        persist.save_store(_seeded_store(strategy, removed=(2,)), str(tmp_path / "s"))
+        on_disk = {
+            name: (tmp_path / "s" / name).read_bytes()
+            for name in os.listdir(tmp_path / "s")
+        }
+        batched = persist.load_store(str(tmp_path / "s"), mmap=True)
+        looped = persist.load_store(str(tmp_path / "s"), mmap=True)
+        assert not batched.columnar._blocks[5].matrix.flags.writeable
+        fingerprints, samples = _batch_fixture()
+        batched.add_batch(fingerprints, samples)
+        self._loop(looped, fingerprints, samples)
+        # Copy-on-write promotion: fresh writable matrices, file untouched.
+        assert all(
+            block.matrix.flags.writeable
+            for block in batched.columnar._blocks.values()
+        )
+        assert on_disk == {
+            name: (tmp_path / "s" / name).read_bytes()
+            for name in os.listdir(tmp_path / "s")
+        }
+        self._assert_same(batched, looped, tmp_path)
+
+    @pytest.mark.parametrize("strategy", ["array", "normalization", "sorted_sid"])
+    def test_adopt_and_restore_register_as_adds_do(self, tmp_path, strategy):
+        fingerprints, samples = _batch_fixture()
+        shard = BasisStore(index_strategy=strategy)
+        self._loop(shard, fingerprints, samples)
+        shard.remove(3)  # a gap: adopted ids need not be every id
+        merged = _seeded_store(strategy, removed=(0,))
+        looped = copy.deepcopy(merged)
+        merged.merge(shard, reprobe=False)
+        for basis in shard.bases:  # creation order, as the merge adopts
+            looped.add(basis.fingerprint, basis.samples, basis.metrics)
+        assert _columnar_state(merged.columnar) == _columnar_state(
+            looped.columnar
+        )
+        assert merged._nbytes == looped._nbytes
+        # A snapshot load registers each block in one step; retired ids
+        # stay unregistered (size 0), as a compacted store has them.
+        persist.save_store(merged, str(tmp_path / "m"))
+        restored = persist.load_store(str(tmp_path / "m"), mmap=True)
+        assert _columnar_state(restored.columnar) == _columnar_state(
+            merged.columnar
+        )
+        assert restored.columnar._size_of[0] == 0
+
+
+class TestRunningByteTotal:
+    """``_nbytes`` — what a byte bound reads — is the live bases' summed
+    ``nbytes()`` after every change to the store."""
+
+    def test_every_mutation(self, tmp_path):
+        def total(store):
+            return sum(basis.nbytes() for basis in store.bases)
+
+        fingerprints, samples = _batch_fixture()
+        store = _seeded_store("normalization")
+        assert store._nbytes == total(store)
+        store.add_batch(fingerprints[:4], samples[:4])
+        assert store._nbytes == total(store)
+        store.remove(2)
+        store.extend_basis(5, np.arange(7.0))
+        assert store._nbytes == total(store)
+        for reprobe in (False, True):
+            shard = BasisStore()
+            shard.add_batch(fingerprints[4:], samples[4:])
+            store.merge(shard, reprobe=reprobe)
+            assert store._nbytes == total(store)
+        store.evict(EvictionPolicy(max_bytes=store._nbytes // 2))
+        assert 0 < store._nbytes == total(store)
+        persist.save_store(store, str(tmp_path / "s"))
+        loaded = persist.load_store(str(tmp_path / "s"), mmap=True)
+        assert loaded._nbytes == store._nbytes == total(loaded)

@@ -769,6 +769,19 @@ class TestBlockProbePlan:
             if name != "collapse":
                 assert not settled
 
+    def test_a_foreign_step_between_opening_and_plan(
+        self, family_name, strategy
+    ):
+        """A store that moved since the block opened has no plan: what
+        the block speculated may no longer stand."""
+        moved = self.stores(family_name, strategy)[1]
+        planned = copy.deepcopy(moved).block_probe(PROBES).plan()
+        handle = moved.block_probe(PROBES)
+        moved.add(_affine(BASE, 7.0, 1.0), SAMPLES)
+        assert handle.plan() is None
+        if strategy != "sorted_sid":
+            assert (planned is not None) == (family_name == "linear")
+
     def test_small_blocks_have_no_plan(self, family_name, strategy):
         for count in (1, basis_module.BLOCK_MIN_PROBES - 1):
             probes = [_affine(BASE, 1.0 + i, float(i)) for i in range(count)]
