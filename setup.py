@@ -14,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    python_requires=">=3.9",
+    python_requires=">=3.10",
 )

@@ -141,26 +141,3 @@ def markov_step_model(
 ) -> MarkovStepModel:
     """Figure 8's MarkovStep process (Demand with a release dependency)."""
     return MarkovStepModel(release_threshold=release_threshold)
-
-
-FIG8_WORKLOADS: Tuple[str, ...] = (
-    "Usage",
-    "Capacity",
-    "Overload",
-    "MarkovStep",
-)
-
-
-def fig8_workload(name: str, scale: float = 1.0) -> SweepWorkload:
-    """Figure 8 sweeps by paper series name ('Usage' is UserSelection)."""
-    weeks = max(4, int(52 * min(scale, 1.0)))
-    if name == "Usage":
-        return user_selection_workload(
-            weeks=max(4, int(12 * min(scale, 1.0))),
-            user_count=max(50, int(500 * scale)),
-        )
-    if name == "Capacity":
-        return capacity_workload(weeks=weeks)
-    if name == "Overload":
-        return overload_workload(weeks=weeks)
-    raise ValueError(f"unknown Figure 8 workload {name!r}")

@@ -398,13 +398,3 @@ def draw_matrix(
     if fast_path_available():
         return _draw_matrix_vector(seeds, kinds)
     return _draw_matrix_scalar(seeds, kinds)
-
-
-def first_uniforms(rng_seeds: np.ndarray) -> np.ndarray:
-    """First standard-uniform draw of every seed's stream."""
-    return draw_matrix(rng_seeds, (KIND_UNIFORM,))[:, 0]
-
-
-def first_normals(rng_seeds: np.ndarray) -> np.ndarray:
-    """First standard-normal draw of every seed's stream."""
-    return draw_matrix(rng_seeds, (KIND_NORMAL,))[:, 0]

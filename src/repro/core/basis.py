@@ -46,7 +46,7 @@ from repro.core.mapping import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class BasisDistribution:
     """A fully simulated distribution available for reuse.
 

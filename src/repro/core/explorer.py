@@ -146,7 +146,7 @@ class ExplorerStats:
         return self.points_reused / self.points_total
 
 
-@dataclass
+@dataclass(slots=True)
 class PointResult:
     """Outcome for one parameter point.
 

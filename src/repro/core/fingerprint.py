@@ -59,7 +59,7 @@ def values_close(
     return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fingerprint:
     """An immutable m-entry output vector under the global seed set."""
 

@@ -33,6 +33,8 @@ from repro.errors import MappingError
 class Mapping(ABC):
     """A concrete mapping function from one distribution's domain to another's."""
 
+    __slots__ = ()
+
     @abstractmethod
     def apply(self, value: float) -> float:
         """Map one sample value."""
@@ -51,7 +53,7 @@ class Mapping(ABC):
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMapping(Mapping):
     """M(x) = alpha * x + beta."""
 

@@ -51,8 +51,9 @@ adopted, and sharding and columnar matching compose — because a block
 probe's answers are bit-identical to the scalar loop's, the replay-merge
 parity invariant is untouched.  Offline store
 reconciliation (:meth:`BasisStore.merge`) adopts a shard's columnar
-matrices with one concatenate per fingerprint size in verbatim mode and
-re-probes incoming bases through the same columnar engine otherwise.
+matrices with one :meth:`ColumnarStore.extend` (one slice write into the
+reserved matrix) per fingerprint size in verbatim mode, and re-probes
+incoming bases through the same columnar engine otherwise.
 """
 
 from __future__ import annotations

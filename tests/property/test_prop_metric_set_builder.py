@@ -1,13 +1,15 @@
 """``MetricSet``'s fast builder against its dataclass ``__init__``.
 
-``remap`` and ``estimate`` build their :class:`MetricSet` by writing the
-instance dict (``repro.core.estimator._metric_set``) instead of paying the
-frozen dataclass's ``__init__``, which sets each field through
+``remap`` and ``estimate`` build their :class:`MetricSet` by filling an
+unfrozen twin with the same slots and then assigning its ``__class__``
+(``repro.core.estimator._metric_set``) instead of paying the frozen
+dataclass's ``__init__``, which sets each field through
 ``object.__setattr__``.  Whatever goes in — NaN, infinities, ``-0.0``,
 repeated quantile probabilities, a histogram or none — what comes out must
 be indistinguishable from ``MetricSet(...)`` on the same fields: the same
-``==``, ``hash``, ``repr``, pickle bytes and round trip, the same
-``dataclasses.replace``, and still frozen.
+``==``, ``hash``, ``repr``, slots (every one set, no instance dict),
+pickle bytes and round trip, the same ``dataclasses.replace``, and still
+frozen.
 """
 
 import dataclasses
@@ -77,7 +79,10 @@ def assert_as_init_builds(built):
     assert built == made and made == built
     assert hash(built) == hash(made)
     assert repr(built) == repr(made)
-    assert list(vars(built)) == list(vars(made)) == FIELDS
+    assert MetricSet.__slots__ == tuple(FIELDS)
+    for name in FIELDS:
+        assert getattr(built, name) is getattr(made, name)
+    assert not hasattr(built, "__dict__") and not hasattr(made, "__dict__")
     assert pickle.dumps(built) == pickle.dumps(made)
     back = pickle.loads(pickle.dumps(built))
     assert repr(back) == repr(made)
