@@ -12,7 +12,7 @@ from repro.blackbox.capacity import CapacityModel
 from repro.blackbox.demand import DemandModel
 from repro.blackbox.draws import DEFAULT_DRAW_CACHE, StandardDrawCache
 from repro.blackbox.markov_branch import MarkovBranchModel
-from repro.blackbox.markov_step import DemandObservedMarkovStep, MarkovStepModel
+from repro.blackbox.markov_step import MarkovStepModel
 from repro.blackbox.overload import OverloadModel
 from repro.blackbox.rng import DeterministicRng
 from repro.blackbox.synth_basis import SynthBasisModel
@@ -31,7 +31,6 @@ __all__ = [
     "StandardDrawCache",
     "MarkovBranchModel",
     "MarkovStepModel",
-    "DemandObservedMarkovStep",
     "OverloadModel",
     "DeterministicRng",
     "SynthBasisModel",

@@ -109,17 +109,3 @@ class MarkovStepModel(MarkovModel):
         paper's release-week chain in Figure 5.
         """
         return state
-
-
-class DemandObservedMarkovStep(MarkovStepModel):
-    """MarkovStep variant whose observable is the demand draw itself.
-
-    Exercises the harder case where the fingerprinted quantity is stochastic
-    at every step (demand), not just at discontinuities; the demand for a
-    step is re-derived deterministically from (state, step, seed).
-    """
-
-    name = "MarkovStepDemand"
-
-    def observed_demand(self, state: float, step_index: int, seed: int) -> float:
-        return self.demand_at(state, step_index, seed)

@@ -269,10 +269,9 @@ class ParameterExplorer:
     def explore(self, space: Iterable[Params]) -> Iterator[PointResult]:
         """One :class:`PointResult` per *visited* point, in ``space`` order.
 
-        The per-visited-point loop behind :meth:`run`, the searches of
-        :mod:`repro.core.search` and the sharded engine.  ``space`` is
-        walked lazily, :data:`BLOCK_PROBES` points at a time: a block's
-        fingerprint rounds are drawn first, in one
+        The per-visited-point loop behind :meth:`run` and the sharded
+        engine.  ``space`` is walked lazily, :data:`BLOCK_PROBES` points
+        at a time: a block's fingerprint rounds are drawn first, in one
         :func:`make_points_simulation` call (a black box draws them as one
         points x seeds matrix, :meth:`BlackBox.sample_points`, row ``i``
         bitwise point ``i``'s own draw), and one
@@ -287,12 +286,12 @@ class ParameterExplorer:
         lookups, matches, ``candidates_tested``, per-basis ``hits`` — by
         :meth:`BlockProbe.settle`, all before the block's first point is
         yielded, so a consumer that stops part-way through a block sees
-        its later points counted; every in-tree consumer (:meth:`run`, both
-        searches of :mod:`repro.core.search`, the shard worker) drains the
-        generator.  A draw that raises leaves the store as the per-point
-        loop would have: the misses before it added, every probe up to it
-        accounted.  A block the plan cannot decide, and every block under
-        an adaptive budget or a histogram estimator, is resolved point by
+        its later points counted; every in-tree consumer (:meth:`run` and
+        the shard worker) drains the generator.  A draw that raises leaves
+        the store as the per-point loop would have: the misses before it
+        added, every probe up to it accounted.  A block the plan cannot
+        decide, and every block under an adaptive budget or a histogram
+        estimator, is resolved point by
         point — ``match``, then simulate and ``add`` on a miss — and the
         block probe's prefix rule keeps each answer the one Algorithm 3
         gives, so every decision, mapping bit and counter is the

@@ -46,9 +46,6 @@ class ParameterSpace:
         for combination in itertools.product(*value_lists):
             yield dict(zip(self.names, combination))
 
-    def points_list(self) -> List[Dict[str, float]]:
-        return list(self.points())
-
     def neighbors(
         self, point: Dict[str, float], parameter: str
     ) -> List[Dict[str, float]]:

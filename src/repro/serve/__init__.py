@@ -14,8 +14,9 @@ check and the parity suite.
 Quickstart::
 
     # daemon (or: python -m repro serve --store snapshots/demand)
-    from repro.serve import serve_snapshot
-    server = serve_snapshot("snapshots/demand", port=7411)
+    from repro.api import Session
+    from repro.serve import BasisServer
+    server = BasisServer(Session.open("snapshots/demand"), port=7411).start()
 
     # client
     from repro.serve import ServeClient
@@ -24,7 +25,7 @@ Quickstart::
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.daemon import BasisServer, serve_snapshot
+from repro.serve.daemon import BasisServer
 from repro.serve.loadgen import (
     LoadResult,
     build_fixture_session,
@@ -53,5 +54,4 @@ __all__ = [
     "recv_frame",
     "run_concurrent",
     "send_frame",
-    "serve_snapshot",
 ]

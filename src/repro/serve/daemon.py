@@ -376,17 +376,3 @@ class BasisServer:
                 break
             for key, _ in self._selector.select(remaining):
                 self._flush(key.data)
-
-
-def serve_snapshot(
-    path: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    save_path: Optional[str] = None,
-    mmap: bool = True,
-) -> BasisServer:
-    """Open a snapshot as a warm session and start a server over it."""
-    session = Session.open(path, mmap=mmap)
-    return BasisServer(
-        session, host=host, port=port, save_path=save_path
-    ).start()

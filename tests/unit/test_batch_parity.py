@@ -25,7 +25,7 @@ from repro.blackbox.draws import (
     derived_seed_array_cached,
 )
 from repro.blackbox.markov_branch import MarkovBranchModel
-from repro.blackbox.markov_step import DemandObservedMarkovStep, MarkovStepModel
+from repro.blackbox.markov_step import MarkovStepModel
 from repro.blackbox.overload import OverloadModel
 from repro.blackbox.rng import DeterministicRng
 from repro.blackbox.synth_basis import SynthBasisModel
@@ -385,7 +385,6 @@ class _ScalarOnly(MarkovModel):
 
 MARKOV_CASES = [
     MarkovStepModel(),
-    DemandObservedMarkovStep(),
     MarkovBranchModel(branching=0.25, work_per_step=2),
 ]
 

@@ -237,14 +237,7 @@ class TestCliExitCodes:
         assert "warm store" in capsys.readouterr().out
 
 
-class TestDemandObservedVariant:
-    def test_observed_demand_is_deterministic(self):
-        from repro.blackbox import DemandObservedMarkovStep
-
-        model = DemandObservedMarkovStep()
-        value = model.observed_demand(52.0, 5, 1234)
-        assert value == model.observed_demand(52.0, 5, 1234)
-
+class TestMarkovStepDemand:
     def test_demand_at_reflects_release_state(self):
         from repro.blackbox import MarkovStepModel
 

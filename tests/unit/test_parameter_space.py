@@ -78,7 +78,7 @@ class TestParameterSpace:
         )
 
     def test_cartesian_product(self):
-        points = self.space().points_list()
+        points = list(self.space().points())
         assert len(points) == 6
         assert {"a": 0.0, "b": 10.0} in points
         assert {"a": 2.0, "b": 20.0} in points
@@ -98,7 +98,7 @@ class TestParameterSpace:
         assert space.chain_specs[0].name == "c"
 
     def test_empty_space_single_point(self):
-        assert ParameterSpace([]).points_list() == [{}]
+        assert list(ParameterSpace([]).points()) == [{}]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(JigsawError):
@@ -124,6 +124,10 @@ class TestParameterSpace:
         space = self.space()
         neighbors = space.neighbors({"a": 1.0, "b": 20.0}, "a")
         assert all(n["b"] == 20.0 for n in neighbors)
+
+    def test_repeated_value_gives_the_same_neighbour_twice(self):
+        space = ParameterSpace([SetParameter("c", (0.0, 1.0, 0.0, 2.0))])
+        assert space.neighbors({"c": 1.0}, "c") == [{"c": 0.0}] * 2
 
     def test_neighbors_unknown_parameter(self):
         with pytest.raises(JigsawError):
